@@ -4,7 +4,7 @@
 # dependency stand-ins.
 #
 # Subcommands (run one step alone):
-#   ./ci.sh chaos-smoke       chaos determinism smoke only
+#   ./ci.sh chaos-smoke       chaos determinism + resume/stream/shards smoke only
 #   ./ci.sh telemetry-smoke   archived telemetry determinism smoke only
 #   ./ci.sh cluster-smoke     multi-process sweep byte-identity smoke only
 #   ./ci.sh stream-smoke      incremental-analysis equivalence smoke only
@@ -18,20 +18,33 @@ set -eu
 cd "$(dirname "$0")"
 
 # Supervised sweep under a scripted fault schedule: must complete, verify
-# clean, and be byte-identical across two same-seed runs.
+# clean, be byte-identical across two same-seed runs, and resume like a
+# bulk sweep: a re-run over the finished archive changes no byte, and the
+# wire sweep works with --stream and --shards.
 chaos_smoke() {
-    echo "==> smoke: dpscope measure --chaos (determinism)"
-    rm -rf target/ci-chaos-a target/ci-chaos-b
+    echo "==> smoke: dpscope measure --chaos (determinism, resume, stream, shards)"
+    chaos='blackout@0..1500ms; degrade@0..inf@loss=0.15'
+    rm -rf target/ci-chaos-a target/ci-chaos-b target/ci-chaos-stream \
+        target/ci-chaos-sharded
     ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
-        --archive target/ci-chaos-a \
-        --chaos 'blackout@0..1500ms; degrade@0..inf@loss=0.15'
+        --archive target/ci-chaos-a --chaos "$chaos"
     ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
-        --archive target/ci-chaos-b \
-        --chaos 'blackout@0..1500ms; degrade@0..inf@loss=0.15'
+        --archive target/ci-chaos-b --chaos "$chaos"
     ./target/release/dpscope store verify target/ci-chaos-a
     ./target/release/dpscope store info target/ci-chaos-a
     cmp target/ci-chaos-a/archive.dps target/ci-chaos-b/archive.dps
-    rm -rf target/ci-chaos-a target/ci-chaos-b
+    # No-op resume: every day is committed, so nothing is re-measured.
+    ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
+        --archive target/ci-chaos-b --chaos "$chaos"
+    cmp target/ci-chaos-a/archive.dps target/ci-chaos-b/archive.dps
+    ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
+        --stream --archive target/ci-chaos-stream --chaos "$chaos"
+    ./target/release/dpscope stream check target/ci-chaos-stream
+    ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
+        --shards 2 --archive target/ci-chaos-sharded --chaos "$chaos"
+    ./target/release/dpscope store verify target/ci-chaos-sharded
+    rm -rf target/ci-chaos-a target/ci-chaos-b target/ci-chaos-stream \
+        target/ci-chaos-sharded
 }
 
 # Archived telemetry must be deterministic and non-trivial: two same-seed

@@ -59,7 +59,7 @@ fn run_single(sample: usize) -> f64 {
         cc_start_day: CC_START,
         stride: 1,
     })
-    .run_archived(&mut world, &path)
+    .run_archived(&mut world, &path, None)
     .expect("archived study");
     let secs = start.elapsed().as_secs_f64();
     black_box(store.total_stored_bytes());
@@ -87,7 +87,7 @@ fn run_cluster(workers: usize, sample: usize) -> (f64, u64) {
     }
     drop(conn_tx);
     let ClusterOutcome { store, report } =
-        serve(conn_rx, ClusterConfig::for_params(params()), &path).expect("cluster sweep");
+        serve(conn_rx, ClusterConfig::for_params(params()), &path, None).expect("cluster sweep");
     for agent in agents {
         agent.join().expect("agent thread").expect("agent run");
     }

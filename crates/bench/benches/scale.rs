@@ -73,7 +73,7 @@ fn run_rung(label: &'static str, scale: f64, dir: &std::path::Path) -> Rung {
         stride: 1,
     })
     .with_shards(SHARDS)
-    .run_archived(&mut world, &path)
+    .run_archived(&mut world, &path, None)
     .expect("archived study");
     let measure_s = start.elapsed().as_secs_f64();
 
@@ -120,7 +120,7 @@ fn sharded_matches_single(dir: &std::path::Path) -> bool {
         cc_start_day: CC_START,
         stride: 1,
     })
-    .run_archived(&mut world, &single)
+    .run_archived(&mut world, &single, None)
     .expect("single-file study");
     let a = StoreReader::open_auto(&single).expect("open single");
     let b = StoreReader::open_auto(&sharded).expect("open sharded");

@@ -22,7 +22,7 @@ fn bench(c: &mut Criterion) {
         cc_start_day: days,
         stride: 1,
     })
-    .run_archived(&mut world, &path)
+    .run_archived(&mut world, &path, None)
     .expect("archived study");
 
     let archive = Archive::open(&path).expect("open archive");

@@ -57,7 +57,7 @@ fn build(scale: f64) -> Built {
         cc_start_day: CC_START,
         stride: 1,
     })
-    .run_archived_observed(&mut world, &path, Some(&mut engine))
+    .run_archived(&mut world, &path, Some(&mut engine))
     .expect("archived study");
 
     let archive = Archive::open(&path).expect("open archive");

@@ -6,9 +6,10 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dps_authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
 use dps_ecosystem::{ScenarioParams, Tld, World};
-use dps_measure::collector::{SldInterner, WirePath};
-use dps_measure::pipeline::{sweep_with_path, sweep_with_path_supervised};
-use dps_measure::{SnapshotStore, Source, SupervisorConfig};
+use dps_measure::collector::{collect_raw, SldInterner, WirePath};
+use dps_measure::observation::entry_code;
+use dps_measure::pipeline::sweep_with_path_supervised_metered;
+use dps_measure::{PageBuilder, SnapshotStore, Source, SupervisorConfig, SweepMetrics};
 use dps_netsim::{Day, Network};
 use std::sync::Arc;
 
@@ -37,11 +38,20 @@ fn bench(c: &mut Criterion) {
     group.sample_size(10);
     group.throughput(Throughput::Elements(names as u64));
     group.bench_function("wire_sweep_plain", |b| {
+        let pfx2as = world.pfx2as();
+        let entries = world.zone_entries(Tld::Com);
         b.iter(|| {
             let mut path = wire_path(&world, 17);
             let mut store = SnapshotStore::new();
             let mut interner = SldInterner::new();
-            sweep_with_path(&world, &mut path, Source::Com, 0, &mut store, &mut interner);
+            let mut page = PageBuilder::new(0, Source::Com);
+            for &entry in entries.iter() {
+                let apex = world.entry_name(entry);
+                let raw = collect_raw(&mut path, &apex, entry_code(entry), &pfx2as);
+                page.intern_row(raw, &mut store.dict, &mut interner);
+            }
+            let page = page.finish();
+            store.add_table(0, Source::Com, &page.table, page.data_points);
             store.total_stored_bytes()
         })
     });
@@ -50,7 +60,7 @@ fn bench(c: &mut Criterion) {
             let mut path = wire_path(&world, 17);
             let mut store = SnapshotStore::new();
             let mut interner = SldInterner::new();
-            let q = sweep_with_path_supervised(
+            let q = sweep_with_path_supervised_metered(
                 &world,
                 &mut path,
                 Source::Com,
@@ -58,6 +68,7 @@ fn bench(c: &mut Criterion) {
                 &mut store,
                 &mut interner,
                 &SupervisorConfig::default(),
+                &SweepMetrics::default(),
             );
             assert_eq!(q.failed, 0);
             store.total_stored_bytes()

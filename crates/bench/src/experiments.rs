@@ -56,10 +56,9 @@ pub struct ExperimentConfig {
     pub stride: u32,
     /// Where CSV artifacts go.
     pub out_dir: PathBuf,
-    /// Optional archive cache: resume/load the single-file `dps-store`
-    /// archive under this directory (a killed sweep restarts from its last
-    /// committed day), or fall back to a legacy loose-file archive if one
-    /// is already there. Without it the study runs purely in memory.
+    /// Optional archive cache: resume/load the `dps-store` archive under
+    /// this directory (a killed sweep restarts from its last committed
+    /// day). Without it the study runs purely in memory.
     pub store_dir: Option<PathBuf>,
 }
 
@@ -127,20 +126,6 @@ impl Context {
             stride: config.stride,
         });
         let store = match &config.store_dir {
-            // A legacy loose-file archive (no single-file archive beside
-            // it): read-only fallback with estimated data-point counts.
-            Some(dir)
-                if dir.join("index.tsv").exists()
-                    && !dir.join(dps_measure::ARCHIVE_FILE).exists() =>
-            {
-                let store = SnapshotStore::load_dir(dir).expect("load legacy store");
-                eprintln!(
-                    "[{:>7.1?}] loaded legacy loose-file archive: {} (note: data-point counts are estimates)",
-                    t0.elapsed(),
-                    report::human_bytes(store.total_stored_bytes())
-                );
-                store
-            }
             // The single-file archive path: a complete archive just loads;
             // a partial one (killed sweep) resumes from its last committed
             // day; a missing one is measured and written as we go.
@@ -148,7 +133,7 @@ impl Context {
                 std::fs::create_dir_all(dir).expect("create archive dir");
                 let path = dir.join(dps_measure::ARCHIVE_FILE);
                 let store = study
-                    .run_archived(&mut world, &path)
+                    .run_archived(&mut world, &path, None)
                     .expect("archived study");
                 eprintln!(
                     "[{:>7.1?}] study archived: {} at {} (exact data-point counts)",

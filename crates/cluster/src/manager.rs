@@ -22,12 +22,11 @@ use crate::transport::{Conn, FrameTx};
 use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
 use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::collector::{RawRow, SldInterner};
-use dps_measure::observation::{schema, Source};
+use dps_measure::observation::Source;
 use dps_measure::pipeline::{
-    append_day_observed, day_committed, due_sources_for, reborrow_observer, resume_store_observed,
-    DayObserver, SourcePage, ANALYSIS_SOURCE,
+    append_day, day_committed, due_sources_for, replay_checkpoints, resume_store, DayObserver,
+    PageBuilder,
 };
-use dps_measure::quality::{CauseCounts, DayQuality};
 use dps_measure::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
 use dps_measure::telemetry::CATALOG;
 use dps_measure::StudyConfig;
@@ -126,22 +125,15 @@ struct WorkerConn {
 /// (day, source-shard) unit, and commits each finished day to the archive
 /// at `path` (resuming committed days like the single-process sweep).
 /// Returns once every day is durable; workers are sent `Drain`.
-pub fn serve(
-    conns: mpsc::Receiver<Conn>,
-    config: ClusterConfig,
-    path: &std::path::Path,
-) -> io::Result<ClusterOutcome> {
-    serve_observed(conns, config, path, None)
-}
-
-/// [`serve`] with an optional streaming-analysis observer: exactly the
-/// hook [`Study::run_archived_observed`] offers the single-process
-/// sweep. The observer runs manager-side only — it consumes each day's
-/// deterministically merged pages, so its state (and checkpoint pages)
-/// are independent of worker count and scheduling.
 ///
-/// [`Study::run_archived_observed`]: dps_measure::Study::run_archived_observed
-pub fn serve_observed(
+/// A streaming-analysis `observer` gets exactly the hook
+/// [`Study::run_archived`] offers the single-process sweep. It runs
+/// manager-side only — it consumes each day's deterministically merged
+/// pages, so its state (and checkpoint pages) are independent of worker
+/// count and scheduling.
+///
+/// [`Study::run_archived`]: dps_measure::Study::run_archived
+pub fn serve(
     conns: mpsc::Receiver<Conn>,
     config: ClusterConfig,
     path: &std::path::Path,
@@ -149,7 +141,10 @@ pub fn serve_observed(
 ) -> io::Result<ClusterOutcome> {
     let mut writer = StoreWriter::resume_or_create(path, 1, Some(UNIQUE_KEY_COLUMN))?;
     let mut store = SnapshotStore::new();
-    resume_store_observed(&mut store, &writer, path, reborrow_observer(&mut observer))?;
+    resume_store(&mut store, &writer, path)?;
+    if let Some(obs) = observer.as_deref_mut() {
+        replay_checkpoints(&store, &writer, &config.study, obs)?;
+    }
     let mut interner = SldInterner::new();
     let mut world = World::imc2016(config.params);
     let mut sched = Scheduler::new(config.scheduler);
@@ -177,12 +172,6 @@ pub fn serve_observed(
         // the manager's world evolves exactly as in a fresh run.
         world.advance_to(Day(day));
         if day_committed(&writer, &config.study, day) {
-            if observer.is_some() && !writer.contains(day, ANALYSIS_SOURCE) {
-                return Err(io::Error::other(
-                    "archive day committed without an analysis checkpoint; \
-                     re-run without --stream or start a fresh archive",
-                ));
-            }
             day += config.study.stride.max(1);
             continue;
         }
@@ -294,38 +283,22 @@ pub fn serve_observed(
         for &source in &due {
             let sid = source.index() as u8;
             let shards = shard_counts.get(&sid).copied().unwrap_or(1);
-            let mut builder = dps_columnar::TableBuilder::new(schema());
-            let mut data_points = 0u64;
-            let mut attempted = 0u32;
-            let mut failed = 0u32;
-            let mut causes = CauseCounts::default();
+            let mut page = PageBuilder::new(day, source);
             for shard in 0..shards {
                 let key = UnitKey { source: sid, shard };
                 for raw in collected.remove(&key).unwrap_or_default() {
-                    attempted += 1;
-                    failed += u32::from(raw.failed && raw.retryable);
-                    causes.merge(&raw.causes);
-                    let row = raw.intern(&mut store.dict, &mut interner);
-                    data_points += u64::from(row.data_points);
-                    builder.push_row(&row.pack(day, source));
+                    page.intern_row(raw, &mut store.dict, &mut interner);
                 }
             }
-            let mut quality = DayQuality::perfect(day, source, attempted, failed);
-            quality.causes = causes;
-            pages.push(SourcePage {
-                source,
-                table: builder.finish(),
-                data_points,
-                quality,
-            });
+            pages.push(page.finish());
         }
-        append_day_observed(
+        append_day(
             &mut writer,
             &mut store,
             day,
             pages,
             day_telemetry,
-            reborrow_observer(&mut observer),
+            observer.as_deref_mut(),
         )?;
         day += config.study.stride.max(1);
     }

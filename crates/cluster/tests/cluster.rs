@@ -53,7 +53,7 @@ fn run_cluster(
         agent_threads.push(std::thread::spawn(move || run_agent(worker_end, opts)));
     }
     drop(conn_tx);
-    let outcome = serve(conn_rx, config, path);
+    let outcome = serve(conn_rx, config, path, None);
     let summaries = agent_threads
         .into_iter()
         .map(|t| t.join().unwrap())
@@ -69,7 +69,9 @@ fn single_process_archive(seed: u64, path: &std::path::Path) {
         cc_start_day: params.cc_start_day,
         stride: 1,
     };
-    Study::new(config).run_archived(&mut world, path).unwrap();
+    Study::new(config)
+        .run_archived(&mut world, path, None)
+        .unwrap();
 }
 
 #[test]

@@ -37,13 +37,10 @@ pub mod telemetry;
 pub use collector::{BulkPath, PathTelemetry, QueryPath, RecursorPath, WirePath};
 pub use observation::{Source, SOURCES};
 pub use pipeline::{
-    append_day, append_day_observed, day_committed, due_sources_for, resume_store,
-    resume_store_observed, DayObserver, SourcePage, Study, StudyConfig, ANALYSIS_SOURCE,
-    STREAM_BLOCK_ENTRIES,
+    append_day, day_committed, due_sources_for, replay_checkpoints, resume_store, DayObserver,
+    PageBuilder, SourcePage, Study, StudyConfig, ANALYSIS_SOURCE, STREAM_BLOCK_ENTRIES,
 };
 pub use quality::{decode_qualities, encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 pub use snapshot::{SnapshotStore, SourceStats, ARCHIVE_FILE};
-pub use supervisor::{
-    sweep_supervised, sweep_supervised_metered, SupervisedSweep, SupervisorConfig, SweepMetrics,
-};
+pub use supervisor::{sweep_supervised, SupervisedSweep, SupervisorConfig, SweepMetrics};
 pub use telemetry::{decode_telemetry, encode_telemetry, MetricKind, TELEMETRY_SOURCE};

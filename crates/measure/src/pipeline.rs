@@ -6,17 +6,20 @@
 //! by the manager thread, mirroring the collection/aggregation split of the
 //! real system.
 
-use crate::collector::{collect, collect_raw, BulkPath, QueryPath, RawRow, SldInterner};
-use crate::observation::{entry_code, schema, Row, Source, SOURCES};
+use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, SldInterner, WirePath};
+use crate::observation::{entry_code, schema, Source};
 use crate::quality::{decode_qualities, encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
-use crate::supervisor::{sweep_supervised_metered, SupervisorConfig, SweepMetrics};
+use crate::supervisor::{sweep_supervised, SupervisorConfig, SweepMetrics};
 use crate::telemetry::{decode_telemetry, encode_telemetry, TELEMETRY_SOURCE};
+use dps_authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
 use dps_columnar::{StringDict, Table, TableBuilder};
 use dps_ecosystem::World;
-use dps_netsim::{Day, RibHistory};
+use dps_netsim::{ChaosSchedule, Day, Network, Pfx2As, RibHistory};
 use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::{Counter, Registry, Snapshot};
+use std::net::{IpAddr, Ipv4Addr};
+use std::sync::Arc;
 
 /// Study configuration.
 #[derive(Debug, Clone, Copy)]
@@ -52,7 +55,7 @@ pub const ANALYSIS_SOURCE: u8 = 7;
 /// checkpoint page per day so a resumed run replays — rather than
 /// recomputes — analysis state.
 ///
-/// Both the single-process [`Study::run_archived_observed`] and the
+/// Both the single-process [`Study::run_archived`] and the
 /// cluster manager funnel every committed day through the same
 /// implementation, which is what keeps incremental analysis
 /// worker-count-independent: the observer only ever sees the already
@@ -73,19 +76,6 @@ pub trait DayObserver {
     /// order, with the day's persisted checkpoint table. Must replay the
     /// engine to the exact state [`on_day`](Self::on_day) left it in.
     fn on_resume(&mut self, day: u32, table: &Table) -> std::io::Result<()>;
-}
-
-/// Reborrows an optional observer for one call without consuming it.
-/// (A plain `as_deref_mut` cannot shorten the trait-object lifetime —
-/// `&mut (dyn Trait + 'a)` is invariant in `'a` — but this explicit
-/// coercion site can.)
-pub fn reborrow_observer<'a>(
-    observer: &'a mut Option<&mut dyn DayObserver>,
-) -> Option<&'a mut dyn DayObserver> {
-    match observer {
-        Some(o) => Some(&mut **o),
-        None => None,
-    }
 }
 
 /// The measurement calendar: which sources are due on `day` under
@@ -133,30 +123,21 @@ pub fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bo
 /// (day, source) order, followed by the same quality and telemetry
 /// pages, followed by one commit against the shared dictionary.
 ///
+/// With a streaming-analysis `observer`, the observer consumes the day's
+/// pages (rows already interned) before the commit, its counter deltas
+/// are folded into the day's telemetry page, and its checkpoint table is
+/// persisted under [`ANALYSIS_SOURCE`] after the telemetry page — so the
+/// whole day, checkpoint included, is covered by the same single durable
+/// commit.
+///
 /// `pages` must be in [`due_sources_for`] order for the day.
 pub fn append_day(
     writer: &mut StoreWriter,
     store: &mut SnapshotStore,
     day: u32,
     pages: Vec<SourcePage>,
-    telemetry: Snapshot,
-) -> std::io::Result<()> {
-    append_day_observed(writer, store, day, pages, telemetry, None)
-}
-
-/// [`append_day`] with an optional streaming-analysis observer: the
-/// observer consumes the day's pages (rows already interned) before the
-/// commit, its counter deltas are folded into the day's telemetry page,
-/// and its checkpoint table is persisted under [`ANALYSIS_SOURCE`] after
-/// the telemetry page — so the whole day, checkpoint included, is
-/// covered by the same single durable commit.
-pub fn append_day_observed(
-    writer: &mut StoreWriter,
-    store: &mut SnapshotStore,
-    day: u32,
-    pages: Vec<SourcePage>,
     mut telemetry: Snapshot,
-    observer: Option<&mut dyn DayObserver>,
+    observer: Option<&mut (dyn DayObserver + '_)>,
 ) -> std::io::Result<()> {
     let analysis = match observer {
         Some(obs) => {
@@ -195,28 +176,15 @@ pub fn append_day_observed(
 /// idempotent, so ids stay identical) and committed days are reloaded
 /// from the file instead of re-measured. Shared by
 /// [`Study::run_archived`] and the cluster manager's resume path.
-pub fn resume_store(
-    store: &mut SnapshotStore,
-    writer: &StoreWriter,
-    path: &std::path::Path,
-) -> std::io::Result<()> {
-    resume_store_observed(store, writer, path, None)
-}
-
-/// [`resume_store`] with an optional streaming-analysis observer: the
-/// persisted checkpoint pages of committed days are replayed through
-/// [`DayObserver::on_resume`] in day order, so the engine resumes to the
-/// exact (byte-identical) state it held when each day was committed.
 ///
 /// The archive reads happen inside `dps-store`, but the untrusted bytes
 /// are *consumed* here — the marker makes this a taint root the call
 /// graph alone cannot derive.
 // dps: ingress
-pub fn resume_store_observed(
+pub fn resume_store(
     store: &mut SnapshotStore,
     writer: &StoreWriter,
     path: &std::path::Path,
-    mut observer: Option<&mut dyn DayObserver>,
 ) -> std::io::Result<()> {
     store.dict = writer.dict().clone();
     if writer.is_empty() {
@@ -230,9 +198,6 @@ pub fn resume_store_observed(
             std::io::Error::other("catalog lists a page the archive cannot produce")
         })?;
         if source == ANALYSIS_SOURCE {
-            if let Some(obs) = observer.as_deref_mut() {
-                obs.on_resume(day, &table)?;
-            }
             store.add_analysis(day, table.to_bytes());
             continue;
         }
@@ -255,6 +220,38 @@ pub fn resume_store_observed(
         let src = Source::from_index(u32::from(source))
             .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
         store.add_table(day, src, &table, meta.data_points);
+    }
+    Ok(())
+}
+
+/// Replays the checkpoint pages [`resume_store`] rehydrated through
+/// [`DayObserver::on_resume`] in day order, so the engine resumes to the
+/// exact (byte-identical) state it held when each day was committed.
+/// A day of `config`'s calendar committed without a checkpoint means the
+/// archive was written without streaming analysis and cannot be resumed
+/// with it. Shared by [`Study::run_archived`] and the cluster manager.
+// dps: ingress
+pub fn replay_checkpoints(
+    store: &SnapshotStore,
+    writer: &StoreWriter,
+    config: &StudyConfig,
+    observer: &mut dyn DayObserver,
+) -> std::io::Result<()> {
+    let mut day = 0u32;
+    while day < config.days {
+        if day_committed(writer, config, day) && !writer.contains(day, ANALYSIS_SOURCE) {
+            return Err(std::io::Error::other(
+                "archive day committed without an analysis checkpoint; \
+                 re-run without --stream or start a fresh archive",
+            ));
+        }
+        day += config.stride.max(1);
+    }
+    for day in store.analysis_days() {
+        if let Some(bytes) = store.analysis(day) {
+            let table = Table::from_bytes(bytes).map_err(std::io::Error::other)?;
+            observer.on_resume(day, &table)?;
+        }
     }
     Ok(())
 }
@@ -285,7 +282,9 @@ impl StudyMetrics {
 /// whole-day materialization.
 pub const STREAM_BLOCK_ENTRIES: usize = 8192;
 
-/// Drives a full study over a world using the bulk query path.
+/// Drives a full study over a world: every measured day, every due
+/// source, through the bulk query path or — with
+/// [`with_chaos`](Self::with_chaos) — supervised over the simulated wire.
 pub struct Study {
     config: StudyConfig,
     store: SnapshotStore,
@@ -296,7 +295,14 @@ pub struct Study {
     stream_block: usize,
     /// Shard files for a freshly created archive (1 = single-file).
     shards: u32,
+    /// Fault schedule of the wire path; `None` sweeps the bulk path.
+    chaos: Option<ChaosSchedule>,
+    /// Receives each freshly committed day's quality records.
+    on_commit: Option<CommitHook>,
 }
+
+/// The progress hook [`Study::on_commit`] installs.
+type CommitHook = Box<dyn FnMut(u32, &[DayQuality])>;
 
 impl Study {
     /// A study with an empty store and a private telemetry registry
@@ -312,6 +318,8 @@ impl Study {
             metrics,
             stream_block: STREAM_BLOCK_ENTRIES,
             shards: 1,
+            chaos: None,
+            on_commit: None,
         }
     }
 
@@ -333,14 +341,31 @@ impl Study {
         self
     }
 
+    /// Sweeps over the simulated wire under `schedule` instead of the
+    /// bulk path. Each measured day gets a fresh network seeded
+    /// `world.params.seed + day` whose virtual clock starts at zero, so the
+    /// schedule describes faults *within* a day and replays identically
+    /// every day. Every due source is swept by the iterative resolver
+    /// (backoff, breakers, hedging) under the supervisor's dead-letter
+    /// retry passes, and the day's network, health and supervisor
+    /// telemetry joins its telemetry page.
+    pub fn with_chaos(mut self, schedule: ChaosSchedule) -> Self {
+        self.chaos = Some(schedule);
+        self
+    }
+
+    /// Calls `hook` right after each freshly measured day's durable
+    /// commit in [`run_archived`](Self::run_archived), with the day's
+    /// quality records in due-source order (progress reporting; days
+    /// resumed from the archive are not reported).
+    pub fn on_commit(mut self, hook: impl FnMut(u32, &[DayQuality]) + 'static) -> Self {
+        self.on_commit = Some(Box::new(hook));
+        self
+    }
+
     /// The study's telemetry registry.
     pub fn registry(&self) -> &Registry {
         &self.registry
-    }
-
-    /// The measurement calendar: which sources are due on `day`.
-    pub fn due_sources(&self, day: u32) -> Vec<Source> {
-        due_sources_for(&self.config, day)
     }
 
     /// Runs the whole study: advances the world through every measured day
@@ -358,10 +383,7 @@ impl Study {
         while day < self.config.days {
             world.advance_to(Day(day));
             self.history.record(Day(day), world.pfx2as());
-            let before = self.registry.snapshot();
             self.measure_day(world, day, &mut interner);
-            let delta = self.registry.snapshot().since(&before);
-            self.store.add_telemetry(day, delta);
             day += self.config.stride.max(1);
         }
         (self.store, self.history)
@@ -377,21 +399,11 @@ impl Study {
     /// every day so ecosystem state matches an uninterrupted run. The
     /// resulting archive is byte-identical to one written in a single
     /// uninterrupted sweep.
+    ///
+    /// With a streaming-analysis `observer`, committed days replay their
+    /// checkpoint pages through the observer on resume, and every freshly
+    /// measured day feeds the observer before its commit.
     pub fn run_archived(
-        self,
-        world: &mut World,
-        path: &std::path::Path,
-    ) -> std::io::Result<SnapshotStore> {
-        self.run_archived_observed(world, path, None)
-    }
-
-    /// [`run_archived`](Self::run_archived) with an optional
-    /// streaming-analysis observer: committed days replay their
-    /// checkpoint pages through the observer on resume, and every
-    /// freshly measured day feeds the observer before its commit. A
-    /// committed day with no checkpoint page means the archive was
-    /// written without streaming analysis and cannot be resumed with it.
-    pub fn run_archived_observed(
         mut self,
         world: &mut World,
         path: &std::path::Path,
@@ -400,12 +412,10 @@ impl Study {
         let mut writer = StoreWriter::resume_or_create(path, self.shards, Some(UNIQUE_KEY_COLUMN))?;
         // Continue interning into the committed dictionary so a resumed
         // sweep assigns the same ids an uninterrupted one would.
-        resume_store_observed(
-            &mut self.store,
-            &writer,
-            path,
-            reborrow_observer(&mut observer),
-        )?;
+        resume_store(&mut self.store, &writer, path)?;
+        if let Some(obs) = observer.as_deref_mut() {
+            replay_checkpoints(&self.store, &writer, &self.config, obs)?;
+        }
         let mut interner = SldInterner::new();
         let mut day = 0u32;
         while day < self.config.days {
@@ -414,114 +424,129 @@ impl Study {
             world.advance_to(Day(day));
             self.history.record(Day(day), world.pfx2as());
             if !day_committed(&writer, &self.config, day) {
-                let before = self.registry.snapshot();
-                let pages = self.collect_day(world, day, &mut interner);
-                let delta = self.registry.snapshot().since(&before);
-                append_day_observed(
+                let (pages, telemetry) = self.collect_day(world, day, &mut interner);
+                let qualities: Vec<DayQuality> = pages.iter().map(|p| p.quality).collect();
+                append_day(
                     &mut writer,
                     &mut self.store,
                     day,
                     pages,
-                    delta,
-                    reborrow_observer(&mut observer),
+                    telemetry,
+                    observer.as_deref_mut(),
                 )?;
-            } else if observer.is_some() && !writer.contains(day, ANALYSIS_SOURCE) {
-                return Err(std::io::Error::other(
-                    "archive day committed without an analysis checkpoint; \
-                     re-run without --stream or start a fresh archive",
-                ));
+                if let Some(hook) = self.on_commit.as_mut() {
+                    hook(day, &qualities);
+                }
             }
             day += self.config.stride.max(1);
         }
         Ok(self.store)
     }
 
-    /// Sweeps all due sources for the world's current day.
+    /// Sweeps all due sources for the world's current day into the store,
+    /// with the day's telemetry page.
     ///
-    /// The input list is fanned out over the crossbeam worker cloud
-    /// (paper Fig. 1): workers collect raw rows against the immutable
-    /// world; the manager thread dictionary-encodes and stores them.
+    /// On the bulk path the input list is fanned out over the crossbeam
+    /// worker cloud (paper Fig. 1): workers collect raw rows against the
+    /// immutable world; the manager thread dictionary-encodes and stores
+    /// them.
     pub fn measure_day(&mut self, world: &World, day: u32, interner: &mut SldInterner) {
-        for page in self.collect_day(world, day, interner) {
+        let (pages, telemetry) = self.collect_day(world, day, interner);
+        for page in pages {
             self.store
                 .add_table(day, page.source, &page.table, page.data_points);
             self.store.add_quality(page.quality);
         }
+        self.store.add_telemetry(day, telemetry);
     }
 
-    /// Collects and encodes one table per due source for `day` without
-    /// storing them (shared by [`measure_day`](Self::measure_day) and
+    /// Collects and encodes one page per due source for `day` without
+    /// storing them, plus the day's telemetry (shared by
+    /// [`measure_day`](Self::measure_day) and
     /// [`run_archived`](Self::run_archived)).
     fn collect_day(
         &mut self,
         world: &World,
         day: u32,
         interner: &mut SldInterner,
-    ) -> Vec<SourcePage> {
+    ) -> (Vec<SourcePage>, Snapshot) {
+        let before = self.registry.snapshot();
         let pfx2as = world.pfx2as();
+        let mut wire = self.chaos.as_ref().map(|s| WireDay::new(world, s, day));
         let mut out = Vec::new();
         self.metrics.days.inc();
-        for source in self.due_sources(day) {
-            let entries = match source.tld() {
-                Some(tld) => world.zone_entries(tld),
-                None => world.alexa_entries(),
+        for source in due_sources_for(&self.config, day) {
+            let page = match wire.as_mut() {
+                Some(wire) => supervised_page(
+                    world,
+                    &mut wire.path,
+                    source,
+                    day,
+                    &pfx2as,
+                    &mut self.store.dict,
+                    interner,
+                    &SupervisorConfig::default(),
+                    &wire.metrics,
+                ),
+                None => self.bulk_page(world, source, day, &pfx2as, interner),
             };
-            // Streaming generation: walk the entry list in bounded blocks.
-            // Each block fans out over the worker cloud, lands as raw rows,
-            // and is interned into the page builder immediately — so raw
-            // rows for at most `stream_block` entries exist at any moment,
-            // not the whole day (the fixed-memory contract of
-            // [`STREAM_BLOCK_ENTRIES`]). Blocks, chunks, and rows all keep
-            // entry-list order, so the output is byte-identical to a
-            // whole-day materialization.
-            let workers = dps_columnar::mapreduce::default_workers().max(1);
-            let block_len = self.stream_block.max(1);
-            let mut builder = TableBuilder::new(schema());
-            let mut data_points = 0u64;
-            let mut attempted = 0u32;
-            let mut failed = 0u32;
-            let mut causes = CauseCounts::default();
-            for block in entries.chunks(block_len) {
-                // Worker cloud: one map task per chunk of the block.
-                let chunk = block.len().div_ceil(workers).max(1);
-                let chunks: Vec<&[dps_ecosystem::ZoneEntry]> = block.chunks(chunk).collect();
-                let raw_chunks: Vec<Vec<RawRow>> =
-                    dps_columnar::mapreduce::par_map(&chunks, |batch| {
-                        let mut path = BulkPath::new(world);
-                        batch
-                            .iter()
-                            .map(|&entry| {
-                                let apex = world.entry_name(entry);
-                                collect_raw(&mut path, &apex, entry_code(entry), &pfx2as)
-                            })
-                            .collect()
-                    });
-                // Manager: intern + encode (ordered, deterministic),
-                // tallying the day's quality as rows stream past. The bulk
-                // path cannot fail transiently, so the record has no
-                // retries or hedges — only definitive failures (vanished
-                // names) lower coverage.
-                for raw in raw_chunks.into_iter().flatten() {
-                    attempted += 1;
-                    failed += u32::from(raw.failed && raw.retryable);
-                    causes.merge(&raw.causes);
-                    let row = raw.intern(&mut self.store.dict, interner);
-                    data_points += u64::from(row.data_points);
-                    builder.push_row(&row.pack(day, source));
-                }
-            }
-            let mut quality = DayQuality::perfect(day, source, attempted, failed);
-            quality.causes = causes;
-            self.metrics.rows.add(u64::from(attempted));
-            self.metrics.data_points.add(data_points);
-            out.push(SourcePage {
-                source,
-                table: builder.finish(),
-                data_points,
-                quality,
-            });
+            self.metrics.rows.add(u64::from(page.quality.attempted));
+            self.metrics.data_points.add(page.data_points);
+            out.push(page);
         }
-        out
+        let mut telemetry = self.registry.snapshot().since(&before);
+        if let Some(wire) = wire {
+            telemetry.merge(&wire.registry.snapshot());
+        }
+        (out, telemetry)
+    }
+
+    /// One source's page over the bulk path.
+    fn bulk_page(
+        &mut self,
+        world: &World,
+        source: Source,
+        day: u32,
+        pfx2as: &Pfx2As,
+        interner: &mut SldInterner,
+    ) -> SourcePage {
+        let entries = match source.tld() {
+            Some(tld) => world.zone_entries(tld),
+            None => world.alexa_entries(),
+        };
+        // Streaming generation: walk the entry list in bounded blocks.
+        // Each block fans out over the worker cloud, lands as raw rows,
+        // and is interned into the page builder immediately — so raw rows
+        // for at most `stream_block` entries exist at any moment, not the
+        // whole day (the fixed-memory contract of
+        // [`STREAM_BLOCK_ENTRIES`]). Blocks, chunks, and rows all keep
+        // entry-list order, so the output is byte-identical to a
+        // whole-day materialization.
+        let workers = dps_columnar::mapreduce::default_workers().max(1);
+        let mut page = PageBuilder::new(day, source);
+        for block in entries.chunks(self.stream_block.max(1)) {
+            // Worker cloud: one map task per chunk of the block.
+            let chunk = block.len().div_ceil(workers).max(1);
+            let chunks: Vec<&[dps_ecosystem::ZoneEntry]> = block.chunks(chunk).collect();
+            let raw_chunks: Vec<Vec<RawRow>> = dps_columnar::mapreduce::par_map(&chunks, |batch| {
+                let mut path = BulkPath::new(world);
+                batch
+                    .iter()
+                    .map(|&entry| {
+                        let apex = world.entry_name(entry);
+                        collect_raw(&mut path, &apex, entry_code(entry), pfx2as)
+                    })
+                    .collect()
+            });
+            // Manager: intern + encode (ordered, deterministic). The bulk
+            // path cannot fail transiently, so the page's quality record
+            // has no retries or hedges — only definitive failures
+            // (vanished names) lower coverage.
+            for raw in raw_chunks.into_iter().flatten() {
+                page.intern_row(raw, &mut self.store.dict, interner);
+            }
+        }
+        page.finish()
     }
 
     /// Immutable access to the store while the study is running.
@@ -530,66 +555,135 @@ impl Study {
     }
 }
 
-/// Sweeps one list through an arbitrary query path (used by the wire-path
-/// validation tests and the lossy-network example).
-pub fn sweep_with_path(
+/// One day's wire query path for chaos sweeps, plus the registry its
+/// network, health tracker and supervisor publish into. One registry per
+/// day, like the network itself: the day's snapshot is self-contained, so
+/// a resumed run re-measuring the day reproduces the identical telemetry
+/// page.
+struct WireDay {
+    path: WirePath,
+    metrics: SweepMetrics,
+    registry: Registry,
+}
+
+impl WireDay {
+    fn new(world: &World, schedule: &ChaosSchedule, day: u32) -> Self {
+        let registry = Registry::new();
+        let net =
+            Network::with_telemetry(world.params.seed.wrapping_add(u64::from(day)), &registry);
+        net.set_chaos(schedule.clone());
+        let catalog = world.materialize(&net);
+        let health =
+            Arc::new(HealthTracker::new(HealthConfig::default()).with_telemetry(&registry));
+        let resolver = Resolver::new(
+            &net,
+            IpAddr::V4(Ipv4Addr::new(172, 16, 0, 53)),
+            u64::from(day),
+            catalog.root_hints(),
+        )
+        .with_config(ResolverConfig::resilient())
+        .with_health(health);
+        Self {
+            path: WirePath::new(resolver),
+            metrics: SweepMetrics::new(&registry),
+            registry,
+        }
+    }
+}
+
+/// Interns raw rows into one (day, source) page in row order — the one
+/// place collected rows meet the run-wide dictionary — tallying the
+/// page's quality record as they pass. Used by the bulk and wire sweeps
+/// and by the cluster manager's merge, so all three encode identically.
+pub struct PageBuilder {
+    day: u32,
+    source: Source,
+    builder: TableBuilder,
+    data_points: u64,
+    attempted: u32,
+    failed: u32,
+    causes: CauseCounts,
+}
+
+impl PageBuilder {
+    /// An empty page for `(day, source)`.
+    pub fn new(day: u32, source: Source) -> Self {
+        Self {
+            day,
+            source,
+            builder: TableBuilder::new(schema()),
+            data_points: 0,
+            attempted: 0,
+            failed: 0,
+            causes: CauseCounts::default(),
+        }
+    }
+
+    /// Interns and appends the next row.
+    pub fn intern_row(&mut self, raw: RawRow, dict: &mut StringDict, interner: &mut SldInterner) {
+        self.attempted += 1;
+        self.failed += u32::from(raw.failed && raw.retryable);
+        self.causes.merge(&raw.causes);
+        let row = raw.intern(dict, interner);
+        self.data_points += u64::from(row.data_points);
+        self.builder.push_row(&row.pack(self.day, self.source));
+    }
+
+    /// The finished page. Its quality record is tallied from the rows
+    /// alone (no retries or hedges); a supervised sweep replaces it with
+    /// the supervisor's.
+    pub fn finish(self) -> SourcePage {
+        let mut quality = DayQuality::perfect(self.day, self.source, self.attempted, self.failed);
+        quality.causes = self.causes;
+        SourcePage {
+            source: self.source,
+            table: self.builder.finish(),
+            data_points: self.data_points,
+            quality,
+        }
+    }
+}
+
+/// One source's page swept through `path` under fault-tolerant
+/// supervision: first pass, dead-letter retry passes, and the
+/// supervisor's quality record.
+#[allow(clippy::too_many_arguments)]
+fn supervised_page(
     world: &World,
     path: &mut impl QueryPath,
     source: Source,
     day: u32,
-    store: &mut SnapshotStore,
+    pfx2as: &Pfx2As,
+    dict: &mut StringDict,
     interner: &mut SldInterner,
-) {
-    let pfx2as = world.pfx2as();
+    config: &SupervisorConfig,
+    metrics: &SweepMetrics,
+) -> SourcePage {
     let entries = match source.tld() {
         Some(tld) => world.zone_entries(tld),
         None => world.alexa_entries(),
     };
-    let mut builder = TableBuilder::new(schema());
-    let mut data_points = 0u64;
-    for &entry in entries.iter() {
-        let apex = world.entry_name(entry);
-        let row: Row = collect(
-            path,
-            &apex,
-            entry_code(entry),
-            &pfx2as,
-            &mut store.dict,
-            interner,
-        );
-        data_points += u64::from(row.data_points);
-        builder.push_row(&row.pack(day, source));
+    let jobs: Vec<(dps_dns::Name, u32)> = entries
+        .iter()
+        .map(|&entry| (world.entry_name(entry), entry_code(entry)))
+        .collect();
+    let sweep = sweep_supervised(path, &jobs, pfx2as, day, source, config, metrics);
+    let mut page = PageBuilder::new(day, source);
+    for raw in sweep.rows {
+        page.intern_row(raw, dict, interner);
     }
-    store.add_table(day, source, &builder.finish(), data_points);
+    SourcePage {
+        quality: sweep.quality,
+        ..page.finish()
+    }
 }
 
-/// [`sweep_with_path`] under fault-tolerant supervision: first pass,
-/// dead-letter retry passes, and a stored [`DayQuality`] record for the
-/// day. Returns the quality record for the caller's logs.
-#[allow(clippy::too_many_arguments)]
-pub fn sweep_with_path_supervised(
-    world: &World,
-    path: &mut impl QueryPath,
-    source: Source,
-    day: u32,
-    store: &mut SnapshotStore,
-    interner: &mut SldInterner,
-    config: &SupervisorConfig,
-) -> DayQuality {
-    sweep_with_path_supervised_metered(
-        world,
-        path,
-        source,
-        day,
-        store,
-        interner,
-        config,
-        &SweepMetrics::default(),
-    )
-}
-
-/// [`sweep_with_path_supervised`] with telemetry: the sweep records its
-/// quality tallies and virtual-time span into `metrics`.
+/// Sweeps one list through an arbitrary query path under fault-tolerant
+/// supervision into `store` (first pass, dead-letter retry passes, and a
+/// stored [`DayQuality`] record for the day), recording its quality
+/// tallies and virtual-time span into `metrics`. Returns the quality
+/// record for the caller's logs. `SupervisorConfig { retry_passes: 0, .. }`
+/// runs exactly the first pass: a plain unsupervised sweep.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep_with_path_supervised_metered(
     world: &World,
@@ -601,36 +695,26 @@ pub fn sweep_with_path_supervised_metered(
     config: &SupervisorConfig,
     metrics: &SweepMetrics,
 ) -> DayQuality {
-    let pfx2as = world.pfx2as();
-    let entries = match source.tld() {
-        Some(tld) => world.zone_entries(tld),
-        None => world.alexa_entries(),
-    };
-    let jobs: Vec<(dps_dns::Name, u32)> = entries
-        .iter()
-        .map(|&entry| (world.entry_name(entry), entry_code(entry)))
-        .collect();
-    let sweep = sweep_supervised_metered(path, &jobs, &pfx2as, day, source, config, metrics);
-    let mut builder = TableBuilder::new(schema());
-    let mut data_points = 0u64;
-    for raw in sweep.rows {
-        let row = raw.intern(&mut store.dict, interner);
-        data_points += u64::from(row.data_points);
-        builder.push_row(&row.pack(day, source));
-    }
-    store.add_table(day, source, &builder.finish(), data_points);
-    store.add_quality(sweep.quality);
-    sweep.quality
-}
-
-/// Lists every source in Table 1 order (re-export convenience).
-pub fn all_sources() -> [Source; 5] {
-    SOURCES
+    let page = supervised_page(
+        world,
+        path,
+        source,
+        day,
+        &world.pfx2as(),
+        &mut store.dict,
+        interner,
+        config,
+        metrics,
+    );
+    store.add_table(day, source, &page.table, page.data_points);
+    store.add_quality(page.quality);
+    page.quality
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::observation::SOURCES;
     use dps_ecosystem::ScenarioParams;
 
     #[test]
@@ -723,7 +807,9 @@ mod tests {
             stride: 1,
         };
         let mut world = World::imc2016(ScenarioParams::tiny(9));
-        let archived = Study::new(config).run_archived(&mut world, &path).unwrap();
+        let archived = Study::new(config)
+            .run_archived(&mut world, &path, None)
+            .unwrap();
         let mut world2 = World::imc2016(ScenarioParams::tiny(9));
         let in_memory = Study::new(config).run(&mut world2);
         for s in SOURCES {
@@ -735,7 +821,9 @@ mod tests {
         // A second run over the finished archive measures nothing new and
         // reloads the exact same store from the file.
         let mut world3 = World::imc2016(ScenarioParams::tiny(9));
-        let reloaded = Study::new(config).run_archived(&mut world3, &path).unwrap();
+        let reloaded = Study::new(config)
+            .run_archived(&mut world3, &path, None)
+            .unwrap();
         assert_eq!(
             reloaded.stats(Source::Com).data_points,
             archived.stats(Source::Com).data_points

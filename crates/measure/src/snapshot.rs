@@ -1,11 +1,8 @@
 //! Stage II: the snapshot store — daily per-source columnar tables.
 //!
-//! Persistence is the `dps-store` single-file paged archive
+//! Persistence is the `dps-store` paged archive
 //! ([`save_archive`](SnapshotStore::save_archive) /
-//! [`load_archive`](SnapshotStore::load_archive)); the directory-based
-//! [`save_dir`](SnapshotStore::save_dir) / [`load_dir`](SnapshotStore::load_dir)
-//! API survives as a thin shim over it (plus a read-only fallback for the
-//! deprecated loose-file layout older archives used).
+//! [`load_archive`](SnapshotStore::load_archive)).
 
 use crate::observation::{schema, Source, SOURCES};
 use crate::pipeline::ANALYSIS_SOURCE;
@@ -16,7 +13,7 @@ use dps_store::{Archive, StoreReader, StoreWriter};
 use dps_telemetry::Snapshot;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Name of the single-file archive inside a `save_dir` directory.
+/// Name of the single-file archive inside an archive directory.
 pub const ARCHIVE_FILE: &str = "archive.dps";
 
 /// The table column whose distinct values the archive tracks per source
@@ -354,67 +351,6 @@ impl SnapshotStore {
         }
         Ok(store)
     }
-
-    /// Compatibility shim: persists into `dir` as a single
-    /// [`ARCHIVE_FILE`] (the loose one-file-per-table layout this method
-    /// used to write is deprecated and no longer produced).
-    pub fn save_dir(&self, dir: &std::path::Path) -> std::io::Result<()> {
-        std::fs::create_dir_all(dir)?;
-        self.save_archive(&dir.join(ARCHIVE_FILE))
-    }
-
-    /// Compatibility shim: loads a directory written by
-    /// [`save_dir`](Self::save_dir). Prefers the single-file archive;
-    /// falls back to the deprecated loose-file layout (whose data-point
-    /// counts were never stored and are estimated as `non-failed rows × 5`).
-    pub fn load_dir(dir: &std::path::Path) -> std::io::Result<Self> {
-        let archive = dir.join(ARCHIVE_FILE);
-        if archive.exists() {
-            return Self::load_archive(&archive);
-        }
-        Self::load_legacy_dir(dir)
-    }
-
-    /// The deprecated loose-file reader (`index.tsv` + `.dpc` files).
-    fn load_legacy_dir(dir: &std::path::Path) -> std::io::Result<Self> {
-        let dict_bytes = std::fs::read(dir.join("dict.bin"))?;
-        let dict = StringDict::from_bytes(&dict_bytes)
-            .ok_or_else(|| std::io::Error::other("corrupt dictionary"))?;
-        let index = std::fs::read_to_string(dir.join("index.tsv"))?;
-        let mut store = Self {
-            dict,
-            tables: BTreeMap::new(),
-            stats: vec![SourceStats::default(); SOURCES.len()],
-            qualities: BTreeMap::new(),
-            telemetry: BTreeMap::new(),
-            analysis: BTreeMap::new(),
-        };
-        for line in index.lines() {
-            let mut parts = line.split('\t');
-            let (Some(day), Some(source), Some(name)) = (parts.next(), parts.next(), parts.next())
-            else {
-                return Err(std::io::Error::other("corrupt index"));
-            };
-            let day: u32 = day.parse().map_err(std::io::Error::other)?;
-            let source: u8 = source.parse().map_err(std::io::Error::other)?;
-            let source = Source::from_index(u32::from(source))
-                .ok_or_else(|| std::io::Error::other("bad source"))?;
-            let bytes = std::fs::read(dir.join(name))?;
-            let table = Table::from_bytes(&bytes).map_err(std::io::Error::other)?;
-            if table.schema().names() != schema().names() {
-                return Err(std::io::Error::other(
-                    "archive schema does not match this build; re-run the study",
-                ));
-            }
-            // The legacy layout never stored data-point counts; estimate.
-            let dps = table
-                .column_by_name("failed")
-                .map(|c| c.iter().filter(|&&f| f == 0).count() as u64 * 5)
-                .unwrap_or(0);
-            store.add_table(day, source, &table, dps);
-        }
-        Ok(store)
-    }
 }
 
 impl Default for SnapshotStore {
@@ -462,10 +398,10 @@ mod tests {
         store.add_table(0, Source::Com, &table_with_rows(0, 50), 250);
         store.add_table(1, Source::Com, &table_with_rows(1, 60), 300);
         store.add_table(0, Source::Org, &table_with_rows(0, 10), 50);
-        let dir = std::env::temp_dir().join(format!("dps-store-test-{}", std::process::id()));
-        store.save_dir(&dir).unwrap();
-        let back = SnapshotStore::load_dir(&dir).unwrap();
-        std::fs::remove_dir_all(&dir).ok();
+        let path = std::env::temp_dir().join(format!("dps-store-test-{}.dps", std::process::id()));
+        store.save_archive(&path).unwrap();
+        let back = SnapshotStore::load_archive(&path).unwrap();
+        std::fs::remove_file(&path).ok();
         assert_eq!(
             back.dict.get("cloudflare.com"),
             store.dict.get("cloudflare.com")
@@ -575,7 +511,8 @@ mod tests {
 
     #[test]
     fn load_missing_dir_errors() {
-        assert!(SnapshotStore::load_dir(std::path::Path::new("/nonexistent-dps")).is_err());
+        let missing = std::path::Path::new("/nonexistent-dps").join(ARCHIVE_FILE);
+        assert!(SnapshotStore::load_archive(&missing).is_err());
     }
 
     #[test]

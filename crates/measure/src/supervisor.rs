@@ -119,29 +119,10 @@ pub struct SupervisedSweep {
 }
 
 /// Collects every `(apex, entry_code)` job through `path`, retrying
-/// transient failures from a dead-letter queue, and reports quality.
+/// transient failures from a dead-letter queue, and reports quality —
+/// in the returned record and, with its virtual-time span, in `metrics`
+/// (pass `&SweepMetrics::default()` to record into thin air).
 pub fn sweep_supervised(
-    path: &mut impl QueryPath,
-    jobs: &[(Name, u32)],
-    pfx2as: &Pfx2As,
-    day: u32,
-    source: Source,
-    config: &SupervisorConfig,
-) -> SupervisedSweep {
-    sweep_supervised_metered(
-        path,
-        jobs,
-        pfx2as,
-        day,
-        source,
-        config,
-        &SweepMetrics::default(),
-    )
-}
-
-/// [`sweep_supervised`] with telemetry: the sweep's quality tallies and
-/// virtual-time span land in `metrics` as well as in the returned record.
-pub fn sweep_supervised_metered(
     path: &mut impl QueryPath,
     jobs: &[(Name, u32)],
     pfx2as: &Pfx2As,
@@ -294,6 +275,7 @@ mod tests {
             3,
             Source::Com,
             &SupervisorConfig::default(),
+            &SweepMetrics::default(),
         );
         assert_eq!(sweep.rows.len(), 2);
         assert!(!sweep.rows[0].failed, "retry recovered the row");
@@ -330,6 +312,7 @@ mod tests {
                 retry_passes: 2,
                 retry_pause_us: 1_000,
             },
+            &SweepMetrics::default(),
         );
         assert!(sweep.rows[0].failed);
         let q = sweep.quality;
@@ -351,6 +334,7 @@ mod tests {
             0,
             Source::Com,
             &SupervisorConfig::default(),
+            &SweepMetrics::default(),
         );
         let q = sweep.quality;
         assert!(sweep.rows[0].failed, "the data row records the NXDOMAIN");
@@ -376,7 +360,7 @@ mod tests {
             vec![Err(ResolveError::Timeout), Ok(Rcode::NoError)],
         );
         let pfx2as = dps_netsim::Rib::new().snapshot();
-        sweep_supervised_metered(
+        sweep_supervised(
             &mut path,
             &jobs(&["flaky.com", "ok.com"]),
             &pfx2as,

@@ -122,7 +122,7 @@ fn run_archived_once(seed: u64, stream_block: usize, shards: u32) -> std::path::
     Study::new(config)
         .with_stream_block(stream_block)
         .with_shards(shards)
-        .run_archived(&mut world, &path)
+        .run_archived(&mut world, &path, None)
         .expect("archived study runs");
     dir
 }

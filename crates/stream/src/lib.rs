@@ -58,7 +58,7 @@ mod tests {
         let mut world = World::imc2016(ScenarioParams::tiny(13));
         let mut engine = StreamEngine::new();
         let store = Study::new(config)
-            .run_archived_observed(&mut world, &path, Some(&mut engine))
+            .run_archived(&mut world, &path, Some(&mut engine))
             .unwrap();
 
         let incremental = analysis_json(
@@ -94,7 +94,7 @@ mod tests {
         let mut world = World::imc2016(ScenarioParams::tiny(21));
         let mut engine = StreamEngine::new();
         Study::new(config)
-            .run_archived_observed(&mut world, &path, Some(&mut engine))
+            .run_archived(&mut world, &path, Some(&mut engine))
             .unwrap();
         let live = analysis_json(
             &engine.finalize(),
@@ -105,7 +105,7 @@ mod tests {
         let mut world2 = World::imc2016(ScenarioParams::tiny(21));
         let mut replayed = StreamEngine::new();
         Study::new(config)
-            .run_archived_observed(&mut world2, &path, Some(&mut replayed))
+            .run_archived(&mut world2, &path, Some(&mut replayed))
             .unwrap();
         let resumed = analysis_json(
             &replayed.finalize(),
@@ -137,7 +137,7 @@ mod tests {
         let mut world = World::imc2016(params);
         let mut engine = StreamEngine::new();
         Study::new(config)
-            .run_archived_observed(&mut world, &path, Some(&mut engine))
+            .run_archived(&mut world, &path, Some(&mut engine))
             .unwrap();
         std::fs::remove_file(&path).ok();
 

@@ -11,7 +11,8 @@
 use dps_scope::authdns::{Resolver, ResolverConfig};
 use dps_scope::core::DEFAULT_MIN_COVERAGE;
 use dps_scope::measure::collector::{SldInterner, WirePath};
-use dps_scope::measure::pipeline::sweep_with_path_supervised;
+use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
+use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
 use std::sync::Arc;
 
@@ -48,7 +49,7 @@ fn main() {
             .with_config(ResolverConfig::resilient())
             .with_health(health);
         let mut path = WirePath::new(resolver);
-        let q = sweep_with_path_supervised(
+        let q = sweep_with_path_supervised_metered(
             &world,
             &mut path,
             Source::Com,
@@ -56,6 +57,7 @@ fn main() {
             &mut store,
             &mut interner,
             &SupervisorConfig::default(),
+            &SweepMetrics::default(),
         );
         println!(
             "{label:<38} coverage {:>6.2}%  retried {:>3} recovered {:>3}  \

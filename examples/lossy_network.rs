@@ -9,7 +9,8 @@
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
 use dps_scope::measure::collector::{SldInterner, WirePath};
-use dps_scope::measure::pipeline::sweep_with_path;
+use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
+use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
 
 fn main() {
@@ -44,7 +45,22 @@ fn main() {
 
         let mut store = SnapshotStore::new();
         let mut interner = SldInterner::new();
-        sweep_with_path(&world, &mut path, Source::Com, 0, &mut store, &mut interner);
+        // The supervisor's first pass only: no retries, so loss shows up
+        // as failed names.
+        let first_pass = SupervisorConfig {
+            retry_passes: 0,
+            ..SupervisorConfig::default()
+        };
+        sweep_with_path_supervised_metered(
+            &world,
+            &mut path,
+            Source::Com,
+            0,
+            &mut store,
+            &mut interner,
+            &first_pass,
+            &SweepMetrics::default(),
+        );
 
         let table = store.table(0, Source::Com).expect("table written");
         let failed: u32 = table.column_by_name("failed").unwrap().iter().sum();

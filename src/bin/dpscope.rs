@@ -20,13 +20,8 @@
 //! ```
 
 use dps_bench::experiments::{experiment_ids, run, Context, ExperimentConfig};
-use dps_scope::authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
-use dps_scope::measure::collector::{SldInterner, WirePath};
-use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
-use dps_scope::measure::{
-    DayObserver, SupervisorConfig, SweepMetrics, ANALYSIS_SOURCE, QUALITY_SOURCE, TELEMETRY_SOURCE,
-};
-use dps_scope::netsim::ChaosSchedule;
+use dps_scope::authdns::{Resolver, ResolverConfig};
+use dps_scope::measure::{DayObserver, ANALYSIS_SOURCE, QUALITY_SOURCE, TELEMETRY_SOURCE};
 use dps_scope::prelude::*;
 use dps_scope::stream::{activation_days, analysis_json, correlate, DEFAULT_TOLERANCE};
 use dps_scope::telemetry::Registry;
@@ -118,9 +113,11 @@ fn usage() -> ! {
            --chaos SPEC   measure: sweep over the simulated wire under a\n\
                           scripted fault schedule, e.g.\n\
                           'degrade@0..inf@loss=0.15; blackout@5s..20s@10.0.0.1'\n\
+                          (commits and resumes per day like the bulk sweep;\n\
+                          works with --stream and --shards, not --workers)\n\
            --stream       measure: maintain incremental analysis at each\n\
                           day's commit and checkpoint it in the archive\n\
-                          (works with --workers; not with --chaos)\n\
+                          (works with --workers and with --chaos)\n\
            --shards N     measure: write a sharded archive (manifest + N\n\
                           shard files; scans parallelise per shard) when\n\
                           creating a fresh one; resume keeps the existing\n\
@@ -286,10 +283,6 @@ fn cmd_measure(args: CommonArgs) {
     );
     std::fs::create_dir_all(&archive).expect("create archive dir");
     let path = archive.join(dps_scope::measure::ARCHIVE_FILE);
-    if args.chaos.is_some() && args.stream {
-        eprintln!("--chaos and --stream are mutually exclusive");
-        usage();
-    }
     if args.workers > 0 {
         if args.chaos.is_some() {
             eprintln!("--workers and --chaos are mutually exclusive");
@@ -298,28 +291,31 @@ fn cmd_measure(args: CommonArgs) {
         cmd_measure_cluster(&args, &archive, &path);
         return;
     }
-    if let Some(spec) = &args.chaos {
-        let schedule = ChaosSchedule::parse(spec).unwrap_or_else(|e| {
-            eprintln!("{e}");
-            usage();
-        });
-        cmd_measure_chaos(&args, &mut world, &path, schedule);
-        return;
-    }
-    // Streams each finished day into the single-file archive with a
-    // durable footer per day: a killed sweep resumes where it left off.
-    // With --stream, a StreamEngine observes every commit and its
-    // checkpoint rides in the same durable footer.
-    let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
-    let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let store = Study::new(StudyConfig {
+    // Streams each finished day into the archive with a durable footer
+    // per day: a killed sweep resumes where it left off. With --chaos,
+    // every due source is swept over the simulated wire under the fault
+    // schedule and the sweep supervisor. With --stream, a StreamEngine
+    // observes every commit and its checkpoint rides in the same durable
+    // footer.
+    let mut study = Study::new(StudyConfig {
         days: args.days,
         cc_start_day: args.cc_start,
         stride: args.stride,
     })
     .with_shards(args.shards)
-    .run_archived_observed(&mut world, &path, observer)
-    .expect("archived study");
+    .on_commit(print_day_quality);
+    if let Some(spec) = &args.chaos {
+        let schedule = ChaosSchedule::parse(spec).unwrap_or_else(|e| {
+            eprintln!("{e}");
+            usage();
+        });
+        study = study.with_chaos(schedule);
+    }
+    let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
+    let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
+    let store = study
+        .run_archived(&mut world, &path, observer)
+        .expect("archived study");
     println!(
         "archived {} to {}",
         dps_scope::core::report::human_bytes(store.total_stored_bytes()),
@@ -327,6 +323,24 @@ fn cmd_measure(args: CommonArgs) {
     );
     if let Some(engine) = &engine {
         print_stream_summary(engine);
+    }
+}
+
+/// The progress line of each (day, source) sweep, printed as its day
+/// commits.
+fn print_day_quality(day: u32, qualities: &[DayQuality]) {
+    for q in qualities {
+        println!(
+            "day {day:>4} {:<8} coverage {:>6.2}%  attempted {:>6}  unresolved {:>4}  \
+             recovered {:>4}  trips {:>3}  hedges {:>4}",
+            q.source.label(),
+            100.0 * q.coverage(),
+            q.attempted,
+            q.failed,
+            q.recovered,
+            q.breaker_trips,
+            q.hedges,
+        );
     }
 }
 
@@ -338,81 +352,6 @@ fn print_stream_summary(engine: &dps_scope::stream::StreamEngine) {
         engine.days().len(),
         engine.n_providers(),
         flags.len()
-    );
-}
-
-/// `dpscope measure --chaos SPEC`: sweep every due source over the
-/// simulated wire while the scripted fault schedule plays out, under the
-/// supervisor (backoff, breakers, dead-letter retries). Each day gets a
-/// fresh network whose virtual clock starts at zero, so the schedule
-/// describes faults *within* a day and replays identically every day.
-fn cmd_measure_chaos(
-    args: &CommonArgs,
-    world: &mut World,
-    path: &std::path::Path,
-    schedule: ChaosSchedule,
-) {
-    let mut store = SnapshotStore::new();
-    let mut interner = SldInterner::new();
-    let supervisor = SupervisorConfig::default();
-    let mut day = 0u32;
-    while day < args.days {
-        world.advance_to(Day(day));
-        // One registry per day, like the network itself: the day's
-        // snapshot is self-contained, so an aborted run re-measuring the
-        // day reproduces the identical telemetry page.
-        let registry = Registry::new();
-        let net = Network::with_telemetry(args.seed.wrapping_add(u64::from(day)), &registry);
-        net.set_chaos(schedule.clone());
-        let catalog = world.materialize(&net);
-        let health =
-            Arc::new(HealthTracker::new(HealthConfig::default()).with_telemetry(&registry));
-        let resolver = Resolver::new(
-            &net,
-            "172.16.0.53".parse().unwrap(),
-            u64::from(day),
-            catalog.root_hints(),
-        )
-        .with_config(ResolverConfig::resilient())
-        .with_health(health);
-        let mut wire = WirePath::new(resolver);
-        let sweep_metrics = SweepMetrics::new(&registry);
-        let mut due = vec![Source::Com, Source::Net, Source::Org];
-        if day >= args.cc_start {
-            due.push(Source::Nl);
-            due.push(Source::Alexa);
-        }
-        for source in due {
-            let q = sweep_with_path_supervised_metered(
-                world,
-                &mut wire,
-                source,
-                day,
-                &mut store,
-                &mut interner,
-                &supervisor,
-                &sweep_metrics,
-            );
-            println!(
-                "day {day:>4} {:<8} coverage {:>6.2}%  attempted {:>6}  unresolved {:>4}  \
-                 recovered {:>4}  trips {:>3}  hedges {:>4}",
-                source.label(),
-                100.0 * q.coverage(),
-                q.attempted,
-                q.failed,
-                q.recovered,
-                q.breaker_trips,
-                q.hedges,
-            );
-        }
-        store.add_telemetry(day, registry.snapshot());
-        day += args.stride.max(1);
-    }
-    store.save_archive(path).expect("save chaos archive");
-    println!(
-        "archived {} to {}",
-        dps_scope::core::report::human_bytes(store.total_stored_bytes()),
-        path.display()
     );
 }
 
@@ -472,8 +411,7 @@ fn cluster_serve(args: &CommonArgs) {
     println!("cluster manager on {bind}; waiting for agents…");
     let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
     let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let outcome =
-        dps_scope::cluster::serve_observed(conn_rx, cluster_config(args), &path, observer);
+    let outcome = dps_scope::cluster::serve(conn_rx, cluster_config(args), &path, observer);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     accept.join().expect("accept loop").expect("accept loop io");
     if bind.contains('/') {
@@ -556,7 +494,7 @@ fn cmd_measure_cluster(args: &CommonArgs, archive: &std::path::Path, path: &std:
     println!("sweeping with {} local worker agents…", args.workers);
     let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
     let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let outcome = dps_scope::cluster::serve_observed(conn_rx, cluster_config(args), path, observer);
+    let outcome = dps_scope::cluster::serve(conn_rx, cluster_config(args), path, observer);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     accept.join().expect("accept loop").expect("accept loop io");
     for mut child in children {

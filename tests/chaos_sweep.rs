@@ -2,16 +2,20 @@
 //! fault schedules must (a) recover coverage and agree byte-for-byte with
 //! a healthy-network snapshot, (b) stay seed-reproducible, and (c) record
 //! unrecoverable days as low-coverage `DayQuality` cells that the growth
-//! analysis masks instead of mistaking for a provider exodus.
+//! analysis masks instead of mistaking for a provider exodus. Through the
+//! real `dpscope measure --chaos` binary, the wire sweep (d) commits and
+//! counts every day like a bulk sweep, (e) resumes byte-identically after
+//! a SIGKILL, and (f) works with `--stream` and `--shards`.
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
 use dps_scope::core::{growth, DEFAULT_MIN_COVERAGE};
 use dps_scope::measure::collector::{SldInterner, WirePath};
-use dps_scope::measure::pipeline::{sweep_with_path, sweep_with_path_supervised_metered};
+use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
 use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
 use dps_scope::telemetry::Registry;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 use std::sync::Arc;
 
 fn temp_path(tag: &str) -> PathBuf {
@@ -91,7 +95,8 @@ fn chaotic_sweep_recovers_and_matches_healthy_snapshot() {
     });
     world.advance_to(Day(0));
 
-    // Healthy baseline: a plain unsupervised wire sweep.
+    // Healthy baseline: a plain unsupervised wire sweep (the
+    // supervisor's first pass only).
     let net = Network::new(5);
     let catalog = world.materialize(&net);
     let resolver = Resolver::new(
@@ -103,13 +108,19 @@ fn chaotic_sweep_recovers_and_matches_healthy_snapshot() {
     let mut path = WirePath::new(resolver);
     let mut healthy = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    sweep_with_path(
+    let first_pass = SupervisorConfig {
+        retry_passes: 0,
+        ..SupervisorConfig::default()
+    };
+    sweep_with_path_supervised_metered(
         &world,
         &mut path,
         Source::Com,
         0,
         &mut healthy,
         &mut interner,
+        &first_pass,
+        &SweepMetrics::default(),
     );
 
     // Chaotic run, supervised.
@@ -395,4 +406,176 @@ fn full_outage_day_is_recorded_and_masked() {
     );
     assert_eq!(masked.masked_days, vec![1]);
     assert_eq!(masked.raw[1], 0.0, "raw keeps the true measurement");
+}
+
+/// The `ci.sh chaos-smoke` scenario over five days.
+const CLI_SCENARIO: [&str; 10] = [
+    "--seed",
+    "2016",
+    "--scale",
+    "0.004",
+    "--days",
+    "5",
+    "--cc-start",
+    "2",
+    "--chaos",
+    "blackout@0..1500ms; degrade@0..inf@loss=0.15",
+];
+
+fn dpscope() -> Command {
+    Command::new(env!("CARGO_BIN_EXE_dpscope"))
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dps-it-chaos-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+/// `dpscope <args> <dir> <extra>`, asserting success; returns stdout.
+fn run_ok(args: &[&str], dir: &Path, extra: &[&str]) -> String {
+    let out = dpscope()
+        .args(args)
+        .arg(dir)
+        .args(extra)
+        .output()
+        .expect("spawn dpscope");
+    assert!(
+        out.status.success(),
+        "dpscope {args:?} {extra:?} failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    String::from_utf8_lossy(&out.stdout).into_owned()
+}
+
+/// `dpscope measure <CLI_SCENARIO> --archive <dir> <extra>`.
+fn measure_chaos(dir: &Path, extra: &[&str]) -> String {
+    let mut args = vec!["measure"];
+    args.extend(CLI_SCENARIO);
+    args.push("--archive");
+    run_ok(&args, dir, extra)
+}
+
+fn archive_bytes(dir: &Path) -> Vec<u8> {
+    std::fs::read(dir.join("archive.dps")).expect("read archive.dps")
+}
+
+/// A CLI chaos sweep commits a telemetry page per day whose study
+/// counters agree with the archive: `measure.rows` is the catalog's data
+/// row count, next to the network and supervisor counters of the wire.
+#[test]
+fn cli_chaos_sweep_counts_every_row_it_archives() {
+    let dir = temp_dir("rows");
+    let out = measure_chaos(&dir, &[]);
+    let day_lines = out.lines().filter(|l| l.starts_with("day ")).count();
+    assert_eq!(
+        day_lines,
+        5 * 3 + 3 * 2,
+        "one line per (day, source): {out}"
+    );
+
+    let path = dir.join("archive.dps");
+    let reader = StoreReader::open_auto(&path).expect("open archive");
+    let catalog_rows: u64 = reader
+        .catalog()
+        .pages
+        .iter()
+        .filter(|((_, source), _)| usize::from(*source) < dps_scope::measure::SOURCES.len())
+        .map(|(_, meta)| meta.rows)
+        .sum();
+    let merged = SnapshotStore::load_archive(&path)
+        .expect("load archive")
+        .merged_telemetry();
+    let counter = |name: &str| merged.counters.get(name).copied().unwrap_or(0);
+    assert!(catalog_rows > 0);
+    assert_eq!(counter("measure.rows"), catalog_rows);
+    assert_eq!(counter("measure.days"), 5);
+    assert!(counter("measure.data.points") > 0);
+    assert_eq!(counter("sweep.attempted"), catalog_rows);
+    assert!(counter("net.packets.sent") > 0, "network telemetry flowed");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A chaos sweep SIGKILLed once a day is durable resumes from its last
+/// committed day, and the finished archive is byte-identical to an
+/// uninterrupted sweep's. Re-running over the finished archive is a
+/// no-op.
+#[test]
+fn killed_chaos_sweep_resumes_byte_identically() {
+    let straight = temp_dir("straight");
+    let resumed = temp_dir("resumed");
+    measure_chaos(&straight, &[]);
+
+    std::fs::create_dir_all(&resumed).expect("archive dir");
+    let mut child = dpscope()
+        .arg("measure")
+        .args(CLI_SCENARIO)
+        .arg("--archive")
+        .arg(&resumed)
+        .stdout(std::process::Stdio::null())
+        .spawn()
+        .expect("spawn dpscope measure --chaos");
+    let archive_file = resumed.join("archive.dps");
+    loop {
+        // Kill only once at least one day's footer is durable: a file
+        // with no valid footer yet is indistinguishable from corruption
+        // and is (rightly) refused on resume.
+        let committed =
+            dps_scope::store::Archive::open(&archive_file).map_or(0, |a| a.catalog().pages.len());
+        if committed > 0 || child.try_wait().expect("poll child").is_some() {
+            break;
+        }
+        std::thread::sleep(std::time::Duration::from_millis(2));
+    }
+    child.kill().ok();
+    child.wait().ok();
+    measure_chaos(&resumed, &[]);
+    assert_eq!(
+        archive_bytes(&straight),
+        archive_bytes(&resumed),
+        "resumed chaos archive must be byte-identical to uninterrupted"
+    );
+
+    let out = measure_chaos(&resumed, &[]);
+    assert!(
+        !out.lines().any(|l| l.starts_with("day ")),
+        "a finished archive has no day left to sweep: {out}"
+    );
+    assert_eq!(archive_bytes(&straight), archive_bytes(&resumed));
+    std::fs::remove_dir_all(&straight).ok();
+    std::fs::remove_dir_all(&resumed).ok();
+}
+
+/// `--chaos --stream` checkpoints the incremental analysis of the wire
+/// sweep, and that state equals a full rescan of the archive.
+#[test]
+fn chaos_stream_sweep_passes_stream_check() {
+    let dir = temp_dir("stream");
+    measure_chaos(&dir, &["--stream"]);
+    let check = run_ok(&["stream", "check"], &dir, &[]);
+    assert!(check.contains("matches full rescan"), "{check}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `--chaos --shards 2` writes a sharded archive that verifies clean and
+/// scans to the same series as the single-file chaos archive.
+#[test]
+fn sharded_chaos_sweep_verifies_and_scans_like_single_file() {
+    let single = temp_dir("single");
+    let sharded = temp_dir("sharded");
+    measure_chaos(&single, &[]);
+    measure_chaos(&sharded, &["--shards", "2"]);
+    assert!(sharded.join("archive.manifest").exists());
+    let verify = run_ok(&["store", "verify"], &sharded, &[]);
+    assert!(verify.trim_end().ends_with(" 0 corrupt"), "{verify}");
+
+    let scan = |dir: &Path| {
+        let reader = StoreReader::open_auto(&dir.join("archive.dps")).expect("open archive");
+        let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), reader.dict());
+        let out = Scanner::new(&refs).run_store(&reader).expect("scan");
+        format!("{:?}", out.series)
+    };
+    assert_eq!(scan(&single), scan(&sharded));
+    std::fs::remove_dir_all(&single).ok();
+    std::fs::remove_dir_all(&sharded).ok();
 }

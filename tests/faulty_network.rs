@@ -4,8 +4,34 @@
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
 use dps_scope::measure::collector::{SldInterner, WirePath};
-use dps_scope::measure::pipeline::sweep_with_path;
+use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
+use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
+
+/// One unsupervised wire sweep of `source` on day 0: the supervisor's
+/// first pass only, so faults show up as failed rows.
+fn first_pass(
+    world: &World,
+    path: &mut WirePath,
+    source: Source,
+    store: &mut SnapshotStore,
+    interner: &mut SldInterner,
+) {
+    let config = SupervisorConfig {
+        retry_passes: 0,
+        ..SupervisorConfig::default()
+    };
+    sweep_with_path_supervised_metered(
+        world,
+        path,
+        source,
+        0,
+        store,
+        interner,
+        &config,
+        &SweepMetrics::default(),
+    );
+}
 
 fn sweep(loss: f64) -> (SnapshotStore, SnapshotStore) {
     let params = ScenarioParams {
@@ -47,7 +73,7 @@ fn sweep(loss: f64) -> (SnapshotStore, SnapshotStore) {
     let mut wire_store = SnapshotStore::new();
     let mut interner = SldInterner::new();
     for source in [Source::Com, Source::Net, Source::Org] {
-        sweep_with_path(&world, &mut path, source, 0, &mut wire_store, &mut interner);
+        first_pass(&world, &mut path, source, &mut wire_store, &mut interner);
     }
     (bulk_store, wire_store)
 }
@@ -131,7 +157,7 @@ fn corruption_can_alter_rdata_but_not_crash() {
     let mut path = WirePath::new(resolver);
     let mut store = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    sweep_with_path(&world, &mut path, Source::Com, 0, &mut store, &mut interner);
+    first_pass(&world, &mut path, Source::Com, &mut store, &mut interner);
     let table = store.table(0, Source::Com).unwrap();
     assert!(table.rows() > 50);
 }

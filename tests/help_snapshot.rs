@@ -65,9 +65,11 @@ options:\n\
 --chaos SPEC   measure: sweep over the simulated wire under a\n\
 scripted fault schedule, e.g.\n\
 'degrade@0..inf@loss=0.15; blackout@5s..20s@10.0.0.1'\n\
+(commits and resumes per day like the bulk sweep;\n\
+works with --stream and --shards, not --workers)\n\
 --stream       measure: maintain incremental analysis at each\n\
 day's commit and checkpoint it in the archive\n\
-(works with --workers; not with --chaos)\n\
+(works with --workers and with --chaos)\n\
 --shards N     measure: write a sharded archive (manifest + N\n\
 shard files; scans parallelise per shard) when\n\
 creating a fresh one; resume keeps the existing\n\

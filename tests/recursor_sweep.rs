@@ -1,12 +1,37 @@
-//! The measurement pipeline through the caching recursor: `sweep_with_path`
-//! over a `RecursorPath` must write byte-identical snapshot tables to the
+//! The measurement pipeline through the caching recursor: a first-pass
+//! sweep over a `RecursorPath` must write byte-identical snapshot tables to the
 //! uncached wire path, and a warm repeat sweep must cost a small fraction
 //! of the packets.
 
 use dps_scope::authdns::Resolver;
-use dps_scope::measure::collector::{RecursorPath, SldInterner, WirePath};
-use dps_scope::measure::pipeline::sweep_with_path;
+use dps_scope::measure::collector::{QueryPath, RecursorPath, SldInterner, WirePath};
+use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
+use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
+
+/// One unsupervised `.com` sweep of day 0 through `path` (the
+/// supervisor's first pass only).
+fn first_pass(
+    world: &World,
+    path: &mut impl QueryPath,
+    store: &mut SnapshotStore,
+    interner: &mut SldInterner,
+) {
+    let config = SupervisorConfig {
+        retry_passes: 0,
+        ..SupervisorConfig::default()
+    };
+    sweep_with_path_supervised_metered(
+        world,
+        path,
+        Source::Com,
+        0,
+        store,
+        interner,
+        &config,
+        &SweepMetrics::default(),
+    );
+}
 
 #[test]
 fn recursor_sweep_matches_wire_sweep_with_fewer_packets() {
@@ -26,14 +51,7 @@ fn recursor_sweep_matches_wire_sweep_with_fewer_packets() {
     let resolver = Resolver::new(&net, "172.16.0.7".parse().unwrap(), 3, catalog.root_hints());
     let mut wire_path = WirePath::new(resolver);
     let before = net.stats().snapshot().sent;
-    sweep_with_path(
-        &world,
-        &mut wire_path,
-        Source::Com,
-        0,
-        &mut wire_store,
-        &mut interner,
-    );
+    first_pass(&world, &mut wire_path, &mut wire_store, &mut interner);
     let wire_packets = net.stats().snapshot().sent - before;
     assert!(wire_packets > 0);
 
@@ -46,25 +64,11 @@ fn recursor_sweep_matches_wire_sweep_with_fewer_packets() {
     recursor.begin_day(Day(0));
 
     let before = net.stats().snapshot().sent;
-    sweep_with_path(
-        &world,
-        &mut rec_path,
-        Source::Com,
-        0,
-        &mut cold_store,
-        &mut rec_interner,
-    );
+    first_pass(&world, &mut rec_path, &mut cold_store, &mut rec_interner);
     let cold_packets = net.stats().snapshot().sent - before;
 
     let before = net.stats().snapshot().sent;
-    sweep_with_path(
-        &world,
-        &mut rec_path,
-        Source::Com,
-        0,
-        &mut warm_store,
-        &mut rec_interner,
-    );
+    first_pass(&world, &mut rec_path, &mut warm_store, &mut rec_interner);
     let warm_packets = net.stats().snapshot().sent - before;
 
     // Identical observations: the encoded snapshots are byte-for-byte equal.

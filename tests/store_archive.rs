@@ -46,7 +46,7 @@ fn aborted_sweep_resumes_byte_identically() {
     // Reference: one uninterrupted archived sweep.
     let mut world = fresh_world();
     let full_store = Study::new(study_config())
-        .run_archived(&mut world, &full_path)
+        .run_archived(&mut world, &full_path, None)
         .expect("uninterrupted run");
 
     // The "killed" sweep: five committed days, then a torn page append
@@ -56,7 +56,7 @@ fn aborted_sweep_resumes_byte_identically() {
         days: 5,
         ..study_config()
     })
-    .run_archived(&mut world, &resumed_path)
+    .run_archived(&mut world, &resumed_path, None)
     .expect("partial run");
     let mut file = std::fs::OpenOptions::new()
         .append(true)
@@ -68,7 +68,7 @@ fn aborted_sweep_resumes_byte_identically() {
     // Restart "the process": fresh world, same parameters, full window.
     let mut world = fresh_world();
     let resumed_store = Study::new(study_config())
-        .run_archived(&mut world, &resumed_path)
+        .run_archived(&mut world, &resumed_path, None)
         .expect("resumed run");
 
     let full_bytes = std::fs::read(&full_path).unwrap();
@@ -106,7 +106,7 @@ fn projected_scan_decodes_fewer_bytes() {
     std::fs::remove_file(&path).ok();
     let mut world = fresh_world();
     Study::new(study_config())
-        .run_archived(&mut world, &path)
+        .run_archived(&mut world, &path, None)
         .expect("archived run");
 
     // Cache disabled so both passes really decode.
@@ -159,7 +159,7 @@ fn warm_page_cache_serves_repeated_classification() {
     std::fs::remove_file(&path).ok();
     let mut world = fresh_world();
     Study::new(study_config())
-        .run_archived(&mut world, &path)
+        .run_archived(&mut world, &path, None)
         .expect("archived run");
 
     let archive = Archive::open(&path).unwrap();
