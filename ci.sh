@@ -13,6 +13,7 @@
 #   ./ci.sh scale-smoke       sharded-archive equivalence + resume smoke
 #   ./ci.sh analyze           dps-analyzer over the workspace (must be clean)
 #   ./ci.sh analyze-fixtures  known-bad corpus must still fail, good must pass
+#   ./ci.sh perfbench-tests   the benchmark harness's own unit tests
 set -eu
 
 cd "$(dirname "$0")"
@@ -235,6 +236,13 @@ analyze_fixtures() {
         --check-fixtures crates/analyzer/fixtures
 }
 
+# The benchmark harness (perfbench/run.py) checks its own parsing,
+# statistics and checks with a few milliseconds of unit tests.
+perfbench_tests() {
+    echo "==> perfbench unit tests"
+    PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover perfbench
+}
+
 case "${1:-}" in
 chaos-smoke)
     cargo build --release --offline
@@ -288,6 +296,11 @@ analyze-fixtures)
     echo "==> analyze-fixtures green"
     exit 0
     ;;
+perfbench-tests)
+    perfbench_tests
+    echo "==> perfbench tests green"
+    exit 0
+    ;;
 esac
 
 echo "==> cargo fmt --check"
@@ -298,6 +311,7 @@ cargo clippy --workspace --all-targets --offline -- -D warnings
 
 analyze
 analyze_fixtures
+perfbench_tests
 
 echo "==> tier-1: cargo build --release"
 cargo build --release --offline

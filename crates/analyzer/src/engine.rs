@@ -12,7 +12,7 @@
 use crate::callgraph::Graph;
 use crate::context;
 use crate::lexer;
-use crate::policy::{self, Mode};
+use crate::policy::{self, BinPackages, Mode};
 use crate::rules::{self, Family, RawViolation, Severity};
 use crate::symbols::{self, FileSymbols};
 use crate::waiver::{parse_waivers, Waiver};
@@ -47,8 +47,8 @@ struct Prep {
     panic_sites: Vec<RawViolation>,
 }
 
-fn prep_file(rel: &str, src: &str, mode: Mode) -> (Prep, FileSymbols) {
-    let file_policy = policy::for_path(rel, mode);
+fn prep_file(rel: &str, src: &str, mode: Mode, bins: &BinPackages) -> (Prep, FileSymbols) {
+    let file_policy = policy::for_path(rel, mode, bins);
     let lexed = lexer::lex(src);
     let ctx = context::scan(&lexed);
 
@@ -90,20 +90,23 @@ fn prep_file(rel: &str, src: &str, mode: Mode) -> (Prep, FileSymbols) {
 
 /// Analyses a set of files together: per-file lexical rules, then the
 /// inter-procedural flow passes over the combined call graph, then
-/// waiver resolution per file.
+/// waiver resolution per file. `Cargo.toml` manifests in the set are not
+/// analysed; they only mark standalone binary packages (see
+/// [`BinPackages`]).
 pub fn analyze_sources(files: &[(String, String)], mode: Mode) -> Vec<Finding> {
+    let bins = BinPackages::find(files);
     let mut preps = Vec::with_capacity(files.len());
     let mut symfiles: Vec<(String, FileSymbols)> = Vec::with_capacity(files.len());
-    for (rel, src) in files {
-        let (p, syms) = prep_file(rel, src, mode);
+    for (rel, src) in rust_sources(files) {
+        let (p, syms) = prep_file(rel, src, mode, &bins);
         symfiles.push((rel.clone(), syms));
         preps.push(p);
     }
 
     let graph = Graph::build(&symfiles);
     let panic_sites: Vec<Vec<RawViolation>> = preps.iter().map(|p| p.panic_sites.clone()).collect();
-    let tainted = taint::run(&graph, &panic_sites);
-    let lock_findings = locks::run(&graph, &tainted.roots);
+    let tainted = taint::run(&graph, &panic_sites, &bins);
+    let lock_findings = locks::run(&graph, &tainted.roots, &bins);
     for (fi, v) in tainted.findings.into_iter().chain(lock_findings) {
         preps[fi].raw.push(v);
     }
@@ -188,8 +191,7 @@ pub fn analyze_source(rel_path: &str, src: &str, mode: Mode) -> Vec<Finding> {
 /// at least one taint-reached function. Used by tests and tooling to
 /// compare the *derived* surface against the hand-written scope.
 pub fn ingress_surface(files: &[(String, String)]) -> BTreeSet<String> {
-    let symfiles: Vec<(String, FileSymbols)> = files
-        .iter()
+    let symfiles: Vec<(String, FileSymbols)> = rust_sources(files)
         .map(|(rel, src)| {
             let lexed = lexer::lex(src);
             let ctx = context::scan(&lexed);
@@ -198,12 +200,17 @@ pub fn ingress_surface(files: &[(String, String)]) -> BTreeSet<String> {
         .collect();
     let graph = Graph::build(&symfiles);
     let panic_sites = vec![Vec::new(); symfiles.len()];
-    let tainted = taint::run(&graph, &panic_sites);
+    let tainted = taint::run(&graph, &panic_sites, &BinPackages::find(files));
     tainted
         .reached_files
         .into_iter()
         .map(|fi| symfiles[fi].0.clone())
         .collect()
+}
+
+/// The Rust sources of a file set (everything but its manifests).
+fn rust_sources(files: &[(String, String)]) -> impl Iterator<Item = &(String, String)> {
+    files.iter().filter(|(rel, _)| rel.ends_with(".rs"))
 }
 
 /// A waiver only suppresses when it is fully formed (known rule + reason)
@@ -215,9 +222,10 @@ fn applies(w: &Waiver, rule: &str, line: u32) -> bool {
     w.file_level || w.target_line == line || w.line == line
 }
 
-/// Recursively collects `.rs` files under `root`, excluding build
-/// artefacts, vendored crates and the analyzer's own fixture corpus.
-/// Paths come back sorted so reports (and JSON output) are stable.
+/// Recursively collects `.rs` files and `Cargo.toml` manifests under
+/// `root`, excluding build artefacts, vendored crates and the analyzer's
+/// own fixture corpus. Paths come back sorted so reports (and JSON
+/// output) are stable.
 pub fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
     let mut out = Vec::new();
     let mut stack = vec![root.to_path_buf()];
@@ -231,7 +239,9 @@ pub fn collect_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
             }
             if entry.file_type()?.is_dir() {
                 stack.push(path);
-            } else if path.extension().is_some_and(|e| e == "rs") {
+            } else if path.extension().is_some_and(|e| e == "rs")
+                || path.file_name().is_some_and(|n| n == "Cargo.toml")
+            {
                 out.push(path);
             }
         }

@@ -29,7 +29,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use crate::callgraph::Graph;
-use crate::policy;
+use crate::policy::{self, BinPackages};
 use crate::rules::RawViolation;
 use crate::symbols::FnSym;
 
@@ -44,8 +44,9 @@ struct Pair {
 }
 
 /// Runs both lock rules. `roots` are the ingress roots from the taint
-/// pass (global fn indices).
-pub fn run(graph: &Graph, roots: &[usize]) -> Vec<(usize, RawViolation)> {
+/// pass (global fn indices); `bins` are the file set's standalone binary
+/// packages.
+pub fn run(graph: &Graph, roots: &[usize], bins: &BinPackages) -> Vec<(usize, RawViolation)> {
     let n = graph.fns.len();
 
     // does_io[gi]: the function is an ingress root or can reach one —
@@ -112,7 +113,7 @@ pub fn run(graph: &Graph, roots: &[usize]) -> Vec<(usize, RawViolation)> {
     for gi in 0..n {
         let (fi, _) = graph.fns[gi];
         let rel = graph.path(gi);
-        if policy::flow_exempt(rel) {
+        if policy::flow_exempt(rel, bins) {
             continue;
         }
         let f = graph.sym(gi);
@@ -280,8 +281,9 @@ mod tests {
             })
             .collect();
         let g = Graph::build(&syms);
-        let roots = taint::roots(&g);
-        run(&g, &roots)
+        let none = BinPackages::default();
+        let roots = taint::roots(&g, &none);
+        run(&g, &roots, &none)
             .into_iter()
             .map(|(fi, v)| (syms[fi].0.clone(), v.rule, v.line, v.message))
             .collect()

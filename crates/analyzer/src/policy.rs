@@ -75,18 +75,70 @@ pub fn in_panic_safety_scope(rel: &str) -> bool {
     in_scope(rel, PANIC_SAFETY_SCOPE)
 }
 
+/// Workspace-relative directories (each ending in `/`, the root being
+/// `""`) of the standalone binary packages in a file set: packages with a
+/// `[workspace]` table of their own and only `[[bin]]` targets, such as a
+/// benchmark harness built apart from the workspace. Their modules are
+/// binary modules, classified like `src/bin/`.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct BinPackages(Vec<String>);
+
+impl BinPackages {
+    /// Finds them among `(relative path, text)` pairs: every `Cargo.toml`
+    /// declaring a `[workspace]`, `[[bin]]` targets and no `[lib]`, whose
+    /// package also has no `src/lib.rs` (which Cargo would build as a
+    /// library target).
+    pub fn find(files: &[(String, String)]) -> Self {
+        let dirs = files
+            .iter()
+            .filter_map(|(rel, text)| {
+                let dir = rel.strip_suffix("Cargo.toml")?;
+                let lib = format!("{dir}src/lib.rs");
+                let is_dir = dir.is_empty() || dir.ends_with('/');
+                (is_dir
+                    && is_standalone_bin_manifest(text)
+                    && !files.iter().any(|(r, _)| *r == lib))
+                .then(|| dir.to_owned())
+            })
+            .collect();
+        Self(dirs)
+    }
+
+    /// True if `rel` lies inside one of the packages.
+    pub fn contains(&self, rel: &str) -> bool {
+        self.0.iter().any(|dir| rel.starts_with(dir.as_str()))
+    }
+}
+
+/// True if `manifest`, the text of a `Cargo.toml`, declares a standalone
+/// binary package: a `[workspace]` table, `[[bin]]` targets and no
+/// `[lib]` target.
+fn is_standalone_bin_manifest(manifest: &str) -> bool {
+    let headers: Vec<&str> = manifest
+        .lines()
+        .map(|line| line.split('#').next().unwrap_or("").trim())
+        .filter(|line| line.starts_with('['))
+        .collect();
+    headers.contains(&"[workspace]") && headers.contains(&"[[bin]]") && !headers.contains(&"[lib]")
+}
+
+/// True for modules of a binary target: `src/bin/`, a `main.rs`, or a
+/// standalone binary package.
+fn binary_module(rel: &str, bins: &BinPackages) -> bool {
+    rel.contains("/bin/") || rel.ends_with("/main.rs") || bins.contains(rel)
+}
+
 /// True for operator-facing paths the flow passes (taint, locks) leave
 /// alone: panics and lock stalls in binaries, benches, examples and
 /// integration tests abort a tool run, not a server.
-pub fn flow_exempt(rel: &str) -> bool {
-    rel.contains("/bin/")
+pub fn flow_exempt(rel: &str, bins: &BinPackages) -> bool {
+    binary_module(rel, bins)
         || rel.contains("/benches/")
         || rel.contains("/examples/")
         || rel.contains("/tests/")
         || rel.starts_with("examples/")
         || rel.starts_with("tests/")
         || rel.starts_with("crates/bench/")
-        || rel.ends_with("/main.rs")
         || rel.ends_with("build.rs")
 }
 
@@ -115,16 +167,16 @@ fn in_scope(rel: &str, scope: &[&str]) -> bool {
         .any(|p| rel == *p || (p.ends_with('/') && rel.starts_with(p)))
 }
 
-/// Resolves the policy for one workspace-relative path.
-pub fn for_path(rel: &str, mode: Mode) -> FilePolicy {
-    let print_allowed = rel.contains("/bin/")
+/// Resolves the policy for one workspace-relative path; `bins` are the
+/// file set's standalone binary packages.
+pub fn for_path(rel: &str, mode: Mode, bins: &BinPackages) -> FilePolicy {
+    let print_allowed = binary_module(rel, bins)
         || rel.contains("/benches/")
         || rel.contains("/examples/")
         || rel.contains("/tests/")
         || rel.starts_with("examples/")
         || rel.starts_with("tests/")
-        || rel.starts_with("crates/bench/")
-        || rel.ends_with("/main.rs");
+        || rel.starts_with("crates/bench/");
     if mode == Mode::AllRules {
         return FilePolicy {
             families: vec![
@@ -156,13 +208,19 @@ pub fn for_path(rel: &str, mode: Mode) -> FilePolicy {
 mod tests {
     use super::*;
 
+    /// The workspace policy for `rel` in a file set with no standalone
+    /// binary packages.
+    fn workspace(rel: &str) -> FilePolicy {
+        for_path(rel, Mode::Workspace, &BinPackages::default())
+    }
+
     #[test]
     fn determinism_scopes_to_persistence_crates() {
-        let p = for_path("crates/store/src/writer.rs", Mode::Workspace);
+        let p = workspace("crates/store/src/writer.rs");
         assert!(p.families.contains(&Family::Determinism));
-        let p = for_path("crates/telemetry/src/lib.rs", Mode::Workspace);
+        let p = workspace("crates/telemetry/src/lib.rs");
         assert!(p.families.contains(&Family::Determinism));
-        let p = for_path("crates/dns/src/wire.rs", Mode::Workspace);
+        let p = workspace("crates/dns/src/wire.rs");
         assert!(!p.families.contains(&Family::Determinism));
         assert!(p.families.contains(&Family::PanicSafety));
     }
@@ -171,10 +229,10 @@ mod tests {
     fn cluster_crate_is_scoped() {
         // The whole crate sits on the archive-bytes path; its wire module
         // additionally decodes untrusted socket bytes.
-        let p = for_path("crates/cluster/src/scheduler.rs", Mode::Workspace);
+        let p = workspace("crates/cluster/src/scheduler.rs");
         assert!(p.families.contains(&Family::Determinism));
         assert!(!p.families.contains(&Family::PanicSafety));
-        let p = for_path("crates/cluster/src/wire.rs", Mode::Workspace);
+        let p = workspace("crates/cluster/src/wire.rs");
         assert!(p.families.contains(&Family::Determinism));
         assert!(p.families.contains(&Family::PanicSafety));
         // The transport frames untrusted socket bytes and the archive
@@ -184,7 +242,7 @@ mod tests {
             "crates/cluster/src/transport.rs",
             "crates/store/src/writer.rs",
         ] {
-            let p = for_path(rel, Mode::Workspace);
+            let p = workspace(rel);
             assert!(p.families.contains(&Family::PanicSafety), "{rel}");
         }
     }
@@ -194,7 +252,7 @@ mod tests {
         // The sharded layer re-reads on-disk manifest/shard bytes on
         // resume (the taint pass flagged its resume path as an ingress
         // root), and trusts the manifest's meta page for shard counts.
-        let p = for_path("crates/store/src/sharded.rs", Mode::Workspace);
+        let p = workspace("crates/store/src/sharded.rs");
         assert!(p.families.contains(&Family::PanicSafety));
         assert!(in_ingress_scope("crates/store/src/sharded.rs"));
     }
@@ -203,10 +261,10 @@ mod tests {
     fn stream_crate_is_scoped() {
         // Streamed analysis state feeds archived checkpoint bytes; its
         // page module additionally decodes those bytes back on resume.
-        let p = for_path("crates/stream/src/engine.rs", Mode::Workspace);
+        let p = workspace("crates/stream/src/engine.rs");
         assert!(p.families.contains(&Family::Determinism));
         assert!(!p.families.contains(&Family::PanicSafety));
-        let p = for_path("crates/stream/src/page.rs", Mode::Workspace);
+        let p = workspace("crates/stream/src/page.rs");
         assert!(p.families.contains(&Family::Determinism));
         assert!(p.families.contains(&Family::PanicSafety));
     }
@@ -222,23 +280,24 @@ mod tests {
             "crates/serve/src/rrl.rs",
             "crates/serve/src/sockets.rs",
         ] {
-            let p = for_path(rel, Mode::Workspace);
+            let p = workspace(rel);
             assert!(p.families.contains(&Family::PanicSafety), "{rel}");
         }
         // The fuzzer must be seed-deterministic to reproduce findings.
-        let p = for_path("crates/fuzz/src/lib.rs", Mode::Workspace);
+        let p = workspace("crates/fuzz/src/lib.rs");
         assert!(p.families.contains(&Family::Determinism));
     }
 
     #[test]
     fn ingress_scope_and_flow_exemptions() {
+        let none = BinPackages::default();
         assert!(in_ingress_scope("crates/serve/src/sockets.rs"));
         assert!(in_ingress_scope("crates/store/src/snapshot.rs"));
         assert!(!in_ingress_scope("crates/core/src/growth.rs"));
-        assert!(flow_exempt("crates/ecosystem/src/bin/dpscope.rs"));
-        assert!(flow_exempt("crates/measure/tests/determinism.rs"));
-        assert!(flow_exempt("crates/bench/benches/telemetry.rs"));
-        assert!(!flow_exempt("crates/serve/src/sockets.rs"));
+        assert!(flow_exempt("crates/ecosystem/src/bin/dpscope.rs", &none));
+        assert!(flow_exempt("crates/measure/tests/determinism.rs", &none));
+        assert!(flow_exempt("crates/bench/benches/telemetry.rs", &none));
+        assert!(!flow_exempt("crates/serve/src/sockets.rs", &none));
     }
 
     #[test]
@@ -250,9 +309,41 @@ mod tests {
             "examples/dig.rs",
             "tests/chaos_sweep.rs",
         ] {
-            assert!(for_path(rel, Mode::Workspace).print_allowed, "{rel}");
+            assert!(workspace(rel).print_allowed, "{rel}");
         }
-        assert!(!for_path("crates/measure/src/pipeline.rs", Mode::Workspace).print_allowed);
+        assert!(!workspace("crates/measure/src/pipeline.rs").print_allowed);
+    }
+
+    #[test]
+    fn standalone_bin_packages_are_classified_like_src_bin() {
+        let manifest = "[package]\nname = \"harness\"\n\n[workspace]\n\n\
+                        [dependencies]\nx = { path = \"../..\" }\n\n\
+                        [[bin]] # the only target\nname = \"harness\"\npath = \"src/main.rs\"\n";
+        assert!(is_standalone_bin_manifest(manifest));
+        let file = |rel: &str, text: &str| (rel.to_owned(), text.to_owned());
+        let bins = BinPackages::find(&[
+            file("tools/harness/Cargo.toml", manifest),
+            file("tools/harness/src/main.rs", ""),
+            file("tools/harness/src/load.rs", ""),
+        ]);
+        let rel = "tools/harness/src/load.rs";
+        assert!(for_path(rel, Mode::Workspace, &bins).print_allowed);
+        assert!(flow_exempt(rel, &bins));
+        assert!(!workspace(rel).print_allowed);
+        assert!(!flow_exempt(rel, &BinPackages::default()));
+        assert!(!for_path("tools/other/src/load.rs", Mode::Workspace, &bins).print_allowed);
+        // Not standalone binary packages: a workspace member, a package
+        // with a library target, and one whose `src/lib.rs` Cargo would
+        // build as a library.
+        assert!(!is_standalone_bin_manifest(
+            "[package]\nname = \"m\"\n[[bin]]\nname = \"m\"\n"
+        ));
+        assert!(!is_standalone_bin_manifest(&format!("{manifest}[lib]\n")));
+        let with_lib = BinPackages::find(&[
+            file("tools/harness/Cargo.toml", manifest),
+            file("tools/harness/src/lib.rs", ""),
+        ]);
+        assert!(!with_lib.contains(rel));
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::BTreeSet;
 
 use crate::callgraph::Graph;
-use crate::policy;
+use crate::policy::{self, BinPackages};
 use crate::rules::RawViolation;
 
 /// Result of the taint pass.
@@ -42,12 +42,13 @@ pub struct TaintOutcome {
 /// How many call-chain hops a finding message spells out.
 const TRACE_CAP: usize = 6;
 
-/// Collects the derived ingress roots of a graph.
-pub fn roots(graph: &Graph) -> Vec<usize> {
+/// Collects the derived ingress roots of a graph; `bins` are the file
+/// set's standalone binary packages.
+pub fn roots(graph: &Graph, bins: &BinPackages) -> Vec<usize> {
     let mut out = Vec::new();
     for gi in 0..graph.fns.len() {
         let rel = graph.path(gi);
-        if policy::flow_exempt(rel) {
+        if policy::flow_exempt(rel, bins) {
             continue;
         }
         let f = graph.sym(gi);
@@ -60,8 +61,8 @@ pub fn roots(graph: &Graph) -> Vec<usize> {
 
 /// Runs the taint pass. `panic_sites[i]` holds the lexical panic-safety
 /// violations of file `i` (computed scope-blind — that is the point).
-pub fn run(graph: &Graph, panic_sites: &[Vec<RawViolation>]) -> TaintOutcome {
-    let roots = roots(graph);
+pub fn run(graph: &Graph, panic_sites: &[Vec<RawViolation>], bins: &BinPackages) -> TaintOutcome {
+    let roots = roots(graph, bins);
     let pred = graph.reach(&roots);
 
     let mut reached_files = BTreeSet::new();
@@ -74,7 +75,7 @@ pub fn run(graph: &Graph, panic_sites: &[Vec<RawViolation>]) -> TaintOutcome {
     // taint-panic: reached function + lexical panic site, outside the
     // scope the lexical family already polices.
     for (fi, (rel, syms)) in graph.files.iter().enumerate() {
-        if policy::flow_exempt(rel) || policy::in_panic_safety_scope(rel) {
+        if policy::flow_exempt(rel, bins) || policy::in_panic_safety_scope(rel) {
             continue;
         }
         for site in &panic_sites[fi] {
@@ -188,7 +189,7 @@ mod tests {
     fn rules_fired(files: &[(&str, &str)]) -> Vec<(String, &'static str, u32)> {
         let (syms, sites) = prep(files);
         let g = Graph::build(&syms);
-        let out = run(&g, &sites);
+        let out = run(&g, &sites, &BinPackages::default());
         out.findings
             .iter()
             .map(|(fi, v)| (syms[*fi].0.clone(), v.rule, v.line))
@@ -267,7 +268,7 @@ mod tests {
              fn leaf(b: &[u8]) -> u8 { b[0] }",
         )]);
         let g = Graph::build(&syms);
-        let out = run(&g, &sites);
+        let out = run(&g, &sites, &BinPackages::default());
         let msg = &out.findings[0].1.message;
         assert!(msg.contains("root` (x.rs) via root → mid → leaf"), "{msg}");
     }
@@ -283,7 +284,7 @@ mod tests {
             ("c.rs", "fn unrelated() {}"),
         ]);
         let g = Graph::build(&syms);
-        let out = run(&g, &sites);
+        let out = run(&g, &sites, &BinPackages::default());
         assert_eq!(out.reached_files.into_iter().collect::<Vec<_>>(), [0, 1]);
     }
 }

@@ -35,10 +35,15 @@ fn time<F: FnMut()>(samples: usize, mut f: F) -> f64 {
 fn bench(c: &mut Criterion) {
     let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
     let files = read_sources(&root).expect("read workspace sources");
-    let lines: usize = files.iter().map(|(_, src)| src.lines().count()).sum();
+    // The corpus is the Rust sources; manifests only classify packages.
+    let rust: Vec<&(String, String)> = files
+        .iter()
+        .filter(|(rel, _)| rel.ends_with(".rs"))
+        .collect();
+    let lines: usize = rust.iter().map(|(_, src)| src.lines().count()).sum();
 
     // Corpus and graph shape: how much the full pass chews through.
-    let symfiles: Vec<(String, FileSymbols)> = files
+    let symfiles: Vec<(String, FileSymbols)> = rust
         .iter()
         .map(|(rel, src)| {
             let lexed = lexer::lex(src);
@@ -76,7 +81,7 @@ fn bench(c: &mut Criterion) {
          \"full_pass_ms\": {full_ms:.2},\n    \
          \"ns_per_line\": {per_line:.1},\n    \
          \"ingress_surface_ns\": {surface_ns:.0},\n    \"findings\": 0\n  }}\n}}\n",
-        files_n = files.len(),
+        files_n = rust.len(),
         full_ms = full_pass_ns / 1e6,
         per_line = full_pass_ns / lines.max(1) as f64,
     );
@@ -86,7 +91,7 @@ fn bench(c: &mut Criterion) {
         "analyze: {files_n} files / {lines} lines / {functions} fns in {full_ms:.1} ms \
          ({per_line:.0} ns/line), {edges_precise}/{edges_full} precise/full edges -> {}",
         out.display(),
-        files_n = files.len(),
+        files_n = rust.len(),
         full_ms = full_pass_ns / 1e6,
         per_line = full_pass_ns / lines.max(1) as f64,
     );

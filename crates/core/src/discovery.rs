@@ -16,7 +16,7 @@
 //! parties' domains referenced provider ASes en masse.
 
 use crate::references::ProviderRefs;
-use dps_measure::observation::Row;
+use dps_measure::observation::{customer_entry, is_customer_entry, Row};
 use dps_measure::{SnapshotStore, Source};
 use dps_netsim::AsRegistry;
 use std::collections::{HashMap, HashSet};
@@ -110,7 +110,7 @@ pub fn discover(
     let mut ns_stats: HashMap<u32, SldStats> = HashMap::new();
     let mut asn_support: HashMap<u32, u32> = HashMap::new();
 
-    for_each_sampled_row(store, &sampled, |row| {
+    for_each_sampled_row(store, &sampled, |_, row| {
         let seed_provider = [row.asn1, row.asn2, row.www_asn]
             .iter()
             .find_map(|a| asn_to_seed.get(a).copied());
@@ -159,15 +159,29 @@ pub fn discover(
     let mut candidate_ids: HashSet<u32> = HashSet::new();
     candidate_ids.extend(cname_candidates.keys());
     candidate_ids.extend(ns_candidates.keys());
+    // Customer rows carry `sld = 0`, so a candidate naming a customer
+    // domain finds its own rows by entry code in its zone's source.
+    let customer_candidates: HashMap<(Source, u32), u32> = candidate_ids
+        .iter()
+        .filter_map(|&sld| {
+            let key = customer_entry(store.dict.resolve(sld)?)?;
+            Some((key, sld))
+        })
+        .collect();
     // apex ASN histogram of each candidate SLD's own domain.
     let mut own_asn: HashMap<u32, HashMap<u32, u32>> = HashMap::new();
     // ASN histogram of domains mentioning each candidate SLD.
     let mut cooccur_asn: HashMap<u32, HashMap<u32, u32>> = HashMap::new();
     let mut cooccur_rows: HashMap<u32, u32> = HashMap::new();
 
-    for_each_sampled_row(store, &sampled, |row| {
-        if candidate_ids.contains(&row.sld) {
-            let hist = own_asn.entry(row.sld).or_default();
+    for_each_sampled_row(store, &sampled, |source, row| {
+        let own = if is_customer_entry(row.entry) {
+            customer_candidates.get(&(source, row.entry)).copied()
+        } else {
+            candidate_ids.contains(&row.sld).then_some(row.sld)
+        };
+        if let Some(sld) = own {
+            let hist = own_asn.entry(sld).or_default();
             if row.asn1 != 0 {
                 *hist.entry(row.asn1).or_default() += 1;
             }
@@ -269,7 +283,11 @@ pub fn discover(
     result
 }
 
-fn for_each_sampled_row(store: &SnapshotStore, sampled: &HashSet<u32>, mut f: impl FnMut(&Row)) {
+fn for_each_sampled_row(
+    store: &SnapshotStore,
+    sampled: &HashSet<u32>,
+    mut f: impl FnMut(Source, &Row),
+) {
     for source in [Source::Com, Source::Net, Source::Org] {
         for (day, table) in store.scan(source) {
             if !sampled.contains(&day) {
@@ -281,7 +299,7 @@ fn for_each_sampled_row(store: &SnapshotStore, sampled: &HashSet<u32>, mut f: im
             for i in 0..table.rows() {
                 let (_, _, row) = Row::unpack(&cols, i);
                 if !row.failed {
-                    f(&row);
+                    f(source, &row);
                 }
             }
         }
@@ -306,6 +324,61 @@ mod tests {
         "Neustar",
         "VeriSign",
     ];
+
+    /// A store whose customers all delegate to `d5.com`, a customer
+    /// domain itself, from provider AS 100; `d5.com`'s own apex
+    /// originates from `own_asn`. A `.net` row with the same entry code
+    /// (`d5.net`, another domain) originates from AS 100.
+    fn store_with_customer_ns(own_asn: u32) -> SnapshotStore {
+        use dps_columnar::TableBuilder;
+        use dps_measure::observation::schema;
+        let mut store = SnapshotStore::new();
+        let ns = store.dict.intern("d5.com");
+        let mut com = TableBuilder::new(schema());
+        for id in 10..20 {
+            let row = Row {
+                entry: id * 2,
+                asn1: 100,
+                ns1: ns,
+                ..Row::default()
+            };
+            com.push_row(&row.pack(0, Source::Com));
+        }
+        let own = Row {
+            entry: 10,
+            asn1: own_asn,
+            ..Row::default()
+        };
+        com.push_row(&own.pack(0, Source::Com));
+        store.add_table(0, Source::Com, &com.finish(), 0);
+        let mut net = TableBuilder::new(schema());
+        let other = Row {
+            entry: 10,
+            asn1: 100,
+            ..Row::default()
+        };
+        net.push_row(&other.pack(0, Source::Net));
+        store.add_table(0, Source::Net, &net.finish(), 0);
+        store
+    }
+
+    #[test]
+    fn customer_domain_candidates_are_owned_by_their_own_rows() {
+        let seeds = [Seed {
+            name: "P".into(),
+            asns: vec![100],
+        }];
+        let config = DiscoveryConfig {
+            day_stride: 1,
+            ..Default::default()
+        };
+        // `d5.com` resolves outside the provider: rejected, even though
+        // `d5.net` (same entry code, other zone) resolves inside it.
+        let found = discover(&store_with_customer_ns(200), &seeds, &config);
+        assert!(found[0].ns_slds.is_empty(), "{:?}", found[0].ns_slds);
+        let found = discover(&store_with_customer_ns(100), &seeds, &config);
+        assert_eq!(found[0].ns_slds, vec!["d5.com".to_string()]);
+    }
 
     #[test]
     fn seeds_found_by_name_search() {

@@ -1,6 +1,6 @@
 //! Stage I: collecting one name's records through a query path.
 
-use crate::observation::Row;
+use crate::observation::{is_customer_entry, Row};
 use crate::quality::CauseCounts;
 use dps_authdns::resolver::{Resolution, ResolveError, Resolver};
 use dps_columnar::StringDict;
@@ -230,12 +230,15 @@ fn v6_of(res: &Resolution) -> Option<std::net::Ipv6Addr> {
 
 /// A collected measurement before dictionary encoding: SLDs are still
 /// [`Name`]s, so worker threads can produce it without touching the
-/// shared dictionary.
+/// shared dictionary. Only infrastructure names are carried: a customer
+/// row's apex is a function of its `entry` code and is never interned.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RawRow {
     /// Zone-entry code.
     pub entry: u32,
-    /// The measured apex (its SLD becomes the row's `sld` column).
+    /// The measured apex of an infrastructure entry (its SLD becomes the
+    /// row's `sld` column). `None` for customer entries: their apex is
+    /// `d<id>.<tld>`, derived from `entry`, so their `sld` column is 0.
     pub apex: Option<Name>,
     /// Apex IPv4 (packed, 0 = none).
     pub apex_v4: u32,
@@ -272,6 +275,9 @@ pub struct RawRow {
 
 impl RawRow {
     /// Dictionary-encodes into a packed [`Row`] (manager-thread step).
+    /// Only infrastructure names reach the dictionary: CNAME and NS SLDs,
+    /// NS hosts, and the apex of an infrastructure entry. A customer
+    /// entry's `sld` is 0.
     pub fn intern(self, dict: &mut StringDict, interner: &mut SldInterner) -> Row {
         let mut pick =
             |name: &Option<Name>| name.as_ref().map(|n| interner.intern(dict, n)).unwrap_or(0);
@@ -281,7 +287,11 @@ impl RawRow {
         let cname2 = pick(cname2_n);
         let ns1 = pick(ns1_n);
         let ns2 = pick(ns2_n);
-        let sld = pick(&self.apex);
+        let sld = if is_customer_entry(self.entry) {
+            0
+        } else {
+            pick(&self.apex)
+        };
         let mut pick_full = |name: &Option<Name>| {
             name.as_ref()
                 .map(|n| interner.intern_full(dict, n))
@@ -325,10 +335,12 @@ fn push_distinct(slot: &mut [Option<Name>; 2], name: &Name) {
 /// Collects the paper's record set for one name — apex `A`/`AAAA`, `www`
 /// `A`, apex `NS`, with CNAME expansions — and supplements origin ASes
 /// from `pfx2as` (stage III). Runs on worker threads; no shared state.
+/// `entry` is the name's [`entry_code`](crate::observation::entry_code);
+/// only an infrastructure entry's apex is kept in the row.
 pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &Pfx2As) -> RawRow {
     let mut row = RawRow {
         entry,
-        apex: Some(apex.clone()),
+        apex: (!is_customer_entry(entry)).then(|| apex.clone()),
         ..RawRow::default()
     };
 

@@ -64,10 +64,17 @@ impl Source {
 /// Column order of daily snapshot tables.
 ///
 /// All values are u32. `entry` is the zone-entry code
-/// (see [`entry_code`]); `*_sld` columns are string-dictionary ids with 0 =
-/// absent; `apex_v4` is the packed IPv4 address (0 = absent); `www_v4x` and
-/// `wasnx` are XOR-deltas against the apex values so the common "www equals
-/// apex" case compresses to runs of zero.
+/// (see [`entry_code`]); `sld`, `cname*`, `ns*` and `nsh*` are
+/// string-dictionary ids with 0 = absent; `apex_v4` is the packed IPv4
+/// address (0 = absent); `www_v4x` and `wasnx` are XOR-deltas against the
+/// apex values so the common "www equals apex" case compresses to runs of
+/// zero.
+///
+/// `sld` is set only on infrastructure rows (odd `entry`). A customer row
+/// (even `entry`, `2·id`) stores `sld = 0`: its measured apex is
+/// `d<id>.<tld>` (see [`dps_ecosystem::domain_label`]), a pure function of
+/// `entry` and the row's zone, so readers derive it from `entry` and the
+/// dictionary holds infrastructure names only.
 pub const COLUMNS: [&str; 18] = [
     "day", "source", "entry", "sld", "apex_v4", "www_v4x", "aaaa", "cname1", "cname2", "ns1",
     "ns2", "nsh1", "nsh2", "asn1", "asn2", "wasnx", "aaaa_asn", "failed",
@@ -87,9 +94,27 @@ pub fn entry_code(entry: dps_ecosystem::ZoneEntry) -> u32 {
     }
 }
 
+/// True if `code` encodes a customer domain (even codes, `2·id`).
+pub fn is_customer_entry(code: u32) -> bool {
+    code % 2 == 0
+}
+
+/// The `(source, entry code)` under which the rows of the customer
+/// domain `sld` names are stored, if it names one: `d<id>.<tld>` for the
+/// zone of a zone source. Customer rows store `sld = 0`, so this is how a
+/// reader finds a customer SLD's own rows.
+pub fn customer_entry(sld: &str) -> Option<(Source, u32)> {
+    let (label, tld) = sld.split_once('.')?;
+    let id = dps_ecosystem::parse_domain_label(label.as_bytes())?;
+    let source = SOURCES
+        .into_iter()
+        .find(|s| s.tld().is_some_and(|t| t.label() == tld))?;
+    Some((source, entry_code(dps_ecosystem::ZoneEntry::Domain(id))))
+}
+
 /// Decodes an entry code.
 pub fn decode_entry(code: u32) -> dps_ecosystem::ZoneEntry {
-    if code % 2 == 0 {
+    if is_customer_entry(code) {
         dps_ecosystem::ZoneEntry::Domain(dps_ecosystem::DomainId(code / 2))
     } else {
         dps_ecosystem::ZoneEntry::Infra((code / 2) as usize)
@@ -101,7 +126,9 @@ pub fn decode_entry(code: u32) -> dps_ecosystem::ZoneEntry {
 pub struct Row {
     /// Zone-entry code.
     pub entry: u32,
-    /// Dictionary id of the measured SLD itself (e.g. `d123.com`).
+    /// Dictionary id of the measured SLD itself, for infrastructure rows
+    /// (e.g. `cloudflare.com`). 0 on customer rows, whose apex is derived
+    /// from `entry` instead.
     pub sld: u32,
     /// Apex IPv4 (packed, 0 = none).
     pub apex_v4: u32,
@@ -209,6 +236,15 @@ mod tests {
         ] {
             assert_eq!(decode_entry(entry_code(e)), e);
         }
+    }
+
+    #[test]
+    fn customer_entry_parses_customer_apexes_only() {
+        assert_eq!(customer_entry("d5.com"), Some((Source::Com, 10)));
+        assert_eq!(customer_entry("d0.nl"), Some((Source::Nl, 0)));
+        assert_eq!(customer_entry("cloudflare.com"), None);
+        assert_eq!(customer_entry("d5.biz"), None);
+        assert_eq!(customer_entry("www.d5.com"), None);
     }
 
     #[test]

@@ -50,7 +50,8 @@ struct StoredTable {
 /// The measurement archive: one encoded table per (day, source), plus the
 /// shared string dictionary and per-source statistics.
 pub struct SnapshotStore {
-    /// Shared dictionary for SLD strings.
+    /// Shared dictionary of infrastructure names (CNAME/NS SLDs, NS hosts,
+    /// infrastructure apexes); customer apexes are derived from `entry`.
     pub dict: StringDict,
     tables: BTreeMap<(u32, u8), StoredTable>,
     stats: Vec<SourceStats>,

@@ -264,7 +264,9 @@ impl ArchiveWriter {
         self.file.sync_data()?;
         self.data_end += tail.len() as u64;
         self.prev_trailer_end = self.data_end;
-        self.catalog.dict = dict.clone();
+        for s in &delta.dict_tail {
+            self.catalog.dict.intern(s);
+        }
         self.committed_dict_len = dict_len;
         self.committed_once = true;
         Ok(())
