@@ -13,7 +13,7 @@
 #   ./ci.sh scale-smoke       sharded-archive equivalence + resume smoke
 #   ./ci.sh analyze           dps-analyzer over the workspace (must be clean)
 #   ./ci.sh analyze-fixtures  known-bad corpus must still fail, good must pass
-#   ./ci.sh perfbench-tests   the benchmark harness's own unit tests
+#   ./ci.sh perfbench-tests   the benchmark harness's unit tests + helper check
 set -eu
 
 cd "$(dirname "$0")"
@@ -237,10 +237,16 @@ analyze_fixtures() {
 }
 
 # The benchmark harness (perfbench/run.py) checks its own parsing,
-# statistics and checks with a few milliseconds of unit tests.
+# statistics and checks with a few milliseconds of unit tests. Its helper
+# binary builds as a package of its own against the workspace crates:
+# checking it catches an API change that breaks it, and --locked catches
+# any drift of its lock file.
 perfbench_tests() {
     echo "==> perfbench unit tests"
     PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover perfbench
+    echo "==> perfbench helper: cargo check --locked"
+    cargo check --offline --locked --manifest-path perfbench/traced/Cargo.toml \
+        --target-dir target/perfbench-traced
 }
 
 case "${1:-}" in

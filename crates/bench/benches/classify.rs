@@ -3,7 +3,7 @@
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use dps_core::{CompiledRefs, ProviderRefs, Scanner};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::{Study, StudyConfig};
+use dps_measure::{SnapshotStore, Study, StudyConfig};
 
 fn bench(c: &mut Criterion) {
     let params = ScenarioParams {
@@ -13,12 +13,17 @@ fn bench(c: &mut Criterion) {
         cc_start_day: 30,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
+    let path = std::env::temp_dir().join(format!("dps-bench-classify-{}.dps", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    Study::new(StudyConfig {
         days: 30,
         cc_start_day: 30,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path, None)
+    .expect("archived study");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let rows: u64 = store
         .scan(dps_measure::Source::Com)

@@ -17,7 +17,7 @@
 //! writes `BENCH_cluster.json` at the workspace root itself.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use dps_cluster::manager::{serve, ClusterConfig, ClusterOutcome};
+use dps_cluster::manager::{serve, ClusterConfig};
 use dps_cluster::transport::{loopback_conn, Conn};
 use dps_cluster::worker::{run_agent, WorkerOptions};
 use dps_ecosystem::{ScenarioParams, World};
@@ -54,7 +54,7 @@ fn run_single(sample: usize) -> f64 {
     std::fs::remove_file(&path).ok();
     let mut world = World::imc2016(params());
     let start = Instant::now();
-    let store = Study::new(StudyConfig {
+    Study::new(StudyConfig {
         days: DAYS,
         cc_start_day: CC_START,
         stride: 1,
@@ -62,7 +62,6 @@ fn run_single(sample: usize) -> f64 {
     .run_archived(&mut world, &path, None)
     .expect("archived study");
     let secs = start.elapsed().as_secs_f64();
-    black_box(store.total_stored_bytes());
     std::fs::remove_file(&path).ok();
     secs
 }
@@ -86,13 +85,12 @@ fn run_cluster(workers: usize, sample: usize) -> (f64, u64) {
         agents.push(std::thread::spawn(move || run_agent(worker_end, opts)));
     }
     drop(conn_tx);
-    let ClusterOutcome { store, report } =
+    let report =
         serve(conn_rx, ClusterConfig::for_params(params()), &path, None).expect("cluster sweep");
     for agent in agents {
         agent.join().expect("agent thread").expect("agent run");
     }
     let secs = start.elapsed().as_secs_f64();
-    black_box(store.total_stored_bytes());
     let rows: u64 = report.accepted.iter().map(|r| u64::from(r.rows)).sum();
     std::fs::remove_file(&path).ok();
     (secs, rows)

@@ -13,7 +13,7 @@ fn bench(c: &mut Criterion) {
         out_dir: std::path::PathBuf::from("target/experiments-bench"),
         ..ExperimentConfig::default()
     };
-    let ctx = Context::build(config);
+    let ctx = Context::build(config).expect("study archive");
 
     let mut group = c.benchmark_group("figures");
     group.sample_size(10);

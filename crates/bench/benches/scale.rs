@@ -183,8 +183,10 @@ fn bench(c: &mut Criterion) {
             r.peak_rss_kib / 1024,
         );
     }
+    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let json = format!(
-        "{{\n  \"scenario\": {{ \"seed\": {SEED}, \"days\": {DAYS}, \"cc_start\": {CC_START}, \
+        "{{\n  \"host_cpus\": {host_cpus},\n  \
+         \"scenario\": {{ \"seed\": {SEED}, \"days\": {DAYS}, \"cc_start\": {CC_START}, \
          \"shards\": {SHARDS} }},\n  \"sharded_matches_single_at_1_1000\": {identity},\n  \
          \"rungs\": {{{rungs_json}\n  }}\n}}\n"
     );

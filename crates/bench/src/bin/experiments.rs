@@ -65,7 +65,10 @@ fn main() {
         "building context: scale {}, {} days (stride {}), cc from day {}",
         config.scale, config.days, config.stride, config.cc_start
     );
-    let ctx = Context::build(config);
+    let ctx = Context::build(config).unwrap_or_else(|e| {
+        eprintln!("experiments: {e}");
+        std::process::exit(1);
+    });
     for id in ids {
         match run(&ctx, &id) {
             Some(text) => println!("{text}"),

@@ -14,6 +14,7 @@ use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::{SnapshotStore, Source, Study, StudyConfig};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU32, Ordering};
 
 /// The nine provider marketing names used to seed discovery.
 pub const PROVIDER_KEYWORDS: [&str; 9] = [
@@ -58,7 +59,8 @@ pub struct ExperimentConfig {
     pub out_dir: PathBuf,
     /// Optional archive cache: resume/load the `dps-store` archive under
     /// this directory (a killed sweep restarts from its last committed
-    /// day). Without it the study runs purely in memory.
+    /// day). Without it the study sweeps into a temporary directory that
+    /// is removed once the archive is loaded.
     pub store_dir: Option<PathBuf>,
 }
 
@@ -89,6 +91,16 @@ impl ExperimentConfig {
     }
 }
 
+/// A fresh, empty temporary directory for a study run without a store
+/// directory.
+fn scratch_dir() -> PathBuf {
+    static NEXT: AtomicU32 = AtomicU32::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("dps-study-{}-{n}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
 /// Everything the experiments share: one study, one scan.
 pub struct Context {
     /// The configuration used.
@@ -106,7 +118,7 @@ pub struct Context {
 impl Context {
     /// Runs world + study + scan. This is the expensive step (minutes at
     /// full scale); every experiment below is cheap afterwards.
-    pub fn build(config: ExperimentConfig) -> Self {
+    pub fn build(config: ExperimentConfig) -> std::io::Result<Self> {
         let t0 = std::time::Instant::now();
         let params = ScenarioParams {
             seed: config.seed,
@@ -125,34 +137,29 @@ impl Context {
             cc_start_day: config.cc_start,
             stride: config.stride,
         });
-        let store = match &config.store_dir {
-            // The single-file archive path: a complete archive just loads;
-            // a partial one (killed sweep) resumes from its last committed
-            // day; a missing one is measured and written as we go.
-            Some(dir) => {
-                std::fs::create_dir_all(dir).expect("create archive dir");
-                let path = dir.join(dps_measure::ARCHIVE_FILE);
-                let store = study
-                    .run_archived(&mut world, &path, None)
-                    .expect("archived study");
-                eprintln!(
-                    "[{:>7.1?}] study archived: {} at {} (exact data-point counts)",
-                    t0.elapsed(),
-                    report::human_bytes(store.total_stored_bytes()),
-                    path.display()
-                );
-                store
-            }
-            None => {
-                let store = study.run(&mut world);
-                eprintln!(
-                    "[{:>7.1?}] study complete: {} stored",
-                    t0.elapsed(),
-                    report::human_bytes(store.total_stored_bytes())
-                );
-                store
-            }
+        // The study always sweeps into an archive: a complete one is left
+        // as it is, a partial one (killed sweep) resumes from its last
+        // committed day, a missing one is measured and written as we go.
+        // Without a store directory the archive lives in a temporary
+        // directory that is removed once loaded.
+        let dir = match &config.store_dir {
+            Some(dir) => dir.clone(),
+            None => scratch_dir(),
         };
+        let path = dir.join(dps_measure::ARCHIVE_FILE);
+        let store = std::fs::create_dir_all(&dir)
+            .and_then(|()| study.run_archived(&mut world, &path, None))
+            .and_then(|()| SnapshotStore::load_archive(&path))
+            .map_err(|e| std::io::Error::new(e.kind(), format!("{}: {e}", dir.display())));
+        if config.store_dir.is_none() {
+            std::fs::remove_dir_all(&dir).ok();
+        }
+        let store = store?;
+        eprintln!(
+            "[{:>7.1?}] study archived: {} (exact data-point counts)",
+            t0.elapsed(),
+            report::human_bytes(store.total_stored_bytes()),
+        );
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scan = Scanner::new(&refs).run(&store);
         eprintln!(
@@ -160,14 +167,14 @@ impl Context {
             t0.elapsed(),
             scan.timelines.map.len()
         );
-        std::fs::create_dir_all(&config.out_dir).expect("create out dir");
-        Self {
+        std::fs::create_dir_all(&config.out_dir)?;
+        Ok(Self {
             config,
             world,
             store,
             refs,
             scan,
-        }
+        })
     }
 
     fn write(&self, name: &str, content: &str) {

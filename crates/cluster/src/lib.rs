@@ -35,7 +35,7 @@ pub mod transport;
 pub mod wire;
 pub mod worker;
 
-pub use manager::{serve, ClusterConfig, ClusterOutcome, ClusterReport, ProvenanceRow};
+pub use manager::{serve, ClusterConfig, ClusterReport, ProvenanceRow};
 pub use provenance::{
     per_worker_metrics, read_provenance, render_per_worker, write_provenance, PROVENANCE_FILE,
 };

@@ -24,10 +24,9 @@ use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::collector::{RawRow, SldInterner};
 use dps_measure::observation::Source;
 use dps_measure::pipeline::{
-    append_day, day_committed, due_sources_for, replay_checkpoints, resume_store, DayObserver,
-    PageBuilder,
+    append_day, day_committed, due_sources_for, replay_checkpoints, DayObserver, PageBuilder,
 };
-use dps_measure::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
+use dps_measure::snapshot::UNIQUE_KEY_COLUMN;
 use dps_measure::telemetry::CATALOG;
 use dps_measure::StudyConfig;
 use dps_netsim::Day;
@@ -100,14 +99,6 @@ pub struct ClusterReport {
     pub workers_admitted: u32,
 }
 
-/// A finished cluster run.
-pub struct ClusterOutcome {
-    /// The filled snapshot store (same content as the archive).
-    pub store: SnapshotStore,
-    /// Provenance and fault statistics.
-    pub report: ClusterReport,
-}
-
 enum Event {
     Incoming(Conn),
     Frame(u32, Msg),
@@ -124,7 +115,8 @@ struct WorkerConn {
 /// Runs a cluster sweep: admits workers from `conns`, leases every due
 /// (day, source-shard) unit, and commits each finished day to the archive
 /// at `path` (resuming committed days like the single-process sweep).
-/// Returns once every day is durable; workers are sent `Drain`.
+/// Returns the run's provenance and fault statistics once every day is
+/// durable; workers are sent `Drain`.
 ///
 /// A streaming-analysis `observer` gets exactly the hook
 /// [`Study::run_archived`] offers the single-process sweep. It runs
@@ -138,12 +130,11 @@ pub fn serve(
     config: ClusterConfig,
     path: &std::path::Path,
     mut observer: Option<&mut dyn DayObserver>,
-) -> io::Result<ClusterOutcome> {
+) -> io::Result<ClusterReport> {
     let mut writer = StoreWriter::resume_or_create(path, 1, Some(UNIQUE_KEY_COLUMN))?;
-    let mut store = SnapshotStore::new();
-    resume_store(&mut store, &writer, path)?;
+    let mut dict = writer.dict().clone();
     if let Some(obs) = observer.as_deref_mut() {
-        replay_checkpoints(&store, &writer, &config.study, obs)?;
+        replay_checkpoints(&writer, path, &config.study, obs)?;
     }
     let mut interner = SldInterner::new();
     let mut world = World::imc2016(config.params);
@@ -287,14 +278,14 @@ pub fn serve(
             for shard in 0..shards {
                 let key = UnitKey { source: sid, shard };
                 for raw in collected.remove(&key).unwrap_or_default() {
-                    page.intern_row(raw, &mut store.dict, &mut interner);
+                    page.intern_row(raw, &mut dict, &mut interner);
                 }
             }
             pages.push(page.finish());
         }
         append_day(
             &mut writer,
-            &mut store,
+            &dict,
             day,
             pages,
             day_telemetry,
@@ -307,7 +298,7 @@ pub fn serve(
         w.tx.send_vec(wire::encode(&Msg::Drain)).ok();
     }
     report.workers_admitted = next_worker - 1;
-    Ok(ClusterOutcome { store, report })
+    Ok(report)
 }
 
 /// Handles one decoded frame from worker `id`.

@@ -2,11 +2,11 @@
 //! against the single-process sweep, crash recovery through the
 //! dead-letter path, and determinism across worker counts.
 
-use dps_cluster::manager::{serve, ClusterConfig, ClusterOutcome};
+use dps_cluster::manager::{serve, ClusterConfig, ClusterReport};
 use dps_cluster::transport::{loopback_conn, Conn};
 use dps_cluster::worker::{run_agent, WorkerOptions, WorkerSummary};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::{Study, StudyConfig};
+use dps_measure::{SnapshotStore, Study, StudyConfig};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
@@ -32,14 +32,14 @@ fn tiny_config(seed: u64) -> ClusterConfig {
     ClusterConfig::for_params(tiny_params(seed))
 }
 
-/// Runs a cluster sweep with `n` loopback workers; returns the outcome
+/// Runs a cluster sweep with `n` loopback workers; returns the report
 /// and each worker's summary.
 fn run_cluster(
     config: ClusterConfig,
     path: &std::path::Path,
     worker_opts: Vec<WorkerOptions>,
 ) -> (
-    std::io::Result<ClusterOutcome>,
+    std::io::Result<ClusterReport>,
     Vec<std::io::Result<WorkerSummary>>,
 ) {
     let (conn_tx, conn_rx) = mpsc::channel::<Conn>();
@@ -90,7 +90,7 @@ fn cluster_archive_is_byte_identical_across_worker_counts() {
             })
             .collect();
         let (outcome, summaries) = run_cluster(tiny_config(seed), &path, opts);
-        let outcome = outcome.unwrap();
+        let report = outcome.unwrap();
         for s in summaries {
             let s = s.unwrap();
             assert!(!s.crashed);
@@ -100,9 +100,9 @@ fn cluster_archive_is_byte_identical_across_worker_counts() {
             got, want,
             "{workers}-worker archive differs from single-process run"
         );
-        assert_eq!(outcome.report.stale_rejected, 0);
+        assert_eq!(report.stale_rejected, 0);
         assert!(
-            !outcome.report.accepted.is_empty(),
+            !report.accepted.is_empty(),
             "provenance records accepted leases"
         );
         std::fs::remove_file(&path).ok();
@@ -133,24 +133,20 @@ fn worker_crash_mid_sweep_is_recovered_byte_identically() {
         },
     ];
     let (outcome, summaries) = run_cluster(tiny_config(seed), &path, opts);
-    let outcome = outcome.unwrap();
+    let report = outcome.unwrap();
     let crashed = summaries
         .into_iter()
         .filter(|s| s.as_ref().is_ok_and(|s| s.crashed))
         .count();
     assert_eq!(crashed, 1, "fault injection fired");
     assert!(
-        outcome.report.dead_letters >= 1,
+        report.dead_letters >= 1,
         "lost lease routed through the dead-letter path"
     );
     let got = std::fs::read(&path).unwrap();
     assert_eq!(got, want, "post-crash archive differs");
     // Provenance: the survivor picked up work.
-    assert!(outcome
-        .report
-        .accepted
-        .iter()
-        .any(|row| row.worker == "survivor"));
+    assert!(report.accepted.iter().any(|row| row.worker == "survivor"));
     std::fs::remove_file(&path).ok();
     std::fs::remove_file(&reference).ok();
 }
@@ -187,23 +183,20 @@ fn cluster_telemetry_pages_match_single_process() {
         &path,
         vec![WorkerOptions::default(), WorkerOptions::default()],
     );
-    let outcome = outcome.unwrap();
-    // The merged store carries per-day telemetry equal to the
+    outcome.unwrap();
+    // The merged archive carries per-day data equal to the
     // single-process study's.
-    let params = tiny_params(seed);
-    let mut world = World::imc2016(params);
-    let single = Study::new(StudyConfig {
-        days: params.gtld_days,
-        cc_start_day: params.cc_start_day,
-        stride: 1,
-    })
-    .run(&mut world);
+    let reference = temp_archive("tele-ref");
+    single_process_archive(seed, &reference);
+    let cluster = SnapshotStore::load_archive(&path).unwrap();
+    let single = SnapshotStore::load_archive(&reference).unwrap();
     for s in [Source::Com, Source::Nl] {
         assert_eq!(
-            outcome.store.stats(s).data_points,
+            cluster.stats(s).data_points,
             single.stats(s).data_points,
             "{s:?}"
         );
     }
     std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&reference).ok();
 }

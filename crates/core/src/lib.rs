@@ -43,3 +43,33 @@ pub mod util;
 pub use quality::{QualityMask, DEFAULT_MIN_COVERAGE};
 pub use references::{CompiledRefs, ProviderRefs, RefKind};
 pub use scan::{ScanOutput, Scanner, SeriesSet, Timelines};
+
+#[cfg(test)]
+pub(crate) mod testing {
+    //! Study fixtures for unit tests: sweep into an archive, then load it.
+
+    use dps_ecosystem::World;
+    use dps_measure::{SnapshotStore, Study, StudyConfig};
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    static NEXT_ARCHIVE: AtomicU32 = AtomicU32::new(0);
+
+    /// A fresh temporary archive path, unique within this process.
+    pub(crate) fn temp_archive() -> std::path::PathBuf {
+        let n = NEXT_ARCHIVE.fetch_add(1, Ordering::Relaxed);
+        let path = std::env::temp_dir().join(format!("dps-core-{}-{n}.dps", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// Sweeps `config` over `world` into a temporary archive and loads it.
+    pub(crate) fn swept(world: &mut World, config: StudyConfig) -> SnapshotStore {
+        let path = temp_archive();
+        Study::new(config)
+            .run_archived(world, &path, None)
+            .expect("study sweeps");
+        let store = SnapshotStore::load_archive(&path).expect("archive loads");
+        std::fs::remove_file(&path).ok();
+        store
+    }
+}

@@ -232,7 +232,7 @@ mod tests {
         use crate::references::{CompiledRefs, ProviderRefs};
         use crate::scan::Scanner;
         use dps_ecosystem::{ScenarioParams, World};
-        use dps_measure::{Study, StudyConfig};
+        use dps_measure::StudyConfig;
 
         // 130 days so on-demand domains accumulate ≥3 peaks.
         let params = ScenarioParams {
@@ -242,12 +242,14 @@ mod tests {
             cc_start_day: 130,
         };
         let mut world = World::imc2016(params);
-        let store = Study::new(StudyConfig {
-            days: 130,
-            cc_start_day: 130,
-            stride: 1,
-        })
-        .run(&mut world);
+        let store = crate::testing::swept(
+            &mut world,
+            StudyConfig {
+                days: 130,
+                cc_start_day: 130,
+                stride: 1,
+            },
+        );
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let out = Scanner::new(&refs).run(&store);
         let breakdowns = analyze(&store, &refs, &out.timelines, 1);

@@ -331,8 +331,9 @@ struct DayPartial {
 mod tests {
     use super::*;
     use crate::references::ProviderRefs;
+    use crate::testing::{swept, temp_archive};
     use dps_ecosystem::{ScenarioParams, World};
-    use dps_measure::{Study, StudyConfig};
+    use dps_measure::{SnapshotStore, Study, StudyConfig};
 
     fn scanned() -> ScanOutput {
         let mut world = World::imc2016(ScenarioParams::tiny(11));
@@ -341,7 +342,7 @@ mod tests {
             cc_start_day: 20,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = swept(&mut world, config);
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         Scanner::new(&refs).run(&store)
     }
@@ -395,10 +396,11 @@ mod tests {
             cc_start_day: 6,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
-        let path =
-            std::env::temp_dir().join(format!("dps-core-scan-archive-{}.dps", std::process::id()));
-        store.save_archive(&path).unwrap();
+        let path = temp_archive();
+        Study::new(config)
+            .run_archived(&mut world, &path, None)
+            .unwrap();
+        let store = SnapshotStore::load_archive(&path).unwrap();
         let archive = dps_store::Archive::open(&path).unwrap();
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scanner = Scanner::new(&refs);
@@ -416,9 +418,10 @@ mod tests {
         assert_eq!(arch.timelines.map.len(), mem.timelines.map.len());
     }
 
-    /// `run_store` over a sharded archive must reproduce the in-memory
-    /// scan exactly: per-shard partials sum back to the logical page
-    /// counts, so shard count is invisible in every output series.
+    /// `run_store` over a sharded archive must reproduce the scan of the
+    /// single-file archive exactly: per-shard partials sum back to the
+    /// logical page counts, so shard count is invisible in every output
+    /// series.
     #[test]
     fn sharded_scan_matches_single_file_scan() {
         let mut world = World::imc2016(ScenarioParams::tiny(11));
@@ -427,12 +430,17 @@ mod tests {
             cc_start_day: 6,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = swept(&mut world, config);
         let dir =
             std::env::temp_dir().join(format!("dps-core-scan-sharded-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("archive.dps");
-        store.save_archive_with_shards(&path, 3).unwrap();
+        let mut world = World::imc2016(ScenarioParams::tiny(11));
+        Study::new(config)
+            .with_shards(3)
+            .run_archived(&mut world, &path, None)
+            .unwrap();
         let reader = dps_store::StoreReader::open_auto(&path).unwrap();
         assert!(reader.is_sharded());
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);

@@ -6,7 +6,7 @@
 use dps_core::discovery::{discover, seeds_from_registry, DiscoveryConfig};
 use dps_core::report;
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::{Study, StudyConfig, SOURCES};
+use dps_measure::{SnapshotStore, Study, StudyConfig, SOURCES};
 
 /// The marketing keywords an analyst would search AS-to-name data for.
 const PROVIDER_KEYWORDS: [&str; 9] = [
@@ -64,12 +64,17 @@ fn table1_counts_and_table2_match_the_pinned_output() {
         gtld_days: 28,
         cc_start_day: 21,
     });
-    let store = Study::new(StudyConfig {
+    let path = std::env::temp_dir().join(format!("dps-golden-{}.dps", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    Study::new(StudyConfig {
         days: 28,
         cc_start_day: 21,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path, None)
+    .expect("study sweeps");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
 
     let table1: String = report::table1(&store)
         .lines()

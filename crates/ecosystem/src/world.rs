@@ -1214,4 +1214,30 @@ mod tests {
             .unwrap();
         assert_eq!(res.rcode, Rcode::NxDomain);
     }
+
+    #[test]
+    fn history_records_routing_at_measurement_time() {
+        use dps_netsim::{OriginChange, RibHistory};
+        // Horizon past the first ENOM→Verisign flip (day 30).
+        let mut world = World::imc2016(ScenarioParams {
+            seed: 4,
+            scale: 0.05,
+            gtld_days: 35,
+            cc_start_day: 35,
+        });
+        let mut history = RibHistory::new();
+        for day in 0..35 {
+            world.advance_to(Day(day));
+            history.record(Day(day), world.pfx2as());
+        }
+        assert_eq!(history.len(), 35);
+        let changes = history.diff(Day(29), Day(30));
+        let flip = changes.iter().find_map(|c| match c {
+            OriginChange::OriginFlip { from, to, .. } => Some((from.clone(), to.clone())),
+            _ => None,
+        });
+        let (from, to) = flip.expect("ENOM→Verisign flip recorded on day 30");
+        assert_eq!(from[0].0, 21740, "ENOM before");
+        assert_eq!(to[0].0, 26415, "Verisign during diversion");
+    }
 }

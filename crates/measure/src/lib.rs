@@ -23,8 +23,9 @@
 //!   automated).
 //!
 //! [`pipeline::Study`] drives all three stages across the measurement
-//! calendar and produces the [`snapshot::SnapshotStore`] the analysis
-//! crate consumes, along with the Table 1 data-set statistics.
+//! calendar into a `dps-store` archive; [`snapshot::SnapshotStore::load_archive`]
+//! reads that archive back for the analysis crate, along with the Table 1
+//! data-set statistics.
 
 pub mod collector;
 pub mod observation;

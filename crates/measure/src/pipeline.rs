@@ -1,5 +1,7 @@
-//! The study driver: sweeps every due source every day and fills the
-//! snapshot store (cluster manager + worker cloud of paper Fig. 1).
+//! The study driver: sweeps every due source every day and writes each
+//! finished day to a `dps-store` archive (cluster manager + worker cloud
+//! of paper Fig. 1). The archive is the sweep's only output; readers load
+//! it afterwards with [`SnapshotStore::load_archive`].
 //!
 //! On multi-core machines the per-day sweep fans the input list out over a
 //! crossbeam worker cloud; collected rows are merged and dictionary-encoded
@@ -8,14 +10,14 @@
 
 use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, SldInterner, WirePath};
 use crate::observation::{entry_code, schema, Source};
-use crate::quality::{decode_qualities, encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
+use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
 use crate::supervisor::{sweep_supervised, SupervisorConfig, SweepMetrics};
-use crate::telemetry::{decode_telemetry, encode_telemetry, TELEMETRY_SOURCE};
+use crate::telemetry::{encode_telemetry, TELEMETRY_SOURCE};
 use dps_authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
 use dps_columnar::{StringDict, Table, TableBuilder};
 use dps_ecosystem::World;
-use dps_netsim::{ChaosSchedule, Day, Network, Pfx2As, RibHistory};
+use dps_netsim::{ChaosSchedule, Day, Network, Pfx2As};
 use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::{Counter, Registry, Snapshot};
 use std::net::{IpAddr, Ipv4Addr};
@@ -115,25 +117,25 @@ pub fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bo
         && writer.contains(day, TELEMETRY_SOURCE)
 }
 
-/// Appends one finished day to the archive and the in-memory store, then
-/// commits a durable footer. This is **the** day-commit path: the
-/// single-process [`Study::run_archived`] and the cluster manager both
-/// funnel through it, which is what keeps a multi-worker sweep
-/// byte-identical to the single-process run — pages land in the same
-/// (day, source) order, followed by the same quality and telemetry
-/// pages, followed by one commit against the shared dictionary.
+/// Appends one finished day to the archive, then commits a durable
+/// footer. This is **the** day-commit path: the single-process
+/// [`Study::run_archived`] and the cluster manager both funnel through
+/// it, which is what keeps a multi-worker sweep byte-identical to the
+/// single-process run — pages land in the same (day, source) order,
+/// followed by the same quality and telemetry pages, followed by one
+/// commit against the shared dictionary.
 ///
 /// With a streaming-analysis `observer`, the observer consumes the day's
-/// pages (rows already interned) before the commit, its counter deltas
-/// are folded into the day's telemetry page, and its checkpoint table is
-/// persisted under [`ANALYSIS_SOURCE`] after the telemetry page — so the
-/// whole day, checkpoint included, is covered by the same single durable
-/// commit.
+/// pages (rows already interned into `dict`) before the commit, its
+/// counter deltas are folded into the day's telemetry page, and its
+/// checkpoint table is persisted under [`ANALYSIS_SOURCE`] after the
+/// telemetry page — so the whole day, checkpoint included, is covered by
+/// the same single durable commit.
 ///
 /// `pages` must be in [`due_sources_for`] order for the day.
 pub fn append_day(
     writer: &mut StoreWriter,
-    store: &mut SnapshotStore,
+    dict: &StringDict,
     day: u32,
     pages: Vec<SourcePage>,
     mut telemetry: Snapshot,
@@ -141,7 +143,7 @@ pub fn append_day(
 ) -> std::io::Result<()> {
     let analysis = match observer {
         Some(obs) => {
-            let (table, counters) = obs.on_day(day, &pages, &store.dict)?;
+            let (table, counters) = obs.on_day(day, &pages, dict)?;
             for (name, v) in counters {
                 *telemetry.counters.entry(name).or_insert(0) += v;
             }
@@ -157,83 +159,46 @@ pub fn append_day(
             &page.table,
             page.data_points,
         )?;
-        store.add_table(day, page.source, &page.table, page.data_points);
-        store.add_quality(page.quality);
         day_qualities.push(page.quality);
     }
     writer.append_table(day, QUALITY_SOURCE, &encode_qualities(&day_qualities), 0)?;
     writer.append_table(day, TELEMETRY_SOURCE, &encode_telemetry(&telemetry), 0)?;
-    store.add_telemetry(day, telemetry);
     if let Some(table) = analysis {
         writer.append_table(day, ANALYSIS_SOURCE, &table, 0)?;
-        store.add_analysis(day, table.to_bytes());
     }
-    writer.commit(&store.dict)
+    writer.commit(dict)
 }
 
-/// Rehydrates a store from the committed pages of a resumed archive:
-/// the dictionary continues from the last footer (interning is
-/// idempotent, so ids stay identical) and committed days are reloaded
-/// from the file instead of re-measured. Shared by
-/// [`Study::run_archived`] and the cluster manager's resume path.
-///
-/// The archive reads happen inside `dps-store`, but the untrusted bytes
-/// are *consumed* here — the marker makes this a taint root the call
-/// graph alone cannot derive.
-// dps: ingress
+/// Fills `store` from the committed pages of the archive at `path` (see
+/// [`SnapshotStore::load_archive`]); an archive with nothing committed
+/// yet only hands over the writer's dictionary.
 pub fn resume_store(
     store: &mut SnapshotStore,
     writer: &StoreWriter,
     path: &std::path::Path,
 ) -> std::io::Result<()> {
-    store.dict = writer.dict().clone();
     if writer.is_empty() {
+        store.dict = writer.dict().clone();
         return Ok(());
     }
-    // Rehydrate committed days (exact data-point counts come from the
-    // catalog; no re-measurement, no estimation).
-    let archive = StoreReader::open_auto_with_cache(path, 0)?;
-    for (&(day, source), meta) in &archive.catalog().pages {
-        let table = archive.table(day, source)?.ok_or_else(|| {
-            std::io::Error::other("catalog lists a page the archive cannot produce")
-        })?;
-        if source == ANALYSIS_SOURCE {
-            store.add_analysis(day, table.to_bytes());
-            continue;
-        }
-        if source == TELEMETRY_SOURCE {
-            let snapshot = decode_telemetry(&table).ok_or_else(|| {
-                std::io::Error::other("archive holds an undecodable telemetry page")
-            })?;
-            store.add_telemetry(day, snapshot);
-            continue;
-        }
-        if source == QUALITY_SOURCE {
-            let qualities = decode_qualities(&table).ok_or_else(|| {
-                std::io::Error::other("archive holds an undecodable quality page")
-            })?;
-            for q in qualities {
-                store.add_quality(q);
-            }
-            continue;
-        }
-        let src = Source::from_index(u32::from(source))
-            .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
-        store.add_table(day, src, &table, meta.data_points);
-    }
+    *store = SnapshotStore::load_archive(path)?;
     Ok(())
 }
 
-/// Replays the checkpoint pages [`resume_store`] rehydrated through
+/// Replays the archive's checkpoint pages through
 /// [`DayObserver::on_resume`] in day order, so the engine resumes to the
 /// exact (byte-identical) state it held when each day was committed.
 /// A day of `config`'s calendar committed without a checkpoint means the
 /// archive was written without streaming analysis and cannot be resumed
 /// with it. Shared by [`Study::run_archived`] and the cluster manager.
+///
+/// The archive reads happen inside `dps-store`, but the untrusted bytes
+/// are *consumed* here — the marker makes this a taint root the call
+/// graph alone cannot derive.
 // dps: ingress
 pub fn replay_checkpoints(
-    store: &SnapshotStore,
     writer: &StoreWriter,
+    path: &std::path::Path,
     config: &StudyConfig,
     observer: &mut dyn DayObserver,
 ) -> std::io::Result<()> {
@@ -247,11 +212,19 @@ pub fn replay_checkpoints(
         }
         day += config.stride.max(1);
     }
-    for day in store.analysis_days() {
-        if let Some(bytes) = store.analysis(day) {
-            let table = Table::from_bytes(bytes).map_err(std::io::Error::other)?;
-            observer.on_resume(day, &table)?;
+    if writer.is_empty() {
+        return Ok(());
+    }
+    // Each checkpoint is read once: no page cache.
+    let archive = StoreReader::open_auto_with_cache(path, 0)?;
+    for &(day, source) in archive.catalog().pages.keys() {
+        if source != ANALYSIS_SOURCE {
+            continue;
         }
+        let table = archive.table(day, source)?.ok_or_else(|| {
+            std::io::Error::other("catalog lists a page the archive cannot produce")
+        })?;
+        observer.on_resume(day, &table)?;
     }
     Ok(())
 }
@@ -287,8 +260,8 @@ pub const STREAM_BLOCK_ENTRIES: usize = 8192;
 /// [`with_chaos`](Self::with_chaos) — supervised over the simulated wire.
 pub struct Study {
     config: StudyConfig,
-    store: SnapshotStore,
-    history: RibHistory,
+    /// The run-wide dictionary every page is interned against.
+    dict: StringDict,
     registry: Registry,
     metrics: StudyMetrics,
     /// Raw-row streaming block size (entries); see [`STREAM_BLOCK_ENTRIES`].
@@ -305,15 +278,14 @@ pub struct Study {
 type CommitHook = Box<dyn FnMut(u32, &[DayQuality])>;
 
 impl Study {
-    /// A study with an empty store and a private telemetry registry
-    /// (per-day deltas land in the store as telemetry pages).
+    /// A study with an empty dictionary and a private telemetry registry
+    /// (per-day deltas land in the archive as telemetry pages).
     pub fn new(config: StudyConfig) -> Self {
         let registry = Registry::new();
         let metrics = StudyMetrics::new(&registry);
         Self {
             config,
-            store: SnapshotStore::new(),
-            history: RibHistory::new(),
+            dict: StringDict::new(),
             registry,
             metrics,
             stream_block: STREAM_BLOCK_ENTRIES,
@@ -368,36 +340,16 @@ impl Study {
         &self.registry
     }
 
-    /// Runs the whole study: advances the world through every measured day
-    /// and sweeps all due sources. Returns the filled store.
-    pub fn run(self, world: &mut World) -> SnapshotStore {
-        self.run_with_history(world).0
-    }
-
-    /// Like [`run`](Self::run), additionally returning the archive of
-    /// daily `pfx2as` snapshots (routing data *at measurement time*,
-    /// paper §3.2).
-    pub fn run_with_history(mut self, world: &mut World) -> (SnapshotStore, RibHistory) {
-        let mut interner = SldInterner::new();
-        let mut day = 0u32;
-        while day < self.config.days {
-            world.advance_to(Day(day));
-            self.history.record(Day(day), world.pfx2as());
-            self.measure_day(world, day, &mut interner);
-            day += self.config.stride.max(1);
-        }
-        (self.store, self.history)
-    }
-
-    /// Runs the whole study while streaming each finished day into a
-    /// `dps-store` archive at `path`, committing a durable footer after
-    /// every measured day (checkpoint). If `path` already holds a partial
-    /// archive — say, from a killed sweep — the run *resumes*: committed
-    /// days are rehydrated from the file instead of re-measured, the
-    /// dictionary continues from the last footer (interning is idempotent,
-    /// so ids stay identical), and the world is still advanced through
-    /// every day so ecosystem state matches an uninterrupted run. The
-    /// resulting archive is byte-identical to one written in a single
+    /// Runs the whole study, streaming each finished day into a
+    /// `dps-store` archive at `path` and committing a durable footer after
+    /// every measured day (checkpoint). The archive is the study's only
+    /// output: load it with [`SnapshotStore::load_archive`]. If `path`
+    /// already holds a partial archive — say, from a killed sweep — the
+    /// run *resumes*: committed days are skipped instead of re-measured,
+    /// the dictionary continues from the last footer (interning is
+    /// idempotent, so ids stay identical), and the world is still advanced
+    /// through every day so ecosystem state matches an uninterrupted run.
+    /// The resulting archive is byte-identical to one written in a single
     /// uninterrupted sweep.
     ///
     /// With a streaming-analysis `observer`, committed days replay their
@@ -408,13 +360,13 @@ impl Study {
         world: &mut World,
         path: &std::path::Path,
         mut observer: Option<&mut dyn DayObserver>,
-    ) -> std::io::Result<SnapshotStore> {
+    ) -> std::io::Result<()> {
         let mut writer = StoreWriter::resume_or_create(path, self.shards, Some(UNIQUE_KEY_COLUMN))?;
         // Continue interning into the committed dictionary so a resumed
         // sweep assigns the same ids an uninterrupted one would.
-        resume_store(&mut self.store, &writer, path)?;
+        self.dict = writer.dict().clone();
         if let Some(obs) = observer.as_deref_mut() {
-            replay_checkpoints(&self.store, &writer, &self.config, obs)?;
+            replay_checkpoints(&writer, path, &self.config, obs)?;
         }
         let mut interner = SldInterner::new();
         let mut day = 0u32;
@@ -422,13 +374,12 @@ impl Study {
             // Advance through *every* day — including already-committed
             // ones — so world state evolves exactly as in a fresh run.
             world.advance_to(Day(day));
-            self.history.record(Day(day), world.pfx2as());
             if !day_committed(&writer, &self.config, day) {
                 let (pages, telemetry) = self.collect_day(world, day, &mut interner);
                 let qualities: Vec<DayQuality> = pages.iter().map(|p| p.quality).collect();
                 append_day(
                     &mut writer,
-                    &mut self.store,
+                    &self.dict,
                     day,
                     pages,
                     telemetry,
@@ -440,30 +391,11 @@ impl Study {
             }
             day += self.config.stride.max(1);
         }
-        Ok(self.store)
+        Ok(())
     }
 
-    /// Sweeps all due sources for the world's current day into the store,
-    /// with the day's telemetry page.
-    ///
-    /// On the bulk path the input list is fanned out over the crossbeam
-    /// worker cloud (paper Fig. 1): workers collect raw rows against the
-    /// immutable world; the manager thread dictionary-encodes and stores
-    /// them.
-    pub fn measure_day(&mut self, world: &World, day: u32, interner: &mut SldInterner) {
-        let (pages, telemetry) = self.collect_day(world, day, interner);
-        for page in pages {
-            self.store
-                .add_table(day, page.source, &page.table, page.data_points);
-            self.store.add_quality(page.quality);
-        }
-        self.store.add_telemetry(day, telemetry);
-    }
-
-    /// Collects and encodes one page per due source for `day` without
-    /// storing them, plus the day's telemetry (shared by
-    /// [`measure_day`](Self::measure_day) and
-    /// [`run_archived`](Self::run_archived)).
+    /// Collects and encodes one page per due source for `day`, plus the
+    /// day's telemetry.
     fn collect_day(
         &mut self,
         world: &World,
@@ -483,7 +415,7 @@ impl Study {
                     source,
                     day,
                     &pfx2as,
-                    &mut self.store.dict,
+                    &mut self.dict,
                     interner,
                     &SupervisorConfig::default(),
                     &wire.metrics,
@@ -543,15 +475,10 @@ impl Study {
             // has no retries or hedges — only definitive failures
             // (vanished names) lower coverage.
             for raw in raw_chunks.into_iter().flatten() {
-                page.intern_row(raw, &mut self.store.dict, interner);
+                page.intern_row(raw, &mut self.dict, interner);
             }
         }
         page.finish()
-    }
-
-    /// Immutable access to the store while the study is running.
-    pub fn store(&self) -> &SnapshotStore {
-        &self.store
     }
 }
 
@@ -716,6 +643,26 @@ mod tests {
     use super::*;
     use crate::observation::SOURCES;
     use dps_ecosystem::ScenarioParams;
+    use std::sync::atomic::{AtomicU32, Ordering};
+
+    static NEXT_ARCHIVE: AtomicU32 = AtomicU32::new(0);
+
+    fn temp_archive() -> std::path::PathBuf {
+        let n = NEXT_ARCHIVE.fetch_add(1, Ordering::Relaxed);
+        let path =
+            std::env::temp_dir().join(format!("dps-pipeline-{}-{n}.dps", std::process::id()));
+        std::fs::remove_file(&path).ok();
+        path
+    }
+
+    /// Sweeps `config` over `world` into a fresh archive and loads it.
+    fn swept(world: &mut World, config: StudyConfig) -> SnapshotStore {
+        let path = temp_archive();
+        Study::new(config).run_archived(world, &path, None).unwrap();
+        let store = SnapshotStore::load_archive(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        store
+    }
 
     #[test]
     fn tiny_study_fills_all_sources() {
@@ -725,7 +672,7 @@ mod tests {
             cc_start_day: 20,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = swept(&mut world, config);
 
         for s in [Source::Com, Source::Net, Source::Org] {
             let st = store.stats(s);
@@ -742,34 +689,6 @@ mod tests {
     }
 
     #[test]
-    fn history_records_routing_at_measurement_time() {
-        use dps_netsim::OriginChange;
-        // Horizon past the first ENOM→Verisign flip (day 30).
-        let params = dps_ecosystem::ScenarioParams {
-            seed: 4,
-            scale: 0.05,
-            gtld_days: 35,
-            cc_start_day: 35,
-        };
-        let mut world = World::imc2016(params);
-        let (_store, history) = Study::new(StudyConfig {
-            days: 35,
-            cc_start_day: 35,
-            stride: 1,
-        })
-        .run_with_history(&mut world);
-        assert_eq!(history.len(), 35);
-        let changes = history.diff(Day(29), Day(30));
-        let flip = changes.iter().find_map(|c| match c {
-            OriginChange::OriginFlip { from, to, .. } => Some((from.clone(), to.clone())),
-            _ => None,
-        });
-        let (from, to) = flip.expect("ENOM→Verisign flip recorded on day 30");
-        assert_eq!(from[0].0, 21740, "ENOM before");
-        assert_eq!(to[0].0, 26415, "Verisign during diversion");
-    }
-
-    #[test]
     fn stride_skips_days() {
         let mut world = World::imc2016(ScenarioParams::tiny(5));
         let config = StudyConfig {
@@ -777,7 +696,7 @@ mod tests {
             cc_start_day: 99,
             stride: 5,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = swept(&mut world, config);
         assert_eq!(store.days(Source::Com), vec![0, 5, 10, 15]);
     }
 
@@ -789,7 +708,7 @@ mod tests {
             cc_start_day: 99,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = swept(&mut world, config);
         let t = store.table(2, Source::Com).unwrap();
         assert!(t.rows() > 0);
         let days = t.column_by_name("day").unwrap();
@@ -797,38 +716,38 @@ mod tests {
     }
 
     #[test]
-    fn archived_run_checkpoints_every_day_and_matches_in_memory() {
-        let path =
-            std::env::temp_dir().join(format!("dps-pipeline-archived-{}.dps", std::process::id()));
-        std::fs::remove_file(&path).ok();
+    fn archived_run_checkpoints_every_day_and_resumes_without_change() {
+        let path = temp_archive();
         let config = StudyConfig {
             days: 6,
             cc_start_day: 4,
             stride: 1,
         };
         let mut world = World::imc2016(ScenarioParams::tiny(9));
-        let archived = Study::new(config)
+        Study::new(config)
             .run_archived(&mut world, &path, None)
             .unwrap();
-        let mut world2 = World::imc2016(ScenarioParams::tiny(9));
-        let in_memory = Study::new(config).run(&mut world2);
+        let writer = StoreWriter::resume_or_create(&path, 1, Some(UNIQUE_KEY_COLUMN)).unwrap();
+        assert!((0..6).all(|day| day_committed(&writer, &config, day)));
+        drop(writer);
+        let bytes = std::fs::read(&path).unwrap();
+        let archived = SnapshotStore::load_archive(&path).unwrap();
         for s in SOURCES {
-            let (a, b) = (archived.stats(s), in_memory.stats(s));
-            assert_eq!(a.days, b.days, "{s:?}");
-            assert_eq!(a.data_points, b.data_points, "{s:?}");
-            assert_eq!(a.unique_slds, b.unique_slds, "{s:?}");
+            let st = archived.stats(s);
+            let days = if matches!(s, Source::Nl | Source::Alexa) {
+                2
+            } else {
+                6
+            };
+            assert_eq!(st.days, days, "{s:?}");
         }
         // A second run over the finished archive measures nothing new and
-        // reloads the exact same store from the file.
-        let mut world3 = World::imc2016(ScenarioParams::tiny(9));
-        let reloaded = Study::new(config)
-            .run_archived(&mut world3, &path, None)
+        // leaves every byte in place.
+        let mut world2 = World::imc2016(ScenarioParams::tiny(9));
+        Study::new(config)
+            .run_archived(&mut world2, &path, None)
             .unwrap();
-        assert_eq!(
-            reloaded.stats(Source::Com).data_points,
-            archived.stats(Source::Com).data_points
-        );
-        assert_eq!(reloaded.days(Source::Com), archived.days(Source::Com));
+        assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
     }
 
@@ -840,7 +759,7 @@ mod tests {
             cc_start_day: 99,
             stride: 1,
         };
-        let store = Study::new(config).run(&mut world);
+        let store = swept(&mut world, config);
         let st = store.stats(Source::Com);
         assert!(
             st.stored_bytes * 2 < st.raw_bytes,

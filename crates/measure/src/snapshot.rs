@@ -1,15 +1,15 @@
 //! Stage II: the snapshot store — daily per-source columnar tables.
 //!
-//! Persistence is the `dps-store` paged archive
-//! ([`save_archive`](SnapshotStore::save_archive) /
-//! [`load_archive`](SnapshotStore::load_archive)).
+//! The `dps-store` archive a sweep writes is the store of record;
+//! [`load_archive`](SnapshotStore::load_archive) is the one way to read
+//! it back into a `SnapshotStore` for analysis.
 
 use crate::observation::{schema, Source, SOURCES};
 use crate::pipeline::ANALYSIS_SOURCE;
 use crate::quality::{decode_qualities, encode_qualities, DayQuality, QUALITY_SOURCE};
 use crate::telemetry::{decode_telemetry, encode_telemetry, TELEMETRY_SOURCE};
 use dps_columnar::{StringDict, Table};
-use dps_store::{Archive, StoreReader, StoreWriter};
+use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::Snapshot;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -77,16 +77,6 @@ impl SnapshotStore {
     /// bytes, held opaquely — `dps-stream` owns the codec).
     pub fn add_analysis(&mut self, day: u32, bytes: Vec<u8>) {
         self.analysis.insert(day, bytes);
-    }
-
-    /// The streaming-analysis checkpoint bytes for `day`, if any.
-    pub fn analysis(&self, day: u32) -> Option<&[u8]> {
-        self.analysis.get(&day).map(Vec::as_slice)
-    }
-
-    /// Days carrying a streaming-analysis checkpoint, ascending.
-    pub fn analysis_days(&self) -> Vec<u32> {
-        self.analysis.keys().copied().collect()
     }
 
     /// Records a day's telemetry snapshot (replacing any existing one).
@@ -216,23 +206,12 @@ impl SnapshotStore {
     /// `path`: CRC-checked pages, footer catalog with the exact per-table
     /// data-point counts, and the string dictionary.
     pub fn save_archive(&self, path: &std::path::Path) -> std::io::Result<()> {
-        self.save_archive_with_shards(path, 1)
-    }
-
-    /// Like [`save_archive`](Self::save_archive) but sharded: a manifest
-    /// plus `shards` shard files, each holding its row range of every
-    /// page. `shards = 1` is exactly `save_archive` (single-file layout).
-    pub fn save_archive_with_shards(
-        &self,
-        path: &std::path::Path,
-        shards: u32,
-    ) -> std::io::Result<()> {
-        let mut writer = StoreWriter::create_store(path, shards, Some(UNIQUE_KEY_COLUMN))?;
+        let mut writer = StoreWriter::create_store(path, 1, Some(UNIQUE_KEY_COLUMN))?;
         // Append in global (day, source) page order: a day's data tables
         // first, then its quality page under QUALITY_SOURCE, then its
         // telemetry page under TELEMETRY_SOURCE — the same order
         // `Study::run_archived` streams pages in, so both writers produce
-        // byte-identical archives for identical content.
+        // the same pages for identical content.
         let days: BTreeSet<u32> = self
             .tables
             .keys()
@@ -264,43 +243,34 @@ impl SnapshotStore {
         writer.commit(&self.dict)
     }
 
-    /// Materialises a full store from a `dps-store` archive, restoring the
-    /// dictionary and the per-source statistics *exactly* as saved (the
-    /// catalog carries true data-point counts; nothing is estimated).
+    /// Reads the archive at base path `path` — single-file or manifest +
+    /// shard files — into a store: the dictionary, every page, and the
+    /// per-source statistics. Days, data points, raw bytes and unique
+    /// entries come from the catalog (exact, never estimated); stored
+    /// bytes count the logical tables, so a sharded archive reads the same
+    /// as the single-file one.
     pub fn load_archive(path: &std::path::Path) -> std::io::Result<Self> {
-        let reader = StoreReader::open_auto(path)?;
-        Self::from_store(&reader)
-    }
-
-    /// Materialises a full store from an open [`Archive`] handle.
-    pub fn from_archive(archive: &Archive) -> std::io::Result<Self> {
-        Self::from_pages(archive.dict(), archive.catalog(), |d, s| {
-            archive.table(d, s)
-        })
-    }
-
-    /// Materialises a full store from an open [`StoreReader`] — either the
-    /// single-file or the manifest + shard-files layout (shard sub-pages
-    /// are reassembled into logical tables transparently).
-    pub fn from_store(reader: &StoreReader) -> std::io::Result<Self> {
-        Self::from_pages(reader.dict(), reader.catalog(), |d, s| reader.table(d, s))
-    }
-
-    fn from_pages(
-        dict: &StringDict,
-        catalog: &dps_store::Catalog,
-        get: impl Fn(u32, u8) -> std::io::Result<Option<std::sync::Arc<Table>>>,
-    ) -> std::io::Result<Self> {
+        // Every page is read once, so no page cache keeps decoded tables
+        // alive.
+        let reader = StoreReader::open_auto_with_cache(path, 0)?;
+        let catalog = reader.catalog();
         let mut store = Self {
-            dict: dict.clone(),
-            tables: BTreeMap::new(),
-            stats: vec![SourceStats::default(); SOURCES.len()],
-            qualities: BTreeMap::new(),
-            telemetry: BTreeMap::new(),
-            analysis: BTreeMap::new(),
+            dict: reader.dict().clone(),
+            ..Self::new()
         };
+        for (slot, st) in store.stats.iter_mut().zip(catalog.stats()) {
+            *slot = SourceStats {
+                first_day: st.first_day,
+                last_day: st.last_day,
+                days: st.days,
+                unique_slds: st.unique_keys,
+                data_points: st.data_points,
+                stored_bytes: 0,
+                raw_bytes: st.raw_bytes,
+            };
+        }
         for (&(day, source), meta) in &catalog.pages {
-            let table = get(day, source)?.ok_or_else(|| {
+            let table = reader.table(day, source)?.ok_or_else(|| {
                 std::io::Error::other("catalog lists a page the archive cannot produce")
             })?;
             if source == ANALYSIS_SOURCE {
@@ -323,32 +293,24 @@ impl SnapshotStore {
                 }
                 continue;
             }
-            if Source::from_index(u32::from(source)).is_none() {
-                return Err(std::io::Error::other("archive has an unknown source id"));
-            }
+            let stats = store
+                .stats
+                .get_mut(usize::from(source))
+                .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
             if table.schema().names() != schema().names() {
                 return Err(std::io::Error::other(
                     "archive schema does not match this build; re-run the study",
                 ));
             }
+            let bytes = table.to_bytes();
+            stats.stored_bytes += bytes.len() as u64;
             store.tables.insert(
                 (day, source),
                 StoredTable {
-                    bytes: table.to_bytes(),
+                    bytes,
                     data_points: meta.data_points,
                 },
             );
-        }
-        for (i, st) in catalog.stats().into_iter().enumerate().take(SOURCES.len()) {
-            store.stats[i] = SourceStats {
-                first_day: st.first_day,
-                last_day: st.last_day,
-                days: st.days,
-                unique_slds: st.unique_keys.into_iter().collect(),
-                data_points: st.data_points,
-                stored_bytes: st.stored_bytes,
-                raw_bytes: st.raw_bytes,
-            };
         }
         Ok(store)
     }

@@ -9,29 +9,22 @@
 //! pinpointable diff instead of an opaque `cmp` failure in CI.
 
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::{SnapshotStore, Study, StudyConfig};
+use dps_measure::{SnapshotStore, Study, StudyConfig, SOURCES};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique suffix per archive file so concurrently running tests in this
 /// binary never collide on a temp path.
 static NEXT_FILE: AtomicU64 = AtomicU64::new(0);
 
+/// The canonical archive bytes of a same-seed study: swept with a commit
+/// per day, loaded, and re-saved with a single commit.
 fn run_once(seed: u64) -> Vec<u8> {
-    let mut world = World::imc2016(ScenarioParams::tiny(seed));
-    let config = StudyConfig {
-        days: 6,
-        cc_start_day: 4,
-        stride: 1,
-    };
-    let store = Study::new(config).run(&mut world);
-    let path = std::env::temp_dir().join(format!(
-        "dps-determinism-{}-{seed}-{}.dps",
-        std::process::id(),
-        NEXT_FILE.fetch_add(1, Ordering::Relaxed)
-    ));
+    let dir = run_archived_once(seed, dps_measure::STREAM_BLOCK_ENTRIES, 1);
+    let store = SnapshotStore::load_archive(&dir.join("archive.dps")).expect("archive loads");
+    let path = dir.join("canonical.dps");
     store.save_archive(&path).expect("archive writes");
     let bytes = std::fs::read(&path).expect("archive readable");
-    std::fs::remove_file(&path).ok();
+    std::fs::remove_dir_all(&dir).ok();
     bytes
 }
 
@@ -164,6 +157,18 @@ fn sharded_study_reloads_to_the_single_file_bytes() {
         SnapshotStore::load_archive(&single.join("archive.dps")).expect("single-file loads");
     let from_sharded =
         SnapshotStore::load_archive(&sharded.join("archive.dps")).expect("sharded loads");
+    // The loader reads both layouts to the same statistics, stored bytes
+    // included: they count the logical tables, not the shard sub-pages.
+    for source in SOURCES {
+        let (a, b) = (from_single.stats(source), from_sharded.stats(source));
+        assert_eq!(a.first_day, b.first_day, "{source:?} first_day");
+        assert_eq!(a.last_day, b.last_day, "{source:?} last_day");
+        assert_eq!(a.days, b.days, "{source:?} days");
+        assert_eq!(a.unique_slds, b.unique_slds, "{source:?} unique_slds");
+        assert_eq!(a.data_points, b.data_points, "{source:?} data_points");
+        assert_eq!(a.stored_bytes, b.stored_bytes, "{source:?} stored_bytes");
+        assert_eq!(a.raw_bytes, b.raw_bytes, "{source:?} raw_bytes");
+    }
     let canon_single = single.join("resaved.dps");
     let canon_sharded = sharded.join("resaved.dps");
     from_single.save_archive(&canon_single).expect("re-save");

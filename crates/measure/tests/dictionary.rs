@@ -6,8 +6,13 @@
 use dps_ecosystem::{parse_domain_label, DomainId, ScenarioParams, World};
 use dps_measure::observation::{is_customer_entry, Row};
 use dps_measure::{SnapshotStore, Study, StudyConfig, SOURCES};
+use std::sync::atomic::{AtomicU32, Ordering};
 
-/// Sweeps the first `days` days of a 6-day world.
+/// Unique suffix per archive so concurrently running tests never collide.
+static NEXT_ARCHIVE: AtomicU32 = AtomicU32::new(0);
+
+/// Sweeps the first `days` days of a 6-day world into an archive and
+/// loads it.
 fn sweep(seed: u64, scale: f64, days: u32) -> (World, SnapshotStore) {
     let mut world = World::imc2016(ScenarioParams {
         seed,
@@ -15,12 +20,21 @@ fn sweep(seed: u64, scale: f64, days: u32) -> (World, SnapshotStore) {
         gtld_days: 6,
         cc_start_day: 2,
     });
-    let store = Study::new(StudyConfig {
+    let path = std::env::temp_dir().join(format!(
+        "dps-dictionary-{}-{}.dps",
+        std::process::id(),
+        NEXT_ARCHIVE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::remove_file(&path).ok();
+    Study::new(StudyConfig {
         days,
         cc_start_day: 2,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path, None)
+    .expect("study sweeps");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
     (world, store)
 }
 

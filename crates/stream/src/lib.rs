@@ -40,7 +40,7 @@ mod tests {
     use super::*;
     use dps_core::{CompiledRefs, ProviderRefs, QualityMask, Scanner, DEFAULT_MIN_COVERAGE};
     use dps_ecosystem::{ScenarioParams, World};
-    use dps_measure::{Study, StudyConfig};
+    use dps_measure::{SnapshotStore, Study, StudyConfig};
 
     /// The tentpole invariant, in-process: run a study with the engine
     /// observing every commit, then full-rescan the same archive with
@@ -57,9 +57,10 @@ mod tests {
         };
         let mut world = World::imc2016(ScenarioParams::tiny(13));
         let mut engine = StreamEngine::new();
-        let store = Study::new(config)
+        Study::new(config)
             .run_archived(&mut world, &path, Some(&mut engine))
             .unwrap();
+        let store = SnapshotStore::load_archive(&path).unwrap();
 
         let incremental = analysis_json(
             &engine.finalize(),

@@ -19,12 +19,17 @@ fn main() {
         cc_start_day: 80,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
+    let path = std::env::temp_dir().join("dps-example-forensics.dps");
+    std::fs::remove_file(&path).ok();
+    Study::new(StudyConfig {
         days: 80,
         cc_start_day: 80,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path, None)
+    .expect("archived study");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs).run(&store);
 

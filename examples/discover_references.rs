@@ -25,12 +25,17 @@ fn main() {
         println!("  {:<14} {:?}", s.name, s.asns);
     }
 
-    let store = Study::new(StudyConfig {
+    let path = std::env::temp_dir().join("dps-example-discover.dps");
+    std::fs::remove_file(&path).ok();
+    Study::new(StudyConfig {
         days: 60,
         cc_start_day: 60,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path, None)
+    .expect("archived study");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
     let found = discover(
         &store,
         &seeds,

@@ -90,12 +90,17 @@ fn main() {
 
     // Run the real pipeline and show the methodology's verdict.
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
+    let path = std::env::temp_dir().join("dps-example-on-demand.dps");
+    std::fs::remove_file(&path).ok();
+    Study::new(StudyConfig {
         days: 120,
         cc_start_day: 120,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path, None)
+    .expect("archived study");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs).run(&store);
 

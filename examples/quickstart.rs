@@ -23,13 +23,19 @@ fn main() {
         Day(0)
     );
 
-    // 2. Measure: daily sweeps of every zone plus the Alexa-style list.
-    let store = Study::new(StudyConfig {
+    // 2. Measure: daily sweeps of every zone plus the Alexa-style list,
+    //    written to an archive and loaded back for analysis.
+    let path = std::env::temp_dir().join("dps-example-quickstart.dps");
+    std::fs::remove_file(&path).ok();
+    Study::new(StudyConfig {
         days: 60,
         cc_start_day: 40,
         stride: 1,
     })
-    .run(&mut world);
+    .run_archived(&mut world, &path, None)
+    .expect("archived study");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
     println!(
         "measured {} data points, stored {} (compressed)",
         dps_scope::core::report::human_count(

@@ -281,7 +281,7 @@ fn cmd_measure(args: CommonArgs) {
         world.domains().len(),
         args.days
     );
-    std::fs::create_dir_all(&archive).expect("create archive dir");
+    std::fs::create_dir_all(&archive).unwrap_or_else(|e| fail(archive.display(), e));
     let path = archive.join(dps_scope::measure::ARCHIVE_FILE);
     if args.workers > 0 {
         if args.chaos.is_some() {
@@ -313,17 +313,37 @@ fn cmd_measure(args: CommonArgs) {
     }
     let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
     let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let store = study
+    study
         .run_archived(&mut world, &path, observer)
-        .expect("archived study");
+        .unwrap_or_else(|e| fail(path.display(), e));
     println!(
         "archived {} to {}",
-        dps_scope::core::report::human_bytes(store.total_stored_bytes()),
+        dps_scope::core::report::human_bytes(archived_bytes(&path)),
         path.display()
     );
     if let Some(engine) = &engine {
         print_stream_summary(engine);
     }
+}
+
+/// Prints `what: error` and exits 1: a failed archive operation ends the
+/// command cleanly instead of panicking.
+fn fail(what: impl std::fmt::Display, e: std::io::Error) -> ! {
+    eprintln!("{what}: {e}");
+    std::process::exit(1);
+}
+
+/// Encoded bytes of the archive's data pages, from its catalog.
+fn archived_bytes(path: &std::path::Path) -> u64 {
+    let archive =
+        StoreReader::open_auto_with_cache(path, 0).unwrap_or_else(|e| fail(path.display(), e));
+    archive
+        .catalog()
+        .pages
+        .values()
+        .filter(|page| usize::from(page.source) < dps_scope::measure::SOURCES.len())
+        .map(|page| page.len)
+        .sum()
 }
 
 /// The progress line of each (day, source) sweep, printed as its day
@@ -403,7 +423,7 @@ fn cluster_serve(args: &CommonArgs) {
         eprintln!("cluster serve requires --archive DIR");
         usage();
     };
-    std::fs::create_dir_all(&archive).expect("create archive dir");
+    std::fs::create_dir_all(&archive).unwrap_or_else(|e| fail(archive.display(), e));
     let path = archive.join(dps_scope::measure::ARCHIVE_FILE);
     let (conn_tx, conn_rx) = std::sync::mpsc::channel();
     let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
@@ -411,14 +431,14 @@ fn cluster_serve(args: &CommonArgs) {
     println!("cluster manager on {bind}; waiting for agents…");
     let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
     let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let outcome = dps_scope::cluster::serve(conn_rx, cluster_config(args), &path, observer);
+    let report = dps_scope::cluster::serve(conn_rx, cluster_config(args), &path, observer);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     accept.join().expect("accept loop").expect("accept loop io");
     if bind.contains('/') {
         std::fs::remove_file(&bind).ok();
     }
-    let outcome = outcome.expect("cluster sweep");
-    finish_cluster_run(&archive, &path, &outcome);
+    let report = report.unwrap_or_else(|e| fail(path.display(), e));
+    finish_cluster_run(&archive, &path, &report);
     if let Some(engine) = &engine {
         print_stream_summary(engine);
     }
@@ -494,15 +514,15 @@ fn cmd_measure_cluster(args: &CommonArgs, archive: &std::path::Path, path: &std:
     println!("sweeping with {} local worker agents…", args.workers);
     let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
     let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let outcome = dps_scope::cluster::serve(conn_rx, cluster_config(args), path, observer);
+    let report = dps_scope::cluster::serve(conn_rx, cluster_config(args), path, observer);
     stop.store(true, std::sync::atomic::Ordering::Relaxed);
     accept.join().expect("accept loop").expect("accept loop io");
     for mut child in children {
         child.wait().ok();
     }
     std::fs::remove_file(&sock).ok();
-    let outcome = outcome.expect("cluster sweep");
-    finish_cluster_run(archive, path, &outcome);
+    let report = report.unwrap_or_else(|e| fail(path.display(), e));
+    finish_cluster_run(archive, path, &report);
     if let Some(engine) = &engine {
         print_stream_summary(engine);
     }
@@ -512,18 +532,19 @@ fn cmd_measure_cluster(args: &CommonArgs, archive: &std::path::Path, path: &std:
 fn finish_cluster_run(
     archive: &std::path::Path,
     path: &std::path::Path,
-    outcome: &dps_scope::cluster::ClusterOutcome,
+    report: &dps_scope::cluster::ClusterReport,
 ) {
     let sidecar = archive.join(dps_scope::cluster::PROVENANCE_FILE);
-    dps_scope::cluster::write_provenance(&sidecar, &outcome.report).expect("write provenance");
+    dps_scope::cluster::write_provenance(&sidecar, report)
+        .unwrap_or_else(|e| fail(sidecar.display(), e));
     println!(
         "archived {} to {} ({} workers, {} leases, {} dead-letters, {} stale)",
-        dps_scope::core::report::human_bytes(outcome.store.total_stored_bytes()),
+        dps_scope::core::report::human_bytes(archived_bytes(path)),
         path.display(),
-        outcome.report.workers_admitted,
-        outcome.report.accepted.len(),
-        outcome.report.dead_letters,
-        outcome.report.stale_rejected,
+        report.workers_admitted,
+        report.accepted.len(),
+        report.dead_letters,
+        report.stale_rejected,
     );
     println!("provenance sidecar: {}", sidecar.display());
 }
@@ -1012,7 +1033,7 @@ fn cmd_analyze(args: CommonArgs) {
     } else {
         args.rest.clone()
     };
-    let ctx = Context::build(config);
+    let ctx = Context::build(config).unwrap_or_else(|e| fail("analyze", e));
     for id in ids {
         match run(&ctx, &id) {
             Some(text) => println!("{text}"),

@@ -14,8 +14,11 @@
 //! ecosystem (World)  ──zone files / DNS answers / pfx2as──►  measure (Study)
 //!        │                                                        │
 //!        │ ground truth                                           ▼
-//!        ▼                                               SnapshotStore (columnar)
+//!        ▼                                                 archive (dps-store)
 //!   validation                                                    │
+//!                                                                 ▼
+//!                                                        SnapshotStore (columnar)
+//!                                                                 │
 //!                                                                 ▼
 //!                              core (Scanner → series/timelines → growth,
 //!                                    peaks, flux, discovery, attribution)
@@ -30,14 +33,21 @@
 //! let params = ScenarioParams { seed: 7, scale: 0.02, gtld_days: 30, cc_start_day: 20 };
 //! let mut world = World::imc2016(params);
 //!
-//! // Run the measurement study (stage I–III) over the whole window.
-//! let store = Study::new(StudyConfig { days: 30, cc_start_day: 20, stride: 1 }).run(&mut world);
+//! // Run the measurement study (stage I–III) over the whole window into
+//! // an archive, then load the archive for analysis.
+//! let path = std::env::temp_dir().join("dps-scope-doctest.dps");
+//! std::fs::remove_file(&path).ok();
+//! let config = StudyConfig { days: 30, cc_start_day: 20, stride: 1 };
+//! Study::new(config).run_archived(&mut world, &path, None)?;
+//! let store = SnapshotStore::load_archive(&path)?;
+//! std::fs::remove_file(&path)?;
 //!
 //! // Classify every domain-day against the paper's Table 2 references.
 //! let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
 //! let out = Scanner::new(&refs).run(&store);
 //! assert_eq!(out.series.days.len(), 30);
 //! assert!(out.series.combined_any()[0] > 0);
+//! # Ok::<(), std::io::Error>(())
 //! ```
 
 pub use dps_authdns as authdns;

@@ -1,0 +1,125 @@
+//! Integration: `dpscope measure` and `dpscope analyze` over archive
+//! paths. A bad archive path ends the command with exit code 1 and an
+//! error message, never a panic, and `analyze` without `--archive`
+//! sweeps into a temporary archive that it removes afterwards.
+
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output};
+
+const SCENARIO: [&str; 6] = ["--scale", "0.004", "--days", "3", "--cc-start", "2"];
+
+fn dpscope(args: &[&str]) -> Command {
+    let mut cmd = Command::new(env!("CARGO_BIN_EXE_dpscope"));
+    cmd.args(args).args(SCENARIO);
+    cmd
+}
+
+fn run(mut cmd: Command) -> Output {
+    cmd.output().expect("spawn dpscope")
+}
+
+fn temp_dir(tag: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("dps-it-cli-{tag}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("create temp dir");
+    dir
+}
+
+fn arg(path: &Path) -> &str {
+    path.to_str().expect("utf-8 path")
+}
+
+/// Exit code 1, an error on stderr, and no panic.
+fn assert_clean_failure(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{what}: stderr {stderr}");
+    assert!(!stderr.contains("panicked"), "{what} panicked: {stderr}");
+    assert!(!stderr.trim().is_empty(), "{what}: no error message");
+}
+
+#[test]
+fn measure_with_shards_over_a_single_file_archive_fails_cleanly() {
+    let dir = temp_dir("reshard");
+    let archive = dir.join("archive");
+    let out = run(dpscope(&["measure", "--archive", arg(&archive)]));
+    assert!(out.status.success(), "first sweep failed");
+    let before = std::fs::read(archive.join("archive.dps")).expect("archive written");
+    let out = run(dpscope(&[
+        "measure",
+        "--shards",
+        "3",
+        "--archive",
+        arg(&archive),
+    ]));
+    assert_clean_failure(&out, "measure --shards 3 over a single-file archive");
+    let after = std::fs::read(archive.join("archive.dps")).expect("archive kept");
+    assert!(before == after, "the refused sweep changed the archive");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn measure_with_an_archive_under_a_regular_file_fails_cleanly() {
+    let dir = temp_dir("measure-file");
+    let file = dir.join("file");
+    std::fs::write(&file, b"not a directory").expect("write file");
+    let out = run(dpscope(&["measure", "--archive", arg(&file.join("sub"))]));
+    assert_clean_failure(&out, "measure --archive under a regular file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn analyze_with_an_archive_under_a_regular_file_fails_cleanly() {
+    let dir = temp_dir("analyze-file");
+    let file = dir.join("file");
+    std::fs::write(&file, b"not a directory").expect("write file");
+    let out = run(dpscope(&[
+        "analyze",
+        "--archive",
+        arg(&file.join("sub")),
+        "--out",
+        arg(&dir.join("figs")),
+        "table1",
+    ]));
+    assert_clean_failure(&out, "analyze --archive under a regular file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Without `--archive`, `analyze` sweeps into a temporary archive: the
+/// table it writes equals the one from an explicit archive, and the
+/// temporary directory it swept into is gone afterwards.
+#[test]
+fn analyze_without_an_archive_matches_an_archived_run_and_leaves_nothing() {
+    let dir = temp_dir("analyze-tmp");
+    let archived = dir.join("archived");
+    let out = run(dpscope(&[
+        "analyze",
+        "--archive",
+        arg(&dir.join("archive")),
+        "--out",
+        arg(&archived),
+        "table1",
+    ]));
+    assert!(out.status.success(), "analyze --archive failed");
+
+    let tmp = dir.join("tmp");
+    std::fs::create_dir_all(&tmp).expect("create TMPDIR");
+    let fresh = dir.join("fresh");
+    let mut cmd = dpscope(&["analyze", "--out", arg(&fresh), "table1"]);
+    cmd.env("TMPDIR", &tmp);
+    let out = run(cmd);
+    assert!(out.status.success(), "analyze without --archive failed");
+
+    let want = std::fs::read(archived.join("table1.txt")).expect("archived table1");
+    let got = std::fs::read(fresh.join("table1.txt")).expect("fresh table1");
+    assert!(want == got, "table1.txt differs without --archive");
+    let left: Vec<_> = std::fs::read_dir(&tmp)
+        .expect("read TMPDIR")
+        .map(|e| e.expect("dir entry").path())
+        .collect();
+    assert!(left.is_empty(), "temporary archive left behind: {left:?}");
+    assert!(
+        !fresh.join("archive.dps").exists(),
+        "archive written into --out"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

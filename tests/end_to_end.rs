@@ -5,6 +5,22 @@
 use dps_scope::core::{attribution, flux, growth, peaks, report};
 use dps_scope::prelude::*;
 
+/// Unique suffix per archive so concurrently running tests never collide.
+static NEXT_ARCHIVE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+/// Sweeps `config` over `world` into a temporary archive and loads it.
+fn swept(world: &mut World, config: StudyConfig) -> SnapshotStore {
+    let n = NEXT_ARCHIVE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("dps-it-e2e-{}-{n}.dps", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    Study::new(config)
+        .run_archived(world, &path, None)
+        .expect("study sweeps");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
+    store
+}
+
 const DAYS: u32 = 90;
 const CC: u32 = 60;
 
@@ -16,12 +32,14 @@ fn run() -> (World, SnapshotStore, ScanOutput, CompiledRefs) {
         cc_start_day: CC,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
-        days: DAYS,
-        cc_start_day: CC,
-        stride: 1,
-    })
-    .run(&mut world);
+    let store = swept(
+        &mut world,
+        StudyConfig {
+            days: DAYS,
+            cc_start_day: CC,
+            stride: 1,
+        },
+    );
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs).run(&store);
     (world, store, out, refs)
@@ -169,12 +187,14 @@ fn determinism_same_seed_same_study() {
                 cc_start_day: 20,
             };
             let mut world = World::imc2016(params);
-            let store = Study::new(StudyConfig {
-                days: 20,
-                cc_start_day: 20,
-                stride: 1,
-            })
-            .run(&mut world);
+            let store = swept(
+                &mut world,
+                StudyConfig {
+                    days: 20,
+                    cc_start_day: 20,
+                    stride: 1,
+                },
+            );
             store.total_stored_bytes()
         })
         .collect();

@@ -8,6 +8,22 @@ use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
 use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
 
+/// Unique suffix per archive so concurrently running tests never collide.
+static NEXT_ARCHIVE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+/// Sweeps `config` over `world` into a temporary archive and loads it.
+fn swept(world: &mut World, config: StudyConfig) -> SnapshotStore {
+    let n = NEXT_ARCHIVE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("dps-it-faulty-{}-{n}.dps", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    Study::new(config)
+        .run_archived(world, &path, None)
+        .expect("study sweeps");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
+    store
+}
+
 /// One unsupervised wire sweep of `source` on day 0: the supervisor's
 /// first pass only, so faults show up as failed rows.
 fn first_pass(
@@ -43,12 +59,14 @@ fn sweep(loss: f64) -> (SnapshotStore, SnapshotStore) {
     let mut world = World::imc2016(params);
 
     // Bulk reference store.
-    let bulk_store = Study::new(StudyConfig {
-        days: 1,
-        cc_start_day: 10,
-        stride: 1,
-    })
-    .run(&mut world);
+    let bulk_store = swept(
+        &mut world,
+        StudyConfig {
+            days: 1,
+            cc_start_day: 10,
+            stride: 1,
+        },
+    );
 
     // Wire store under faults.
     let net = Network::new(5);

@@ -8,6 +8,22 @@ use dps_scope::core::peaks::{classify_mode, UseMode};
 use dps_scope::prelude::*;
 use std::collections::{HashMap, HashSet};
 
+/// Unique suffix per archive so concurrently running tests never collide.
+static NEXT_ARCHIVE: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+
+/// Sweeps `config` over `world` into a temporary archive and loads it.
+fn swept(world: &mut World, config: StudyConfig) -> SnapshotStore {
+    let n = NEXT_ARCHIVE.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+    let path = std::env::temp_dir().join(format!("dps-it-accuracy-{}-{n}.dps", std::process::id()));
+    std::fs::remove_file(&path).ok();
+    Study::new(config)
+        .run_archived(world, &path, None)
+        .expect("study sweeps");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_file(&path).ok();
+    store
+}
+
 const DAYS: u32 = 130;
 
 fn study() -> (World, SnapshotStore) {
@@ -18,12 +34,14 @@ fn study() -> (World, SnapshotStore) {
         cc_start_day: DAYS,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
-        days: DAYS,
-        cc_start_day: DAYS,
-        stride: 1,
-    })
-    .run(&mut world);
+    let store = swept(
+        &mut world,
+        StudyConfig {
+            days: DAYS,
+            cc_start_day: DAYS,
+            stride: 1,
+        },
+    );
     (world, store)
 }
 
@@ -171,12 +189,14 @@ fn sedo_outage_day_visible_as_akamai_dip() {
         cc_start_day: 270,
     };
     let mut world = World::imc2016(params);
-    let store = Study::new(StudyConfig {
-        days: 270,
-        cc_start_day: 270,
-        stride: 1,
-    })
-    .run(&mut world);
+    let store = swept(
+        &mut world,
+        StudyConfig {
+            days: 270,
+            cc_start_day: 270,
+            stride: 1,
+        },
+    );
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs).run(&store);
     let akamai = &out.series.provider_any[0];

@@ -45,7 +45,7 @@ fn aborted_sweep_resumes_byte_identically() {
 
     // Reference: one uninterrupted archived sweep.
     let mut world = fresh_world();
-    let full_store = Study::new(study_config())
+    Study::new(study_config())
         .run_archived(&mut world, &full_path, None)
         .expect("uninterrupted run");
 
@@ -67,7 +67,7 @@ fn aborted_sweep_resumes_byte_identically() {
 
     // Restart "the process": fresh world, same parameters, full window.
     let mut world = fresh_world();
-    let resumed_store = Study::new(study_config())
+    Study::new(study_config())
         .run_archived(&mut world, &resumed_path, None)
         .expect("resumed run");
 
@@ -84,7 +84,9 @@ fn aborted_sweep_resumes_byte_identically() {
     // quality page and one telemetry page per measured day.
     assert_eq!(report.pages, 5 * DAYS as usize + 2 * (DAYS - CC) as usize);
 
-    // And the stores the two runs returned agree exactly.
+    // And the two archives load to the same statistics.
+    let full_store = SnapshotStore::load_archive(&full_path).unwrap();
+    let resumed_store = SnapshotStore::load_archive(&resumed_path).unwrap();
     for source in dps_scope::measure::SOURCES {
         let (a, b) = (full_store.stats(source), resumed_store.stats(source));
         assert_eq!(a.days, b.days, "{source:?}");
