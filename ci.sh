@@ -87,7 +87,7 @@ telemetry_smoke() {
 # single-process run of the same seed, verify clean, and leave a
 # readable per-worker provenance sidecar.
 cluster_smoke() {
-    echo "==> smoke: dpscope measure --workers 2 (cluster byte-identity)"
+    echo "==> smoke: dpscope measure --workers 2 (cluster byte-identity, shards)"
     rm -rf target/ci-cluster-single target/ci-cluster-multi
     ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
         --archive target/ci-cluster-single
@@ -101,6 +101,18 @@ cluster_smoke() {
         echo "metrics --by-worker shows no per-worker rows" >&2
         exit 1
     }
+    rm -rf target/ci-cluster-single target/ci-cluster-multi
+    # --workers honours --shards: the manifest and every shard file match
+    # the single-process sharded sweep byte for byte.
+    ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
+        --shards 3 --archive target/ci-cluster-single
+    ./target/release/dpscope measure --scale 0.004 --days 3 --cc-start 2 \
+        --workers 2 --shards 3 --archive target/ci-cluster-multi
+    for f in archive.manifest archive.shard000.dps archive.shard001.dps \
+        archive.shard002.dps; do
+        cmp "target/ci-cluster-single/$f" "target/ci-cluster-multi/$f"
+    done
+    ./target/release/dpscope store verify target/ci-cluster-multi
     rm -rf target/ci-cluster-single target/ci-cluster-multi
 }
 

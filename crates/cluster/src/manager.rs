@@ -47,6 +47,10 @@ pub struct ClusterConfig {
     /// Shards per source per day; 0 = auto (twice the worker count at
     /// day start, so slow shards overlap).
     pub shards_per_source: u32,
+    /// Shard files of a freshly created archive (1 = the single-file
+    /// layout); resume keeps the existing layout, as in
+    /// [`Study::with_shards`](dps_measure::Study::with_shards).
+    pub archive_shards: u32,
     /// Scheduler/liveness tuning.
     pub scheduler: SchedulerConfig,
 }
@@ -62,6 +66,7 @@ impl ClusterConfig {
             },
             params,
             shards_per_source: 0,
+            archive_shards: 1,
             scheduler: SchedulerConfig::default(),
         }
     }
@@ -131,7 +136,8 @@ pub fn serve(
     path: &std::path::Path,
     mut observer: Option<&mut dyn DayObserver>,
 ) -> io::Result<ClusterReport> {
-    let mut writer = StoreWriter::resume_or_create(path, 1, Some(UNIQUE_KEY_COLUMN))?;
+    let mut writer =
+        StoreWriter::resume_or_create(path, config.archive_shards.max(1), Some(UNIQUE_KEY_COLUMN))?;
     let mut dict = writer.dict().clone();
     if let Some(obs) = observer.as_deref_mut() {
         replay_checkpoints(&writer, path, &config.study, obs)?;

@@ -154,11 +154,27 @@ impl Name {
 
     /// Prepends a single label: `prepend("www")` on `examp.le.` gives
     /// `www.examp.le.`.
+    /// The label is lowercased and checked like any [`from_labels`]
+    /// label; the wire form is written in one allocation.
+    ///
+    /// [`from_labels`]: Self::from_labels
     pub fn prepend(&self, label: &str) -> Result<Self, NameError> {
-        let mut labels: Vec<&[u8]> = vec![label.as_bytes()];
-        let tail: Vec<&[u8]> = self.labels().collect();
-        labels.extend(tail);
-        Self::from_labels(labels)
+        let label = label.as_bytes();
+        if label.is_empty() {
+            return Err(NameError::EmptyLabel);
+        }
+        if label.len() > MAX_LABEL_LEN {
+            return Err(NameError::LabelTooLong(label.len()));
+        }
+        let len = 1 + label.len() + self.wire.len();
+        if len > MAX_NAME_LEN {
+            return Err(NameError::NameTooLong(len));
+        }
+        let mut wire = Vec::with_capacity(len);
+        wire.push(label.len() as u8);
+        wire.extend(label.iter().map(u8::to_ascii_lowercase));
+        wire.extend_from_slice(&self.wire);
+        Ok(Self { wire })
     }
 
     /// The suffix of `self` keeping only the last `n` labels.
@@ -166,18 +182,22 @@ impl Name {
     /// `www.examp.le.` with `n = 2` gives `examp.le.`; if the name has fewer
     /// than `n` labels the whole name is returned.
     pub fn suffix(&self, n: usize) -> Self {
-        let count = self.label_count();
-        if count <= n {
-            return self.clone();
+        Self {
+            wire: self.suffix_wire(n).to_vec(),
         }
+    }
+
+    /// The wire form of [`suffix`](Self::suffix), borrowed from `self`:
+    /// comparing two names' `suffix_wire(2)` compares their SLDs without
+    /// building either.
+    pub fn suffix_wire(&self, n: usize) -> &[u8] {
+        let count = self.label_count();
         let mut rest = self.wire.as_slice();
-        for _ in 0..count - n {
+        for _ in 0..count.saturating_sub(n) {
             let Some(&len) = rest.first() else { break };
             rest = rest.get(1 + len as usize..).unwrap_or(&[]);
         }
-        Self {
-            wire: rest.to_vec(),
-        }
+        rest
     }
 
     /// The registered-domain heuristic used throughout the paper: the last
@@ -338,6 +358,67 @@ mod tests {
     #[test]
     fn prepend_builds_child() {
         assert_eq!(n("examp.le").prepend("www").unwrap(), n("www.examp.le"));
+        assert_eq!(Name::root().prepend("le").unwrap(), n("le"));
+    }
+
+    /// The label-list construction `prepend` replaced: every result and
+    /// every error must stay the same.
+    fn prepend_via_labels(name: &Name, label: &str) -> Result<Name, NameError> {
+        Name::from_labels(std::iter::once(label.as_bytes()).chain(name.labels()))
+    }
+
+    #[test]
+    fn prepend_lowercases_and_keeps_its_errors() {
+        let base = n("Examp.LE");
+        let got = base.prepend("WwW").unwrap();
+        assert_eq!(got.as_wire(), b"\x03www\x05examp\x02le\x00");
+        assert_eq!(got, prepend_via_labels(&base, "WwW").unwrap());
+
+        assert_eq!(base.prepend(""), Err(NameError::EmptyLabel));
+        assert_eq!(
+            base.prepend(&"a".repeat(64)),
+            Err(NameError::LabelTooLong(64))
+        );
+        assert!(base.prepend(&"a".repeat(63)).is_ok());
+
+        // Three 63-octet labels + root = 193 octets; a fourth label of
+        // 61 fits exactly (255), one of 62 does not.
+        let l = "a".repeat(63);
+        let long = n(&format!("{l}.{l}.{l}"));
+        assert_eq!(
+            long.prepend(&"b".repeat(61)).unwrap().wire_len(),
+            MAX_NAME_LEN
+        );
+        assert_eq!(
+            long.prepend(&"b".repeat(62)),
+            Err(NameError::NameTooLong(256))
+        );
+        for label in [
+            "",
+            "x",
+            "MiXeD",
+            &"c".repeat(62),
+            &"c".repeat(63),
+            &"c".repeat(64),
+        ] {
+            for name in [&base, &long, &Name::root()] {
+                assert_eq!(
+                    name.prepend(label),
+                    prepend_via_labels(name, label),
+                    "{label}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn suffix_wire_matches_suffix() {
+        for s in ["a.b.c.d", "b.c", "c", "."] {
+            let x = n(s);
+            for k in 0..6 {
+                assert_eq!(x.suffix_wire(k), x.suffix(k).as_wire(), "{s} {k}");
+            }
+        }
     }
 
     #[test]

@@ -1,6 +1,7 @@
 //! Per-domain state and the diversion taxonomy (paper §2).
 
 use crate::ids::{BasketId, DomainId, HosterId, ProviderId, Tld};
+use dps_dns::Name;
 use dps_netsim::Day;
 use serde::{Deserialize, Serialize};
 
@@ -103,10 +104,52 @@ pub fn domain_label(id: DomainId) -> String {
     format!("d{}", id.0)
 }
 
+/// A `<prefix><id>` label (`d42`, `e7`) written into a stack buffer, so
+/// the bulk answer path can name a domain without allocating a string.
+pub(crate) struct IdLabel {
+    buf: [u8; 11],
+    len: usize,
+}
+
+impl IdLabel {
+    pub(crate) fn new(prefix: u8, id: u32) -> Self {
+        let len = 2 + id.checked_ilog10().unwrap_or(0) as usize;
+        let mut buf = [prefix; 11];
+        let mut n = id;
+        for slot in buf.iter_mut().take(len).skip(1).rev() {
+            *slot = b'0' + (n % 10) as u8;
+            n /= 10;
+        }
+        Self { buf, len }
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.buf.get(..self.len).unwrap_or_default()
+    }
+}
+
+/// `<prefix><id>.<suffix>` (`d42.edgekey.net`), built from labels with no
+/// presentation-format round trip. `suffix` is a dotted static name.
+pub(crate) fn id_name(prefix: u8, id: u32, suffix: &str) -> Name {
+    let label = IdLabel::new(prefix, id);
+    Name::from_labels(std::iter::once(label.as_bytes()).chain(suffix.split('.').map(str::as_bytes)))
+        .expect("generated names are valid")
+}
+
+/// The apex name of domain `id` in `tld`: `d<id>.<tld>`.
+pub fn domain_apex(id: DomainId, tld: Tld) -> Name {
+    id_name(b'd', id.0, tld.label())
+}
+
 /// Parses a `d<id>` label back to the id.
 pub fn parse_domain_label(label: &[u8]) -> Option<DomainId> {
+    parse_id_label(b'd', label)
+}
+
+/// Parses a `<prefix><id>` label (at most nine digits) back to the id.
+pub(crate) fn parse_id_label(prefix: u8, label: &[u8]) -> Option<DomainId> {
     let (first, digits) = label.split_first()?;
-    if *first != b'd' || digits.is_empty() || digits.len() > 9 {
+    if *first != prefix || digits.is_empty() || digits.len() > 9 {
         return None;
     }
     let mut v: u32 = 0;
@@ -134,6 +177,38 @@ mod tests {
         assert_eq!(parse_domain_label(b"d"), None);
         assert_eq!(parse_domain_label(b"d12a"), None);
         assert_eq!(parse_domain_label(b"d9999999999"), None);
+        assert_eq!(parse_id_label(b'e', b"e42"), Some(DomainId(42)));
+        assert_eq!(parse_id_label(b'e', b"d42"), None);
+    }
+
+    #[test]
+    fn id_labels_match_formatting() {
+        for id in [0u32, 1, 9, 10, 99, 100, 123_456, 999_999_999, u32::MAX] {
+            assert_eq!(
+                IdLabel::new(b'd', id).as_bytes(),
+                domain_label(DomainId(id)).as_bytes()
+            );
+            assert_eq!(
+                IdLabel::new(b'e', id).as_bytes(),
+                format!("e{id}").as_bytes()
+            );
+        }
+    }
+
+    #[test]
+    fn domain_apex_is_d_id_dot_tld() {
+        for id in [0u32, 9, 10, u32::MAX] {
+            for tld in [Tld::Com, Tld::Nl] {
+                let want: Name = format!("d{id}.{}", tld.label()).parse().unwrap();
+                assert_eq!(domain_apex(DomainId(id), tld), want);
+            }
+        }
+        assert_eq!(
+            domain_apex(DomainId(u32::MAX), Tld::Biz).to_string(),
+            "d4294967295.biz."
+        );
+        let compute: Name = "d7.compute.amazonaws.com".parse().unwrap();
+        assert_eq!(id_name(b'd', 7, "compute.amazonaws.com"), compute);
     }
 
     #[test]

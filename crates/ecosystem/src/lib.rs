@@ -26,7 +26,9 @@ pub mod schedule;
 pub mod spec;
 pub mod world;
 
-pub use domain::{domain_label, parse_domain_label, Diversion, DomainState, GroundTruth};
+pub use domain::{
+    domain_apex, domain_label, parse_domain_label, Diversion, DomainState, GroundTruth,
+};
 pub use ids::{BasketId, DomainId, HosterId, ProviderId, Tld, GTLDS, MEASURED_TLDS};
 pub use scenario::{Scenario, ScenarioParams};
 pub use schedule::{Action, Event, Schedule};

@@ -678,6 +678,10 @@ impl Builder {
     fn organic_adopters(&mut self) {
         let days = self.params.gtld_days;
         let cc = self.params.cc_start_day;
+        // Adoption changes land on a day in 1..days. A one-day run has no
+        // such day; the draw then lands past the end, on day 1, and never
+        // applies. From two days on the range, and every draw, is unchanged.
+        let change_span = days.saturating_sub(1).max(1);
         for cal in default_providers() {
             let p = cal.provider;
             let start = self.params.scaled(cal.start);
@@ -698,7 +702,7 @@ impl Builder {
                 for _ in 0..end - start {
                     let tld = self.dps_tld();
                     let id = self.claim_filler(tld);
-                    let day = Day(1 + self.rng.gen_range(0..days - 1));
+                    let day = Day(1 + self.rng.gen_range(0..change_span));
                     let method = organic_method(p, &mut self.rng);
                     self.events.push(Event {
                         day,
@@ -713,7 +717,7 @@ impl Builder {
             } else {
                 members.shuffle(&mut self.rng);
                 for id in members.iter().take((start - end) as usize) {
-                    let day = Day(1 + self.rng.gen_range(0..days - 1));
+                    let day = Day(1 + self.rng.gen_range(0..change_span));
                     self.events.push(Event {
                         day,
                         action: Action::SetDiversion(*id, Diversion::None),

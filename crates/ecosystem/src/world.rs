@@ -3,7 +3,9 @@
 //! materialise itself into real zones + servers on the simulated network
 //! (wire path) for full-fidelity runs.
 
-use crate::domain::{domain_label, parse_domain_label, Diversion, DomainState, GroundTruth};
+use crate::domain::{
+    domain_apex, id_name, parse_domain_label, parse_id_label, Diversion, DomainState, GroundTruth,
+};
 use crate::ids::{DomainId, HosterId, ProviderId, Tld};
 use crate::scenario::{AlexaEntry, BasketAddressing, BasketInfo, Scenario, ScenarioParams};
 use crate::schedule::{Action, Schedule};
@@ -15,7 +17,7 @@ use dps_netsim::{AsRegistry, Asn, Day, Network, Pfx2As, Rib};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// Default TTL on generated records.
 const TTL: u32 = 300;
@@ -312,19 +314,14 @@ impl World {
         let _ = writeln!(out, "; {} zone, day {}", tld.label(), self.day);
         for entry in self.zone_entry_iter(tld) {
             let apex = self.entry_name(entry);
-            let hosts: Vec<Name> = match entry {
-                ZoneEntry::Domain(id) => {
-                    let st = &self.domains[id.0 as usize];
-                    self.ns_hosts(id, st)
-                }
+            let hosts: [Option<&Name>; 2] = match entry {
+                ZoneEntry::Domain(id) => Self::ns_hosts(id, &self.domains[id.0 as usize]),
                 ZoneEntry::Infra(i) => match self.infra[i].owner {
-                    InfraOwner::Provider(p) => {
-                        (0..2).map(|k| Self::provider_ns_host(p, k).0).collect()
-                    }
-                    InfraOwner::Hoster(h) => (0..2).map(|k| Self::hoster_ns_host(h, k).0).collect(),
+                    InfraOwner::Provider(p) => [0, 1].map(|k| Some(provider_ns_name(p, k))),
+                    InfraOwner::Hoster(h) => [0, 1].map(|k| Some(hoster_ns_name(h, k))),
                 },
             };
-            for host in hosts {
+            for host in hosts.into_iter().flatten() {
                 let _ = writeln!(out, "{apex} IN NS {host}");
             }
         }
@@ -341,10 +338,7 @@ impl World {
 
     /// `d<id>.<tld>`.
     pub fn domain_name(&self, id: DomainId) -> Name {
-        let st = &self.domains[id.0 as usize];
-        let label = domain_label(id);
-        Name::from_labels([label.as_bytes(), st.tld.label().as_bytes()])
-            .expect("generated names are valid")
+        domain_apex(id, self.domains[id.0 as usize].tld)
     }
 
     /// Ground truth for a domain **today**.
@@ -376,20 +370,15 @@ impl World {
 
     /// The `k`-th name-server host `(name, address)` of a provider.
     pub fn provider_ns_host(p: ProviderId, k: usize) -> (Name, IpAddr) {
-        let s = Self::provider_spec(p);
-        assert!(!s.ns_labels.is_empty(), "{} sells no DNS service", s.name);
-        let label = s.ns_labels[k % s.ns_labels.len()];
-        let sld = s.ns_slds[k % s.ns_slds.len()];
-        let name: Name = format!("{label}.{sld}").parse().expect("valid host");
-        (name, spec::provider_ns_ip(p, k))
+        (provider_ns_name(p, k).clone(), spec::provider_ns_ip(p, k))
     }
 
     /// The `k`-th name-server host `(name, address)` of a hoster.
     pub fn hoster_ns_host(h: HosterId, k: usize) -> (Name, IpAddr) {
-        let s = Self::hoster_spec(h);
-        let name: Name = format!("ns{}.{}", k + 1, s.ns_sld)
-            .parse()
-            .expect("valid host");
+        let name = match k {
+            0 | 1 => hoster_ns_name(h, k).clone(),
+            _ => hoster_host(Self::hoster_spec(h), k),
+        };
         (name, spec::hoster_ns_ip(h, k))
     }
 
@@ -400,23 +389,33 @@ impl World {
         s.ns_labels.len().max(s.ns_slds.len()).max(2)
     }
 
-    /// The two NS host names of a domain, given its current state.
-    fn ns_hosts(&self, id: DomainId, st: &DomainState) -> Vec<Name> {
+    /// The name-server hosts `(name, address)` an infrastructure owner
+    /// runs: every provider host, or a hoster's two.
+    fn owner_ns_hosts(owner: InfraOwner) -> impl Iterator<Item = (&'static Name, IpAddr)> {
+        let count = match owner {
+            InfraOwner::Provider(p) => Self::provider_ns_host_count(p),
+            InfraOwner::Hoster(_) => 2,
+        };
+        (0..count).map(move |k| match owner {
+            InfraOwner::Provider(p) => (provider_ns_name(p, k), spec::provider_ns_ip(p, k)),
+            InfraOwner::Hoster(h) => (hoster_ns_name(h, k), spec::hoster_ns_ip(h, k)),
+        })
+    }
+
+    /// The NS host names of a domain (two, or one when a provider runs a
+    /// single host), given its current state.
+    fn ns_hosts(id: DomainId, st: &DomainState) -> [Option<&'static Name>; 2] {
         match st.diversion {
             Diversion::NsDelegation(p) | Diversion::NsOnly(p) => {
                 let count = Self::provider_ns_host_count(p);
                 let a = id.0 as usize % count;
                 let b = (id.0 as usize + 1) % count;
-                let mut v = vec![Self::provider_ns_host(p, a).0];
-                if b != a {
-                    v.push(Self::provider_ns_host(p, b).0);
-                }
-                v
+                [
+                    Some(provider_ns_name(p, a)),
+                    (b != a).then(|| provider_ns_name(p, b)),
+                ]
             }
-            _ => {
-                let h = st.hoster;
-                vec![Self::hoster_ns_host(h, 0).0, Self::hoster_ns_host(h, 1).0]
-            }
+            _ => [0, 1].map(|k| Some(hoster_ns_name(st.hoster, k))),
         }
     }
 
@@ -458,37 +457,33 @@ impl World {
         }
     }
 
-    /// The CNAME hops of `www.<domain>`, if it is an alias.
-    fn www_chain(&self, id: DomainId, st: &DomainState) -> Vec<Name> {
+    /// The CNAME hops of `www.<domain>`, if it is an alias: at most two,
+    /// in chase order.
+    fn www_chain(id: DomainId, st: &DomainState) -> [Option<Name>; 2] {
         match st.diversion {
-            Diversion::Cname(p) => {
-                let s = Self::provider_spec(p);
-                if p == pid::AKAMAI {
-                    // Akamai-style double indirection, in two flavours:
-                    // www.x → dN.edgekey.net   → eN.akamaiedge.net → A
-                    // www.x → dN.edgesuite.net → eN.akamai.net     → A
-                    let (hop1, hop2) = if id.0 % 2 == 0 {
-                        ("edgekey.net", "akamaiedge.net")
-                    } else {
-                        ("edgesuite.net", "akamai.net")
-                    };
-                    vec![
-                        format!("d{}.{hop1}", id.0).parse().expect("valid"),
-                        format!("e{}.{hop2}", id.0).parse().expect("valid"),
-                    ]
+            Diversion::Cname(p) if p == pid::AKAMAI => {
+                // Akamai-style double indirection, in two flavours:
+                // www.x → dN.edgekey.net   → eN.akamaiedge.net → A
+                // www.x → dN.edgesuite.net → eN.akamai.net     → A
+                let (hop1, hop2) = if id.0 % 2 == 0 {
+                    ("edgekey.net", "akamaiedge.net")
                 } else {
-                    vec![format!("d{}.{}", id.0, s.cname_slds[0])
-                        .parse()
-                        .expect("valid")]
-                }
+                    ("edgesuite.net", "akamai.net")
+                };
+                [
+                    Some(id_name(b'd', id.0, hop1)),
+                    Some(id_name(b'e', id.0, hop2)),
+                ]
             }
+            Diversion::Cname(p) => [
+                Some(id_name(b'd', id.0, Self::provider_spec(p).cname_slds[0])),
+                None,
+            ],
+            // Wix-style: the site lives on a cloud (AWS).
             Diversion::None if st.www_cname_to_hoster => {
-                // Wix-style: the site lives on a cloud (AWS).
-                vec![format!("d{}.compute.amazonaws.com", id.0)
-                    .parse()
-                    .expect("valid")]
+                [Some(id_name(b'd', id.0, "compute.amazonaws.com")), None]
             }
-            _ => Vec::new(),
+            _ => [None, None],
         }
     }
 
@@ -522,48 +517,55 @@ impl World {
         qtype: RrType,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
-        let labels: Vec<&[u8]> = qname.labels().collect();
-        if labels.is_empty() {
-            return Ok(Rcode::NxDomain);
-        }
-        let tld = match std::str::from_utf8(labels[labels.len() - 1])
+        let count = qname.label_count();
+        let mut tail = qname.labels().skip(count.saturating_sub(2));
+        let (sld_label, tld_label) = match (tail.next(), tail.next()) {
+            (None, _) => return Ok(Rcode::NxDomain),
+            (Some(tld), None) => (None, tld),
+            (Some(sld), Some(tld)) => (Some(sld), tld),
+        };
+        let Some(tld) = std::str::from_utf8(tld_label)
             .ok()
             .and_then(Tld::from_label)
-        {
-            Some(t) => t,
-            None => return Ok(Rcode::NxDomain),
+        else {
+            return Ok(Rcode::NxDomain);
         };
-        if labels.len() == 1 {
-            // Query for the TLD apex itself: not a studied case; NODATA.
+        // Query for the TLD apex itself: not a studied case; NODATA.
+        let Some(sld_label) = sld_label else {
             return Ok(Rcode::NoError);
-        }
-        let sld_label = labels[labels.len() - 2];
+        };
+        // `<sld>.<tld>.` and the wire labels in front of it.
+        let registered = qname.suffix_wire(2);
+        let wire = qname.as_wire();
+        let sub = wire
+            .get(..wire.len() - registered.len())
+            .unwrap_or_default();
 
         // Customer domain?
         if let Some(id) = parse_domain_label(sld_label) {
             if (id.0 as usize) < self.domains.len() && self.domains[id.0 as usize].tld == tld {
-                return self.answer_domain(id, &labels[..labels.len() - 2], qtype, answers);
+                return self.answer_domain(id, sub, qtype, answers);
             }
             return Ok(Rcode::NxDomain);
         }
 
         // Infrastructure SLD?
-        let sld_str = String::from_utf8_lossy(sld_label);
-        let full = format!("{sld_str}.{}", tld.label());
         if let Some(idx) = self
             .infra
             .iter()
-            .position(|i| i.sld.to_string().trim_end_matches('.') == full)
+            .position(|i| i.sld.as_wire() == registered)
         {
-            return self.answer_infra(idx, &labels[..labels.len() - 2], qtype, answers);
+            return self.answer_infra(idx, qname, sub, qtype, answers);
         }
         Ok(Rcode::NxDomain)
     }
 
+    /// Answers a query under customer domain `id`; `sub` is the wire form
+    /// of the labels in front of its apex.
     fn answer_domain(
         &self,
         id: DomainId,
-        sub: &[&[u8]],
+        sub: &[u8],
         qtype: RrType,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
@@ -574,199 +576,196 @@ impl World {
         if self.basket_outage(st) {
             return Err(ResolveError::ServerFailure(Rcode::ServFail));
         }
-        let apex = self.domain_name(id);
-        match sub {
-            [] => match qtype {
-                RrType::A => {
-                    push(answers, &apex, RData::A(self.apex_v4(id, st)));
-                    Ok(Rcode::NoError)
-                }
-                RrType::Aaaa => {
-                    if let Some(v6) = self.apex_v6(id, st) {
-                        push(answers, &apex, RData::Aaaa(v6));
+        let owner = match sub {
+            [] => domain_apex(id, st.tld),
+            WWW => {
+                let www_name = domain_apex(id, st.tld).prepend("www").expect("short label");
+                match Self::www_chain(id, st) {
+                    // No alias: the same answers as the apex, owned by www.
+                    [None, _] => www_name,
+                    [Some(first), _] if qtype == RrType::Cname => {
+                        push(answers, www_name, RData::Cname(first));
+                        return Ok(Rcode::NoError);
                     }
-                    Ok(Rcode::NoError)
+                    // Emit the chain, then the terminal records.
+                    chain => chain.into_iter().flatten().fold(www_name, |owner, hop| {
+                        push(answers, owner, RData::Cname(hop.clone()));
+                        hop
+                    }),
                 }
-                RrType::Ns => {
-                    for h in self.ns_hosts(id, st) {
-                        push(answers, &apex, RData::Ns(h));
-                    }
-                    Ok(Rcode::NoError)
-                }
-                _ => Ok(Rcode::NoError),
-            },
-            [www] if *www == b"www" => {
-                let www_name = apex.prepend("www").expect("short label");
-                let chain = self.www_chain(id, st);
-                if chain.is_empty() {
-                    // Same answers as the apex, owned by www.
-                    return match qtype {
-                        RrType::A => {
-                            push(answers, &www_name, RData::A(self.apex_v4(id, st)));
-                            Ok(Rcode::NoError)
-                        }
-                        RrType::Aaaa => {
-                            if let Some(v6) = self.apex_v6(id, st) {
-                                push(answers, &www_name, RData::Aaaa(v6));
-                            }
-                            Ok(Rcode::NoError)
-                        }
-                        _ => Ok(Rcode::NoError),
-                    };
-                }
-                if qtype == RrType::Cname {
-                    push(answers, &www_name, RData::Cname(chain[0].clone()));
-                    return Ok(Rcode::NoError);
-                }
-                // Emit the chain, then the terminal records.
-                let mut owner = www_name;
-                for hop in &chain {
-                    push(answers, &owner, RData::Cname(hop.clone()));
-                    owner = hop.clone();
-                }
-                match qtype {
-                    RrType::A => push(answers, &owner, RData::A(self.apex_v4(id, st))),
-                    RrType::Aaaa => {
-                        if let Some(v6) = self.apex_v6(id, st) {
-                            push(answers, &owner, RData::Aaaa(v6));
-                        }
-                    }
-                    _ => {}
-                }
-                Ok(Rcode::NoError)
             }
-            _ => Ok(Rcode::NxDomain),
+            _ => return Ok(Rcode::NxDomain),
+        };
+        if qtype == RrType::Ns && sub.is_empty() {
+            for host in Self::ns_hosts(id, st).into_iter().flatten() {
+                push(answers, owner.clone(), RData::Ns(host.clone()));
+            }
+        } else {
+            self.push_address(answers, owner, id, st, qtype);
+        }
+        Ok(Rcode::NoError)
+    }
+
+    /// Appends domain `id`'s `A` or `AAAA` record, owned by `owner`, when
+    /// `qtype` asks for one that exists.
+    fn push_address(
+        &self,
+        answers: &mut Vec<Record>,
+        owner: Name,
+        id: DomainId,
+        st: &DomainState,
+        qtype: RrType,
+    ) {
+        match qtype {
+            RrType::A => push(answers, owner, RData::A(self.apex_v4(id, st))),
+            RrType::Aaaa => {
+                if let Some(v6) = self.apex_v6(id, st) {
+                    push(answers, owner, RData::Aaaa(v6));
+                }
+            }
+            _ => {}
         }
     }
 
+    /// Answers `qname`, a name under infrastructure SLD `idx`; `sub` is
+    /// the wire form of the labels in front of that SLD.
     fn answer_infra(
         &self,
         idx: usize,
-        sub: &[&[u8]],
+        qname: &Name,
+        sub: &[u8],
         qtype: RrType,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
         let inf = &self.infra[idx];
-        let apex = inf.sld.clone();
         let web_ip = match inf.owner {
             InfraOwner::Provider(p) => spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
             InfraOwner::Hoster(h) => spec::hoster_prefix(h).nth_v4(8).expect("room"),
         };
-        let ns_hosts: Vec<(Name, IpAddr)> = match inf.owner {
-            InfraOwner::Provider(p) => (0..Self::provider_ns_host_count(p))
-                .map(|k| Self::provider_ns_host(p, k))
-                .collect(),
-            InfraOwner::Hoster(h) => (0..2).map(|k| Self::hoster_ns_host(h, k)).collect(),
-        };
-
-        match sub {
-            [] => match qtype {
-                RrType::A => {
-                    push(answers, &apex, RData::A(web_ip));
-                    Ok(Rcode::NoError)
+        match (sub, qtype) {
+            ([], RrType::A) => push(answers, inf.sld.clone(), RData::A(web_ip)),
+            ([], RrType::Ns) => {
+                for (host, _) in Self::owner_ns_hosts(inf.owner) {
+                    push(answers, inf.sld.clone(), RData::Ns(host.clone()));
                 }
-                RrType::Ns => {
-                    for (h, _) in &ns_hosts {
-                        push(answers, &apex, RData::Ns(h.clone()));
-                    }
-                    Ok(Rcode::NoError)
-                }
-                _ => Ok(Rcode::NoError),
-            },
-            [www] if *www == b"www" => {
-                if qtype == RrType::A {
-                    let www_name = apex.prepend("www").expect("short");
-                    push(answers, &www_name, RData::A(web_ip));
-                }
-                Ok(Rcode::NoError)
             }
-            sub => {
-                // NS hosts, CNAME targets (dN.<sld> / eN.<sld>), and the
-                // AWS compute names (dN.compute.amazonaws.com).
-                let owner = {
-                    let mut v: Vec<&[u8]> = sub.to_vec();
-                    v.extend(apex.labels());
-                    Name::from_labels(v).expect("valid")
-                };
-                // A name-server host?
-                if let Some((_, ip)) = ns_hosts.iter().find(|(h, _)| *h == owner) {
-                    if qtype == RrType::A {
-                        if let IpAddr::V4(v4) = ip {
-                            push(answers, &owner, RData::A(*v4));
-                        }
-                    }
-                    return Ok(Rcode::NoError);
-                }
-                // Provider ns hosts beyond the first two (e.g. CloudFlare's
-                // many named servers).
-                if let InfraOwner::Provider(p) = inf.owner {
-                    for k in 0..Self::provider_ns_host_count(p) {
-                        let (h, ip) = Self::provider_ns_host(p, k);
-                        if h == owner {
-                            if qtype == RrType::A {
-                                if let IpAddr::V4(v4) = ip {
-                                    push(answers, &owner, RData::A(v4));
-                                }
-                            }
-                            return Ok(Rcode::NoError);
-                        }
-                    }
-                }
-                // CNAME-target / compute names carry a dN/eN first label.
-                let first = sub[sub.len() - 1];
-                let first = if sub.len() > 1 { sub[0] } else { first };
-                if let Some(id) = parse_domain_label(first).or_else(|| {
-                    // eN.<sld> second-hop names.
-                    first.strip_prefix(b"e").and_then(|digits| {
-                        let mut buf = vec![b'd'];
-                        buf.extend_from_slice(digits);
-                        parse_domain_label(&buf)
-                    })
-                }) {
-                    if (id.0 as usize) < self.domains.len() {
-                        let st = &self.domains[id.0 as usize];
-                        // Akamai first hop chains to the second hop.
-                        let second_hop = match inf.sld.to_string().as_str() {
-                            "edgekey.net." => Some("akamaiedge.net"),
-                            "edgesuite.net." => Some("akamai.net"),
-                            _ => None,
-                        };
-                        if let (Some(hop2), true, true) =
-                            (second_hop, first.starts_with(b"d"), qtype != RrType::Cname)
-                        {
-                            let next: Name = format!("e{}.{hop2}", id.0).parse().expect("valid");
-                            push(answers, &owner, RData::Cname(next.clone()));
-                            match qtype {
-                                RrType::A => push(answers, &next, RData::A(self.apex_v4(id, st))),
-                                RrType::Aaaa => {
-                                    if let Some(v6) = self.apex_v6(id, st) {
-                                        push(answers, &next, RData::Aaaa(v6));
-                                    }
-                                }
-                                _ => {}
-                            }
-                            return Ok(Rcode::NoError);
-                        }
-                        match qtype {
-                            RrType::A => push(answers, &owner, RData::A(self.apex_v4(id, st))),
-                            RrType::Aaaa => {
-                                if let Some(v6) = self.apex_v6(id, st) {
-                                    push(answers, &owner, RData::Aaaa(v6));
-                                }
-                            }
-                            _ => {}
-                        }
-                        return Ok(Rcode::NoError);
-                    }
-                }
-                Ok(Rcode::NxDomain)
+            (WWW, RrType::A) => {
+                let www_name = inf.sld.prepend("www").expect("short");
+                push(answers, www_name, RData::A(web_ip));
             }
+            ([] | WWW, _) => {}
+            _ => return Ok(self.answer_infra_host(inf, qname, qtype, answers)),
         }
+        Ok(Rcode::NoError)
+    }
+
+    /// Answers a host name under an infrastructure SLD: an NS host, a
+    /// CNAME target (`dN.<sld>` / `eN.<sld>`) or an AWS compute name
+    /// (`dN.compute.amazonaws.com`).
+    fn answer_infra_host(
+        &self,
+        inf: &InfraDomain,
+        qname: &Name,
+        qtype: RrType,
+        answers: &mut Vec<Record>,
+    ) -> Rcode {
+        // A name-server host?
+        if let Some((_, ip)) = Self::owner_ns_hosts(inf.owner).find(|(h, _)| *h == qname) {
+            if let (RrType::A, IpAddr::V4(v4)) = (qtype, ip) {
+                push(answers, qname.clone(), RData::A(v4));
+            }
+            return Rcode::NoError;
+        }
+        // CNAME-target / compute names carry a dN/eN first label.
+        let first = qname.labels().next().unwrap_or_default();
+        let Some(id) = parse_id_label(b'd', first).or_else(|| parse_id_label(b'e', first)) else {
+            return Rcode::NxDomain;
+        };
+        let Some(st) = self.domains.get(id.0 as usize) else {
+            return Rcode::NxDomain;
+        };
+        // Akamai first hop chains to the second hop.
+        let second_hop = if is_named(&inf.sld, "edgekey.net") {
+            Some("akamaiedge.net")
+        } else if is_named(&inf.sld, "edgesuite.net") {
+            Some("akamai.net")
+        } else {
+            None
+        };
+        let mut owner = qname.clone();
+        if let (Some(hop2), true, true) =
+            (second_hop, first.starts_with(b"d"), qtype != RrType::Cname)
+        {
+            let next = id_name(b'e', id.0, hop2);
+            push(answers, owner, RData::Cname(next.clone()));
+            owner = next;
+        }
+        self.push_address(answers, owner, id, st, qtype);
+        Rcode::NoError
     }
 }
 
-fn push(answers: &mut Vec<Record>, owner: &Name, rdata: RData) {
-    answers.push(Record::new(owner.clone(), Class::In, TTL, rdata));
+/// The wire form of a lone `www` label.
+const WWW: &[u8] = b"\x03www";
+
+/// True if `name` is the dotted presentation name `dotted` (no trailing
+/// dot), compared label by label.
+fn is_named(name: &Name, dotted: &str) -> bool {
+    name.labels().eq(dotted.split('.').map(str::as_bytes))
+}
+
+fn push(answers: &mut Vec<Record>, owner: Name, rdata: RData) {
+    answers.push(Record::new(owner, Class::In, TTL, rdata));
+}
+
+/// Every provider and hoster NS host name, built once so that answers
+/// clone a name instead of building one per query.
+struct NsHostNames {
+    /// `providers[p][l * slds + s]` is `<ns_labels[l]>.<ns_slds[s]>`.
+    providers: Vec<Vec<Name>>,
+    /// `hosters[h][k]` is `ns<k+1>.<ns_sld>`: the two hosts a hoster runs.
+    hosters: Vec<[Name; 2]>,
+}
+
+fn ns_host_names() -> &'static NsHostNames {
+    static NAMES: OnceLock<NsHostNames> = OnceLock::new();
+    NAMES.get_or_init(|| NsHostNames {
+        providers: PROVIDERS
+            .iter()
+            .map(|s| {
+                let host = |label, sld| format!("{label}.{sld}").parse().expect("valid host");
+                s.ns_labels
+                    .iter()
+                    .flat_map(|label| s.ns_slds.iter().map(move |sld| host(label, sld)))
+                    .collect()
+            })
+            .collect(),
+        hosters: HOSTERS
+            .iter()
+            .map(|s| [0, 1].map(|k| hoster_host(s, k)))
+            .collect(),
+    })
+}
+
+/// Name of the `k`-th NS host of provider `p`. Label and SLD rotate
+/// independently, so every `k` maps into the label × SLD table.
+fn provider_ns_name(p: ProviderId, k: usize) -> &'static Name {
+    let s = &PROVIDERS[p.0 as usize];
+    assert!(!s.ns_labels.is_empty(), "{} sells no DNS service", s.name);
+    let (label, sld) = (k % s.ns_labels.len(), k % s.ns_slds.len());
+    &ns_host_names().providers[p.0 as usize][label * s.ns_slds.len() + sld]
+}
+
+/// Name of NS host `k` (0 or 1) of hoster `h`.
+fn hoster_ns_name(h: HosterId, k: usize) -> &'static Name {
+    &ns_host_names().hosters[h.0 as usize][k]
+}
+
+/// `ns<k+1>.<ns_sld>` of a hoster, built from its presentation form.
+fn hoster_host(s: &HosterSpec, k: usize) -> Name {
+    format!("ns{}.{}", k + 1, s.ns_sld)
+        .parse()
+        .expect("valid host")
 }
 
 // ---------------------------------------------------------------------------
@@ -808,28 +807,23 @@ impl World {
         // Infrastructure zones.
         for inf in &self.infra {
             let mut z = Zone::new(inf.sld.clone());
-            let (srv, ns_hosts, web_ip): (&Arc<AuthServer>, Vec<(Name, IpAddr)>, Ipv4Addr) =
-                match inf.owner {
-                    InfraOwner::Provider(p) => (
-                        &provider_srv[p.0 as usize],
-                        (0..Self::provider_ns_host_count(p))
-                            .map(|k| Self::provider_ns_host(p, k))
-                            .collect(),
-                        spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
-                    ),
-                    InfraOwner::Hoster(h) => (
-                        &hoster_srv[h.0 as usize],
-                        (0..2).map(|k| Self::hoster_ns_host(h, k)).collect(),
-                        spec::hoster_prefix(h).nth_v4(8).expect("room"),
-                    ),
-                };
+            let (srv, web_ip): (&Arc<AuthServer>, Ipv4Addr) = match inf.owner {
+                InfraOwner::Provider(p) => (
+                    &provider_srv[p.0 as usize],
+                    spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
+                ),
+                InfraOwner::Hoster(h) => (
+                    &hoster_srv[h.0 as usize],
+                    spec::hoster_prefix(h).nth_v4(8).expect("room"),
+                ),
+            };
             z.add(inf.sld.clone(), RData::A(web_ip));
             z.add(inf.sld.prepend("www").expect("short"), RData::A(web_ip));
-            for (h, ip) in &ns_hosts {
+            for (h, ip) in Self::owner_ns_hosts(inf.owner) {
                 z.add(inf.sld.clone(), RData::Ns(h.clone()));
                 if h.is_subdomain_of(&inf.sld) {
                     if let IpAddr::V4(v4) = ip {
-                        z.add(h.clone(), RData::A(*v4));
+                        z.add(h.clone(), RData::A(v4));
                     }
                 }
             }
@@ -839,11 +833,12 @@ impl World {
                 if !st.alive_on(self.day) {
                     continue;
                 }
-                let chain = self.www_chain(id, st);
-                for (hop_idx, hop) in chain.iter().enumerate() {
+                let [hop1, hop2] = Self::www_chain(id, st);
+                for (hop, next) in [(&hop1, &hop2), (&hop2, &None)] {
+                    let Some(hop) = hop else { continue };
                     if hop.is_subdomain_of(&inf.sld) {
-                        if hop_idx + 1 < chain.len() {
-                            z.add(hop.clone(), RData::Cname(chain[hop_idx + 1].clone()));
+                        if let Some(next) = next {
+                            z.add(hop.clone(), RData::Cname(next.clone()));
                         } else {
                             z.add(hop.clone(), RData::A(self.apex_v4(id, st)));
                             if let Some(v6) = self.apex_v6(id, st) {
@@ -855,10 +850,10 @@ impl World {
             }
             // Delegation from the TLD + in-TLD glue.
             let tz = tld_zones.get_mut(&inf.tld).expect("tld exists");
-            for (h, ip) in &ns_hosts {
+            for (h, ip) in Self::owner_ns_hosts(inf.owner) {
                 tz.add(inf.sld.clone(), RData::Ns(h.clone()));
                 if let (IpAddr::V4(v4), true) = (ip, ends_in_tld(h, inf.tld)) {
-                    tz.add(h.clone(), RData::A(*v4));
+                    tz.add(h.clone(), RData::A(v4));
                 }
             }
             let handle = catalog.add_zone(z, vec![]);
@@ -878,22 +873,21 @@ impl World {
                 z.add(apex.clone(), RData::Aaaa(v6));
             }
             let www = apex.prepend("www").expect("short");
-            let chain = self.www_chain(id, st);
-            if let Some(first) = chain.first() {
-                z.add(www, RData::Cname(first.clone()));
+            if let [Some(first), _] = Self::www_chain(id, st) {
+                z.add(www, RData::Cname(first));
             } else {
                 z.add(www.clone(), RData::A(self.apex_v4(id, st)));
                 if let Some(v6) = self.apex_v6(id, st) {
                     z.add(www, RData::Aaaa(v6));
                 }
             }
-            let hosts = self.ns_hosts(id, st);
-            for h in &hosts {
+            let hosts = Self::ns_hosts(id, st);
+            for h in hosts.into_iter().flatten() {
                 z.add(apex.clone(), RData::Ns(h.clone()));
             }
             // Delegation in the TLD zone.
             let tz = tld_zones.get_mut(&st.tld).expect("tld exists");
-            for h in &hosts {
+            for h in hosts.into_iter().flatten() {
                 tz.add(apex.clone(), RData::Ns(h.clone()));
             }
             let handle = catalog.add_zone(z, vec![]);
@@ -1239,5 +1233,97 @@ mod tests {
         let (from, to) = flip.expect("ENOM→Verisign flip recorded on day 30");
         assert_eq!(from[0].0, 21740, "ENOM before");
         assert_eq!(to[0].0, 26415, "Verisign during diversion");
+    }
+
+    /// The NS host tables return exactly the names the presentation-form
+    /// construction gave, for every provider and hoster and for `k` past
+    /// the host count, where label and SLD rotate independently.
+    #[test]
+    fn ns_host_tables_match_presentation_names() {
+        for (i, s) in PROVIDERS.iter().enumerate() {
+            if s.ns_labels.is_empty() {
+                continue;
+            }
+            let p = ProviderId(i as u8);
+            let count = World::provider_ns_host_count(p);
+            for k in 0..2 * count {
+                let label = s.ns_labels[k % s.ns_labels.len()];
+                let sld = s.ns_slds[k % s.ns_slds.len()];
+                let want: Name = format!("{label}.{sld}").parse().unwrap();
+                assert_eq!(
+                    World::provider_ns_host(p, k),
+                    (want, spec::provider_ns_ip(p, k))
+                );
+            }
+        }
+        for (i, s) in HOSTERS.iter().enumerate() {
+            let h = HosterId(i as u8);
+            for k in 0..4 {
+                let want: Name = format!("ns{}.{}", k + 1, s.ns_sld).parse().unwrap();
+                assert_eq!(
+                    World::hoster_ns_host(h, k),
+                    (want, spec::hoster_ns_ip(h, k))
+                );
+            }
+        }
+    }
+
+    /// Pins every bulk answer over a query set that reaches each branch of
+    /// the answer model: customer apexes, `www` names and their CNAME
+    /// targets, infrastructure apexes, NS hosts, `dN`/`eN` hop names and
+    /// unknown names, for every record type the sweep asks. The wire
+    /// equivalence tests cannot see drift here because materialisation
+    /// shares these helpers; re-pin only with a deliberate model change.
+    #[test]
+    fn bulk_answers_digest_is_pinned() {
+        let w = tiny_world();
+        let n = |s: String| -> Name { s.parse().unwrap() };
+        let mut queries = Vec::new();
+        for i in 0..w.domains().len() {
+            let apex = w.domain_name(DomainId(i as u32));
+            queries.push(n(format!("www.{apex}")));
+            queries.push(n(format!("x.www.{apex}")));
+            queries.push(n(format!("ns1.{apex}")));
+            queries.push(apex);
+        }
+        for inf in w.infra() {
+            queries.push(inf.sld.clone());
+            for sub in [
+                "www",
+                "x",
+                "ns1",
+                "ns2",
+                "ns3",
+                "ns4",
+                "d0",
+                "d1",
+                "e1",
+                "d99999999",
+            ] {
+                queries.push(n(format!("{sub}.{}", inf.sld)));
+            }
+        }
+        for tld in ["com", "nl", "example", "d1.com", "d001.com", "d9.example"] {
+            queries.push(n(tld.to_string()));
+        }
+        queries.push(Name::root());
+        let mut chased = Vec::new();
+        for q in &queries {
+            if let Ok(res) = w.resolve(q, RrType::A) {
+                chased.extend(res.cname_chain().into_iter().cloned());
+            }
+        }
+        queries.extend(chased);
+        let mut digest: u64 = 0xcbf2_9ce4_8422_2325;
+        for q in &queries {
+            for qtype in [RrType::A, RrType::Aaaa, RrType::Ns, RrType::Cname] {
+                let line = format!("{q} {qtype:?} {:?}\n", w.resolve(q, qtype));
+                for b in line.bytes() {
+                    digest ^= u64::from(b);
+                    digest = digest.wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        assert_eq!((queries.len(), digest), (8619, 0x311c_6525_b5fa_8b10));
     }
 }

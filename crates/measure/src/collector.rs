@@ -322,13 +322,29 @@ impl RawRow {
     }
 }
 
-fn push_distinct(slot: &mut [Option<Name>; 2], name: &Name) {
-    match &slot[0] {
-        None => slot[0] = Some(name.clone()),
-        Some(first) if first.sld() != name.sld() && slot[1].is_none() => {
-            slot[1] = Some(name.clone());
-        }
-        _ => {}
+/// True if `a` and `b` have the same SLD (`a.sld() == b.sld()`), compared
+/// on their wire suffixes without building either SLD.
+fn same_sld(a: &Name, b: &Name) -> bool {
+    a.suffix_wire(2) == b.suffix_wire(2)
+}
+
+/// The free slot of a `cnames`/`ns` pair that `name` goes into, if any:
+/// the first name, or a second whose SLD differs from the first's.
+fn distinct_slot(slot: &[Option<Name>; 2], name: &Name) -> Option<usize> {
+    match slot {
+        [None, _] => Some(0),
+        [Some(first), None] if !same_sld(first, name) => Some(1),
+        _ => None,
+    }
+}
+
+/// The free slot of the verbatim `ns_hosts` pair that `host` goes into,
+/// if any: the first host, or a second that differs from it.
+fn host_slot(slot: &[Option<Name>; 2], host: &Name) -> Option<usize> {
+    match slot {
+        [None, _] => Some(0),
+        [Some(first), None] if first != host => Some(1),
+        _ => None,
     }
 }
 
@@ -373,15 +389,19 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
     let aaaa_res = path.query(apex, RrType::Aaaa);
     let ns_res = path.query(apex, RrType::Ns);
 
-    match &www_res {
+    // The answers are owned: names move into the row instead of being
+    // cloned.
+    match www_res {
         Ok(res) => {
             row.data_points += res.answers.len() as u32;
-            row.www_v4 = v4_of(res);
-            let mut cnames = std::mem::take(&mut row.cnames);
-            for target in res.cname_chain() {
-                push_distinct(&mut cnames, target);
+            row.www_v4 = v4_of(&res);
+            for rec in res.answers {
+                if let RData::Cname(target) = rec.rdata {
+                    if let Some(i) = distinct_slot(&row.cnames, &target) {
+                        row.cnames[i] = Some(target);
+                    }
+                }
             }
-            row.cnames = cnames;
         }
         Err(e) => {
             row.retryable |= e.is_transient();
@@ -400,23 +420,24 @@ pub fn collect_raw(path: &mut impl QueryPath, apex: &Name, entry: u32, pfx2as: &
             row.causes.add(e.cause());
         }
     }
-    match &ns_res {
+    match ns_res {
         Ok(res) => {
             row.data_points += res.answers.len() as u32;
-            let mut ns = std::mem::take(&mut row.ns);
-            let mut hosts = std::mem::take(&mut row.ns_hosts);
-            for rec in res.records_of(RrType::Ns) {
-                if let RData::Ns(host) = &rec.rdata {
-                    push_distinct(&mut ns, host);
-                    if hosts[0].is_none() {
-                        hosts[0] = Some(host.clone());
-                    } else if hosts[1].is_none() && hosts[0].as_ref() != Some(host) {
-                        hosts[1] = Some(host.clone());
+            for rec in res.answers {
+                let RData::Ns(host) = rec.rdata else { continue };
+                match (
+                    distinct_slot(&row.ns, &host),
+                    host_slot(&row.ns_hosts, &host),
+                ) {
+                    (Some(i), Some(j)) => {
+                        row.ns[i] = Some(host.clone());
+                        row.ns_hosts[j] = Some(host);
                     }
+                    (Some(i), None) => row.ns[i] = Some(host),
+                    (None, Some(j)) => row.ns_hosts[j] = Some(host),
+                    (None, None) => {}
                 }
             }
-            row.ns = ns;
-            row.ns_hosts = hosts;
         }
         Err(e) => {
             row.retryable |= e.is_transient();
@@ -519,5 +540,44 @@ mod tests {
         let b = i.intern(&mut dict, &"other.incapdns.net".parse().unwrap());
         assert_eq!(a, b);
         assert_eq!(dict.resolve(a), Some("incapdns.net"));
+    }
+
+    #[test]
+    fn same_sld_agrees_with_sld_comparison() {
+        let names: Vec<Name> = [
+            ".",
+            "net",
+            "com",
+            "incapdns.net",
+            "incapdns.com",
+            "x.incapdns.net",
+            "a.b.incapdns.net",
+            "d1.edgekey.net",
+            "e1.akamaiedge.net",
+            "edgekey.net",
+        ]
+        .iter()
+        .map(|s| s.parse().unwrap())
+        .collect();
+        for a in &names {
+            for b in &names {
+                assert_eq!(same_sld(a, b), a.sld() == b.sld(), "{a} vs {b}");
+            }
+        }
+    }
+
+    #[test]
+    fn distinct_slots_keep_two_names_with_different_slds() {
+        let n = |s: &str| -> Name { s.parse().unwrap() };
+        let mut slot: [Option<Name>; 2] = [None, None];
+        for name in ["ns1.x.net", "ns2.x.net", "ns1.y.net", "ns1.z.net"].map(n) {
+            if let Some(i) = distinct_slot(&slot, &name) {
+                slot[i] = Some(name);
+            }
+        }
+        assert_eq!(slot, [Some(n("ns1.x.net")), Some(n("ns1.y.net"))]);
+        let hosts = [Some(n("ns1.x.net")), None];
+        assert_eq!(host_slot(&hosts, &n("ns1.x.net")), None);
+        assert_eq!(host_slot(&hosts, &n("ns2.x.net")), Some(1));
     }
 }

@@ -180,3 +180,50 @@ fn sharded_study_reloads_to_the_single_file_bytes() {
     assert!(!a.is_empty());
     assert_eq!(a, b, "sharded content drifted from the single-file run");
 }
+
+/// FNV-1a (64-bit) over a byte string.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= u64::from(b);
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
+/// Pins the exact archive bytes of a small bulk sweep. The answer-model
+/// helpers (NS host tables, CNAME chains, name builders) are shared by
+/// `World::resolve` and `World::materialize`, so a wire-versus-bulk
+/// comparison cannot see them drift; this digest can. A change to it is
+/// a change to the measured data: re-pin it only with a deliberate model
+/// or format change.
+#[test]
+fn bulk_sweep_archive_digest_is_pinned() {
+    let mut world = World::imc2016(ScenarioParams {
+        seed: 2016,
+        scale: 0.02,
+        gtld_days: 4,
+        cc_start_day: 2,
+    });
+    let dir = std::env::temp_dir().join(format!(
+        "dps-determinism-digest-{}-{}",
+        std::process::id(),
+        NEXT_FILE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("archive.dps");
+    Study::new(StudyConfig {
+        days: 4,
+        cc_start_day: 2,
+        stride: 1,
+    })
+    .run_archived(&mut world, &path, None)
+    .expect("archived study runs");
+    let bytes = std::fs::read(&path).expect("archive readable");
+    std::fs::remove_dir_all(&dir).ok();
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (113_530, 0x3bc9_58cf_1a3d_c5ec),
+        "bulk sweep archive bytes changed"
+    );
+}

@@ -316,7 +316,9 @@ fn serve_conn(
 ) -> bool {
     // Short socket timeout so the loop stays responsive to `stop`; the
     // slowloris deadline is enforced by accumulated idle time.
-    if stream.set_read_timeout(Some(POLL_TICK)).is_err() {
+    // Answers go out as soon as they are written: with Nagle's algorithm
+    // a reply could wait for the client's delayed ACK.
+    if stream.set_read_timeout(Some(POLL_TICK)).is_err() || stream.set_nodelay(true).is_err() {
         return false;
     }
     let mut buf: Vec<u8> = Vec::new();
@@ -367,12 +369,15 @@ fn split_frame(buf: &[u8]) -> Option<(Vec<u8>, Vec<u8>)> {
     Some((frame, rest))
 }
 
-/// Writes one length-prefixed frame.
+/// Writes one length-prefixed frame in a single write, so the prefix
+/// and the body leave in one segment.
 fn write_frame(stream: &mut TcpStream, payload: &[u8]) -> io::Result<()> {
     let len = u16::try_from(payload.len())
         .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    stream.write_all(&len.to_be_bytes())?;
-    stream.write_all(payload)?;
+    let mut frame = Vec::with_capacity(2 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    stream.write_all(&frame)?;
     stream.flush()
 }
 
@@ -640,6 +645,39 @@ mod tests {
             stream.read_exact(&mut body).unwrap();
             assert_eq!(Message::parse(&body).unwrap().answers.len(), 1);
         }
+        server.shutdown();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Back-to-back queries on one connection, each sent after the last
+    /// answer: a reply split over two writes would wait out the client's
+    /// delayed ACK (about 40 ms) under Nagle's algorithm.
+    #[test]
+    fn back_to_back_tcp_queries_are_answered_promptly() {
+        let dir = temp_dir("nodelay");
+        write_zone(&dir, "examp.le", "@ IN A 10.1.2.3\n");
+        let (server, _reg) = start(dir.clone());
+        let mut stream = TcpStream::connect(server.tcp_addr()).unwrap();
+        stream.set_nodelay(true).unwrap();
+        stream
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .unwrap();
+        let query = q("examp.le", RrType::A).to_bytes().unwrap();
+        let mut slowest = Duration::ZERO;
+        for _ in 0..50 {
+            let sent = Instant::now();
+            write_frame(&mut stream, &query).unwrap();
+            let mut lb = [0u8; 2];
+            stream.read_exact(&mut lb).unwrap();
+            let mut body = vec![0u8; usize::from(u16::from_be_bytes(lb))];
+            stream.read_exact(&mut body).unwrap();
+            slowest = slowest.max(sent.elapsed());
+            assert_eq!(Message::parse(&body).unwrap().answers.len(), 1);
+        }
+        assert!(
+            slowest < Duration::from_millis(20),
+            "slowest answer took {slowest:?}"
+        );
         server.shutdown();
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -388,6 +388,7 @@ fn cluster_config(args: &CommonArgs) -> dps_scope::cluster::ClusterConfig {
     };
     let mut config = dps_scope::cluster::ClusterConfig::for_params(params);
     config.study.stride = args.stride;
+    config.archive_shards = args.shards;
     config.scheduler.min_workers = args.min_workers;
     config
 }

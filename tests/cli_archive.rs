@@ -123,3 +123,40 @@ fn analyze_without_an_archive_matches_an_archived_run_and_leaves_nothing() {
     );
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// A one-day sweep has no day on which an adoption change could land;
+/// world generation must still succeed and the archive must verify.
+#[test]
+fn one_day_measure_succeeds_and_verifies() {
+    let dir = temp_dir("one-day");
+    let archive = dir.join("archive");
+    let out = run({
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_dpscope"));
+        cmd.args([
+            "measure",
+            "--scale",
+            "0.004",
+            "--days",
+            "1",
+            "--cc-start",
+            "1",
+        ])
+        .args(["--archive", arg(&archive)]);
+        cmd
+    });
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "measure --days 1: {stderr}");
+    assert!(
+        !stderr.contains("panicked"),
+        "measure --days 1 panicked: {stderr}"
+    );
+    let mut verify = Command::new(env!("CARGO_BIN_EXE_dpscope"));
+    verify.args(["store", "verify", arg(&archive)]);
+    let out = run(verify);
+    assert!(
+        out.status.success(),
+        "store verify failed: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}

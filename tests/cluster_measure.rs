@@ -149,3 +149,51 @@ fn explicit_serve_and_agents_over_unix_socket_match_single_process() {
     std::fs::remove_dir_all(&single).ok();
     std::fs::remove_dir_all(&served).ok();
 }
+
+/// The archive files of a sweep directory (manifest and shard files, or
+/// the single `archive.dps`), sorted by name.
+fn archive_files(dir: &Path) -> Vec<(String, Vec<u8>)> {
+    let mut files: Vec<(String, Vec<u8>)> = std::fs::read_dir(dir)
+        .expect("read archive dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| p.extension().is_some_and(|x| x == "dps" || x == "manifest"))
+        .map(|p| {
+            let name = p
+                .file_name()
+                .expect("file name")
+                .to_string_lossy()
+                .into_owned();
+            (name, std::fs::read(&p).expect("read archive file"))
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn forked_sweep_honours_shards() {
+    let single = temp_dir("shards-single");
+    let multi = temp_dir("shards-multi");
+    run_measure(&single, &["--shards", "3"]);
+    run_measure(&multi, &["--workers", "2", "--shards", "3"]);
+    let want = archive_files(&single);
+    let got = archive_files(&multi);
+    let names: Vec<&str> = got.iter().map(|(n, _)| n.as_str()).collect();
+    assert!(
+        names.contains(&"archive.manifest") && names.len() == 4,
+        "--workers 2 --shards 3 must write a manifest and three shards: {names:?}"
+    );
+    assert_eq!(
+        want.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        got.iter().map(|(n, _)| n).collect::<Vec<_>>(),
+        "same archive files"
+    );
+    for ((name, a), (_, b)) in want.iter().zip(&got) {
+        assert!(
+            a == b,
+            "{name} differs between the cluster and single-process runs"
+        );
+    }
+    std::fs::remove_dir_all(&single).ok();
+    std::fs::remove_dir_all(&multi).ok();
+}
