@@ -21,12 +21,13 @@ cd "$(dirname "$0")"
 # Supervised sweep under a scripted fault schedule: must complete, verify
 # clean, be byte-identical across two same-seed runs, and resume like a
 # bulk sweep: a re-run over the finished archive changes no byte, and the
-# wire sweep works with --stream and --shards.
+# wire sweep works with --stream and --shards. The sweep must also resolve
+# through the caching recursor (infra-cache hits, <= 12 packets per name).
 chaos_smoke() {
     echo "==> smoke: dpscope measure --chaos (determinism, resume, stream, shards)"
     chaos='blackout@0..1500ms; degrade@0..inf@loss=0.15'
     rm -rf target/ci-chaos-a target/ci-chaos-b target/ci-chaos-stream \
-        target/ci-chaos-sharded
+        target/ci-chaos-sharded target/ci-chaos-metrics.json
     ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
         --archive target/ci-chaos-a --chaos "$chaos"
     ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
@@ -34,6 +35,20 @@ chaos_smoke() {
     ./target/release/dpscope store verify target/ci-chaos-a
     ./target/release/dpscope store info target/ci-chaos-a
     cmp target/ci-chaos-a/archive.dps target/ci-chaos-b/archive.dps
+    # The wire sweep resolves through the caching recursor: descents start
+    # at cached zone cuts, so a name costs a handful of packets instead of
+    # a walk from the root (~49 per name under this spec without the cache).
+    ./target/release/dpscope metrics target/ci-chaos-a --json \
+        >target/ci-chaos-metrics.json
+    python3 -c '
+import json, sys
+c = json.load(open(sys.argv[1]))["counters"]
+per_name = c["net.packets.sent"] / max(1, c["sweep.attempted"])
+hits = c["recursor.infra.hits"]
+print("chaos smoke: %.2f packets per name, %d infra-cache hits" % (per_name, hits))
+if hits == 0 or per_name > 12:
+    sys.exit("wire sweep is not resolving through the caching recursor")
+' target/ci-chaos-metrics.json
     # No-op resume: every day is committed, so nothing is re-measured.
     ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
         --archive target/ci-chaos-b --chaos "$chaos"
@@ -45,7 +60,7 @@ chaos_smoke() {
         --shards 2 --archive target/ci-chaos-sharded --chaos "$chaos"
     ./target/release/dpscope store verify target/ci-chaos-sharded
     rm -rf target/ci-chaos-a target/ci-chaos-b target/ci-chaos-stream \
-        target/ci-chaos-sharded
+        target/ci-chaos-sharded target/ci-chaos-metrics.json
 }
 
 # Archived telemetry must be deterministic and non-trivial: two same-seed

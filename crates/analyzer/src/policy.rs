@@ -31,6 +31,7 @@ pub const DETERMINISM_SCOPE: &[&str] = &[
     "crates/cluster/src/",
     "crates/stream/src/",
     "crates/fuzz/src/",
+    "crates/recursor/src/",
 ];
 
 /// Modules that decode untrusted wire/archive bytes and must be

@@ -77,7 +77,8 @@ impl QueryPath for BulkPath<'_> {
     }
 }
 
-/// Iterative resolution over the simulated network.
+/// Iterative resolution over the simulated network, from the root for
+/// every query: the uncached baseline.
 pub struct WirePath {
     resolver: Resolver,
 }
@@ -112,7 +113,7 @@ impl QueryPath for WirePath {
 
 /// Iterative resolution through the shared caching recursor: wire
 /// semantics, but TTL-aware answer/infrastructure caches and query
-/// coalescing amortise packets across domains and sweep days.
+/// coalescing amortise packets across domains. The chaos sweep's path.
 pub struct RecursorPath {
     worker: dps_recursor::RecursorWorker,
 }

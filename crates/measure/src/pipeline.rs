@@ -8,20 +8,20 @@
 //! by the manager thread, mirroring the collection/aggregation split of the
 //! real system.
 
-use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, SldInterner, WirePath};
+use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, RecursorPath, SldInterner};
 use crate::observation::{entry_code, schema, Source};
 use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
 use crate::supervisor::{sweep_supervised, SupervisorConfig, SweepMetrics};
 use crate::telemetry::{encode_telemetry, TELEMETRY_SOURCE};
-use dps_authdns::{HealthConfig, HealthTracker, Resolver, ResolverConfig};
+use dps_authdns::ResolverConfig;
 use dps_columnar::{StringDict, Table, TableBuilder};
 use dps_ecosystem::World;
 use dps_netsim::{ChaosSchedule, Day, Network, Pfx2As};
+use dps_recursor::{Recursor, RecursorConfig};
 use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::{Counter, Registry, Snapshot};
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
 
 /// Study configuration.
 #[derive(Debug, Clone, Copy)]
@@ -483,12 +483,16 @@ impl Study {
 }
 
 /// One day's wire query path for chaos sweeps, plus the registry its
-/// network, health tracker and supervisor publish into. One registry per
-/// day, like the network itself: the day's snapshot is self-contained, so
-/// a resumed run re-measuring the day reproduces the identical telemetry
-/// page.
+/// network, recursor, health tracker and supervisor publish into. The day
+/// resolves through one caching-recursor worker, so sibling names start
+/// their descent at cached zone cuts instead of the root. One recursor and
+/// one registry per day, like the network itself: delegations churn
+/// between days, so no cache outlives the world it was filled from, and
+/// the day's snapshot is self-contained, so a resumed run re-measuring
+/// the day starts cold and reproduces the identical telemetry page. A
+/// single worker keeps cache fills independent of thread interleaving.
 struct WireDay {
-    path: WirePath,
+    path: RecursorPath,
     metrics: SweepMetrics,
     registry: Registry,
 }
@@ -500,18 +504,21 @@ impl WireDay {
             Network::with_telemetry(world.params.seed.wrapping_add(u64::from(day)), &registry);
         net.set_chaos(schedule.clone());
         let catalog = world.materialize(&net);
-        let health =
-            Arc::new(HealthTracker::new(HealthConfig::default()).with_telemetry(&registry));
-        let resolver = Resolver::new(
+        let recursor = Recursor::with_telemetry(
+            catalog.root_hints(),
+            RecursorConfig {
+                resolver: ResolverConfig::resilient(),
+                ..Default::default()
+            },
+            &registry,
+        );
+        let worker = recursor.worker(
             &net,
             IpAddr::V4(Ipv4Addr::new(172, 16, 0, 53)),
             u64::from(day),
-            catalog.root_hints(),
-        )
-        .with_config(ResolverConfig::resilient())
-        .with_health(health);
+        );
         Self {
-            path: WirePath::new(resolver),
+            path: RecursorPath::new(worker),
             metrics: SweepMetrics::new(&registry),
             registry,
         }

@@ -15,6 +15,7 @@ use dps_authdns::resolver::Resolution;
 use dps_dns::{Name, RrType};
 use dps_telemetry::{Counter, Registry};
 use parking_lot::Mutex;
+// dps: allow-file(unordered-collection, reason = "each shard's answer map is a keyed lookup only, never iterated; eviction order comes from the BTreeMap expiry index")
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicU64, Ordering};

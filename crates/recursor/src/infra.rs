@@ -9,18 +9,40 @@
 
 use dps_dns::Name;
 use parking_lot::Mutex;
-use std::collections::HashMap;
+// dps: allow-file(unordered-collection, reason = "the cut map is a keyed lookup only, never iterated; eviction order comes from the BTreeMap expiry index")
+use std::collections::{BTreeMap, HashMap};
 use std::net::IpAddr;
 
 #[derive(Debug, Clone)]
 struct InfraEntry {
     servers: Vec<IpAddr>,
     expires_at_us: u64,
+    /// Insertion sequence number; tie-breaks the expiry index.
+    seq: u64,
+}
+
+/// The cut map, keyed by the cut's wire bytes so a descent can probe each
+/// enclosing suffix of a name without building it, plus an expiry-ordered
+/// index over the same entries: eviction pops the earliest expiry (the
+/// earliest insert among equals) in O(log n) instead of scanning the map.
+#[derive(Default)]
+struct InfraState {
+    cuts: HashMap<Vec<u8>, InfraEntry>,
+    by_expiry: BTreeMap<(u64, u64), Vec<u8>>,
+    next_seq: u64,
+}
+
+impl InfraState {
+    fn remove(&mut self, cut: &[u8]) {
+        if let Some(old) = self.cuts.remove(cut) {
+            self.by_expiry.remove(&(old.expires_at_us, old.seq));
+        }
+    }
 }
 
 /// Capacity-bounded cache of zone cut → name-server addresses.
 pub struct InfraCache {
-    inner: Mutex<HashMap<Name, InfraEntry>>,
+    inner: Mutex<InfraState>,
     capacity: usize,
 }
 
@@ -28,31 +50,36 @@ impl InfraCache {
     /// An empty cache holding at most `capacity` cuts.
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(HashMap::new()),
+            inner: Mutex::new(InfraState::default()),
             capacity: capacity.max(1),
         }
     }
 
-    /// Records that `cut` is served by `servers` for `ttl_secs`.
+    /// Records that `cut` is served by `servers` for `ttl_secs`. A full
+    /// cache first evicts the cut closest to expiry.
     pub fn put(&self, cut: Name, servers: Vec<IpAddr>, ttl_secs: u32, now_us: u64) {
         if ttl_secs == 0 || servers.is_empty() {
             return;
         }
-        let mut map = self.inner.lock();
-        if !map.contains_key(&cut) && map.len() >= self.capacity {
-            if let Some(victim) = map
-                .iter()
-                .min_by_key(|(_, e)| e.expires_at_us)
-                .map(|(k, _)| k.clone())
-            {
-                map.remove(&victim);
+        let key = cut.as_wire().to_vec();
+        let mut state = self.inner.lock();
+        if state.cuts.contains_key(&key) {
+            state.remove(&key);
+        } else if state.cuts.len() >= self.capacity {
+            if let Some((_, victim)) = state.by_expiry.pop_first() {
+                state.cuts.remove(&victim);
             }
         }
-        map.insert(
-            cut,
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        let expires_at_us = now_us + u64::from(ttl_secs) * 1_000_000;
+        state.by_expiry.insert((expires_at_us, seq), key.clone());
+        state.cuts.insert(
+            key,
             InfraEntry {
                 servers,
-                expires_at_us: now_us + u64::from(ttl_secs) * 1_000_000,
+                expires_at_us,
+                seq,
             },
         );
     }
@@ -62,28 +89,29 @@ impl InfraCache {
     /// way are dropped. The root itself is never cached here — when this
     /// returns `None`, resolution starts from the root hints.
     pub fn deepest(&self, qname: &Name, now_us: u64) -> Option<(Name, Vec<IpAddr>)> {
-        let mut map = self.inner.lock();
-        let mut cursor = qname.clone();
-        loop {
-            match map.get(&cursor) {
+        let wire = qname.as_wire();
+        let mut state = self.inner.lock();
+        let mut at = 0usize;
+        // Each suffix of the wire form starting at a label boundary is an
+        // enclosing name; the final root octet ends the walk.
+        while let Some(&len) = wire.get(at).filter(|&&len| len != 0) {
+            let suffix = &wire[at..];
+            match state.cuts.get(suffix) {
                 Some(e) if e.expires_at_us > now_us => {
-                    return Some((cursor.clone(), e.servers.clone()));
+                    let cut = Name::from_wire(suffix).ok()?;
+                    return Some((cut, e.servers.clone()));
                 }
-                Some(_) => {
-                    map.remove(&cursor);
-                }
+                Some(_) => state.remove(suffix),
                 None => {}
             }
-            cursor = cursor.parent()?;
-            if cursor.is_root() {
-                return None;
-            }
+            at += 1 + usize::from(len);
         }
+        None
     }
 
     /// Cached cuts (including expired-but-unswept ones).
     pub fn len(&self) -> usize {
-        self.inner.lock().len()
+        self.inner.lock().cuts.len()
     }
 
     /// True when nothing is cached.
@@ -138,5 +166,36 @@ mod tests {
             cache.deepest(&n("a.test"), 0).is_none(),
             "earliest expiry evicted"
         );
+    }
+
+    #[test]
+    fn equal_expiries_evict_the_oldest_insert() {
+        // Same TTL at the same instant: the tie is broken by insertion
+        // order, never by hash-map iteration order.
+        for _ in 0..32 {
+            let cache = InfraCache::new(3);
+            for cut in ["a.test", "b.test", "c.test", "d.test", "e.test"] {
+                cache.put(n(cut), vec![ip("10.0.0.1")], 60, 0);
+            }
+            assert_eq!(cache.len(), 3);
+            for gone in ["a.test", "b.test"] {
+                assert!(cache.deepest(&n(gone), 0).is_none(), "{gone} evicted");
+            }
+            for kept in ["c.test", "d.test", "e.test"] {
+                assert!(cache.deepest(&n(kept), 0).is_some(), "{kept} kept");
+            }
+        }
+    }
+
+    #[test]
+    fn refreshing_a_cut_moves_it_in_the_eviction_order() {
+        let cache = InfraCache::new(2);
+        cache.put(n("a.test"), vec![ip("10.0.0.1")], 10, 0);
+        cache.put(n("b.test"), vec![ip("10.0.0.2")], 20, 0);
+        cache.put(n("a.test"), vec![ip("10.0.0.3")], 30, 0);
+        cache.put(n("c.test"), vec![ip("10.0.0.4")], 40, 0);
+        assert!(cache.deepest(&n("b.test"), 0).is_none(), "stale b evicted");
+        let (_, servers) = cache.deepest(&n("a.test"), 0).unwrap();
+        assert_eq!(servers, vec![ip("10.0.0.3")], "refreshed a kept");
     }
 }

@@ -5,7 +5,8 @@
 //! [`RecursorWorker`], which owns a socket-backed [`Resolver`] for the
 //! validated wire exchanges and consults the shared state around it:
 //!
-//! 1. answer cache (TTL-aware, positive + RFC 2308 negative),
+//! 1. answer cache (TTL-aware, positive + RFC 2308 negative; it also
+//!    holds the addresses of glueless name servers resolved mid-descent),
 //! 2. singleflight table (identical concurrent questions coalesce),
 //! 3. infrastructure cache (start the descent at the deepest known cut
 //!    instead of the root),
@@ -319,6 +320,8 @@ impl RecursorWorker {
         let (result, coalesced) = shared.flight.run(key, || {
             let r = self.resolve_network(qname, qtype);
             if let Err(e) = &r {
+                // A failure still spent socket time (timeouts, backoff).
+                self.sync_clock();
                 // Leader-only: one count per network resolution, not per
                 // coalesced waiter.
                 shared.stats.record_failure_cause(e.cause());
@@ -348,9 +351,28 @@ impl RecursorWorker {
     }
 
     /// Advances this worker's socket clock without sending — a pause
-    /// between supervised retry passes (lets scripted outages end).
+    /// between supervised retry passes (lets scripted outages end and
+    /// open breakers cool, since the pause reaches the shared clock).
     pub fn sleep_us(&mut self, dt_us: u64) {
         self.resolver.sleep_us(dt_us);
+        self.sync_clock();
+    }
+
+    /// Folds this worker's socket time into the shared clock and returns
+    /// the shared now. Virtual time is the *max* over workers of (day
+    /// start + that worker's own work since the day began), not the sum of
+    /// all workers' work — summing would expire entries N× too fast as the
+    /// worker count grows.
+    fn sync_clock(&mut self) -> u64 {
+        let clock = &self.shared.clock;
+        let socket_now = self.resolver.now_us();
+        let day_start = clock.day_start_us();
+        if day_start != self.day_anchor_us {
+            self.day_anchor_us = day_start;
+            self.socket_anchor_us = socket_now;
+        }
+        clock.advance_to(self.day_anchor_us + (socket_now - self.socket_anchor_us));
+        clock.now_us()
     }
 
     /// Full resolution over the network (the singleflight leader's path).
@@ -494,24 +516,9 @@ impl RecursorWorker {
         soa_minimum: Option<u32>,
         ttl_cap: Option<u32>,
     ) -> Resolution {
+        let elapsed_us = self.resolver.now_us() - started_us;
+        let now = self.sync_clock();
         let shared = &self.shared;
-        let socket_now = self.resolver.now_us();
-        let elapsed_us = socket_now - started_us;
-
-        // Project this worker's socket time onto the shared day timeline:
-        // virtual time is the *max* over workers of (day start + that
-        // worker's own work since the day began), not the sum of all
-        // workers' work — summing would expire entries N× too fast as the
-        // worker count grows.
-        let day_start = shared.clock.day_start_us();
-        if day_start != self.day_anchor_us {
-            self.day_anchor_us = day_start;
-            self.socket_anchor_us = socket_now;
-        }
-        shared
-            .clock
-            .advance_to(self.day_anchor_us + (socket_now - self.socket_anchor_us));
-        let now = shared.clock.now_us();
 
         let resolution = Resolution {
             rcode,
@@ -614,6 +621,7 @@ impl RecursorWorker {
                 // answer cache when their addresses are already known.
                 for target in ns_targets.iter().take(2) {
                     let cached = shared.answers.get(target, RrType::A, shared.clock.now_us());
+                    let from_cache = cached.is_some();
                     let answers = match cached {
                         Some(hit) => {
                             shared.stats.cache_hits.fetch_add(1, Ordering::Relaxed);
@@ -624,10 +632,17 @@ impl RecursorWorker {
                             Err(_) => continue,
                         },
                     };
+                    let known = next.len();
                     next.extend(answers.iter().filter_map(|r| match &r.rdata {
                         RData::A(a) if r.name == *target => Some(IpAddr::V4(*a)),
                         _ => None,
                     }));
+                    if !from_cache && next.len() > known {
+                        // Cache the NS host's address, so the next cut it
+                        // serves skips this lookup.
+                        self.sync_clock();
+                        self.cache_segment(target, RrType::A, Rcode::NoError, &answers, None);
+                    }
                 }
             }
             if next.is_empty() {
@@ -658,7 +673,8 @@ impl RecursorWorker {
         let mut attempts = 0u64;
         for round in 0..shared.config.resolver.retries.max(1) {
             self.resolver.backoff_sleep(round);
-            let ordered = shared.health.order(servers, shared.clock.now_us());
+            let now = self.sync_clock();
+            let ordered = shared.health.order(servers, now);
             for (i, &server) in ordered.iter().enumerate() {
                 if attempts > 0 {
                     shared.stats.retries.fetch_add(1, Ordering::Relaxed);
@@ -690,7 +706,8 @@ impl RecursorWorker {
                         return Ok(out.message);
                     }
                     Err(e) => {
-                        shared.health.record_failure(server, shared.clock.now_us());
+                        let now = self.sync_clock();
+                        shared.health.record_failure(server, now);
                         last_err = e;
                     }
                 }

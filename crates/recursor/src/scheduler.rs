@@ -9,6 +9,7 @@ use crate::recursor::{Recursor, RecursorStats};
 use dps_dns::{Name, RrType};
 use dps_netsim::{Day, Network};
 use parking_lot::{Condvar, Mutex};
+// dps: allow-file(unordered-collection, reason = "the per-server in-flight counts are keyed lookups only, never iterated")
 use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};

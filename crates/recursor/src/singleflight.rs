@@ -6,6 +6,7 @@
 //! and then share it. This is the classic "singleflight" pattern.
 
 use parking_lot::{Condvar, Mutex};
+// dps: allow-file(unordered-collection, reason = "the in-flight table is a keyed lookup only, never iterated")
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::hash::Hash;

@@ -2,9 +2,10 @@
 //! within a day, TTL expiry across days, packet accounting, coalescing and
 //! the sweep scheduler.
 
+use dps_authdns::health::{HealthConfig, ServerHealth};
 use dps_dns::{Name, RrType};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_netsim::{Day, Network};
+use dps_netsim::{ChaosSchedule, Day, Network};
 use dps_recursor::{Recursor, RecursorConfig, SweepScheduler};
 use std::net::IpAddr;
 
@@ -385,5 +386,59 @@ fn shared_clock_tracks_max_worker_timeline_not_sum() {
     assert!(
         now < r1.elapsed_us + r2.elapsed_us,
         "clock must not sum concurrent workers' time"
+    );
+}
+
+/// The shared clock follows a worker's socket time through failed
+/// resolutions and pauses, not only through successes: breakers and TTLs
+/// read it, so a supervisor's pause must be able to cool an open breaker.
+#[test]
+fn shared_clock_advances_on_failures_and_pauses() {
+    let world = world();
+    let net = Network::new(33);
+    let catalog = world.materialize(&net);
+    let hints = catalog.root_hints();
+    net.set_chaos(ChaosSchedule::new().blackout(None, 0, u64::MAX));
+    // Trip on the third silent attempt: one resolution's worth of retries.
+    let health = HealthConfig {
+        failure_threshold: 3,
+        ..HealthConfig::default()
+    };
+    let config = RecursorConfig {
+        health,
+        ..RecursorConfig::default()
+    };
+    let recursor = Recursor::new(hints.clone(), config);
+    let mut worker = recursor.worker(&net, src(), 0);
+
+    let apex = world.entry_name(world.zone_entries(dps_ecosystem::Tld::Com)[0]);
+    assert!(
+        worker.resolve(&apex, RrType::A).is_err(),
+        "blackout answered"
+    );
+    let failed_at = worker.now_us();
+    assert!(failed_at > 0, "timeouts spent socket time");
+    assert_eq!(
+        recursor.clock().now_us(),
+        failed_at,
+        "a failed resolution's socket time reaches the shared clock"
+    );
+    let root = hints[0];
+    assert_eq!(
+        recursor.health().check(root, recursor.clock().now_us()),
+        ServerHealth::Open,
+        "the silent root's breaker tripped"
+    );
+
+    worker.sleep_us(60_000_000);
+    assert_eq!(
+        recursor.clock().now_us(),
+        failed_at + 60_000_000,
+        "a pause reaches the shared clock"
+    );
+    assert_eq!(
+        recursor.health().check(root, recursor.clock().now_us()),
+        ServerHealth::Probe,
+        "the pause cooled the breaker to half-open"
     );
 }

@@ -1187,8 +1187,15 @@ fn cmd_dig(args: CommonArgs) {
         eprintln!("dig requires <name> <type>");
         usage();
     }
-    let qname: Name = positional[0].parse().expect("valid name");
-    let qtype: RrType = positional[1].parse().expect("valid RR type");
+    // Operator input: a bad name or type is an error, not a panic.
+    let qname: Name = positional[0].parse().unwrap_or_else(|e| {
+        eprintln!("dig: bad name {:?}: {e}", positional[0]);
+        std::process::exit(1);
+    });
+    let qtype: RrType = positional[1].parse().unwrap_or_else(|e| {
+        eprintln!("dig: bad RR type {:?}: {e}", positional[1]);
+        std::process::exit(1);
+    });
     if args.server.is_some() {
         dig_real(&args, &qname, qtype, bufsize);
         return;

@@ -5,7 +5,9 @@
 //! analysis masks instead of mistaking for a provider exodus. Through the
 //! real `dpscope measure --chaos` binary, the wire sweep (d) commits and
 //! counts every day like a bulk sweep, (e) resumes byte-identically after
-//! a SIGKILL, and (f) works with `--stream` and `--shards`.
+//! a SIGKILL, (f) works with `--stream` and `--shards`, and (g) archives
+//! the bulk sweep's data pages through the caching recursor at a few
+//! packets per name.
 
 use dps_scope::authdns::{Resolver, ResolverConfig};
 use dps_scope::core::{growth, DEFAULT_MIN_COVERAGE};
@@ -578,4 +580,55 @@ fn sharded_chaos_sweep_verifies_and_scans_like_single_file() {
     assert_eq!(scan(&single), scan(&sharded));
     std::fs::remove_dir_all(&single).ok();
     std::fs::remove_dir_all(&sharded).ok();
+}
+
+/// The live `measure --chaos` path resolves through one caching-recursor
+/// worker per day. It archives the same data table for every (day,
+/// source) as a bulk sweep of the same arguments, while sibling names
+/// start their descent at cached zone cuts instead of the root: a handful
+/// of packets per name, where descending from the root for every query
+/// costs over 30.
+#[test]
+fn cli_wire_sweep_matches_bulk_pages_at_few_packets_per_name() {
+    let bulk = temp_dir("bulk");
+    let wire = temp_dir("wire");
+    let args = [
+        "measure",
+        "--scale",
+        "0.004",
+        "--days",
+        "3",
+        "--cc-start",
+        "2",
+        "--archive",
+    ];
+    run_ok(&args, &bulk, &[]);
+    run_ok(&args, &wire, &["--chaos", "degrade@0..inf@loss=0.02"]);
+
+    let load = |dir: &Path| SnapshotStore::load_archive(&dir.join("archive.dps")).expect("load");
+    let (bulk_store, wire_store) = (load(&bulk), load(&wire));
+    let mut pages = 0;
+    for source in dps_scope::measure::SOURCES {
+        assert_eq!(bulk_store.days(source), wire_store.days(source));
+        for day in bulk_store.days(source) {
+            let table = |store: &SnapshotStore| store.table(day, source).expect("table").to_bytes();
+            assert!(
+                table(&bulk_store) == table(&wire_store),
+                "day {day} {source:?}: wire data page differs from bulk"
+            );
+            pages += 1;
+        }
+    }
+    assert_eq!(pages, 3 * 3 + 2, "every gTLD day plus the cc day");
+
+    let merged = wire_store.merged_telemetry();
+    let counter = |name: &str| merged.counters.get(name).copied().unwrap_or(0);
+    let per_name = counter("net.packets.sent") as f64 / counter("sweep.attempted").max(1) as f64;
+    assert!(per_name <= 8.0, "{per_name:.2} packets per name");
+    assert!(
+        counter("recursor.infra.hits") > 0,
+        "no descent used the infra cache"
+    );
+    std::fs::remove_dir_all(&bulk).ok();
+    std::fs::remove_dir_all(&wire).ok();
 }

@@ -1,7 +1,8 @@
 //! Integration: `dpscope measure` and `dpscope analyze` over archive
 //! paths. A bad archive path ends the command with exit code 1 and an
 //! error message, never a panic, and `analyze` without `--archive`
-//! sweeps into a temporary archive that it removes afterwards.
+//! sweeps into a temporary archive that it removes afterwards. Bad
+//! `dig` input is an exit-1 error too.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -159,4 +160,14 @@ fn one_day_measure_succeeds_and_verifies() {
         String::from_utf8_lossy(&out.stdout)
     );
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `dig` parses its operator input: an unparseable name or RR type ends
+/// the command with exit code 1 and a message, never a panic.
+#[test]
+fn dig_with_a_bad_name_or_type_fails_cleanly() {
+    for (name, qtype) in [("a..b", "A"), ("example.com", "BOGUS")] {
+        let out = run(dpscope(&["dig", name, qtype]));
+        assert_clean_failure(&out, &format!("dig {name} {qtype}"));
+    }
 }
