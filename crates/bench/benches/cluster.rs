@@ -7,11 +7,18 @@
 //! protocol cost (framing, leasing, heartbeats, merge), so its slowdown
 //! against the direct run *is* the protocol overhead — the budget is 5%.
 //!
+//! Both sides build the manager's world before the clock starts, so the
+//! timed interval is the sweep itself. The agents still rebuild their
+//! world from the manager's `Welcome` inside the timed interval: that
+//! rebuild is part of what a cluster run costs over a direct one, and
+//! `agent_world_ms` records what an agent's world work (build, advance
+//! through every day, list the entries) costs on its own.
+//!
 //! Interpreting the number: the manager decodes results on a reader
 //! thread, so with ≥2 CPUs the decode overlaps the worker's next sweep
 //! (lease pipelining keeps that sweep queued). On a single-CPU host
 //! nothing overlaps and every protocol byte lands on the critical path;
-//! `host_cpus` in the JSON records which regime was measured.
+//! `host.cpus` in the JSON records which regime was measured.
 //!
 //! The vendored criterion stand-in has no JSON reporter, so this bench
 //! writes `BENCH_cluster.json` at the workspace root itself.
@@ -21,7 +28,8 @@ use dps_cluster::manager::{serve, ClusterConfig};
 use dps_cluster::transport::{loopback_conn, Conn};
 use dps_cluster::worker::{run_agent, WorkerOptions};
 use dps_ecosystem::{ScenarioParams, World};
-use dps_measure::{Study, StudyConfig};
+use dps_measure::{due_sources_for, source_entries, Study, StudyConfig};
+use dps_netsim::Day;
 use std::fmt::Write as _;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
@@ -48,19 +56,27 @@ fn temp_path(tag: &str, sample: usize) -> std::path::PathBuf {
     ))
 }
 
+fn study_config() -> StudyConfig {
+    StudyConfig {
+        days: DAYS,
+        cc_start_day: CC_START,
+        stride: 1,
+    }
+}
+
+fn study() -> Study<'static> {
+    Study::new(study_config())
+}
+
 /// One single-process archived study; returns wall seconds.
 fn run_single(sample: usize) -> f64 {
     let path = temp_path("single", sample);
     std::fs::remove_file(&path).ok();
     let mut world = World::imc2016(params());
     let start = Instant::now();
-    Study::new(StudyConfig {
-        days: DAYS,
-        cc_start_day: CC_START,
-        stride: 1,
-    })
-    .run_archived(&mut world, &path, None)
-    .expect("archived study");
+    study()
+        .run_archived(&mut world, &path, None)
+        .expect("archived study");
     let secs = start.elapsed().as_secs_f64();
     std::fs::remove_file(&path).ok();
     secs
@@ -73,6 +89,7 @@ fn run_cluster(workers: usize, sample: usize) -> (f64, u64) {
     std::fs::remove_file(&path).ok();
     let (conn_tx, conn_rx) = mpsc::channel::<Conn>();
     let mut agents = Vec::new();
+    let mut world = World::imc2016(params());
     let start = Instant::now();
     for i in 0..workers {
         // Read timeout > heartbeat interval: the liveness contract.
@@ -85,8 +102,15 @@ fn run_cluster(workers: usize, sample: usize) -> (f64, u64) {
         agents.push(std::thread::spawn(move || run_agent(worker_end, opts)));
     }
     drop(conn_tx);
-    let report =
-        serve(conn_rx, ClusterConfig::for_params(params()), &path, None).expect("cluster sweep");
+    let report = serve(
+        conn_rx,
+        ClusterConfig::default(),
+        study(),
+        &mut world,
+        &path,
+        None,
+    )
+    .expect("cluster sweep");
     for agent in agents {
         agent.join().expect("agent thread").expect("agent run");
     }
@@ -94,6 +118,33 @@ fn run_cluster(workers: usize, sample: usize) -> (f64, u64) {
     let rows: u64 = report.accepted.iter().map(|r| u64::from(r.rows)).sum();
     std::fs::remove_file(&path).ok();
     (secs, rows)
+}
+
+/// The world work an agent repeats besides its sweep: build the world
+/// from the `Welcome`, then advance it through every day and list each
+/// due source's entries; returns wall seconds.
+fn run_agent_world() -> f64 {
+    let start = Instant::now();
+    let mut world = World::imc2016(params());
+    for day in 0..DAYS {
+        world.advance_to(Day(day));
+        for source in due_sources_for(&study_config(), day) {
+            black_box(source_entries(&world, source));
+        }
+    }
+    start.elapsed().as_secs_f64()
+}
+
+/// Physical memory of the host in MiB (`MemTotal`), 0 where
+/// `/proc/meminfo` is unreadable.
+fn host_mem_mib() -> u64 {
+    std::fs::read_to_string("/proc/meminfo")
+        .ok()
+        .and_then(|info| {
+            let line = info.lines().find(|l| l.starts_with("MemTotal:"))?;
+            line.split_whitespace().nth(1)?.parse::<u64>().ok()
+        })
+        .map_or(0, |kib| kib / 1024)
 }
 
 /// Noise filter: the minimum over samples. The bench host is shared and
@@ -110,10 +161,12 @@ fn bench(c: &mut Criterion) {
     // Interleave scenarios round-robin so slow periods on the shared
     // host hit every scenario alike instead of biasing one.
     let mut single_walls = Vec::new();
+    let mut world_walls = Vec::new();
     let mut cluster_walls = [const { Vec::new() }; 3];
     let mut cluster_rows = [0u64; 3];
     for sample in 0..SAMPLES {
         single_walls.push(run_single(sample));
+        world_walls.push(run_agent_world());
         for (slot, workers) in [1usize, 2, 4].into_iter().enumerate() {
             let (secs, r) = run_cluster(workers, sample);
             cluster_walls[slot].push(secs);
@@ -121,6 +174,7 @@ fn bench(c: &mut Criterion) {
         }
     }
     let single_s = minimum(single_walls);
+    let world_s = minimum(world_walls);
     let per_workers: Vec<(usize, f64, u64)> = [1usize, 2, 4]
         .into_iter()
         .zip(cluster_walls)
@@ -148,13 +202,16 @@ fn bench(c: &mut Criterion) {
     let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let json = format!(
         "{{\n  \"scenario\": {{ \"seed\": {SEED}, \"scale\": {SCALE}, \"days\": {DAYS} }},\n  \
-         \"host_cpus\": {host_cpus},\n  \
+         \"host\": {{ \"cpus\": {host_cpus}, \"mem_mib\": {} }},\n  \
          \"single_process\": {{ \"wall_ms\": {:.1}, \"per_day_ms\": {:.1} }},\n  \
          \"workers\": {{{workers_json}\n  }},\n  \
+         \"agent_world_ms\": {:.1},\n  \
          \"protocol_overhead_pct_1w\": {overhead_pct:.2},\n  \
          \"protocol_overhead_budget_pct\": 5.0\n}}\n",
+        host_mem_mib(),
         single_s * 1e3,
         single_s * 1e3 / f64::from(DAYS),
+        world_s * 1e3,
     );
     let out = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../BENCH_cluster.json");
     std::fs::write(&out, &json).expect("write BENCH_cluster.json");

@@ -2,10 +2,10 @@
 //!
 //! The paper's Stage I is a cluster manager driving a worker cloud that
 //! performs the daily sweeps. This crate supplies that split for the
-//! reproduction: one **manager** process owns `archive.dps` and the
-//! measurement calendar; N **worker agents** (threads, local processes,
-//! or remote machines) rebuild the same-seed world and sweep leased
-//! entry ranges.
+//! reproduction: a manager process runs the one sweep driver,
+//! [`dps_measure::Study::run_archived`], with a remote day collector, and
+//! N **worker agents** (threads, local processes, or remote machines)
+//! rebuild the same-seed world and sweep leased entry ranges.
 //!
 //! * [`wire`] — the compact, versioned, length-framed binary protocol
 //!   (hello/welcome handshake, work leases, results, heartbeats,
@@ -17,16 +17,18 @@
 //! * [`scheduler`] — epoch-stamped lease assignment with dead-letter
 //!   reassignment, heartbeat-fed circuit breakers, and stale-result
 //!   rejection for zombie workers.
-//! * [`manager`] / [`worker`] — the two process roles.
+//! * [`manager`] / [`worker`] — the two process roles: the remote day
+//!   collector [`serve`] runs under the sweep driver, and the agent that
+//!   collects the rows.
 //! * [`provenance`] — the per-worker attribution sidecar (the archive
 //!   itself stays byte-identical to a single-process run).
 //!
-//! The load-bearing invariant: for the same seed, `archive.dps` from a
+//! The load-bearing invariant: for the same seed, the archive from a
 //! cluster sweep is **byte-for-byte identical** to the single-process
-//! [`dps_measure::Study::run_archived`] output, regardless of worker
-//! count, crashes, or completion order. Workers ship raw rows; only the
-//! manager interns into the run-wide dictionary, in calendar order, and
-//! both paths commit through `dps_measure::pipeline::append_day`.
+//! sweep's, regardless of worker count, crashes, or completion order.
+//! Workers ship raw rows; the collector hands them to the driver in
+//! calendar order, and only the driver interns them into the run-wide
+//! dictionary and commits.
 
 pub mod manager;
 pub mod provenance;

@@ -3,10 +3,10 @@
 //! An agent carries no configuration of its own — the manager's `Welcome`
 //! names the scenario (seed, scale, window), and because the world is a
 //! pure function of those parameters every worker evaluates the exact
-//! rows the single-process sweep would. Inside a lease the agent fans the
-//! entry range out over the same mapreduce worker cloud the
-//! single-process collector uses, so one agent saturates its machine and
-//! extra agents add machines.
+//! rows the single-process sweep would. Inside a lease the agent collects
+//! the entry range with the single-process bulk path's own
+//! [`collect_rows`] fan-out, so one agent saturates its machine and extra
+//! agents add machines.
 //!
 //! A heartbeat thread shares the frame sender and beacons liveness; the
 //! manager feeds those beacons (and their absence) into its breaker
@@ -14,10 +14,10 @@
 
 use crate::transport::Conn;
 use crate::wire::{self, LeaseResult, Msg, PROTO_VERSION};
-use dps_ecosystem::{ScenarioParams, World, ZoneEntry};
-use dps_measure::collector::{collect_raw, BulkPath, RawRow};
-use dps_measure::observation::{entry_code, Source};
-use dps_measure::telemetry::CATALOG;
+use dps_ecosystem::{ScenarioParams, World};
+use dps_measure::collector::RawRow;
+use dps_measure::observation::Source;
+use dps_measure::pipeline::{collect_rows, source_entries};
 use dps_netsim::Day;
 use std::io;
 use std::sync::{Arc, Condvar, Mutex};
@@ -138,8 +138,6 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
         })
     };
 
-    let rows_idx = catalog_index("measure.rows");
-    let points_idx = catalog_index("measure.data.points");
     let mut summary = WorkerSummary {
         worker,
         leases: 0,
@@ -172,14 +170,6 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
                     Some(rows) => {
                         summary.leases += 1;
                         summary.rows += rows.len() as u64;
-                        let data_points: u64 = rows.iter().map(|r| u64::from(r.data_points)).sum();
-                        let mut telemetry = Vec::new();
-                        if let Some(i) = rows_idx {
-                            telemetry.push((i, rows.len() as u64));
-                        }
-                        if let Some(i) = points_idx {
-                            telemetry.push((i, data_points));
-                        }
                         Msg::Result(Box::new(LeaseResult {
                             lease,
                             epoch,
@@ -187,7 +177,10 @@ pub fn run_agent(conn: Conn, opts: WorkerOptions) -> io::Result<WorkerSummary> {
                             source,
                             shard,
                             rows,
-                            telemetry,
+                            // The manager's driver counts rows and data
+                            // points; the bulk path has no telemetry of
+                            // its own.
+                            telemetry: Vec::new(),
                         }))
                     }
                 };
@@ -227,38 +220,8 @@ fn sweep_lease(
         return None;
     }
     world.advance_to(Day(day));
-    let entries = match source.tld() {
-        Some(tld) => world.zone_entries(tld),
-        None => world.alexa_entries(),
-    };
+    let entries = source_entries(world, source);
     let end = (start as usize).checked_add(count as usize)?;
     let slice = entries.get(start as usize..end)?;
-    let pfx2as = world.pfx2as();
-    // Same fan-out shape as the single-process collector: one map task
-    // per chunk of the leased range.
-    let chunk = slice
-        .len()
-        .div_ceil(dps_columnar::mapreduce::default_workers().max(1))
-        .max(1);
-    let chunks: Vec<&[ZoneEntry]> = slice.chunks(chunk).collect();
-    let world_ref: &World = world;
-    let raw_chunks = dps_columnar::mapreduce::par_map(&chunks, |batch| {
-        let mut path = BulkPath::new(world_ref);
-        batch
-            .iter()
-            .map(|&entry| {
-                let apex = world_ref.entry_name(entry);
-                collect_raw(&mut path, &apex, entry_code(entry), &pfx2as)
-            })
-            .collect::<Vec<_>>()
-    });
-    Some(raw_chunks.into_iter().flatten().collect())
-}
-
-/// Index of a metric name in the measure catalog.
-fn catalog_index(name: &str) -> Option<u16> {
-    CATALOG
-        .iter()
-        .position(|(n, _)| *n == name)
-        .map(|i| i as u16)
+    Some(collect_rows(world, slice, &world.pfx2as()).collect())
 }

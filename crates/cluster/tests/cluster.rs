@@ -28,14 +28,20 @@ fn tiny_params(seed: u64) -> ScenarioParams {
     }
 }
 
-fn tiny_config(seed: u64) -> ClusterConfig {
-    ClusterConfig::for_params(tiny_params(seed))
+fn tiny_config(seed: u64) -> StudyConfig {
+    let params = tiny_params(seed);
+    StudyConfig {
+        days: params.gtld_days,
+        cc_start_day: params.cc_start_day,
+        stride: 1,
+    }
 }
 
-/// Runs a cluster sweep with `n` loopback workers; returns the report
-/// and each worker's summary.
+/// Runs a cluster sweep of `config` over seed `seed`'s world with `n`
+/// loopback workers; returns the report and each worker's summary.
 fn run_cluster(
-    config: ClusterConfig,
+    seed: u64,
+    config: StudyConfig,
     path: &std::path::Path,
     worker_opts: Vec<WorkerOptions>,
 ) -> (
@@ -53,7 +59,15 @@ fn run_cluster(
         agent_threads.push(std::thread::spawn(move || run_agent(worker_end, opts)));
     }
     drop(conn_tx);
-    let outcome = serve(conn_rx, config, path, None);
+    let mut world = World::imc2016(tiny_params(seed));
+    let outcome = serve(
+        conn_rx,
+        ClusterConfig::default(),
+        Study::new(config),
+        &mut world,
+        path,
+        None,
+    );
     let summaries = agent_threads
         .into_iter()
         .map(|t| t.join().unwrap())
@@ -62,14 +76,8 @@ fn run_cluster(
 }
 
 fn single_process_archive(seed: u64, path: &std::path::Path) {
-    let params = tiny_params(seed);
-    let mut world = World::imc2016(params);
-    let config = StudyConfig {
-        days: params.gtld_days,
-        cc_start_day: params.cc_start_day,
-        stride: 1,
-    };
-    Study::new(config)
+    let mut world = World::imc2016(tiny_params(seed));
+    Study::new(tiny_config(seed))
         .run_archived(&mut world, path, None)
         .unwrap();
 }
@@ -89,7 +97,7 @@ fn cluster_archive_is_byte_identical_across_worker_counts() {
                 ..WorkerOptions::default()
             })
             .collect();
-        let (outcome, summaries) = run_cluster(tiny_config(seed), &path, opts);
+        let (outcome, summaries) = run_cluster(seed, tiny_config(seed), &path, opts);
         let report = outcome.unwrap();
         for s in summaries {
             let s = s.unwrap();
@@ -132,7 +140,7 @@ fn worker_crash_mid_sweep_is_recovered_byte_identically() {
             ..WorkerOptions::default()
         },
     ];
-    let (outcome, summaries) = run_cluster(tiny_config(seed), &path, opts);
+    let (outcome, summaries) = run_cluster(seed, tiny_config(seed), &path, opts);
     let report = outcome.unwrap();
     let crashed = summaries
         .into_iter()
@@ -161,11 +169,16 @@ fn cluster_resumes_a_partial_archive() {
     // First: a cluster run over a 2-day prefix of the calendar.
     let path = temp_archive("resume");
     let mut prefix = tiny_config(seed);
-    prefix.study.days = 2;
-    let (outcome, _) = run_cluster(prefix, &path, vec![WorkerOptions::default()]);
+    prefix.days = 2;
+    let (outcome, _) = run_cluster(seed, prefix, &path, vec![WorkerOptions::default()]);
     outcome.unwrap();
     // Then: the full calendar resumes over the committed prefix.
-    let (outcome, _) = run_cluster(tiny_config(seed), &path, vec![WorkerOptions::default()]);
+    let (outcome, _) = run_cluster(
+        seed,
+        tiny_config(seed),
+        &path,
+        vec![WorkerOptions::default()],
+    );
     outcome.unwrap();
     let got = std::fs::read(&path).unwrap();
     assert_eq!(got, want, "resumed cluster archive differs");
@@ -179,6 +192,7 @@ fn cluster_telemetry_pages_match_single_process() {
     let seed = 13;
     let path = temp_archive("tele");
     let (outcome, _) = run_cluster(
+        seed,
         tiny_config(seed),
         &path,
         vec![WorkerOptions::default(), WorkerOptions::default()],

@@ -38,8 +38,9 @@ pub mod telemetry;
 pub use collector::{BulkPath, PathTelemetry, QueryPath, RecursorPath, WirePath};
 pub use observation::{Source, SOURCES};
 pub use pipeline::{
-    append_day, day_committed, due_sources_for, replay_checkpoints, resume_store, DayObserver,
-    PageBuilder, SourcePage, Study, StudyConfig, ANALYSIS_SOURCE, STREAM_BLOCK_ENTRIES,
+    collect_rows, day_committed, due_sources_for, resume_store, source_entries, DayCollector,
+    DayObserver, DayPages, PageBuilder, SourcePage, Study, StudyConfig, ANALYSIS_SOURCE,
+    STREAM_BLOCK_ENTRIES,
 };
 pub use quality::{decode_qualities, encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 pub use snapshot::{SnapshotStore, SourceStats, ARCHIVE_FILE};

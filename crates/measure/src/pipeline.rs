@@ -1,27 +1,33 @@
-//! The study driver: sweeps every due source every day and writes each
-//! finished day to a `dps-store` archive (cluster manager + worker cloud
-//! of paper Fig. 1). The archive is the sweep's only output; readers load
-//! it afterwards with [`SnapshotStore::load_archive`].
+//! The study driver: the one day loop every sweep runs through. For each
+//! measured day it advances the world, asks a [`DayCollector`] for the
+//! day's raw rows, interns them into one page per due source against the
+//! run-wide dictionary, and commits the finished day to a `dps-store`
+//! archive (Stage I of paper Fig. 1). The archive is the sweep's only
+//! output; readers load it afterwards with [`SnapshotStore::load_archive`].
 //!
-//! On multi-core machines the per-day sweep fans the input list out over a
-//! crossbeam worker cloud; collected rows are merged and dictionary-encoded
-//! by the manager thread, mirroring the collection/aggregation split of the
-//! real system.
+//! Three collectors exist: the bulk path (the day's entry lists fanned
+//! out over local threads block by block), the wire path
+//! ([`Study::with_chaos`]: supervised iterative resolution over the lossy
+//! simulated network) and `dps-cluster`'s remote collector, which leases
+//! entry ranges to worker agents. Whichever runs, rows meet the dictionary
+//! only in [`DayPages`], in due-source order and then entry order, so the
+//! archive bytes do not depend on the collector's parallelism.
 
 use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, RecursorPath, SldInterner};
 use crate::observation::{entry_code, schema, Source};
 use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
-use crate::supervisor::{sweep_supervised, SupervisorConfig, SweepMetrics};
+use crate::supervisor::{sweep_supervised, SupervisedSweep, SupervisorConfig, SweepMetrics};
 use crate::telemetry::{encode_telemetry, TELEMETRY_SOURCE};
 use dps_authdns::ResolverConfig;
 use dps_columnar::{StringDict, Table, TableBuilder};
-use dps_ecosystem::World;
+use dps_ecosystem::{World, ZoneEntry};
 use dps_netsim::{ChaosSchedule, Day, Network, Pfx2As};
 use dps_recursor::{Recursor, RecursorConfig};
 use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::{Counter, Registry, Snapshot};
 use std::net::{IpAddr, Ipv4Addr};
+use std::sync::Arc;
 
 /// Study configuration.
 #[derive(Debug, Clone, Copy)]
@@ -57,9 +63,8 @@ pub const ANALYSIS_SOURCE: u8 = 7;
 /// checkpoint page per day so a resumed run replays — rather than
 /// recomputes — analysis state.
 ///
-/// Both the single-process [`Study::run_archived`] and the
-/// cluster manager funnel every committed day through the same
-/// implementation, which is what keeps incremental analysis
+/// Every sweep — bulk, wire or cluster — commits through
+/// [`Study::run_archived`], which is what keeps incremental analysis
 /// worker-count-independent: the observer only ever sees the already
 /// deterministically-merged day pages.
 pub trait DayObserver {
@@ -81,8 +86,7 @@ pub trait DayObserver {
 }
 
 /// The measurement calendar: which sources are due on `day` under
-/// `config`. Free function so out-of-process drivers (the cluster
-/// manager) shard the exact same calendar [`Study`] sweeps.
+/// `config`, in the order their pages are written.
 pub fn due_sources_for(config: &StudyConfig, day: u32) -> Vec<Source> {
     let mut v = vec![Source::Com, Source::Net, Source::Org];
     if day >= config.cc_start_day {
@@ -118,12 +122,9 @@ pub fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bo
 }
 
 /// Appends one finished day to the archive, then commits a durable
-/// footer. This is **the** day-commit path: the single-process
-/// [`Study::run_archived`] and the cluster manager both funnel through
-/// it, which is what keeps a multi-worker sweep byte-identical to the
-/// single-process run — pages land in the same (day, source) order,
-/// followed by the same quality and telemetry pages, followed by one
-/// commit against the shared dictionary.
+/// footer: the due sources' pages in (day, source) order, then the
+/// quality and telemetry pages, then one commit against the run-wide
+/// dictionary.
 ///
 /// With a streaming-analysis `observer`, the observer consumes the day's
 /// pages (rows already interned into `dict`) before the commit, its
@@ -132,15 +133,16 @@ pub fn day_committed(writer: &StoreWriter, config: &StudyConfig, day: u32) -> bo
 /// telemetry page — so the whole day, checkpoint included, is covered by
 /// the same single durable commit.
 ///
-/// `pages` must be in [`due_sources_for`] order for the day.
-pub fn append_day(
+/// `pages` must be in [`due_sources_for`] order for the day. Returns the
+/// day's quality records in that order.
+fn append_day(
     writer: &mut StoreWriter,
     dict: &StringDict,
     day: u32,
     pages: Vec<SourcePage>,
     mut telemetry: Snapshot,
     observer: Option<&mut (dyn DayObserver + '_)>,
-) -> std::io::Result<()> {
+) -> std::io::Result<Vec<DayQuality>> {
     let analysis = match observer {
         Some(obs) => {
             let (table, counters) = obs.on_day(day, &pages, dict)?;
@@ -166,7 +168,8 @@ pub fn append_day(
     if let Some(table) = analysis {
         writer.append_table(day, ANALYSIS_SOURCE, &table, 0)?;
     }
-    writer.commit(dict)
+    writer.commit(dict)?;
+    Ok(day_qualities)
 }
 
 /// Fills `store` from the committed pages of the archive at `path` (see
@@ -190,13 +193,13 @@ pub fn resume_store(
 /// exact (byte-identical) state it held when each day was committed.
 /// A day of `config`'s calendar committed without a checkpoint means the
 /// archive was written without streaming analysis and cannot be resumed
-/// with it. Shared by [`Study::run_archived`] and the cluster manager.
+/// with it.
 ///
 /// The archive reads happen inside `dps-store`, but the untrusted bytes
 /// are *consumed* here — the marker makes this a taint root the call
 /// graph alone cannot derive.
 // dps: ingress
-pub fn replay_checkpoints(
+fn replay_checkpoints(
     writer: &StoreWriter,
     path: &std::path::Path,
     config: &StudyConfig,
@@ -229,7 +232,8 @@ pub fn replay_checkpoints(
     Ok(())
 }
 
-/// Sweep-volume counters the study records per measured day.
+/// Sweep-volume counters the study records per measured day. The driver
+/// is their only writer, whichever collector ran.
 struct StudyMetrics {
     days: Counter,
     rows: Counter,
@@ -255,21 +259,214 @@ impl StudyMetrics {
 /// whole-day materialization.
 pub const STREAM_BLOCK_ENTRIES: usize = 8192;
 
+/// A source's input list for the world's current day: the TLD's zone
+/// entries, or the Alexa-style list.
+pub fn source_entries(world: &World, source: Source) -> Arc<Vec<ZoneEntry>> {
+    match source.tld() {
+        Some(tld) => world.zone_entries(tld),
+        None => world.alexa_entries(),
+    }
+}
+
+/// Collects the raw rows of `entries` over the bulk path, fanned out
+/// over one map task per chunk of the slice. Rows come back in entry
+/// order whatever the thread count.
+pub fn collect_rows<'a>(
+    world: &'a World,
+    entries: &'a [ZoneEntry],
+    pfx2as: &'a Pfx2As,
+) -> impl Iterator<Item = RawRow> + 'a {
+    let workers = dps_columnar::mapreduce::default_workers().max(1);
+    let chunk = entries.len().div_ceil(workers).max(1);
+    let chunks: Vec<&[ZoneEntry]> = entries.chunks(chunk).collect();
+    let raw_chunks: Vec<Vec<RawRow>> = dps_columnar::mapreduce::par_map(&chunks, |batch| {
+        let mut path = BulkPath::new(world);
+        batch
+            .iter()
+            .map(|&entry| {
+                let apex = world.entry_name(entry);
+                collect_raw(&mut path, &apex, entry_code(entry), pfx2as)
+            })
+            .collect()
+    });
+    raw_chunks.into_iter().flatten()
+}
+
+/// Where a measured day's raw rows come from. [`Study::run_archived`] is
+/// the one day loop; a collector only gathers rows and never sees the
+/// dictionary or the archive.
+pub trait DayCollector {
+    /// Feeds the raw rows of every source in `due` for `day` into
+    /// `pages`: all of `due[0]`'s rows in entry-list order, then all of
+    /// `due[1]`'s, and so on (interning order fixes the dictionary ids).
+    /// A collector may replace a page's row-tallied quality record with
+    /// its own. Returns the collector's own telemetry for the day, which
+    /// joins the day's telemetry page.
+    fn collect_day(
+        &mut self,
+        world: &World,
+        day: u32,
+        due: &[Source],
+        pages: &mut DayPages<'_>,
+    ) -> std::io::Result<Snapshot>;
+}
+
+impl<C: DayCollector + ?Sized> DayCollector for &mut C {
+    fn collect_day(
+        &mut self,
+        world: &World,
+        day: u32,
+        due: &[Source],
+        pages: &mut DayPages<'_>,
+    ) -> std::io::Result<Snapshot> {
+        (**self).collect_day(world, day, due, pages)
+    }
+}
+
+/// The driver's page builders for one day, one per due source in
+/// [`due_sources_for`] order: the one place collected rows meet the
+/// run-wide dictionary.
+pub struct DayPages<'a> {
+    dict: &'a mut StringDict,
+    interner: &'a mut SldInterner,
+    pages: Vec<(PageBuilder, Option<DayQuality>)>,
+}
+
+impl DayPages<'_> {
+    /// Interns `raw` as the next row of the page of `due[page]`.
+    pub fn intern_row(&mut self, page: usize, raw: RawRow) {
+        if let Some((builder, _)) = self.pages.get_mut(page) {
+            builder.intern_row(raw, self.dict, self.interner);
+        }
+    }
+
+    /// Replaces the row-tallied quality record of `due[page]`'s page (a
+    /// supervised sweep knows its retries, hedges and breaker trips).
+    pub fn set_quality(&mut self, page: usize, quality: DayQuality) {
+        if let Some((_, slot)) = self.pages.get_mut(page) {
+            *slot = Some(quality);
+        }
+    }
+
+    fn finish(self) -> Vec<SourcePage> {
+        self.pages
+            .into_iter()
+            .map(|(builder, quality)| {
+                let page = builder.finish();
+                SourcePage {
+                    quality: quality.unwrap_or(page.quality),
+                    ..page
+                }
+            })
+            .collect()
+    }
+}
+
+/// The local bulk path: each source's entry list in blocks of `block`
+/// entries, every block collected by [`collect_rows`] and interned as it
+/// lands — so raw rows for at most one block exist at any moment (the
+/// fixed-memory contract of [`STREAM_BLOCK_ENTRIES`]). The bulk path
+/// cannot fail transiently, so pages keep their row-tallied quality:
+/// only definitive failures (vanished names) lower coverage.
+struct BulkCollector {
+    block: usize,
+}
+
+impl DayCollector for BulkCollector {
+    fn collect_day(
+        &mut self,
+        world: &World,
+        _day: u32,
+        due: &[Source],
+        pages: &mut DayPages<'_>,
+    ) -> std::io::Result<Snapshot> {
+        let pfx2as = world.pfx2as();
+        for (page, &source) in due.iter().enumerate() {
+            for block in source_entries(world, source).chunks(self.block) {
+                for raw in collect_rows(world, block, &pfx2as) {
+                    pages.intern_row(page, raw);
+                }
+            }
+        }
+        Ok(Snapshot::default())
+    }
+}
+
+/// The wire path for chaos sweeps. Each day gets a fresh network seeded
+/// `world.params.seed + day` whose virtual clock starts at zero, so the
+/// schedule describes faults *within* a day and replays identically
+/// every day. The day resolves through one caching-recursor worker, so
+/// sibling names start their descent at cached zone cuts instead of the
+/// root, and every due source is swept under the supervisor's
+/// dead-letter retry passes. One recursor and one registry per day, like
+/// the network itself: delegations churn between days, so no cache
+/// outlives the world it was filled from, and the day's snapshot is
+/// self-contained, so a resumed run re-measuring the day starts cold and
+/// reproduces the identical telemetry page. A single worker keeps cache
+/// fills independent of thread interleaving.
+struct WireCollector {
+    schedule: ChaosSchedule,
+}
+
+impl DayCollector for WireCollector {
+    fn collect_day(
+        &mut self,
+        world: &World,
+        day: u32,
+        due: &[Source],
+        pages: &mut DayPages<'_>,
+    ) -> std::io::Result<Snapshot> {
+        let registry = Registry::new();
+        let net =
+            Network::with_telemetry(world.params.seed.wrapping_add(u64::from(day)), &registry);
+        net.set_chaos(self.schedule.clone());
+        let catalog = world.materialize(&net);
+        let recursor = Recursor::with_telemetry(
+            catalog.root_hints(),
+            RecursorConfig {
+                resolver: ResolverConfig::resilient(),
+                ..Default::default()
+            },
+            &registry,
+        );
+        let mut path = RecursorPath::new(recursor.worker(
+            &net,
+            IpAddr::V4(Ipv4Addr::new(172, 16, 0, 53)),
+            u64::from(day),
+        ));
+        let metrics = SweepMetrics::new(&registry);
+        let pfx2as = world.pfx2as();
+        for (page, &source) in due.iter().enumerate() {
+            let sweep = supervised_sweep(
+                world,
+                &mut path,
+                source,
+                day,
+                &pfx2as,
+                &SupervisorConfig::default(),
+                &metrics,
+            );
+            for raw in sweep.rows {
+                pages.intern_row(page, raw);
+            }
+            pages.set_quality(page, sweep.quality);
+        }
+        Ok(registry.snapshot())
+    }
+}
+
 /// Drives a full study over a world: every measured day, every due
-/// source, through the bulk query path or — with
-/// [`with_chaos`](Self::with_chaos) — supervised over the simulated wire.
-pub struct Study {
+/// source, through one [`DayCollector`] — the bulk path unless
+/// [`with_chaos`](Self::with_chaos) or
+/// [`with_collector`](Self::with_collector) picks another.
+pub struct Study<'c> {
     config: StudyConfig,
-    /// The run-wide dictionary every page is interned against.
-    dict: StringDict,
     registry: Registry,
     metrics: StudyMetrics,
-    /// Raw-row streaming block size (entries); see [`STREAM_BLOCK_ENTRIES`].
-    stream_block: usize,
     /// Shard files for a freshly created archive (1 = single-file).
     shards: u32,
-    /// Fault schedule of the wire path; `None` sweeps the bulk path.
-    chaos: Option<ChaosSchedule>,
+    /// Where each measured day's rows come from.
+    collector: Box<dyn DayCollector + 'c>,
     /// Receives each freshly committed day's quality records.
     on_commit: Option<CommitHook>,
 }
@@ -277,31 +474,33 @@ pub struct Study {
 /// The progress hook [`Study::on_commit`] installs.
 type CommitHook = Box<dyn FnMut(u32, &[DayQuality])>;
 
-impl Study {
-    /// A study with an empty dictionary and a private telemetry registry
-    /// (per-day deltas land in the archive as telemetry pages).
+impl<'c> Study<'c> {
+    /// A bulk-path study with a private telemetry registry (per-day
+    /// deltas land in the archive as telemetry pages).
     pub fn new(config: StudyConfig) -> Self {
         let registry = Registry::new();
         let metrics = StudyMetrics::new(&registry);
         Self {
             config,
-            dict: StringDict::new(),
             registry,
             metrics,
-            stream_block: STREAM_BLOCK_ENTRIES,
             shards: 1,
-            chaos: None,
+            collector: Box::new(BulkCollector {
+                block: STREAM_BLOCK_ENTRIES,
+            }),
             on_commit: None,
         }
     }
 
-    /// Overrides the streaming block size (entries per generation block).
-    /// `usize::MAX` reproduces the old whole-day materialization — the
-    /// reference path the streaming-equivalence property test compares
-    /// against. Output bytes are identical for any non-zero value.
-    pub fn with_stream_block(mut self, entries: usize) -> Self {
-        self.stream_block = entries.max(1);
-        self
+    /// Sweeps the bulk path in blocks of `entries` (see
+    /// [`STREAM_BLOCK_ENTRIES`]). `usize::MAX` reproduces the old
+    /// whole-day materialization — the reference path the
+    /// streaming-equivalence property test compares against. Output
+    /// bytes are identical for any non-zero value.
+    pub fn with_stream_block(self, entries: usize) -> Self {
+        self.with_collector(BulkCollector {
+            block: entries.max(1),
+        })
     }
 
     /// Shard count for a *freshly created* archive: 1 (the default)
@@ -314,15 +513,18 @@ impl Study {
     }
 
     /// Sweeps over the simulated wire under `schedule` instead of the
-    /// bulk path. Each measured day gets a fresh network seeded
-    /// `world.params.seed + day` whose virtual clock starts at zero, so the
-    /// schedule describes faults *within* a day and replays identically
-    /// every day. Every due source is swept by the iterative resolver
-    /// (backoff, breakers, hedging) under the supervisor's dead-letter
-    /// retry passes, and the day's network, health and supervisor
-    /// telemetry joins its telemetry page.
-    pub fn with_chaos(mut self, schedule: ChaosSchedule) -> Self {
-        self.chaos = Some(schedule);
+    /// bulk path: every due source is resolved iteratively (backoff,
+    /// breakers, hedging) under the supervisor, and the day's network,
+    /// recursor, health and supervisor telemetry joins its telemetry
+    /// page.
+    pub fn with_chaos(self, schedule: ChaosSchedule) -> Self {
+        self.with_collector(WireCollector { schedule })
+    }
+
+    /// Gathers every measured day's rows through `collector` (the
+    /// cluster's remote collector, say) instead of the bulk path.
+    pub fn with_collector(mut self, collector: impl DayCollector + 'c) -> Self {
+        self.collector = Box::new(collector);
         self
     }
 
@@ -333,11 +535,6 @@ impl Study {
     pub fn on_commit(mut self, hook: impl FnMut(u32, &[DayQuality]) + 'static) -> Self {
         self.on_commit = Some(Box::new(hook));
         self
-    }
-
-    /// The study's telemetry registry.
-    pub fn registry(&self) -> &Registry {
-        &self.registry
     }
 
     /// Runs the whole study, streaming each finished day into a
@@ -364,7 +561,7 @@ impl Study {
         let mut writer = StoreWriter::resume_or_create(path, self.shards, Some(UNIQUE_KEY_COLUMN))?;
         // Continue interning into the committed dictionary so a resumed
         // sweep assigns the same ids an uninterrupted one would.
-        self.dict = writer.dict().clone();
+        let mut dict = writer.dict().clone();
         if let Some(obs) = observer.as_deref_mut() {
             replay_checkpoints(&writer, path, &self.config, obs)?;
         }
@@ -375,11 +572,28 @@ impl Study {
             // ones — so world state evolves exactly as in a fresh run.
             world.advance_to(Day(day));
             if !day_committed(&writer, &self.config, day) {
-                let (pages, telemetry) = self.collect_day(world, day, &mut interner);
-                let qualities: Vec<DayQuality> = pages.iter().map(|p| p.quality).collect();
-                append_day(
+                let before = self.registry.snapshot();
+                self.metrics.days.inc();
+                let due = due_sources_for(&self.config, day);
+                let mut pages = DayPages {
+                    dict: &mut dict,
+                    interner: &mut interner,
+                    pages: due
+                        .iter()
+                        .map(|&s| (PageBuilder::new(day, s), None))
+                        .collect(),
+                };
+                let collected = self.collector.collect_day(world, day, &due, &mut pages)?;
+                let pages = pages.finish();
+                for page in &pages {
+                    self.metrics.rows.add(u64::from(page.quality.attempted));
+                    self.metrics.data_points.add(page.data_points);
+                }
+                let mut telemetry = self.registry.snapshot().since(&before);
+                telemetry.merge(&collected);
+                let qualities = append_day(
                     &mut writer,
-                    &self.dict,
+                    &dict,
                     day,
                     pages,
                     telemetry,
@@ -393,142 +607,11 @@ impl Study {
         }
         Ok(())
     }
-
-    /// Collects and encodes one page per due source for `day`, plus the
-    /// day's telemetry.
-    fn collect_day(
-        &mut self,
-        world: &World,
-        day: u32,
-        interner: &mut SldInterner,
-    ) -> (Vec<SourcePage>, Snapshot) {
-        let before = self.registry.snapshot();
-        let pfx2as = world.pfx2as();
-        let mut wire = self.chaos.as_ref().map(|s| WireDay::new(world, s, day));
-        let mut out = Vec::new();
-        self.metrics.days.inc();
-        for source in due_sources_for(&self.config, day) {
-            let page = match wire.as_mut() {
-                Some(wire) => supervised_page(
-                    world,
-                    &mut wire.path,
-                    source,
-                    day,
-                    &pfx2as,
-                    &mut self.dict,
-                    interner,
-                    &SupervisorConfig::default(),
-                    &wire.metrics,
-                ),
-                None => self.bulk_page(world, source, day, &pfx2as, interner),
-            };
-            self.metrics.rows.add(u64::from(page.quality.attempted));
-            self.metrics.data_points.add(page.data_points);
-            out.push(page);
-        }
-        let mut telemetry = self.registry.snapshot().since(&before);
-        if let Some(wire) = wire {
-            telemetry.merge(&wire.registry.snapshot());
-        }
-        (out, telemetry)
-    }
-
-    /// One source's page over the bulk path.
-    fn bulk_page(
-        &mut self,
-        world: &World,
-        source: Source,
-        day: u32,
-        pfx2as: &Pfx2As,
-        interner: &mut SldInterner,
-    ) -> SourcePage {
-        let entries = match source.tld() {
-            Some(tld) => world.zone_entries(tld),
-            None => world.alexa_entries(),
-        };
-        // Streaming generation: walk the entry list in bounded blocks.
-        // Each block fans out over the worker cloud, lands as raw rows,
-        // and is interned into the page builder immediately — so raw rows
-        // for at most `stream_block` entries exist at any moment, not the
-        // whole day (the fixed-memory contract of
-        // [`STREAM_BLOCK_ENTRIES`]). Blocks, chunks, and rows all keep
-        // entry-list order, so the output is byte-identical to a
-        // whole-day materialization.
-        let workers = dps_columnar::mapreduce::default_workers().max(1);
-        let mut page = PageBuilder::new(day, source);
-        for block in entries.chunks(self.stream_block.max(1)) {
-            // Worker cloud: one map task per chunk of the block.
-            let chunk = block.len().div_ceil(workers).max(1);
-            let chunks: Vec<&[dps_ecosystem::ZoneEntry]> = block.chunks(chunk).collect();
-            let raw_chunks: Vec<Vec<RawRow>> = dps_columnar::mapreduce::par_map(&chunks, |batch| {
-                let mut path = BulkPath::new(world);
-                batch
-                    .iter()
-                    .map(|&entry| {
-                        let apex = world.entry_name(entry);
-                        collect_raw(&mut path, &apex, entry_code(entry), pfx2as)
-                    })
-                    .collect()
-            });
-            // Manager: intern + encode (ordered, deterministic). The bulk
-            // path cannot fail transiently, so the page's quality record
-            // has no retries or hedges — only definitive failures
-            // (vanished names) lower coverage.
-            for raw in raw_chunks.into_iter().flatten() {
-                page.intern_row(raw, &mut self.dict, interner);
-            }
-        }
-        page.finish()
-    }
 }
 
-/// One day's wire query path for chaos sweeps, plus the registry its
-/// network, recursor, health tracker and supervisor publish into. The day
-/// resolves through one caching-recursor worker, so sibling names start
-/// their descent at cached zone cuts instead of the root. One recursor and
-/// one registry per day, like the network itself: delegations churn
-/// between days, so no cache outlives the world it was filled from, and
-/// the day's snapshot is self-contained, so a resumed run re-measuring
-/// the day starts cold and reproduces the identical telemetry page. A
-/// single worker keeps cache fills independent of thread interleaving.
-struct WireDay {
-    path: RecursorPath,
-    metrics: SweepMetrics,
-    registry: Registry,
-}
-
-impl WireDay {
-    fn new(world: &World, schedule: &ChaosSchedule, day: u32) -> Self {
-        let registry = Registry::new();
-        let net =
-            Network::with_telemetry(world.params.seed.wrapping_add(u64::from(day)), &registry);
-        net.set_chaos(schedule.clone());
-        let catalog = world.materialize(&net);
-        let recursor = Recursor::with_telemetry(
-            catalog.root_hints(),
-            RecursorConfig {
-                resolver: ResolverConfig::resilient(),
-                ..Default::default()
-            },
-            &registry,
-        );
-        let worker = recursor.worker(
-            &net,
-            IpAddr::V4(Ipv4Addr::new(172, 16, 0, 53)),
-            u64::from(day),
-        );
-        Self {
-            path: RecursorPath::new(worker),
-            metrics: SweepMetrics::new(&registry),
-            registry,
-        }
-    }
-}
-
-/// Interns raw rows into one (day, source) page in row order — the one
-/// place collected rows meet the run-wide dictionary — tallying the
-/// page's quality record as they pass. Used by the bulk and wire sweeps
-/// and by the cluster manager's merge, so all three encode identically.
+/// Interns raw rows into one (day, source) page in row order, tallying
+/// the page's quality record as they pass. [`DayPages`] holds one per
+/// due source, so every collector's rows encode identically.
 pub struct PageBuilder {
     day: u32,
     source: Source,
@@ -578,38 +661,23 @@ impl PageBuilder {
     }
 }
 
-/// One source's page swept through `path` under fault-tolerant
+/// One source's rows swept through `path` under fault-tolerant
 /// supervision: first pass, dead-letter retry passes, and the
 /// supervisor's quality record.
-#[allow(clippy::too_many_arguments)]
-fn supervised_page(
+fn supervised_sweep(
     world: &World,
     path: &mut impl QueryPath,
     source: Source,
     day: u32,
     pfx2as: &Pfx2As,
-    dict: &mut StringDict,
-    interner: &mut SldInterner,
     config: &SupervisorConfig,
     metrics: &SweepMetrics,
-) -> SourcePage {
-    let entries = match source.tld() {
-        Some(tld) => world.zone_entries(tld),
-        None => world.alexa_entries(),
-    };
-    let jobs: Vec<(dps_dns::Name, u32)> = entries
+) -> SupervisedSweep {
+    let jobs: Vec<(dps_dns::Name, u32)> = source_entries(world, source)
         .iter()
         .map(|&entry| (world.entry_name(entry), entry_code(entry)))
         .collect();
-    let sweep = sweep_supervised(path, &jobs, pfx2as, day, source, config, metrics);
-    let mut page = PageBuilder::new(day, source);
-    for raw in sweep.rows {
-        page.intern_row(raw, dict, interner);
-    }
-    SourcePage {
-        quality: sweep.quality,
-        ..page.finish()
-    }
+    sweep_supervised(path, &jobs, pfx2as, day, source, config, metrics)
 }
 
 /// Sweeps one list through an arbitrary query path under fault-tolerant
@@ -629,20 +697,15 @@ pub fn sweep_with_path_supervised_metered(
     config: &SupervisorConfig,
     metrics: &SweepMetrics,
 ) -> DayQuality {
-    let page = supervised_page(
-        world,
-        path,
-        source,
-        day,
-        &world.pfx2as(),
-        &mut store.dict,
-        interner,
-        config,
-        metrics,
-    );
+    let sweep = supervised_sweep(world, path, source, day, &world.pfx2as(), config, metrics);
+    let mut page = PageBuilder::new(day, source);
+    for raw in sweep.rows {
+        page.intern_row(raw, &mut store.dict, interner);
+    }
+    let page = page.finish();
     store.add_table(day, source, &page.table, page.data_points);
-    store.add_quality(page.quality);
-    page.quality
+    store.add_quality(sweep.quality);
+    sweep.quality
 }
 
 #[cfg(test)]

@@ -555,8 +555,8 @@ impl ShardedArchive {
     }
 }
 
-/// A writer over either archive layout, so the measurement pipeline and
-/// the cluster manager are layout-agnostic.
+/// A writer over either archive layout, so the measurement pipeline is
+/// layout-agnostic.
 pub enum StoreWriter {
     /// The historical single-file `archive.dps`.
     Single(ArchiveWriter),

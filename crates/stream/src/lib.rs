@@ -6,7 +6,7 @@
 //!
 //! * [`engine::StreamEngine`] implements `dps_measure::DayObserver` and
 //!   consumes each day's delta *at commit time* — from
-//!   `Study::run_archived` and the cluster manager alike — maintaining
+//!   `Study::run_archived`, which every sweep runs through — maintaining
 //!   DPS-use, growth, and flux state without ever rescanning.
 //! * [`page`] persists each day's delta as an `ANALYSIS_SOURCE`
 //!   checkpoint page inside the same durable commit as the data, so a

@@ -224,14 +224,18 @@ fn parse_args(args: &[String]) -> CommonArgs {
     common
 }
 
-fn world_for(args: &CommonArgs) -> World {
-    let params = ScenarioParams {
+/// The scenario the command line names.
+fn scenario(args: &CommonArgs) -> ScenarioParams {
+    ScenarioParams {
         seed: args.seed,
         scale: args.scale,
         gtld_days: args.days,
         cc_start_day: args.cc_start,
-    };
-    let mut world = World::imc2016(params);
+    }
+}
+
+fn world_for(args: &CommonArgs) -> World {
+    let mut world = World::imc2016(scenario(args));
     world.advance_to(Day(args.day));
     world
 }
@@ -269,13 +273,7 @@ fn cmd_measure(args: CommonArgs) {
         eprintln!("measure requires --archive DIR");
         usage();
     };
-    let params = ScenarioParams {
-        seed: args.seed,
-        scale: args.scale,
-        gtld_days: args.days,
-        cc_start_day: args.cc_start,
-    };
-    let mut world = World::imc2016(params);
+    let mut world = World::imc2016(scenario(&args));
     println!(
         "world: {} domains; sweeping {} days…",
         world.domains().len(),
@@ -288,7 +286,7 @@ fn cmd_measure(args: CommonArgs) {
             eprintln!("--workers and --chaos are mutually exclusive");
             usage();
         }
-        cmd_measure_cluster(&args, &archive, &path);
+        cmd_measure_cluster(&args, &mut world, &archive);
         return;
     }
     // Streams each finished day into the archive with a durable footer
@@ -297,13 +295,7 @@ fn cmd_measure(args: CommonArgs) {
     // schedule and the sweep supervisor. With --stream, a StreamEngine
     // observes every commit and its checkpoint rides in the same durable
     // footer.
-    let mut study = Study::new(StudyConfig {
-        days: args.days,
-        cc_start_day: args.cc_start,
-        stride: args.stride,
-    })
-    .with_shards(args.shards)
-    .on_commit(print_day_quality);
+    let mut study = study_for(&args);
     if let Some(spec) = &args.chaos {
         let schedule = ChaosSchedule::parse(spec).unwrap_or_else(|e| {
             eprintln!("{e}");
@@ -324,6 +316,19 @@ fn cmd_measure(args: CommonArgs) {
     if let Some(engine) = &engine {
         print_stream_summary(engine);
     }
+}
+
+/// The sweep the command line names: its calendar, the shard count of a
+/// fresh archive, and a quality line per (day, source) as each day
+/// commits.
+fn study_for(args: &CommonArgs) -> Study<'static> {
+    Study::new(StudyConfig {
+        days: args.days,
+        cc_start_day: args.cc_start,
+        stride: args.stride,
+    })
+    .with_shards(args.shards)
+    .on_commit(print_day_quality)
 }
 
 /// Prints `what: error` and exits 1: a failed archive operation ends the
@@ -379,20 +384,6 @@ fn print_stream_summary(engine: &dps_scope::stream::StreamEngine) {
 /// heartbeat interval, so a healthy worker never shows a quiet tick.
 const CLUSTER_READ_TIMEOUT: std::time::Duration = std::time::Duration::from_millis(500);
 
-fn cluster_config(args: &CommonArgs) -> dps_scope::cluster::ClusterConfig {
-    let params = ScenarioParams {
-        seed: args.seed,
-        scale: args.scale,
-        gtld_days: args.days,
-        cc_start_day: args.cc_start,
-    };
-    let mut config = dps_scope::cluster::ClusterConfig::for_params(params);
-    config.study.stride = args.stride;
-    config.archive_shards = args.shards;
-    config.scheduler.min_workers = args.min_workers;
-    config
-}
-
 /// Binds `addr` ('/' ⇒ Unix socket path, else TCP host:port) and pumps
 /// accepted connections into `conns` until `stop` is raised.
 fn spawn_accept_loop(
@@ -403,11 +394,64 @@ fn spawn_accept_loop(
     use dps_scope::cluster::transport::{tcp_accept_loop, uds_accept_loop};
     if addr.contains('/') {
         std::fs::remove_file(addr).ok();
-        let listener = std::os::unix::net::UnixListener::bind(addr).expect("bind unix socket");
+        let listener =
+            std::os::unix::net::UnixListener::bind(addr).unwrap_or_else(|e| fail(addr, e));
         std::thread::spawn(move || uds_accept_loop(listener, CLUSTER_READ_TIMEOUT, &conns, &stop))
     } else {
-        let listener = std::net::TcpListener::bind(addr).expect("bind tcp listener");
+        let listener = std::net::TcpListener::bind(addr).unwrap_or_else(|e| fail(addr, e));
         std::thread::spawn(move || tcp_accept_loop(listener, CLUSTER_READ_TIMEOUT, &conns, &stop))
+    }
+}
+
+/// Runs the manager: binds `bind`, starts the agents `spawn_agents`
+/// returns (none for `cluster serve`), and sweeps `world` with the
+/// agents as the day collector. Writes the provenance sidecar and
+/// prints the run summary.
+fn run_manager(
+    args: &CommonArgs,
+    world: &mut World,
+    archive: &std::path::Path,
+    bind: &str,
+    spawn_agents: impl FnOnce() -> Vec<std::process::Child>,
+) {
+    let path = archive.join(dps_scope::measure::ARCHIVE_FILE);
+    let (conn_tx, conn_rx) = std::sync::mpsc::channel();
+    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+    let accept = spawn_accept_loop(bind, conn_tx, stop.clone());
+    let agents = spawn_agents();
+    let mut config = dps_scope::cluster::ClusterConfig::default();
+    config.scheduler.min_workers = args.min_workers;
+    let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
+    let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
+    let report =
+        dps_scope::cluster::serve(conn_rx, config, study_for(args), world, &path, observer);
+    stop.store(true, std::sync::atomic::Ordering::Relaxed);
+    match accept.join() {
+        Ok(accepted) => accepted.unwrap_or_else(|e| fail(bind, e)),
+        Err(_) => fail(bind, std::io::Error::other("accept loop panicked")),
+    }
+    for mut agent in agents {
+        agent.wait().ok();
+    }
+    if bind.contains('/') {
+        std::fs::remove_file(bind).ok();
+    }
+    let report = report.unwrap_or_else(|e| fail(path.display(), e));
+    let sidecar = archive.join(dps_scope::cluster::PROVENANCE_FILE);
+    dps_scope::cluster::write_provenance(&sidecar, &report)
+        .unwrap_or_else(|e| fail(sidecar.display(), e));
+    println!(
+        "archived {} to {} ({} workers, {} leases, {} dead-letters, {} stale)",
+        dps_scope::core::report::human_bytes(archived_bytes(&path)),
+        path.display(),
+        report.workers_admitted,
+        report.accepted.len(),
+        report.dead_letters,
+        report.stale_rejected,
+    );
+    println!("provenance sidecar: {}", sidecar.display());
+    if let Some(engine) = &engine {
+        print_stream_summary(engine);
     }
 }
 
@@ -425,24 +469,11 @@ fn cluster_serve(args: &CommonArgs) {
         usage();
     };
     std::fs::create_dir_all(&archive).unwrap_or_else(|e| fail(archive.display(), e));
-    let path = archive.join(dps_scope::measure::ARCHIVE_FILE);
-    let (conn_tx, conn_rx) = std::sync::mpsc::channel();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let accept = spawn_accept_loop(&bind, conn_tx, stop.clone());
-    println!("cluster manager on {bind}; waiting for agents…");
-    let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
-    let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let report = dps_scope::cluster::serve(conn_rx, cluster_config(args), &path, observer);
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    accept.join().expect("accept loop").expect("accept loop io");
-    if bind.contains('/') {
-        std::fs::remove_file(&bind).ok();
-    }
-    let report = report.unwrap_or_else(|e| fail(path.display(), e));
-    finish_cluster_run(&archive, &path, &report);
-    if let Some(engine) = &engine {
-        print_stream_summary(engine);
-    }
+    let mut world = World::imc2016(scenario(args));
+    run_manager(args, &mut world, &archive, &bind, || {
+        println!("cluster manager on {bind}; waiting for agents…");
+        Vec::new()
+    });
 }
 
 /// `dpscope cluster agent --connect ADDR [--name S]`: the worker role.
@@ -480,7 +511,7 @@ fn cluster_agent(args: &CommonArgs) {
         name: args.name.clone().unwrap_or_default(),
         ..Default::default()
     };
-    let summary = dps_scope::cluster::run_agent(conn, opts).expect("agent run");
+    let summary = dps_scope::cluster::run_agent(conn, opts).unwrap_or_else(|e| fail(&addr, e));
     println!(
         "agent {}: {} leases, {} rows",
         summary.worker, summary.leases, summary.rows
@@ -490,64 +521,29 @@ fn cluster_agent(args: &CommonArgs) {
 /// `dpscope measure --workers N`: forks N local `cluster agent` child
 /// processes talking to an in-archive-dir Unix socket, then runs the
 /// manager in this process. Same bytes as the single-process sweep.
-fn cmd_measure_cluster(args: &CommonArgs, archive: &std::path::Path, path: &std::path::Path) {
+fn cmd_measure_cluster(args: &CommonArgs, world: &mut World, archive: &std::path::Path) {
     let sock = archive.join("cluster.sock");
-    let sock_str = sock.to_str().expect("utf-8 socket path").to_string();
-    let (conn_tx, conn_rx) = std::sync::mpsc::channel();
-    let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
-    let accept = spawn_accept_loop(&sock_str, conn_tx, stop.clone());
-    let exe = std::env::current_exe().expect("current exe");
-    let mut children = Vec::new();
-    for i in 0..args.workers {
-        let child = std::process::Command::new(&exe)
-            .args([
-                "cluster",
-                "agent",
-                "--connect",
-                &sock_str,
-                "--name",
-                &format!("local-{i}"),
-            ])
-            .spawn()
-            .expect("spawn local agent");
-        children.push(child);
-    }
-    println!("sweeping with {} local worker agents…", args.workers);
-    let mut engine = args.stream.then(dps_scope::stream::StreamEngine::new);
-    let observer = engine.as_mut().map(|e| e as &mut dyn DayObserver);
-    let report = dps_scope::cluster::serve(conn_rx, cluster_config(args), path, observer);
-    stop.store(true, std::sync::atomic::Ordering::Relaxed);
-    accept.join().expect("accept loop").expect("accept loop io");
-    for mut child in children {
-        child.wait().ok();
-    }
-    std::fs::remove_file(&sock).ok();
-    let report = report.unwrap_or_else(|e| fail(path.display(), e));
-    finish_cluster_run(archive, path, &report);
-    if let Some(engine) = &engine {
-        print_stream_summary(engine);
-    }
-}
-
-/// Writes the provenance sidecar and prints the run summary.
-fn finish_cluster_run(
-    archive: &std::path::Path,
-    path: &std::path::Path,
-    report: &dps_scope::cluster::ClusterReport,
-) {
-    let sidecar = archive.join(dps_scope::cluster::PROVENANCE_FILE);
-    dps_scope::cluster::write_provenance(&sidecar, report)
-        .unwrap_or_else(|e| fail(sidecar.display(), e));
-    println!(
-        "archived {} to {} ({} workers, {} leases, {} dead-letters, {} stale)",
-        dps_scope::core::report::human_bytes(archived_bytes(path)),
-        path.display(),
-        report.workers_admitted,
-        report.accepted.len(),
-        report.dead_letters,
-        report.stale_rejected,
-    );
-    println!("provenance sidecar: {}", sidecar.display());
+    let Some(sock) = sock.to_str() else {
+        eprintln!(
+            "{}: --workers needs a UTF-8 archive path",
+            archive.display()
+        );
+        std::process::exit(1);
+    };
+    let exe = std::env::current_exe().unwrap_or_else(|e| fail("current exe", e));
+    run_manager(args, world, archive, sock, || {
+        let agents = (0..args.workers)
+            .map(|i| {
+                std::process::Command::new(&exe)
+                    .args(["cluster", "agent", "--connect", sock])
+                    .args(["--name", &format!("local-{i}")])
+                    .spawn()
+                    .unwrap_or_else(|e| fail("spawn local agent", e))
+            })
+            .collect();
+        println!("sweeping with {} local worker agents…", args.workers);
+        agents
+    });
 }
 
 /// `dpscope cluster <serve|agent>` — the two cluster roles.
@@ -952,13 +948,7 @@ fn stream_check(path: &std::path::Path) {
 /// with (they are not stored in the archive).
 fn stream_correlate(args: &CommonArgs, path: &std::path::Path) {
     let (_, engine) = replay_stream_engine(path);
-    let params = ScenarioParams {
-        seed: args.seed,
-        scale: args.scale,
-        gtld_days: args.days,
-        cc_start_day: args.cc_start,
-    };
-    let truth = activation_days(params);
+    let truth = activation_days(scenario(args));
     let flags = engine.attack_flags();
     let names = engine.provider_names();
     let c = correlate(&flags, &truth, DEFAULT_TOLERANCE);

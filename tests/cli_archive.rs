@@ -2,7 +2,8 @@
 //! paths. A bad archive path ends the command with exit code 1 and an
 //! error message, never a panic, and `analyze` without `--archive`
 //! sweeps into a temporary archive that it removes afterwards. Bad
-//! `dig` input is an exit-1 error too.
+//! `dig` input is an exit-1 error too, and so is a cluster role that
+//! cannot bind its socket or loses its manager.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -170,4 +171,39 @@ fn dig_with_a_bad_name_or_type_fails_cleanly() {
         let out = run(dpscope(&["dig", name, qtype]));
         assert_clean_failure(&out, &format!("dig {name} {qtype}"));
     }
+}
+
+#[test]
+fn cluster_serve_with_an_unbindable_socket_fails_cleanly() {
+    let dir = temp_dir("cluster-bind");
+    let archive = dir.join("archive");
+    for bind in ["/nonexistent-dir/x.sock", "127.0.0.1:99999"] {
+        let out = run(dpscope(&[
+            "cluster",
+            "serve",
+            "--bind",
+            bind,
+            "--archive",
+            arg(&archive),
+        ]));
+        assert_clean_failure(&out, &format!("cluster serve --bind {bind}"));
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn cluster_agent_whose_manager_hangs_up_fails_cleanly() {
+    let dir = temp_dir("agent-hangup");
+    let sock = dir.join("manager.sock");
+    let listener = std::os::unix::net::UnixListener::bind(&sock).expect("bind socket");
+    let agent = dpscope(&["cluster", "agent", "--connect", arg(&sock)])
+        .stdout(std::process::Stdio::null())
+        .stderr(std::process::Stdio::piped())
+        .spawn()
+        .expect("spawn dpscope cluster agent");
+    // Accept the agent's connection, then hang up before the Welcome.
+    drop(listener.accept().expect("agent connects"));
+    let out = agent.wait_with_output().expect("agent exits");
+    assert_clean_failure(&out, "cluster agent after its manager hung up");
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,9 +1,12 @@
 //! Integration: the real `dpscope` binary running a multi-process
 //! cluster sweep over Unix sockets produces an archive byte-identical
-//! to its own single-process sweep, with per-worker provenance.
+//! to its own single-process sweep, with per-worker provenance, and a
+//! killed manager resumes to the same bytes.
 
+use std::io::Read;
 use std::path::{Path, PathBuf};
-use std::process::{Child, Command};
+use std::process::{Child, Command, Stdio};
+use std::time::Duration;
 
 const SCENARIO: [&str; 8] = [
     "--seed",
@@ -196,4 +199,84 @@ fn forked_sweep_honours_shards() {
     }
     std::fs::remove_dir_all(&single).ok();
     std::fs::remove_dir_all(&multi).ok();
+}
+
+/// A longer scenario than [`SCENARIO`], so a manager can be killed with
+/// some days committed and some still to sweep.
+const LONG_SCENARIO: [&str; 8] = [
+    "--seed",
+    "2016",
+    "--scale",
+    "0.02",
+    "--days",
+    "20",
+    "--cc-start",
+    "10",
+];
+
+fn run_long_measure(archive: &Path, extra: &[&str]) {
+    let status = dpscope()
+        .arg("measure")
+        .args(LONG_SCENARIO)
+        .args(["--archive", archive.to_str().expect("utf8 path")])
+        .args(extra)
+        .stdout(Stdio::null())
+        .status()
+        .expect("spawn dpscope measure");
+    assert!(status.success(), "dpscope measure {extra:?} failed");
+}
+
+/// A `measure --workers 2` manager SIGKILLed once a day is durable
+/// leaves agents that exit on their own, and re-running the same
+/// command resumes to the single-process sweep's bytes.
+#[test]
+fn killed_cluster_manager_resumes_byte_identically() {
+    let single = temp_dir("kill-single");
+    let resumed = temp_dir("kill-resumed");
+    run_long_measure(&single, &[]);
+
+    std::fs::create_dir_all(&resumed).expect("archive dir");
+    // The agents inherit the manager's stdout, so the pipe reaches EOF
+    // only once the manager and every agent have exited.
+    let mut manager = dpscope()
+        .arg("measure")
+        .args(LONG_SCENARIO)
+        .args(["--archive", resumed.to_str().expect("utf8 path")])
+        .args(["--workers", "2"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn dpscope measure --workers 2");
+    let mut stdout = manager.stdout.take().expect("manager stdout");
+    let archive_file = resumed.join("archive.dps");
+    loop {
+        // Kill only once at least one day's footer is durable: a file
+        // with no valid footer yet is indistinguishable from corruption
+        // and is (rightly) refused on resume.
+        let committed =
+            dps_scope::store::Archive::open(&archive_file).map_or(0, |a| a.catalog().pages.len());
+        if committed > 0 || manager.try_wait().expect("poll manager").is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    manager.kill().ok();
+    manager.wait().ok();
+
+    let (done_tx, done) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut sink = Vec::new();
+        stdout.read_to_end(&mut sink).ok();
+        done_tx.send(()).ok();
+    });
+    done.recv_timeout(Duration::from_secs(120))
+        .expect("orphaned agents must exit on their own");
+
+    run_long_measure(&resumed, &["--workers", "2"]);
+    assert_eq!(
+        archive_bytes(&single),
+        archive_bytes(&resumed),
+        "a resumed cluster archive must be byte-identical to the single-process run"
+    );
+    std::fs::remove_dir_all(&single).ok();
+    std::fs::remove_dir_all(&resumed).ok();
 }
