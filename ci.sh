@@ -175,12 +175,18 @@ scale_smoke() {
         echo "store info does not report the sharded layout" >&2
         exit 1
     }
-    # Analysis over the sharded archive equals the single-file run.
-    ./target/release/dpscope analyze --scale 0.004 --days 3 --cc-start 2 \
-        --archive target/ci-scale-single --out target/ci-scale-single/figs table1
-    ./target/release/dpscope analyze --scale 0.004 --days 3 --cc-start 2 \
-        --archive target/ci-scale-sharded --out target/ci-scale-sharded/figs table1
-    cmp target/ci-scale-single/figs/table1.txt target/ci-scale-sharded/figs/table1.txt
+    # Every analysis artifact over the sharded archive equals the
+    # single-file run: the full report on stdout and every file under
+    # --out.
+    for layout in single sharded; do
+        ./target/release/dpscope analyze --scale 0.004 --days 3 --cc-start 2 \
+            --archive "target/ci-scale-$layout" --out "target/ci-scale-figs-$layout" \
+            all >"target/ci-scale-report-$layout.txt"
+    done
+    cmp target/ci-scale-report-single.txt target/ci-scale-report-sharded.txt
+    diff -r target/ci-scale-figs-single target/ci-scale-figs-sharded
+    rm -rf target/ci-scale-figs-single target/ci-scale-figs-sharded \
+        target/ci-scale-report-single.txt target/ci-scale-report-sharded.txt
     # Re-running the same sweep resumes into the existing sharded layout
     # (every day already committed) and leaves every file byte-identical.
     # Incremental and crash-interrupted resumes are covered in cargo

@@ -8,7 +8,7 @@
 //! * `per_day_update` — decoding and applying ONE day's checkpoint page
 //!   into an engine already holding every earlier day (the marginal
 //!   cost a live sweep pays per committed day), against
-//! * `full_rescan` — the dps-core `Scanner::run_archive` pass over all
+//! * `full_rescan` — the dps-core `Scanner::run_store` pass over all
 //!   pages (the cost of answering the same question without streaming),
 //!
 //! at 1/1000 and 1/100 of the baseline population scale. The vendored
@@ -20,7 +20,7 @@ use dps_columnar::Table;
 use dps_core::{CompiledRefs, ProviderRefs, Scanner};
 use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::{DayObserver, Study, StudyConfig, ANALYSIS_SOURCE};
-use dps_store::Archive;
+use dps_store::{Archive, StoreReader};
 use dps_stream::StreamEngine;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -33,7 +33,7 @@ const SAMPLES: usize = 15;
 /// One benchmark scenario: a streamed fixed-seed archive plus the
 /// replayed engine state just before its last committed day.
 struct Built {
-    archive: Archive,
+    archive: StoreReader,
     engine_before_last: StreamEngine,
     last_day: u32,
     last_table: std::sync::Arc<Table>,
@@ -60,7 +60,7 @@ fn build(scale: f64) -> Built {
     .run_archived(&mut world, &path, Some(&mut engine))
     .expect("archived study");
 
-    let archive = Archive::open(&path).expect("open archive");
+    let archive = StoreReader::Single(Archive::open(&path).expect("open archive"));
     std::fs::remove_file(&path).ok();
     let mut checkpoints: Vec<(u32, std::sync::Arc<Table>)> = Vec::new();
     for &(day, source) in archive.catalog().pages.keys() {
@@ -105,7 +105,7 @@ fn time_per_day_update(b: &Built) -> f64 {
 fn time_full_rescan(b: &Built, refs: &CompiledRefs) -> f64 {
     let start = Instant::now();
     let out = Scanner::new(refs)
-        .run_archive(&b.archive)
+        .run_store(&b.archive)
         .expect("archive rescan");
     let secs = start.elapsed().as_secs_f64();
     black_box(out.series.days.len());

@@ -458,7 +458,7 @@ pub fn exp_combos(ctx: &Context) -> String {
 
 /// On-demand mechanism identification (§3.4).
 pub fn exp_mechanisms(ctx: &Context) -> String {
-    let breakdowns = mechanism::analyze(&ctx.store, &ctx.refs, &ctx.scan.timelines, 1);
+    let breakdowns = mechanism::analyze(&ctx.store, &ctx.refs, &ctx.scan.timelines);
     let text = mechanism::render(&breakdowns, &ctx.refs.names);
     ctx.write("mechanisms.txt", &text);
     format!(

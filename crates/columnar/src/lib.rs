@@ -4,7 +4,7 @@
 //! with Hadoop. This crate is the laptop-scale substitute: columnar tables
 //! with adaptive light-weight encodings (plain / delta-varint / RLE plus
 //! dictionary encoding for strings) and a MapReduce-style parallel engine
-//! on crossbeam scoped threads.
+//! on scoped threads that share work through one atomic cursor.
 //!
 //! ```
 //! use dps_columnar::{Schema, TableBuilder, Table, mapreduce};

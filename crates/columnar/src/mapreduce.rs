@@ -1,12 +1,14 @@
-//! A MapReduce-style parallel engine on crossbeam scoped threads — the
+//! A MapReduce-style parallel engine on `std::thread::scope` — the
 //! Hadoop stand-in for analysing hundreds of daily snapshot tables.
 //!
-//! Work is split into contiguous chunks, one worker per core; each worker
-//! folds its chunk locally and the partial results are combined at the
-//! barrier. Determinism: `combine` is applied in chunk order, so any
-//! associative `combine` yields stable results.
+//! Work is shared, not pre-split: every worker claims the next unclaimed
+//! item from one atomic cursor until none are left, so a run of costly
+//! items (the `.com` pages, ~82% of gTLD rows) spreads over every core
+//! instead of landing on whichever worker owned that stretch of the
+//! slice. Results are always returned in input order, so the output
+//! never depends on the thread count or on scheduling.
 
-use crossbeam::thread;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Number of workers to use (the machine's parallelism, min 1).
 pub fn default_workers() -> usize {
@@ -20,6 +22,10 @@ pub fn default_workers() -> usize {
 /// * `map` turns one item into an accumulator contribution,
 /// * `init` produces the identity accumulator,
 /// * `combine` merges two accumulators (must be associative).
+///
+/// Items are folded in contiguous runs, one per worker, and the runs'
+/// partials are combined in input order, so any associative `combine`
+/// yields stable results.
 pub fn par_map_reduce<T, A, M, I, C>(items: &[T], map: M, init: I, combine: C) -> A
 where
     T: Sync,
@@ -28,82 +34,58 @@ where
     I: Fn() -> A + Sync,
     C: Fn(A, A) -> A + Sync,
 {
-    let workers = default_workers().min(items.len().max(1));
-    if workers <= 1 || items.len() < 2 {
-        return items.iter().map(&map).fold(init(), &combine);
-    }
-    let chunk = items.len().div_ceil(workers);
-    let partials: Vec<A> = thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| s.spawn(|_| slice.iter().map(&map).fold(init(), &combine)))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
-            .collect()
-    })
-    .expect("scope");
+    let chunk = items.len().div_ceil(default_workers().max(1)).max(1);
+    let runs: Vec<&[T]> = items.chunks(chunk).collect();
+    let partials = par_map(&runs, |run| run.iter().map(&map).fold(init(), &combine));
     partials.into_iter().fold(init(), combine)
 }
 
-/// Parallel for-each with an index (used by the measurement worker cloud).
-pub fn par_for_each_indexed<T, F>(items: &[T], f: F)
-where
-    T: Sync,
-    F: Fn(usize, &T) + Sync,
-{
-    let workers = default_workers().min(items.len().max(1));
-    if workers <= 1 {
-        for (i, t) in items.iter().enumerate() {
-            f(i, t);
-        }
-        return;
-    }
-    let chunk = items.len().div_ceil(workers);
-    thread::scope(|s| {
-        for (c, slice) in items.chunks(chunk).enumerate() {
-            let f = &f;
-            s.spawn(move |_| {
-                for (i, t) in slice.iter().enumerate() {
-                    f(c * chunk + i, t);
-                }
-            });
-        }
-    })
-    .expect("scope");
-}
-
-/// Parallel map preserving order.
+/// Parallel map preserving order: `out[i] == f(&items[i])`.
 pub fn par_map<T, U, F>(items: &[T], f: F) -> Vec<U>
 where
     T: Sync,
     U: Send,
     F: Fn(&T) -> U + Sync,
 {
-    let workers = default_workers().min(items.len().max(1));
+    par_map_on(default_workers(), items, f)
+}
+
+/// [`par_map`] on at most `workers` threads.
+fn par_map_on<T, U, F>(workers: usize, items: &[T], f: F) -> Vec<U>
+where
+    T: Sync,
+    U: Send,
+    F: Fn(&T) -> U + Sync,
+{
+    let workers = workers.min(items.len());
     if workers <= 1 {
         return items.iter().map(&f).collect();
     }
-    let chunk = items.len().div_ceil(workers);
-    let chunks: Vec<Vec<U>> = thread::scope(|s| {
-        let handles: Vec<_> = items
-            .chunks(chunk)
-            .map(|slice| s.spawn(|_| slice.iter().map(&f).collect::<Vec<U>>()))
-            .collect();
+    let cursor = AtomicUsize::new(0);
+    let claim = || {
+        let mut done = Vec::new();
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            let Some(item) = items.get(i) else {
+                return done;
+            };
+            done.push((i, f(item)));
+        }
+    };
+    let mut indexed: Vec<(usize, U)> = std::thread::scope(|s| {
+        let handles: Vec<_> = (0..workers).map(|_| s.spawn(claim)).collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker panicked"))
+            .flat_map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
             .collect()
-    })
-    .expect("scope");
-    chunks.into_iter().flatten().collect()
+    });
+    indexed.sort_unstable_by_key(|&(i, _)| i);
+    indexed.into_iter().map(|(_, u)| u).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn map_reduce_sums() {
@@ -119,6 +101,23 @@ mod tests {
         assert_eq!(par_map_reduce(&[5u64], |&x| x, || 0u64, |a, b| a + b), 5);
     }
 
+    /// A non-commutative `combine` (concatenation) still sees the items
+    /// in input order.
+    #[test]
+    fn map_reduce_combines_in_input_order() {
+        let items: Vec<u32> = (0..257).collect();
+        let joined = par_map_reduce(
+            &items,
+            |&x| vec![x],
+            Vec::new,
+            |mut a, b| {
+                a.extend(b);
+                a
+            },
+        );
+        assert_eq!(joined, items);
+    }
+
     #[test]
     fn par_map_preserves_order() {
         let items: Vec<u32> = (0..1000).collect();
@@ -126,15 +125,36 @@ mod tests {
         assert_eq!(mapped, items.iter().map(|x| x * 2).collect::<Vec<_>>());
     }
 
+    /// One very costly item at the front (as `.com` leads the scan's
+    /// task list) must not reorder or lose the cheap items behind it.
     #[test]
-    fn for_each_visits_every_index_once() {
-        let items: Vec<u32> = (0..503).collect();
-        let sum = AtomicU64::new(0);
-        par_for_each_indexed(&items, |i, &v| {
-            assert_eq!(i as u32, v);
-            sum.fetch_add(u64::from(v) + 1, Ordering::Relaxed);
-        });
-        assert_eq!(sum.load(Ordering::Relaxed), (1..=503).sum::<u64>());
+    fn par_map_keeps_order_under_uneven_costs() {
+        let items: Vec<u64> = (0..200).collect();
+        let cost = |&x: &u64| -> u64 {
+            let spins = if x % 50 == 0 { 200_000 } else { 10 };
+            (0..spins).fold(x, |acc, k| acc.wrapping_mul(31).wrapping_add(k)) % 7 + x * 10
+        };
+        let mapped = par_map_on(4, &items, |x| (*x, cost(x)));
+        let expected: Vec<(u64, u64)> = items.iter().map(|x| (*x, cost(x))).collect();
+        assert_eq!(mapped, expected);
+    }
+
+    #[test]
+    fn par_map_with_more_workers_than_items() {
+        for n in 1..4u32 {
+            let items: Vec<u32> = (0..n).collect();
+            assert_eq!(
+                par_map_on(8, &items, |&x| x + 1),
+                (1..=n).collect::<Vec<_>>()
+            );
+        }
+    }
+
+    #[test]
+    fn par_map_of_nothing_is_empty() {
+        let empty: Vec<u32> = Vec::new();
+        assert!(par_map(&empty, |&x| x).is_empty());
+        assert!(par_map_on(8, &empty, |&x| x).is_empty());
     }
 
     #[test]

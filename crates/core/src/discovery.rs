@@ -289,10 +289,14 @@ fn for_each_sampled_row(
     mut f: impl FnMut(Source, &Row),
 ) {
     for source in [Source::Com, Source::Net, Source::Org] {
-        for (day, table) in store.scan(source) {
+        // Only sampled days are decoded; the rest are never touched.
+        for day in store.days(source) {
             if !sampled.contains(&day) {
                 continue;
             }
+            let Some(table) = store.table(day, source) else {
+                continue;
+            };
             let cols: Vec<&[u32]> = (0..table.schema().width())
                 .map(|c| table.column(c))
                 .collect();
@@ -415,6 +419,22 @@ mod tests {
             ..Default::default()
         };
         let found = discover(&store, &seeds_list, &config);
+
+        // Only the sampled days count: a store that holds nothing else,
+        // read at stride 1, discovers exactly the same references.
+        let mut sampled_only = SnapshotStore::new();
+        sampled_only.dict = store.dict.clone();
+        for source in [Source::Com, Source::Net, Source::Org] {
+            for day in store.days(source).into_iter().step_by(5) {
+                let table = store.table(day, source).expect("swept page decodes");
+                sampled_only.add_table(day, source, &table, 0);
+            }
+        }
+        let every_day = DiscoveryConfig {
+            day_stride: 1,
+            ..Default::default()
+        };
+        assert_eq!(discover(&sampled_only, &seeds_list, &every_day), found);
 
         let cf = &found[2];
         assert!(cf.asns.contains(&13335));

@@ -63,15 +63,12 @@ struct DaySample {
     has_provider_ns: bool,
 }
 
-/// Classifies the on-demand population of every provider.
-///
-/// `sample_stride` bounds the cost: footprints are read every n-th
-/// measured day (the on/off contrast survives coarse sampling).
+/// Classifies the on-demand population of every provider from its
+/// footprint on every measured gTLD day.
 pub fn analyze(
     store: &SnapshotStore,
     refs: &CompiledRefs,
     timelines: &Timelines,
-    sample_stride: usize,
 ) -> Vec<MechanismBreakdown> {
     // 1. The on-demand population per provider.
     let mut wanted: HashMap<u32, Vec<u8>> = HashMap::new();
@@ -81,38 +78,20 @@ pub fn analyze(
         }
     }
 
-    // 2. Sampled footprints of exactly those domains.
+    // 2. Footprints of exactly those domains: one map task per page,
+    // merged in (source, day) order so every domain's samples stay in
+    // day order.
+    let pages: Vec<&[u8]> = [Source::Com, Source::Net, Source::Org]
+        .into_iter()
+        .flat_map(|source| store.encoded(source))
+        .map(|(_, bytes)| bytes)
+        .collect();
+    let per_page =
+        dps_columnar::mapreduce::par_map(&pages, |bytes| page_samples(bytes, refs, &wanted));
     let mut samples: HashMap<(u32, u8), Vec<DaySample>> = HashMap::new();
-    for source in [Source::Com, Source::Net, Source::Org] {
-        for (day, bytes) in store.encoded(source) {
-            let _ = day;
-            let table = dps_columnar::Table::from_bytes(bytes).expect("valid");
-            let cols: Vec<&[u32]> = (0..table.schema().width())
-                .map(|c| table.column(c))
-                .collect();
-            for i in (0..table.rows()).step_by(1) {
-                let (_, _, row) = Row::unpack(&cols, i);
-                let Some(providers) = wanted.get(&row.entry) else {
-                    continue;
-                };
-                for &p in providers {
-                    let kinds = refs
-                        .classify(&row)
-                        .into_iter()
-                        .find(|&(q, _)| q == p)
-                        .map(|(_, k)| k)
-                        .unwrap_or_default();
-                    samples.entry((row.entry, p)).or_default().push(DaySample {
-                        diverted: kinds.contains(RefKind::ASN),
-                        apex_v4: row.apex_v4,
-                        has_provider_cname: kinds.contains(RefKind::CNAME),
-                        has_provider_ns: kinds.contains(RefKind::NS),
-                    });
-                }
-            }
-        }
+    for (key, sample) in per_page.into_iter().flatten() {
+        samples.entry(key).or_default().push(sample);
     }
-    let _ = sample_stride;
 
     // 3. Classify each domain.
     let mut out: Vec<HashMap<Mechanism, u32>> = (0..refs.n).map(|_| HashMap::new()).collect();
@@ -127,6 +106,44 @@ pub fn analyze(
             MechanismBreakdown { histogram }
         })
         .collect()
+}
+
+/// The footprint samples of one encoded day table: one per row of a
+/// wanted domain and each provider it is wanted for, in row order.
+fn page_samples(
+    bytes: &[u8],
+    refs: &CompiledRefs,
+    wanted: &HashMap<u32, Vec<u8>>,
+) -> Vec<((u32, u8), DaySample)> {
+    let table = dps_columnar::Table::from_bytes(bytes).expect("store holds valid tables");
+    let cols: Vec<&[u32]> = (0..table.schema().width())
+        .map(|c| table.column(c))
+        .collect();
+    let mut out = Vec::new();
+    for i in 0..table.rows() {
+        let (_, _, row) = Row::unpack(&cols, i);
+        let Some(providers) = wanted.get(&row.entry) else {
+            continue;
+        };
+        let found = refs.classify(&row);
+        for &p in providers {
+            let kinds = found
+                .iter()
+                .find(|&&(q, _)| q == p)
+                .map(|&(_, k)| k)
+                .unwrap_or_default();
+            out.push((
+                (row.entry, p),
+                DaySample {
+                    diverted: kinds.contains(RefKind::ASN),
+                    apex_v4: row.apex_v4,
+                    has_provider_cname: kinds.contains(RefKind::CNAME),
+                    has_provider_ns: kinds.contains(RefKind::NS),
+                },
+            ));
+        }
+    }
+    out
 }
 
 fn classify_samples(days: &[DaySample]) -> Mechanism {
@@ -227,6 +244,73 @@ mod tests {
         assert_eq!(classify_samples(&[]), Mechanism::Unclear);
     }
 
+    /// Histograms in a fixed order (equal counts may come in any order).
+    fn sorted(breakdowns: &[MechanismBreakdown]) -> Vec<Vec<(String, u32)>> {
+        breakdowns
+            .iter()
+            .map(|b| {
+                let mut h: Vec<(String, u32)> = b
+                    .histogram
+                    .iter()
+                    .map(|&(m, c)| (m.to_string(), c))
+                    .collect();
+                h.sort();
+                h
+            })
+            .collect()
+    }
+
+    /// Every page decoded in turn on the calling thread, every row
+    /// classified in place: the plain single-threaded form of `analyze`.
+    fn analyze_sequentially(
+        store: &SnapshotStore,
+        refs: &CompiledRefs,
+        timelines: &Timelines,
+    ) -> Vec<MechanismBreakdown> {
+        let mut wanted: HashMap<u32, Vec<u8>> = HashMap::new();
+        for (&(entry, provider), tl) in &timelines.map {
+            if classify_mode(&tl.asn) == UseMode::OnDemand {
+                wanted.entry(entry).or_default().push(provider);
+            }
+        }
+        let mut samples: HashMap<(u32, u8), Vec<DaySample>> = HashMap::new();
+        for source in [Source::Com, Source::Net, Source::Org] {
+            for (_, table) in store.scan(source) {
+                let cols: Vec<&[u32]> = (0..table.schema().width())
+                    .map(|c| table.column(c))
+                    .collect();
+                for i in 0..table.rows() {
+                    let (_, _, row) = Row::unpack(&cols, i);
+                    for &p in wanted.get(&row.entry).into_iter().flatten() {
+                        let kinds = refs
+                            .classify(&row)
+                            .into_iter()
+                            .find(|&(q, _)| q == p)
+                            .map(|(_, k)| k)
+                            .unwrap_or_default();
+                        samples.entry((row.entry, p)).or_default().push(DaySample {
+                            diverted: kinds.contains(RefKind::ASN),
+                            apex_v4: row.apex_v4,
+                            has_provider_cname: kinds.contains(RefKind::CNAME),
+                            has_provider_ns: kinds.contains(RefKind::NS),
+                        });
+                    }
+                }
+            }
+        }
+        let mut out: Vec<HashMap<Mechanism, u32>> = (0..refs.n).map(|_| HashMap::new()).collect();
+        for ((_, provider), days) in samples {
+            *out[provider as usize]
+                .entry(classify_samples(&days))
+                .or_default() += 1;
+        }
+        out.into_iter()
+            .map(|hist| MechanismBreakdown {
+                histogram: hist.into_iter().collect(),
+            })
+            .collect()
+    }
+
     #[test]
     fn world_on_demand_mechanisms_match_scenario_design() {
         use crate::references::{CompiledRefs, ProviderRefs};
@@ -252,7 +336,12 @@ mod tests {
         );
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let out = Scanner::new(&refs).run(&store);
-        let breakdowns = analyze(&store, &refs, &out.timelines, 1);
+        let breakdowns = analyze(&store, &refs, &out.timelines);
+        assert_eq!(
+            sorted(&breakdowns),
+            sorted(&analyze_sequentially(&store, &refs, &out.timelines)),
+            "the per-page parallel pass must classify like one sequential pass"
+        );
 
         // CloudFlare on-demand customers are NS-managed (NsOnly ↔
         // NsDelegation in the scenario); Neustar's are CNAME flips;

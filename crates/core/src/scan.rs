@@ -140,48 +140,6 @@ impl<'a> Scanner<'a> {
         self.merge(days, partials)
     }
 
-    /// Runs the full pass directly over a `dps-store` archive file, without
-    /// materialising a [`SnapshotStore`] first. Pages are fetched (and
-    /// decoded at most once per pass — repeat passes hit the archive's page
-    /// cache) on the MapReduce worker pool. Unknown source ids in the
-    /// archive are an error.
-    pub fn run_archive(&self, archive: &dps_store::Archive) -> std::io::Result<ScanOutput> {
-        let days = archive.catalog().days(Source::Com.index() as u8);
-        let day_pos: HashMap<u32, usize> = days.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-
-        let mut tasks: Vec<(Source, u32)> = Vec::new();
-        for &(day, source) in archive.catalog().pages.keys() {
-            if source == dps_measure::QUALITY_SOURCE
-                || source == dps_measure::TELEMETRY_SOURCE
-                || source == dps_measure::ANALYSIS_SOURCE
-            {
-                // Per-day quality records, telemetry snapshots and
-                // streaming-analysis checkpoints ride in the same archive
-                // but are not measurement data; the mask layer, `dpscope
-                // metrics` and `dps-stream` read them instead.
-                continue;
-            }
-            let source = Source::from_index(u32::from(source))
-                .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
-            if day_pos.contains_key(&day) {
-                tasks.push((source, day));
-            }
-        }
-        // The paper's Table 1 order (sources outer, days inner) keeps the
-        // merge deterministic and identical to `run` over the same data.
-        tasks.sort_by_key(|&(source, day)| (source.index(), day));
-
-        let results = dps_columnar::mapreduce::par_map(&tasks, |&(source, day)| {
-            let table = archive
-                .table(day, source.index() as u8)?
-                .ok_or_else(|| std::io::Error::other("catalog-listed page missing"))?;
-            Ok::<_, std::io::Error>(self.map_day(source, day, &table))
-        });
-        let partials = results.into_iter().collect::<std::io::Result<Vec<_>>>()?;
-
-        Ok(self.merge(days, partials))
-    }
-
     /// Runs the full pass over either archive layout. For a sharded
     /// archive each shard's sub-page is its own map task, so one logical
     /// day table is classified by up to `n_shards` workers in parallel;
@@ -199,6 +157,10 @@ impl<'a> Scanner<'a> {
                 || source == dps_measure::TELEMETRY_SOURCE
                 || source == dps_measure::ANALYSIS_SOURCE
             {
+                // Per-day quality records, telemetry snapshots and
+                // streaming-analysis checkpoints ride in the same archive
+                // but are not measurement data; the mask layer, `dpscope
+                // metrics` and `dps-stream` read them instead.
                 continue;
             }
             let source = Source::from_index(u32::from(source))
@@ -401,11 +363,11 @@ mod tests {
             .run_archived(&mut world, &path, None)
             .unwrap();
         let store = SnapshotStore::load_archive(&path).unwrap();
-        let archive = dps_store::Archive::open(&path).unwrap();
+        let archive = dps_store::StoreReader::Single(dps_store::Archive::open(&path).unwrap());
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scanner = Scanner::new(&refs);
         let mem = scanner.run(&store);
-        let arch = scanner.run_archive(&archive).unwrap();
+        let arch = scanner.run_store(&archive).unwrap();
         std::fs::remove_file(&path).ok();
         assert_eq!(arch.series.days, mem.series.days);
         assert_eq!(arch.series.zone_sizes, mem.series.zone_sizes);

@@ -249,6 +249,12 @@ impl SnapshotStore {
     /// entries come from the catalog (exact, never estimated); stored
     /// bytes count the logical tables, so a sharded archive reads the same
     /// as the single-file one.
+    ///
+    /// Data pages are kept as the encoded bytes the archive holds. Each
+    /// page is still decoded once, on the worker pool, to check that it
+    /// decodes and carries this build's schema; the decoded table is
+    /// dropped inside its task, so at most one decoded page per worker is
+    /// alive at a time. Any failing page makes the whole load an `Err`.
     pub fn load_archive(path: &std::path::Path) -> std::io::Result<Self> {
         // Every page is read once, so no page cache keeps decoded tables
         // alive.
@@ -269,50 +275,78 @@ impl SnapshotStore {
                 raw_bytes: st.raw_bytes,
             };
         }
-        for (&(day, source), meta) in &catalog.pages {
-            let table = reader.table(day, source)?.ok_or_else(|| {
-                std::io::Error::other("catalog lists a page the archive cannot produce")
-            })?;
-            if source == ANALYSIS_SOURCE {
-                store.analysis.insert(day, table.to_bytes());
-                continue;
-            }
-            if source == TELEMETRY_SOURCE {
-                let snapshot = decode_telemetry(&table).ok_or_else(|| {
-                    std::io::Error::other("archive holds an undecodable telemetry page")
-                })?;
-                store.add_telemetry(day, snapshot);
-                continue;
-            }
-            if source == QUALITY_SOURCE {
-                let qualities = decode_qualities(&table).ok_or_else(|| {
-                    std::io::Error::other("archive holds an undecodable quality page")
-                })?;
-                for q in qualities {
-                    store.add_quality(q);
+        let pages: Vec<_> = catalog.pages.iter().collect();
+        let loaded = dps_columnar::mapreduce::par_map(&pages, |(&(day, source), _)| {
+            load_page(&reader, day, source)
+        });
+        for ((&(day, source), meta), page) in pages.into_iter().zip(loaded) {
+            match page? {
+                LoadedPage::Data(bytes) => {
+                    let stats = store
+                        .stats
+                        .get_mut(usize::from(source))
+                        .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
+                    stats.stored_bytes += bytes.len() as u64;
+                    store.tables.insert(
+                        (day, source),
+                        StoredTable {
+                            bytes,
+                            data_points: meta.data_points,
+                        },
+                    );
                 }
-                continue;
+                LoadedPage::Analysis(bytes) => {
+                    store.analysis.insert(day, bytes);
+                }
+                LoadedPage::Telemetry(snapshot) => store.add_telemetry(day, snapshot),
+                LoadedPage::Quality(qualities) => {
+                    for q in qualities {
+                        store.add_quality(q);
+                    }
+                }
             }
-            let stats = store
-                .stats
-                .get_mut(usize::from(source))
-                .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
-            if table.schema().names() != schema().names() {
-                return Err(std::io::Error::other(
-                    "archive schema does not match this build; re-run the study",
-                ));
-            }
-            let bytes = table.to_bytes();
-            stats.stored_bytes += bytes.len() as u64;
-            store.tables.insert(
-                (day, source),
-                StoredTable {
-                    bytes,
-                    data_points: meta.data_points,
-                },
-            );
         }
         Ok(store)
+    }
+}
+
+/// One archive page, checked and sorted by kind ([`load_page`]'s output).
+enum LoadedPage {
+    /// A measurement table's encoded bytes.
+    Data(Vec<u8>),
+    /// A streaming-analysis checkpoint's encoded bytes.
+    Analysis(Vec<u8>),
+    /// A decoded telemetry snapshot.
+    Telemetry(Snapshot),
+    /// Decoded quality records.
+    Quality(Vec<DayQuality>),
+}
+
+/// Reads the page `(day, source)` of `reader` and decodes it once: data
+/// and checkpoint pages come back as their encoded bytes once they are
+/// known to decode (and, for data, to carry this build's schema);
+/// quality and telemetry pages come back decoded.
+fn load_page(reader: &StoreReader, day: u32, source: u8) -> std::io::Result<LoadedPage> {
+    let bytes = reader
+        .page_bytes(day, source)?
+        .ok_or_else(|| std::io::Error::other("catalog lists a page the archive cannot produce"))?;
+    let table = Table::from_bytes(&bytes).map_err(|e| {
+        std::io::Error::other(format!(
+            "archive page (day {day}, source {source}) does not decode: {e}"
+        ))
+    })?;
+    match source {
+        ANALYSIS_SOURCE => Ok(LoadedPage::Analysis(bytes)),
+        TELEMETRY_SOURCE => decode_telemetry(&table)
+            .map(LoadedPage::Telemetry)
+            .ok_or_else(|| std::io::Error::other("archive holds an undecodable telemetry page")),
+        QUALITY_SOURCE => decode_qualities(&table)
+            .map(LoadedPage::Quality)
+            .ok_or_else(|| std::io::Error::other("archive holds an undecodable quality page")),
+        _ if table.schema().names() != schema().names() => Err(std::io::Error::other(
+            "archive schema does not match this build; re-run the study",
+        )),
+        _ => Ok(LoadedPage::Data(bytes)),
     }
 }
 

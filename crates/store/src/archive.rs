@@ -299,6 +299,15 @@ impl Archive {
         self.load(meta, Some(&cols)).map(Some)
     }
 
+    /// The encoded table body of `(day, source)` exactly as stored,
+    /// checksum-verified but not decoded (and never cached).
+    pub fn page_bytes(&self, day: u32, source: u8) -> io::Result<Option<Vec<u8>>> {
+        let Some(meta) = self.catalog.pages.get(&(day, source)) else {
+            return Ok(None);
+        };
+        self.checked_body(meta).map(Some)
+    }
+
     /// Pages matching `query`'s day/source predicates, in `(day, source)`
     /// order, decoded sequentially under its projection.
     pub fn scan(&self, query: &ScanQuery) -> io::Result<Vec<ScanItem>> {
@@ -395,6 +404,20 @@ impl Archive {
         crc32(body) == u32::from_le_bytes(tail)
     }
 
+    /// Reads one page and returns its chunk with the CRC trailer removed,
+    /// or an error if the stored CRC does not match.
+    fn checked_body(&self, meta: &PageMeta) -> io::Result<Vec<u8>> {
+        let mut buf = self.read_page_bytes(meta)?;
+        if !self.checksum_ok(&buf) {
+            return Err(io::Error::other(format!(
+                "dps-store: page (day {}, source {}) checksum mismatch",
+                meta.day, meta.source
+            )));
+        }
+        buf.truncate(buf.len().saturating_sub(format::PAGE_CRC_LEN as usize));
+        Ok(buf)
+    }
+
     /// Fetches a page through the cache, reading + checksumming + decoding
     /// on miss.
     fn load(&self, meta: &PageMeta, projection: Option<&[String]>) -> io::Result<Arc<Table>> {
@@ -405,20 +428,12 @@ impl Archive {
             return Ok(table);
         }
         self.metrics.cache_misses.inc();
-        let buf = self.read_page_bytes(meta)?;
-        if !self.checksum_ok(&buf) {
-            return Err(io::Error::other(format!(
-                "dps-store: page (day {}, source {}) checksum mismatch",
-                meta.day, meta.source
-            )));
-        }
-        let body_len = buf.len().saturating_sub(format::PAGE_CRC_LEN as usize);
-        let body = buf.get(..body_len).unwrap_or(&[]);
+        let body = self.checked_body(meta)?;
         let table = match projection {
-            None => Table::from_bytes(body),
+            None => Table::from_bytes(&body),
             Some(cols) => {
                 let refs: Vec<&str> = cols.iter().map(String::as_str).collect();
-                Table::from_bytes_projected(body, &refs)
+                Table::from_bytes_projected(&body, &refs)
             }
         }
         .map_err(|e| {

@@ -462,6 +462,13 @@ impl ShardedArchive {
         self.assemble(day, source, |shard| shard.project(day, source, cols))
     }
 
+    /// The encoded logical page of `(day, source)`: every shard's
+    /// sub-page stacked in shard order and encoded as one table, the same
+    /// bytes a single-file archive of that table would store.
+    pub fn page_bytes(&self, day: u32, source: u8) -> io::Result<Option<Vec<u8>>> {
+        Ok(self.table(day, source)?.map(|table| table.to_bytes()))
+    }
+
     /// One shard's sub-table of a logical page — the unit of parallel
     /// scan work.
     pub fn shard_table(&self, shard: u32, day: u32, source: u8) -> io::Result<Option<Arc<Table>>> {
@@ -796,6 +803,16 @@ impl StoreReader {
         match self {
             Self::Single(a) => a.project(day, source, cols),
             Self::Sharded(a) => a.project(day, source, cols),
+        }
+    }
+
+    /// The encoded body of the logical page `(day, source)`, checksum-
+    /// verified: the stored bytes of a single-file archive, the stacked
+    /// shard sub-pages re-encoded for a sharded one.
+    pub fn page_bytes(&self, day: u32, source: u8) -> io::Result<Option<Vec<u8>>> {
+        match self {
+            Self::Single(a) => a.page_bytes(day, source),
+            Self::Sharded(a) => a.page_bytes(day, source),
         }
     }
 

@@ -69,8 +69,8 @@ mod tests {
         );
 
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
-        let archive = dps_store::Archive::open(&path).unwrap();
-        let out = Scanner::new(&refs).run_archive(&archive).unwrap();
+        let archive = dps_store::StoreReader::open_auto(&path).unwrap();
+        let out = Scanner::new(&refs).run_store(&archive).unwrap();
         let mask = QualityMask::from_store(&store, DEFAULT_MIN_COVERAGE);
         let rescan = analysis_json(&out, &refs.names, &mask.masked_gtld_days());
         std::fs::remove_file(&path).ok();

@@ -242,15 +242,18 @@ fn world_for(args: &CommonArgs) -> World {
 
 fn cmd_simulate(args: CommonArgs) {
     let world = world_for(&args);
-    std::fs::create_dir_all(&args.out).expect("create out dir");
+    std::fs::create_dir_all(&args.out).unwrap_or_else(|e| fail(args.out.display(), e));
+    let write = |path: &std::path::Path, text: String| {
+        std::fs::write(path, text).unwrap_or_else(|e| fail(path.display(), e));
+    };
     for tld in dps_scope::ecosystem::MEASURED_TLDS {
         let path = args.out.join(format!("{}.zone", tld.label()));
-        std::fs::write(&path, world.zone_file_text(tld)).expect("write zone");
+        write(&path, world.zone_file_text(tld));
         println!("wrote {} ({} SLDs)", path.display(), world.zone_size(tld));
     }
     let pfx2as = world.pfx2as();
     let path = args.out.join(format!("pfx2as-day{:04}.txt", args.day));
-    std::fs::write(&path, pfx2as.to_routeviews_text()).expect("write pfx2as");
+    write(&path, pfx2as.to_routeviews_text());
     println!("wrote {} ({} prefixes)", path.display(), pfx2as.len());
 
     let mut asns = String::new();
@@ -258,7 +261,7 @@ fn cmd_simulate(args: CommonArgs) {
         asns.push_str(&format!("{asn}\t{name}\n"));
     }
     let path = args.out.join("as-names.tsv");
-    std::fs::write(&path, asns).expect("write as names");
+    write(&path, asns);
     println!("wrote {}", path.display());
     println!(
         "\nworld: {} domains, day {} ({})",
@@ -558,6 +561,27 @@ fn cmd_cluster(args: CommonArgs) {
     }
 }
 
+/// Reads the catalog-listed page `(day, source)` of the archive at
+/// `path`, or exits 1 with a message if it is corrupt or missing.
+fn read_page(
+    archive: &StoreReader,
+    path: &std::path::Path,
+    day: u32,
+    source: u8,
+) -> std::sync::Arc<dps_scope::columnar::Table> {
+    match archive.table(day, source) {
+        Ok(Some(table)) => table,
+        Ok(None) => {
+            eprintln!(
+                "{}: no page for (day {day}, source {source})",
+                path.display()
+            );
+            std::process::exit(1);
+        }
+        Err(e) => fail(path.display(), e),
+    }
+}
+
 /// Human label for an archive page kind (the catalog's `source` id):
 /// the five measured sources, the three bookkeeping kinds, and a
 /// future-proof `unknown(id)` for anything a newer writer introduced.
@@ -637,12 +661,15 @@ fn cmd_store(args: CommonArgs) {
                 if source != QUALITY_SOURCE {
                     continue;
                 }
-                let table = archive
-                    .table(day, source)
-                    .expect("catalog-listed page reads")
-                    .expect("catalog-listed page exists");
-                for q in dps_scope::measure::decode_qualities(&table).expect("quality page decodes")
-                {
+                let table = read_page(&archive, &path, day, source);
+                let Some(qualities) = dps_scope::measure::decode_qualities(&table) else {
+                    eprintln!(
+                        "{}: quality page of day {day} does not decode",
+                        path.display()
+                    );
+                    std::process::exit(1);
+                };
+                for q in qualities {
                     quality_store.add_quality(q);
                 }
             }
@@ -662,12 +689,14 @@ fn cmd_store(args: CommonArgs) {
                 if source != TELEMETRY_SOURCE {
                     continue;
                 }
-                let table = archive
-                    .table(day, source)
-                    .expect("catalog-listed page reads")
-                    .expect("catalog-listed page exists");
-                let snapshot =
-                    dps_scope::measure::decode_telemetry(&table).expect("telemetry page decodes");
+                let table = read_page(&archive, &path, day, source);
+                let Some(snapshot) = dps_scope::measure::decode_telemetry(&table) else {
+                    eprintln!(
+                        "{}: telemetry page of day {day} does not decode",
+                        path.display()
+                    );
+                    std::process::exit(1);
+                };
                 merged.merge(&snapshot);
                 telemetry_days += 1;
             }
@@ -816,10 +845,7 @@ fn replay_stream_engine(path: &std::path::Path) -> (StoreReader, dps_scope::stre
         if source != ANALYSIS_SOURCE {
             continue;
         }
-        let table = archive
-            .table(day, source)
-            .expect("catalog-listed page reads")
-            .expect("catalog-listed page exists");
+        let table = read_page(&archive, path, day, source);
         if let Err(e) = engine.on_resume(day, &table) {
             eprintln!("{}: {e}", path.display());
             std::process::exit(1);
@@ -920,7 +946,7 @@ fn stream_check(path: &std::path::Path) {
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
     let out = Scanner::new(&refs)
         .run_store(&archive)
-        .expect("archive rescan");
+        .unwrap_or_else(|e| fail(path.display(), e));
     let mask =
         dps_scope::core::QualityMask::from_store(&store, dps_scope::core::DEFAULT_MIN_COVERAGE);
     let rescan = analysis_json(&out, &refs.names, &mask.masked_gtld_days());

@@ -3,7 +3,8 @@
 //! error message, never a panic, and `analyze` without `--archive`
 //! sweeps into a temporary archive that it removes afterwards. Bad
 //! `dig` input is an exit-1 error too, and so is a cluster role that
-//! cannot bind its socket or loses its manager.
+//! cannot bind its socket or loses its manager, a `simulate` that cannot
+//! write its output, and a store or stream read of a corrupt page.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
@@ -160,6 +161,70 @@ fn one_day_measure_succeeds_and_verifies() {
         "store verify failed: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `simulate` writes its zone files into `--out`; an `--out` that is a
+/// regular file ends the command with a message, never a panic.
+#[test]
+fn simulate_into_a_regular_file_fails_cleanly() {
+    let dir = temp_dir("simulate-file");
+    let file = dir.join("file");
+    std::fs::write(&file, b"not a directory").expect("write file");
+    let out = run(dpscope(&["simulate", "--out", arg(&file)]));
+    assert_clean_failure(&out, "simulate --out over a regular file");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A single flipped byte in a quality page (caught by its checksum) makes
+/// `store info` and `store cat` of that page exit 1 with a message, and a
+/// flipped byte in a streaming checkpoint page does the same for
+/// `stream status`.
+#[test]
+fn store_and_stream_reads_of_a_corrupt_page_fail_cleanly() {
+    let dir = temp_dir("corrupt-page");
+    let archive = dir.join("archive");
+    let out = run(dpscope(&[
+        "measure",
+        "--stream",
+        "--archive",
+        arg(&archive),
+    ]));
+    assert!(out.status.success(), "sweep failed");
+    let file = archive.join("archive.dps");
+    let catalog = dps_scope::store::Archive::open(&file)
+        .expect("archive opens")
+        .catalog()
+        .clone();
+    let flip = |source: u8| {
+        let meta = catalog
+            .pages
+            .values()
+            .find(|m| m.source == source)
+            .expect("archive has such a page");
+        let mut bytes = std::fs::read(&file).expect("read archive");
+        bytes[meta.offset as usize + 5] ^= 0x40;
+        std::fs::write(&file, bytes).expect("write archive");
+        meta.day
+    };
+
+    let day = flip(dps_scope::measure::QUALITY_SOURCE);
+    let out = run(dpscope(&["store", "info", arg(&archive)]));
+    assert_clean_failure(&out, "store info over a corrupt quality page");
+    let out = run(dpscope(&[
+        "store",
+        "cat",
+        arg(&archive),
+        "--day",
+        &day.to_string(),
+        "--source",
+        &dps_scope::measure::QUALITY_SOURCE.to_string(),
+    ]));
+    assert_clean_failure(&out, "store cat of a corrupt quality page");
+
+    flip(dps_scope::measure::ANALYSIS_SOURCE);
+    let out = run(dpscope(&["stream", "status", arg(&archive)]));
+    assert_clean_failure(&out, "stream status over a corrupt checkpoint page");
     std::fs::remove_dir_all(&dir).ok();
 }
 

@@ -164,16 +164,19 @@ fn warm_page_cache_serves_repeated_classification() {
         .run_archived(&mut world, &path, None)
         .expect("archived run");
 
-    let archive = Archive::open(&path).unwrap();
-    let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), archive.dict());
+    let reader = StoreReader::Single(Archive::open(&path).unwrap());
+    let StoreReader::Single(archive) = &reader else {
+        unreachable!("built as a single-file reader");
+    };
+    let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), reader.dict());
     let scanner = Scanner::new(&refs);
 
     let before = archive.counters();
-    let cold = scanner.run_archive(&archive).unwrap();
+    let cold = scanner.run_store(&reader).unwrap();
     let cold_pass = archive.counters().since(&before);
 
     let before = archive.counters();
-    let warm = scanner.run_archive(&archive).unwrap();
+    let warm = scanner.run_store(&reader).unwrap();
     let warm_pass = archive.counters().since(&before);
 
     assert!(
