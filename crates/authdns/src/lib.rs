@@ -36,5 +36,5 @@ pub use resolver::{
     DirectResolver, ExchangeOutcome, FailureCause, Resolution, ResolveError, Resolver,
     ResolverConfig,
 };
-pub use server::AuthServer;
+pub use server::{answer_from, AuthServer};
 pub use zone::{LookupOutcome, Zone};

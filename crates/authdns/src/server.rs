@@ -1,8 +1,8 @@
 //! Authoritative name-server processes bound on the simulated network.
 
 use crate::catalog::ZoneHandle;
-use crate::zone::{LookupOutcome, Zone};
-use dps_dns::{Message, Name, RData, Rcode, Record};
+use crate::zone::LookupOutcome;
+use dps_dns::{Message, Name, RData, Rcode, Record, RrType};
 use dps_netsim::net::Handler;
 use dps_netsim::Network;
 use parking_lot::RwLock;
@@ -60,93 +60,17 @@ impl AuthServer {
     /// Answers one parsed query (the wire-independent core, also used by
     /// tests). Returns `None` for messages we would drop on the floor.
     pub fn answer(&self, query: &Message) -> Option<Message> {
-        if query.header.qr || query.questions.len() != 1 {
-            return None;
-        }
-        let question = query.questions.first()?;
-        let mut resp = query.answer_template();
-
-        let Some(zone) = self.find_zone(&question.qname) else {
-            resp.header.rcode = Rcode::Refused;
-            return Some(resp);
-        };
-
-        let mut qname = question.qname.clone();
-        for hop in 0..MAX_CHAIN {
-            let outcome = {
+        answer_from(
+            query,
+            |qname| self.find_zone(qname),
+            |zone, qname, qtype| {
                 let z = zone.read();
-                if !qname.is_subdomain_of(z.origin()) {
-                    // CNAME led out of this zone; see if we serve the target.
-                    drop(z);
-                    match self.find_zone(&qname) {
-                        Some(other) => {
-                            let z = other.read();
-                            if qname.is_subdomain_of(z.origin()) {
-                                z.lookup(&qname, question.qtype)
-                            } else {
-                                break;
-                            }
-                        }
-                        None => break,
-                    }
-                } else {
-                    z.lookup(&qname, question.qtype)
-                }
-            };
-            match outcome {
-                LookupOutcome::Answer(recs) => {
-                    resp.header.aa = true;
-                    resp.answers.extend(recs);
-                    break;
-                }
-                LookupOutcome::Cname(rec) => {
-                    resp.header.aa = true;
-                    let target = match &rec.rdata {
-                        RData::Cname(t) => t.clone(),
-                        // A Cname outcome always carries CNAME rdata; if
-                        // that invariant ever broke, answer with what we
-                        // have rather than abort the server.
-                        _ => break,
-                    };
-                    resp.answers.push(rec);
-                    if hop + 1 == MAX_CHAIN {
-                        break;
-                    }
-                    qname = target;
-                }
-                LookupOutcome::Referral { ns, glue } => {
-                    resp.header.aa = false;
-                    resp.authorities.extend(ns);
-                    resp.additionals.extend(glue);
-                    break;
-                }
-                LookupOutcome::NoData => {
-                    resp.header.aa = true;
-                    Self::attach_soa(&mut resp, &zone.read());
-                    break;
-                }
-                LookupOutcome::NxDomain => {
-                    // Only authoritative for the *first* owner; a dangling
-                    // CNAME target keeps NOERROR with the partial chain.
-                    if resp.answers.is_empty() {
-                        resp.header.aa = true;
-                        resp.header.rcode = Rcode::NxDomain;
-                    }
-                    Self::attach_soa(&mut resp, &zone.read());
-                    break;
-                }
-            }
-        }
-        Some(resp)
-    }
-
-    fn attach_soa(resp: &mut Message, zone: &Zone) {
-        resp.authorities.push(Record::new(
-            zone.origin().clone(),
-            dps_dns::Class::In,
-            zone.soa().minimum,
-            RData::Soa(zone.soa().clone()),
-        ));
+                qname
+                    .is_subdomain_of(z.origin())
+                    .then(|| z.lookup(qname, qtype))
+            },
+            |zone| zone.read().soa_record(),
+        )
     }
 
     /// A network handler decoding/encoding wire messages.
@@ -165,10 +89,100 @@ impl AuthServer {
     }
 }
 
+/// Answers one parsed query from one server's zones, given how to reach
+/// them: `find_zone` gives the deepest served zone covering a name (a
+/// served root zone covers every name), `lookup_within` looks a name up
+/// in a zone ([`Zone::lookup`](crate::Zone::lookup)) or gives `None` when
+/// the name is not at or below the zone's origin, and `soa_record` gives
+/// the SOA record a negative answer carries. The zone covering the
+/// question answers it, and a CNAME is chased through every zone the
+/// server serves, up to [`MAX_CHAIN`] hops. Returns `None` for messages a
+/// server drops (responses, and queries without exactly one question).
+///
+/// [`AuthServer::answer`] runs it over materialized zones; a model that
+/// computes the same lookups on demand gets the same responses.
+pub fn answer_from<Z>(
+    query: &Message,
+    find_zone: impl Fn(&Name) -> Option<Z>,
+    lookup_within: impl Fn(&Z, &Name, RrType) -> Option<LookupOutcome>,
+    soa_record: impl Fn(&Z) -> Record,
+) -> Option<Message> {
+    if query.header.qr || query.questions.len() != 1 {
+        return None;
+    }
+    let question = query.questions.first()?;
+    let mut resp = query.answer_template();
+
+    let Some(zone) = find_zone(&question.qname) else {
+        resp.header.rcode = Rcode::Refused;
+        return Some(resp);
+    };
+
+    let mut qname = question.qname.clone();
+    for hop in 0..MAX_CHAIN {
+        // A CNAME may lead out of the first zone; see if we serve the
+        // target.
+        let outcome = match lookup_within(&zone, &qname, question.qtype) {
+            Some(outcome) => outcome,
+            None => match find_zone(&qname)
+                .and_then(|other| lookup_within(&other, &qname, question.qtype))
+            {
+                Some(outcome) => outcome,
+                None => break,
+            },
+        };
+        match outcome {
+            LookupOutcome::Answer(recs) => {
+                resp.header.aa = true;
+                resp.answers.extend(recs);
+                break;
+            }
+            LookupOutcome::Cname(rec) => {
+                resp.header.aa = true;
+                let target = match &rec.rdata {
+                    RData::Cname(t) => t.clone(),
+                    // A Cname outcome always carries CNAME rdata; if
+                    // that invariant ever broke, answer with what we
+                    // have rather than abort the server.
+                    _ => break,
+                };
+                resp.answers.push(rec);
+                if hop + 1 == MAX_CHAIN {
+                    break;
+                }
+                qname = target;
+            }
+            LookupOutcome::Referral { ns, glue } => {
+                resp.header.aa = false;
+                resp.authorities.extend(ns);
+                resp.additionals.extend(glue);
+                break;
+            }
+            LookupOutcome::NoData => {
+                resp.header.aa = true;
+                resp.authorities.push(soa_record(&zone));
+                break;
+            }
+            LookupOutcome::NxDomain => {
+                // Only authoritative for the *first* owner; a dangling
+                // CNAME target keeps NOERROR with the partial chain.
+                if resp.answers.is_empty() {
+                    resp.header.aa = true;
+                    resp.header.rcode = Rcode::NxDomain;
+                }
+                resp.authorities.push(soa_record(&zone));
+                break;
+            }
+        }
+    }
+    Some(resp)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dps_dns::{Question, RrType, Soa};
+    use crate::zone::Zone;
+    use dps_dns::{Question, Soa};
     use parking_lot::RwLock;
     use std::net::Ipv4Addr;
 

@@ -51,19 +51,10 @@ pub struct Zone {
 }
 
 impl Zone {
-    /// Creates an empty zone with a conventional SOA.
+    /// Creates an empty zone with a conventional SOA
+    /// ([`default_soa`](Self::default_soa)).
     pub fn new(origin: Name) -> Self {
-        let soa = Soa {
-            mname: origin.prepend("ns1").unwrap_or_else(|_| origin.clone()),
-            rname: origin
-                .prepend("hostmaster")
-                .unwrap_or_else(|_| origin.clone()),
-            serial: 1,
-            refresh: 7200,
-            retry: 900,
-            expire: 1_209_600,
-            minimum: 300,
-        };
+        let soa = Self::default_soa(&origin);
         let mut owners = HashSet::new();
         owners.insert(origin.clone());
         Self {
@@ -76,6 +67,22 @@ impl Zone {
         }
     }
 
+    /// The SOA a new zone at `origin` starts with: `ns1.<origin>`,
+    /// `hostmaster.<origin>`, serial 1, a 300 s negative TTL.
+    pub fn default_soa(origin: &Name) -> Soa {
+        Soa {
+            mname: origin.prepend("ns1").unwrap_or_else(|_| origin.clone()),
+            rname: origin
+                .prepend("hostmaster")
+                .unwrap_or_else(|_| origin.clone()),
+            serial: 1,
+            refresh: 7200,
+            retry: 900,
+            expire: 1_209_600,
+            minimum: 300,
+        }
+    }
+
     /// The zone origin (apex name).
     pub fn origin(&self) -> &Name {
         &self.origin
@@ -84,6 +91,17 @@ impl Zone {
     /// The zone SOA.
     pub fn soa(&self) -> &Soa {
         &self.soa
+    }
+
+    /// The SOA as a record owned by the origin, its TTL the SOA minimum:
+    /// what a negative answer carries in its authority section.
+    pub fn soa_record(&self) -> Record {
+        Record::new(
+            self.origin.clone(),
+            Class::In,
+            self.soa.minimum,
+            RData::Soa(self.soa.clone()),
+        )
     }
 
     /// Bumps the SOA serial (zone publish).
@@ -203,7 +221,7 @@ impl Zone {
     }
 
     /// Glue records (A/AAAA) this zone holds for the given NS target names.
-    fn glue_for(&self, ns: &[Record]) -> Vec<Record> {
+    pub fn glue_for(&self, ns: &[Record]) -> Vec<Record> {
         let mut glue = Vec::new();
         for rec in ns {
             if let RData::Ns(target) = &rec.rdata {
@@ -257,11 +275,6 @@ impl Zone {
         } else {
             LookupOutcome::NxDomain
         }
-    }
-
-    /// The zone's own NS RRset (at the apex).
-    pub fn apex_ns(&self) -> Vec<Record> {
-        self.records(&self.origin, RrType::Ns)
     }
 
     /// Iterates over all `(owner, rdata)` pairs (for zone-file export).

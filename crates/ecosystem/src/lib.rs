@@ -15,10 +15,13 @@
 //! * attack-driven on-demand customers with per-provider peak-duration
 //!   distributions (Fig. 8).
 //!
-//! The [`World`] answers DNS queries directly (bulk path) and can
-//! materialise real zones and authoritative servers on the simulated
-//! network (wire path); both produce identical resolutions.
+//! The [`World`] answers DNS queries directly (bulk path) and hands out
+//! each day's authoritative servers for the simulated network (wire path,
+//! [`DayAuthority`]); both produce identical resolutions. It can also
+//! materialise real zones and servers, the small-world oracle the
+//! authority is tested against.
 
+pub mod authority;
 pub mod domain;
 pub mod ids;
 pub mod scenario;
@@ -26,6 +29,7 @@ pub mod schedule;
 pub mod spec;
 pub mod world;
 
+pub use authority::{servers, AuthorityServer, DayAuthority};
 pub use domain::{
     domain_apex, domain_label, parse_domain_label, Diversion, DomainState, GroundTruth,
 };

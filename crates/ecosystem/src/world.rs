@@ -1,8 +1,10 @@
 //! The living world: applies the schedule day by day, answers DNS queries
-//! (bulk path), exports zone files, BGP tables and ground truth, and can
-//! materialise itself into real zones + servers on the simulated network
-//! (wire path) for full-fidelity runs.
+//! (bulk path), exports zone files, BGP tables and ground truth, hands out
+//! the day's authoritative servers for the simulated network (wire path,
+//! [`World::authority`]) and can materialise itself into real zones and
+//! servers (the small-world oracle the authority is tested against).
 
+use crate::authority::{servers, skeleton, AuthorityServer, DayAuthority};
 use crate::domain::{
     domain_apex, id_name, parse_domain_label, parse_id_label, Diversion, DomainState, GroundTruth,
 };
@@ -20,7 +22,7 @@ use std::net::{IpAddr, Ipv4Addr};
 use std::sync::{Arc, OnceLock};
 
 /// Default TTL on generated records.
-const TTL: u32 = 300;
+pub(crate) const TTL: u32 = 300;
 
 /// Who owns an infrastructure SLD.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,18 +67,67 @@ struct EntryCache {
 pub struct World {
     /// Parameters the scenario was built with.
     pub params: ScenarioParams,
-    day: Day,
-    domains: Vec<DomainState>,
-    baskets: Vec<BasketInfo>,
+    state: DayState,
     schedule: Schedule,
     rib: Rib,
     registry: AsRegistry,
-    infra: Vec<InfraDomain>,
     alexa: Vec<AlexaEntry>,
     /// Per-day zone/Alexa membership lists, shared out as `Arc`s so
     /// repeated zone transfers and sweep shards don't re-collect the
     /// whole domain table on every call.
     entry_cache: Mutex<EntryCache>,
+}
+
+/// The answer model's inputs for one day: the domain and basket tables
+/// as they stand that day. The world mutates its tables copy-on-write, so
+/// a [`DayAuthority`] can keep answering from a clone after the world has
+/// moved on.
+#[derive(Clone)]
+pub(crate) struct DayState {
+    pub(crate) day: Day,
+    pub(crate) domains: Arc<Vec<DomainState>>,
+    pub(crate) baskets: Arc<Vec<BasketInfo>>,
+}
+
+impl DayState {
+    /// The apex IPv4 address of a domain, given its current state.
+    pub(crate) fn apex_v4(&self, id: DomainId, st: &DomainState) -> Ipv4Addr {
+        if let Some((b, member)) = st.basket {
+            let addressing = self.baskets[b.0 as usize].spec.addressing;
+            match addressing {
+                BasketAddressing::DedicatedPrefix => return spec::basket_ip(b, member),
+                BasketAddressing::WixStyle => {
+                    if st.diversion.diverts_traffic() {
+                        return spec::basket_ip(b, member);
+                    }
+                    return spec::hoster_ip(hid::AWS, id.0);
+                }
+                BasketAddressing::Shared => {}
+            }
+        }
+        match st.diversion {
+            Diversion::ARecord(p) | Diversion::Cname(p) | Diversion::NsDelegation(p) => {
+                spec::provider_cloud_ip(p, id.0)
+            }
+            _ => spec::hoster_ip(st.hoster, id.0),
+        }
+    }
+
+    /// True when the domain's DNS is down today: its own outage, or its
+    /// basket's.
+    pub(crate) fn basket_outage(&self, st: &DomainState) -> bool {
+        st.outage
+            || st
+                .basket
+                .is_some_and(|(b, _)| self.baskets[b.0 as usize].outage)
+    }
+
+    /// Domain `id`'s state, if it is in its zone today.
+    pub(crate) fn alive(&self, id: DomainId) -> Option<&DomainState> {
+        self.domains
+            .get(id.0 as usize)
+            .filter(|st| st.alive_on(self.day))
+    }
 }
 
 impl World {
@@ -101,42 +152,16 @@ impl World {
             rib.announce(spec::hoster_prefix(HosterId(h as u8)), Asn(spec_.asn));
         }
 
-        let mut infra = Vec::new();
-        for (i, p) in PROVIDERS.iter().enumerate() {
-            let mut slds: Vec<&str> = Vec::new();
-            slds.extend(p.cname_slds);
-            for s in p.ns_slds {
-                if !slds.contains(s) {
-                    slds.push(s);
-                }
-            }
-            for sld in slds {
-                let (_, tld_label) = sld.rsplit_once('.').expect("sld has tld");
-                let tld = Tld::from_label(tld_label).expect("known tld");
-                infra.push(InfraDomain {
-                    sld: sld.parse().expect("valid sld"),
-                    tld,
-                    owner: InfraOwner::Provider(ProviderId(i as u8)),
-                });
-            }
-        }
-        for (h, spec_) in HOSTERS.iter().enumerate() {
-            infra.push(InfraDomain {
-                sld: spec_.ns_sld.parse().expect("valid sld"),
-                tld: spec_.ns_tld,
-                owner: InfraOwner::Hoster(HosterId(h as u8)),
-            });
-        }
-
         let mut world = Self {
             params: scenario.params,
-            day: Day(0),
-            domains: scenario.domains,
-            baskets: scenario.baskets,
+            state: DayState {
+                day: Day(0),
+                domains: Arc::new(scenario.domains),
+                baskets: Arc::new(scenario.baskets),
+            },
             schedule: scenario.schedule,
             rib,
             registry,
-            infra,
             alexa: scenario.alexa,
             entry_cache: Mutex::new(EntryCache::default()),
         };
@@ -151,47 +176,49 @@ impl World {
 
     /// The current day.
     pub fn day(&self) -> Day {
-        self.day
+        self.state.day
     }
 
     /// Advances to `day` (monotonic), applying all scheduled events.
     pub fn advance_to(&mut self, day: Day) {
-        assert!(day >= self.day, "time must not run backwards");
+        assert!(day >= self.state.day, "time must not run backwards");
         // Zone membership is a pure function of the day; dropping the
         // cached lists here is the only invalidation the cache needs.
         *self.entry_cache.get_mut() = EntryCache::default();
         self.apply_through(day);
-        self.day = day;
+        self.state.day = day;
     }
 
     fn apply_through(&mut self, day: Day) {
         // Split borrows: the schedule hands out events while we mutate
         // domains/baskets/rib, so copy the batch.
         let batch: Vec<_> = self.schedule.take_through(day).to_vec();
+        // The tables are shared with any authority still answering for
+        // an earlier day; the first change copies them.
+        let state = &mut self.state;
         for ev in batch {
             match ev.action {
                 // Zone-file membership is derived from the domain state;
                 // these two exist for schedule traceability only.
                 Action::Register(_) | Action::Delete(_) => {}
                 Action::SetDiversion(id, d) => {
-                    if let Some(dom) = self.domains.get_mut(id.0 as usize) {
+                    if let Some(dom) = Arc::make_mut(&mut state.domains).get_mut(id.0 as usize) {
                         dom.diversion = d;
                     }
                 }
                 Action::BasketDiversion(b, d) => {
-                    let members = self
-                        .baskets
-                        .get(b.0 as usize)
-                        .map(|b| b.members.clone())
-                        .unwrap_or_default();
-                    for m in members {
-                        if let Some(dom) = self.domains.get_mut(m.0 as usize) {
+                    let Some(basket) = state.baskets.get(b.0 as usize) else {
+                        continue;
+                    };
+                    let domains = Arc::make_mut(&mut state.domains);
+                    for m in &basket.members {
+                        if let Some(dom) = domains.get_mut(m.0 as usize) {
                             dom.diversion = d;
                         }
                     }
                 }
                 Action::BasketOutage(b, on) => {
-                    if let Some(basket) = self.baskets.get_mut(b.0 as usize) {
+                    if let Some(basket) = Arc::make_mut(&mut state.baskets).get_mut(b.0 as usize) {
                         basket.outage = on;
                     }
                 }
@@ -219,17 +246,17 @@ impl World {
 
     /// Infrastructure SLD table.
     pub fn infra(&self) -> &[InfraDomain] {
-        &self.infra
+        infra_table()
     }
 
     /// All domain states (index = [`DomainId`]).
     pub fn domains(&self) -> &[DomainState] {
-        &self.domains
+        &self.state.domains
     }
 
     /// Basket table.
     pub fn baskets(&self) -> &[BasketInfo] {
-        &self.baskets
+        &self.state.baskets
     }
 
     /// Today's zone file of `tld`: every delegated SLD. The list is
@@ -252,15 +279,15 @@ impl World {
     /// list (and without touching the cache) — for callers that only walk
     /// the entries once.
     pub fn zone_entry_iter(&self, tld: Tld) -> impl Iterator<Item = ZoneEntry> + '_ {
-        let day = self.day;
+        let day = self.state.day;
         let domains = self
+            .state
             .domains
             .iter()
             .enumerate()
             .filter(move |(_, d)| d.tld == tld && d.alive_on(day))
             .map(|(i, _)| ZoneEntry::Domain(DomainId(i as u32)));
-        let infra = self
-            .infra
+        let infra = infra_table()
             .iter()
             .enumerate()
             .filter(move |(_, inf)| inf.tld == tld)
@@ -287,9 +314,9 @@ impl World {
         self.alexa
             .iter()
             .filter(|e| {
-                e.from <= self.day
-                    && e.until.map_or(true, |u| self.day < u)
-                    && self.domains[e.domain.0 as usize].alive_on(self.day)
+                e.from <= self.state.day
+                    && e.until.map_or(true, |u| self.state.day < u)
+                    && self.state.domains[e.domain.0 as usize].alive_on(self.state.day)
             })
             .map(|e| ZoneEntry::Domain(e.domain))
             .collect()
@@ -297,9 +324,10 @@ impl World {
 
     /// Number of alive domains in `tld` today.
     pub fn zone_size(&self, tld: Tld) -> usize {
-        self.domains
+        self.state
+            .domains
             .iter()
-            .filter(|d| d.tld == tld && d.alive_on(self.day))
+            .filter(|d| d.tld == tld && d.alive_on(self.state.day))
             .count()
     }
 
@@ -311,12 +339,12 @@ impl World {
         let mut out = String::new();
         let _ = writeln!(out, "$ORIGIN {}.", tld.label());
         let _ = writeln!(out, "$TTL 86400");
-        let _ = writeln!(out, "; {} zone, day {}", tld.label(), self.day);
+        let _ = writeln!(out, "; {} zone, day {}", tld.label(), self.state.day);
         for entry in self.zone_entry_iter(tld) {
             let apex = self.entry_name(entry);
             let hosts: [Option<&Name>; 2] = match entry {
-                ZoneEntry::Domain(id) => Self::ns_hosts(id, &self.domains[id.0 as usize]),
-                ZoneEntry::Infra(i) => match self.infra[i].owner {
+                ZoneEntry::Domain(id) => Self::ns_hosts(id, &self.state.domains[id.0 as usize]),
+                ZoneEntry::Infra(i) => match infra_table()[i].owner {
                     InfraOwner::Provider(p) => [0, 1].map(|k| Some(provider_ns_name(p, k))),
                     InfraOwner::Hoster(h) => [0, 1].map(|k| Some(hoster_ns_name(h, k))),
                 },
@@ -332,19 +360,19 @@ impl World {
     pub fn entry_name(&self, entry: ZoneEntry) -> Name {
         match entry {
             ZoneEntry::Domain(id) => self.domain_name(id),
-            ZoneEntry::Infra(i) => self.infra[i].sld.clone(),
+            ZoneEntry::Infra(i) => infra_table()[i].sld.clone(),
         }
     }
 
     /// `d<id>.<tld>`.
     pub fn domain_name(&self, id: DomainId) -> Name {
-        domain_apex(id, self.domains[id.0 as usize].tld)
+        domain_apex(id, self.state.domains[id.0 as usize].tld)
     }
 
     /// Ground truth for a domain **today**.
     pub fn ground_truth(&self, id: DomainId) -> GroundTruth {
-        let st = &self.domains[id.0 as usize];
-        if !st.alive_on(self.day) {
+        let st = &self.state.domains[id.0 as usize];
+        if !st.alive_on(self.state.day) {
             return GroundTruth {
                 provider: None,
                 diversion: Diversion::None,
@@ -391,7 +419,9 @@ impl World {
 
     /// The name-server hosts `(name, address)` an infrastructure owner
     /// runs: every provider host, or a hoster's two.
-    fn owner_ns_hosts(owner: InfraOwner) -> impl Iterator<Item = (&'static Name, IpAddr)> {
+    pub(crate) fn owner_ns_hosts(
+        owner: InfraOwner,
+    ) -> impl Iterator<Item = (&'static Name, IpAddr)> {
         let count = match owner {
             InfraOwner::Provider(p) => Self::provider_ns_host_count(p),
             InfraOwner::Hoster(_) => 2,
@@ -404,7 +434,7 @@ impl World {
 
     /// The NS host names of a domain (two, or one when a provider runs a
     /// single host), given its current state.
-    fn ns_hosts(id: DomainId, st: &DomainState) -> [Option<&'static Name>; 2] {
+    pub(crate) fn ns_hosts(id: DomainId, st: &DomainState) -> [Option<&'static Name>; 2] {
         match st.diversion {
             Diversion::NsDelegation(p) | Diversion::NsOnly(p) => {
                 let count = Self::provider_ns_host_count(p);
@@ -419,31 +449,8 @@ impl World {
         }
     }
 
-    /// The apex IPv4 address of a domain, given its current state.
-    fn apex_v4(&self, id: DomainId, st: &DomainState) -> Ipv4Addr {
-        if let Some((b, member)) = st.basket {
-            let addressing = self.baskets[b.0 as usize].spec.addressing;
-            match addressing {
-                BasketAddressing::DedicatedPrefix => return spec::basket_ip(b, member),
-                BasketAddressing::WixStyle => {
-                    if st.diversion.diverts_traffic() {
-                        return spec::basket_ip(b, member);
-                    }
-                    return spec::hoster_ip(hid::AWS, id.0);
-                }
-                BasketAddressing::Shared => {}
-            }
-        }
-        match st.diversion {
-            Diversion::ARecord(p) | Diversion::Cname(p) | Diversion::NsDelegation(p) => {
-                spec::provider_cloud_ip(p, id.0)
-            }
-            _ => spec::hoster_ip(st.hoster, id.0),
-        }
-    }
-
     /// The AAAA address of a domain's web endpoint, when one exists.
-    fn apex_v6(&self, id: DomainId, st: &DomainState) -> Option<std::net::Ipv6Addr> {
+    pub(crate) fn apex_v6(id: DomainId, st: &DomainState) -> Option<std::net::Ipv6Addr> {
         if !st.wants_aaaa {
             return None;
         }
@@ -458,40 +465,27 @@ impl World {
     }
 
     /// The CNAME hops of `www.<domain>`, if it is an alias: at most two,
-    /// in chase order.
-    fn www_chain(id: DomainId, st: &DomainState) -> [Option<Name>; 2] {
+    /// in chase order, each as the `(prefix, suffix)` of the hop name
+    /// `<prefix><id>.<suffix>` (see [`www_chain`](Self::www_chain)).
+    pub(crate) fn www_hops(id: DomainId, st: &DomainState) -> [Option<(u8, &'static str)>; 2] {
         match st.diversion {
             Diversion::Cname(p) if p == pid::AKAMAI => {
                 // Akamai-style double indirection, in two flavours:
                 // www.x → dN.edgekey.net   → eN.akamaiedge.net → A
                 // www.x → dN.edgesuite.net → eN.akamai.net     → A
-                let (hop1, hop2) = if id.0 % 2 == 0 {
-                    ("edgekey.net", "akamaiedge.net")
-                } else {
-                    ("edgesuite.net", "akamai.net")
-                };
-                [
-                    Some(id_name(b'd', id.0, hop1)),
-                    Some(id_name(b'e', id.0, hop2)),
-                ]
+                let [hop1, hop2] = AKAMAI_HOPS[id.0 as usize % 2];
+                [Some((b'd', hop1)), Some((b'e', hop2))]
             }
-            Diversion::Cname(p) => [
-                Some(id_name(b'd', id.0, Self::provider_spec(p).cname_slds[0])),
-                None,
-            ],
+            Diversion::Cname(p) => [Some((b'd', Self::provider_spec(p).cname_slds[0])), None],
             // Wix-style: the site lives on a cloud (AWS).
-            Diversion::None if st.www_cname_to_hoster => {
-                [Some(id_name(b'd', id.0, "compute.amazonaws.com")), None]
-            }
+            Diversion::None if st.www_cname_to_hoster => [Some((b'd', COMPUTE_HOPS)), None],
             _ => [None, None],
         }
     }
 
-    fn basket_outage(&self, st: &DomainState) -> bool {
-        st.outage
-            || st
-                .basket
-                .is_some_and(|(b, _)| self.baskets[b.0 as usize].outage)
+    /// The CNAME hop names of `www.<domain>`, in chase order.
+    pub(crate) fn www_chain(id: DomainId, st: &DomainState) -> [Option<Name>; 2] {
+        Self::www_hops(id, st).map(|hop| hop.map(|(prefix, suffix)| id_name(prefix, id.0, suffix)))
     }
 
     // -----------------------------------------------------------------
@@ -543,15 +537,16 @@ impl World {
 
         // Customer domain?
         if let Some(id) = parse_domain_label(sld_label) {
-            if (id.0 as usize) < self.domains.len() && self.domains[id.0 as usize].tld == tld {
+            if (id.0 as usize) < self.state.domains.len()
+                && self.state.domains[id.0 as usize].tld == tld
+            {
                 return self.answer_domain(id, sub, qtype, answers);
             }
             return Ok(Rcode::NxDomain);
         }
 
         // Infrastructure SLD?
-        if let Some(idx) = self
-            .infra
+        if let Some(idx) = infra_table()
             .iter()
             .position(|i| i.sld.as_wire() == registered)
         {
@@ -569,11 +564,11 @@ impl World {
         qtype: RrType,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
-        let st = &self.domains[id.0 as usize];
-        if !st.alive_on(self.day) {
+        let st = &self.state.domains[id.0 as usize];
+        if !st.alive_on(self.state.day) {
             return Ok(Rcode::NxDomain);
         }
-        if self.basket_outage(st) {
+        if self.state.basket_outage(st) {
             return Err(ResolveError::ServerFailure(Rcode::ServFail));
         }
         let owner = match sub {
@@ -617,9 +612,9 @@ impl World {
         qtype: RrType,
     ) {
         match qtype {
-            RrType::A => push(answers, owner, RData::A(self.apex_v4(id, st))),
+            RrType::A => push(answers, owner, RData::A(self.state.apex_v4(id, st))),
             RrType::Aaaa => {
-                if let Some(v6) = self.apex_v6(id, st) {
+                if let Some(v6) = Self::apex_v6(id, st) {
                     push(answers, owner, RData::Aaaa(v6));
                 }
             }
@@ -637,7 +632,7 @@ impl World {
         qtype: RrType,
         answers: &mut Vec<Record>,
     ) -> Result<Rcode, ResolveError> {
-        let inf = &self.infra[idx];
+        let inf = &infra_table()[idx];
         let web_ip = match inf.owner {
             InfraOwner::Provider(p) => spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
             InfraOwner::Hoster(h) => spec::hoster_prefix(h).nth_v4(8).expect("room"),
@@ -681,17 +676,14 @@ impl World {
         let Some(id) = parse_id_label(b'd', first).or_else(|| parse_id_label(b'e', first)) else {
             return Rcode::NxDomain;
         };
-        let Some(st) = self.domains.get(id.0 as usize) else {
+        let Some(st) = self.state.domains.get(id.0 as usize) else {
             return Rcode::NxDomain;
         };
         // Akamai first hop chains to the second hop.
-        let second_hop = if is_named(&inf.sld, "edgekey.net") {
-            Some("akamaiedge.net")
-        } else if is_named(&inf.sld, "edgesuite.net") {
-            Some("akamai.net")
-        } else {
-            None
-        };
+        let second_hop = AKAMAI_HOPS
+            .iter()
+            .find(|[hop1, _]| is_named(&inf.sld, hop1))
+            .map(|[_, hop2]| *hop2);
         let mut owner = qname.clone();
         if let (Some(hop2), true, true) =
             (second_hop, first.starts_with(b"d"), qtype != RrType::Cname)
@@ -707,6 +699,67 @@ impl World {
 
 /// The wire form of a lone `www` label.
 const WWW: &[u8] = b"\x03www";
+
+/// Akamai's two `www` chain flavours, `[first hop, second hop]` suffixes:
+/// even domain ids take the first, odd ids the second.
+const AKAMAI_HOPS: [[&str; 2]; 2] = [
+    ["edgekey.net", "akamaiedge.net"],
+    ["edgesuite.net", "akamai.net"],
+];
+
+/// Where a Wix-style `www` alias points: `dN.compute.amazonaws.com`.
+const COMPUTE_HOPS: &str = "compute.amazonaws.com";
+
+/// Every suffix a `www` chain hop name can hang under (see
+/// [`World::www_hops`]).
+pub(crate) fn hop_suffixes() -> impl Iterator<Item = &'static str> {
+    AKAMAI_HOPS
+        .iter()
+        .flatten()
+        .copied()
+        .chain(
+            PROVIDERS
+                .iter()
+                .filter_map(|p| p.cname_slds.first().copied()),
+        )
+        .chain([COMPUTE_HOPS])
+}
+
+/// The infrastructure SLD table: every provider's CNAME and NS SLDs
+/// (first appearance kept), then every hoster's NS SLD. Built once; it
+/// depends on the provider and hoster tables alone.
+pub(crate) fn infra_table() -> &'static [InfraDomain] {
+    static INFRA: OnceLock<Vec<InfraDomain>> = OnceLock::new();
+    INFRA.get_or_init(|| {
+        let mut infra = Vec::new();
+        for (i, p) in PROVIDERS.iter().enumerate() {
+            let mut slds: Vec<&str> = Vec::new();
+            slds.extend(p.cname_slds);
+            for s in p.ns_slds {
+                if !slds.contains(s) {
+                    slds.push(s);
+                }
+            }
+            for sld in slds {
+                let (_, tld_label) = sld.rsplit_once('.').expect("sld has tld");
+                let tld = Tld::from_label(tld_label).expect("known tld");
+                infra.push(InfraDomain {
+                    sld: sld.parse().expect("valid sld"),
+                    tld,
+                    owner: InfraOwner::Provider(ProviderId(i as u8)),
+                });
+            }
+        }
+        for (h, spec_) in HOSTERS.iter().enumerate() {
+            infra.push(InfraDomain {
+                sld: spec_.ns_sld.parse().expect("valid sld"),
+                tld: spec_.ns_tld,
+                owner: InfraOwner::Hoster(HosterId(h as u8)),
+            });
+        }
+        infra
+    })
+}
 
 /// True if `name` is the dotted presentation name `dotted` (no trailing
 /// dot), compared label by label.
@@ -773,111 +826,82 @@ fn hoster_host(s: &HosterSpec, k: usize) -> Name {
 // ---------------------------------------------------------------------------
 
 impl World {
-    /// Builds real zones and authoritative servers for **today's** state and
-    /// binds them on `net`. Intended for small worlds (tests, examples,
-    /// full-fidelity validation); rebuild after advancing days.
-    pub fn materialize(&self, net: &Arc<Network>) -> Arc<Catalog> {
-        let catalog = Arc::new(Catalog::new());
+    /// Today's authoritative servers, answering from the world model: see
+    /// [`DayAuthority`]. The authority owns what it answers from, so it
+    /// stays valid — and the world may advance — while a sweep runs.
+    pub fn authority(&self) -> Arc<DayAuthority> {
+        Arc::new(DayAuthority::new(self.state.clone()))
+    }
 
-        // Root zone + TLD zones.
-        let mut root = Zone::new(Name::root());
-        // Ordered map: iterated below when binding TLD servers, so the
-        // bind order (and thus simulation state) must not depend on hashing.
-        let mut tld_zones: BTreeMap<Tld, Zone> = BTreeMap::new();
-        for tld in [Tld::Com, Tld::Net, Tld::Org, Tld::Nl, Tld::Biz] {
-            let tld_name: Name = tld.label().parse().expect("valid");
-            let ns_name: Name = format!("ns.nic.{}", tld.label()).parse().expect("valid");
-            let addr = spec::tld_server_addr(tld);
-            root.add(tld_name.clone(), RData::Ns(ns_name.clone()));
-            if let IpAddr::V4(v4) = addr {
-                root.add(ns_name.clone(), RData::A(v4));
-            }
-            let mut z = Zone::new(tld_name);
-            z.add(ns_name.clone(), RData::Ns(ns_name.clone()));
-            if let IpAddr::V4(v4) = addr {
-                z.add(ns_name, RData::A(v4));
-            }
-            tld_zones.insert(tld, z);
-        }
+    /// Builds real zones and authoritative servers for **today's** state and
+    /// binds them on `net`: one zone per alive customer domain. Intended
+    /// for small worlds — it is the oracle [`authority`](Self::authority)
+    /// is tested against; rebuild after advancing days.
+    pub fn materialize(&self, net: &Arc<Network>) -> Arc<Catalog> {
+        let skeleton = skeleton();
+        let catalog = Arc::new(Catalog::new());
+        let mut tld_zones = skeleton.tlds.clone();
 
         // Per-owner servers.
-        let provider_srv: Vec<Arc<AuthServer>> = (0..9).map(|_| AuthServer::new()).collect();
+        let provider_srv: Vec<Arc<AuthServer>> =
+            PROVIDERS.iter().map(|_| AuthServer::new()).collect();
         let hoster_srv: Vec<Arc<AuthServer>> = HOSTERS.iter().map(|_| AuthServer::new()).collect();
+        let owner_srv = |owner: InfraOwner| match owner {
+            InfraOwner::Provider(p) => &provider_srv[p.0 as usize],
+            InfraOwner::Hoster(h) => &hoster_srv[h.0 as usize],
+        };
 
-        // Infrastructure zones.
-        for inf in &self.infra {
-            let mut z = Zone::new(inf.sld.clone());
-            let (srv, web_ip): (&Arc<AuthServer>, Ipv4Addr) = match inf.owner {
-                InfraOwner::Provider(p) => (
-                    &provider_srv[p.0 as usize],
-                    spec::provider_prefix(p, 0).nth_v4(8).expect("room"),
-                ),
-                InfraOwner::Hoster(h) => (
-                    &hoster_srv[h.0 as usize],
-                    spec::hoster_prefix(h).nth_v4(8).expect("room"),
-                ),
-            };
-            z.add(inf.sld.clone(), RData::A(web_ip));
-            z.add(inf.sld.prepend("www").expect("short"), RData::A(web_ip));
-            for (h, ip) in Self::owner_ns_hosts(inf.owner) {
-                z.add(inf.sld.clone(), RData::Ns(h.clone()));
-                if h.is_subdomain_of(&inf.sld) {
-                    if let IpAddr::V4(v4) = ip {
-                        z.add(h.clone(), RData::A(v4));
-                    }
-                }
+        // Infrastructure zones: their fixed records now, every alive
+        // customer's CNAME hop records in the pass below.
+        let infra_zones: Vec<_> = skeleton
+            .infra_zones
+            .iter()
+            .zip(infra_table())
+            .map(|(zone, inf)| {
+                let handle = catalog.add_zone(zone.clone(), vec![]);
+                owner_srv(inf.owner).serve_zone(Arc::clone(&handle));
+                handle
+            })
+            .collect();
+
+        // One pass over the domain table: hop records into the
+        // infrastructure zones they sit under, then the customer zone and
+        // its TLD delegation.
+        for (i, st) in self.state.domains.iter().enumerate() {
+            let id = DomainId(i as u32);
+            if !st.alive_on(self.state.day) {
+                continue;
             }
-            // CNAME-target names & compute names for alive customers.
-            for (i, st) in self.domains.iter().enumerate() {
-                let id = DomainId(i as u32);
-                if !st.alive_on(self.day) {
-                    continue;
-                }
-                let [hop1, hop2] = Self::www_chain(id, st);
-                for (hop, next) in [(&hop1, &hop2), (&hop2, &None)] {
-                    let Some(hop) = hop else { continue };
-                    if hop.is_subdomain_of(&inf.sld) {
-                        if let Some(next) = next {
-                            z.add(hop.clone(), RData::Cname(next.clone()));
-                        } else {
-                            z.add(hop.clone(), RData::A(self.apex_v4(id, st)));
-                            if let Some(v6) = self.apex_v6(id, st) {
-                                z.add(hop.clone(), RData::Aaaa(v6));
-                            }
+            let [hop1, hop2] = Self::www_chain(id, st);
+            for (hop, next) in [(&hop1, &hop2), (&hop2, &None)] {
+                let Some(hop) = hop else { continue };
+                for &z in skeleton.zones_holding(hop) {
+                    let mut zone = infra_zones[z].write();
+                    if let Some(next) = next {
+                        zone.add(hop.clone(), RData::Cname(next.clone()));
+                    } else {
+                        zone.add(hop.clone(), RData::A(self.state.apex_v4(id, st)));
+                        if let Some(v6) = Self::apex_v6(id, st) {
+                            zone.add(hop.clone(), RData::Aaaa(v6));
                         }
                     }
                 }
             }
-            // Delegation from the TLD + in-TLD glue.
-            let tz = tld_zones.get_mut(&inf.tld).expect("tld exists");
-            for (h, ip) in Self::owner_ns_hosts(inf.owner) {
-                tz.add(inf.sld.clone(), RData::Ns(h.clone()));
-                if let (IpAddr::V4(v4), true) = (ip, ends_in_tld(h, inf.tld)) {
-                    tz.add(h.clone(), RData::A(v4));
-                }
-            }
-            let handle = catalog.add_zone(z, vec![]);
-            srv.serve_zone(handle);
-        }
-
-        // Customer zones.
-        for (i, st) in self.domains.iter().enumerate() {
-            let id = DomainId(i as u32);
-            if !st.alive_on(self.day) || self.basket_outage(st) {
+            if self.state.basket_outage(st) {
                 continue;
             }
             let apex = self.domain_name(id);
             let mut z = Zone::new(apex.clone());
-            z.add(apex.clone(), RData::A(self.apex_v4(id, st)));
-            if let Some(v6) = self.apex_v6(id, st) {
+            z.add(apex.clone(), RData::A(self.state.apex_v4(id, st)));
+            if let Some(v6) = Self::apex_v6(id, st) {
                 z.add(apex.clone(), RData::Aaaa(v6));
             }
             let www = apex.prepend("www").expect("short");
-            if let [Some(first), _] = Self::www_chain(id, st) {
+            if let Some(first) = hop1 {
                 z.add(www, RData::Cname(first));
             } else {
-                z.add(www.clone(), RData::A(self.apex_v4(id, st)));
-                if let Some(v6) = self.apex_v6(id, st) {
+                z.add(www.clone(), RData::A(self.state.apex_v4(id, st)));
+                if let Some(v6) = Self::apex_v6(id, st) {
                     z.add(www, RData::Aaaa(v6));
                 }
             }
@@ -901,33 +925,31 @@ impl World {
 
         // Bind everything.
         let root_srv = AuthServer::new();
-        root_srv.serve_zone(catalog.add_zone(root, vec![spec::root_server_addr()]));
-        root_srv.bind(net, spec::root_server_addr());
-        for (tld, z) in tld_zones {
-            let srv = AuthServer::new();
-            srv.serve_zone(catalog.add_zone(z, vec![spec::tld_server_addr(tld)]));
-            srv.bind(net, spec::tld_server_addr(tld));
-        }
-        for (p, srv) in provider_srv.iter().enumerate() {
-            let p = ProviderId(p as u8);
-            if PROVIDERS[p.0 as usize].ns_labels.is_empty() {
-                continue;
-            }
-            for k in 0..Self::provider_ns_host_count(p) {
-                srv.bind(net, Self::provider_ns_host(p, k).1);
-            }
-        }
-        for (h, srv) in hoster_srv.iter().enumerate() {
-            for k in 0..2 {
-                srv.bind(net, Self::hoster_ns_host(HosterId(h as u8), k).1);
-            }
+        root_srv
+            .serve_zone(catalog.add_zone(skeleton.root.clone(), vec![spec::root_server_addr()]));
+        let tld_srv: BTreeMap<Tld, Arc<AuthServer>> = tld_zones
+            .into_iter()
+            .map(|(tld, z)| {
+                let srv = AuthServer::new();
+                srv.serve_zone(catalog.add_zone(z, vec![spec::tld_server_addr(tld)]));
+                (tld, srv)
+            })
+            .collect();
+        for (addr, server) in servers() {
+            let srv = match server {
+                AuthorityServer::Root => &root_srv,
+                AuthorityServer::Tld(tld) => &tld_srv[&tld],
+                AuthorityServer::Provider(p) => &provider_srv[p.0 as usize],
+                AuthorityServer::Hoster(h) => &hoster_srv[h.0 as usize],
+            };
+            srv.bind(net, addr);
         }
         catalog.set_root_hints(vec![spec::root_server_addr()]);
         catalog
     }
 }
 
-fn ends_in_tld(name: &Name, tld: Tld) -> bool {
+pub(crate) fn ends_in_tld(name: &Name, tld: Tld) -> bool {
     name.labels()
         .last()
         .map(|l| l == tld.label().as_bytes())
@@ -1133,7 +1155,7 @@ mod tests {
         let member = w.baskets()[sedo_idx].members[0];
         let name = w.domain_name(member);
         assert!(w.resolve(&name, RrType::A).is_ok());
-        w.baskets[sedo_idx].outage = true;
+        Arc::make_mut(&mut w.state.baskets)[sedo_idx].outage = true;
         assert!(matches!(
             w.resolve(&name, RrType::A),
             Err(ResolveError::ServerFailure(Rcode::ServFail))

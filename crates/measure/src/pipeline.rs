@@ -12,6 +12,13 @@
 //! entry ranges to worker agents. Whichever runs, rows meet the dictionary
 //! only in [`DayPages`], in due-source order and then entry order, so the
 //! archive bytes do not depend on the collector's parallelism.
+//!
+//! A collector whose day is self-contained — today the wire path, whose
+//! day owns its network, recursor and registry — hands each day off as a
+//! detached [`DayJob`]. The driver keeps up to four such days running
+//! (no more than the machine has cores) while it advances the world, and
+//! still interns and commits them strictly in day order, so the archive
+//! is the bytes a one-day-at-a-time run writes.
 
 use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, RecursorPath, SldInterner};
 use crate::observation::{entry_code, schema, Source};
@@ -21,13 +28,15 @@ use crate::supervisor::{sweep_supervised, SupervisedSweep, SupervisorConfig, Swe
 use crate::telemetry::{encode_telemetry, TELEMETRY_SOURCE};
 use dps_authdns::ResolverConfig;
 use dps_columnar::{StringDict, Table, TableBuilder};
-use dps_ecosystem::{World, ZoneEntry};
+use dps_ecosystem::{DayAuthority, World, ZoneEntry};
 use dps_netsim::{ChaosSchedule, Day, Network, Pfx2As};
 use dps_recursor::{Recursor, RecursorConfig};
 use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::{Counter, Registry, Snapshot};
+use std::collections::VecDeque;
 use std::net::{IpAddr, Ipv4Addr};
 use std::sync::Arc;
+use std::thread::ScopedJoinHandle;
 
 /// Study configuration.
 #[derive(Debug, Clone, Copy)]
@@ -39,17 +48,6 @@ pub struct StudyConfig {
     /// Measure only every `stride`-th day (1 = daily, the paper's cadence;
     /// larger strides cut experiment wall-clock while preserving shapes).
     pub stride: u32,
-}
-
-impl StudyConfig {
-    /// Daily measurement matching `world` parameters.
-    pub fn for_world(world: &World) -> Self {
-        Self {
-            days: world.params.gtld_days,
-            cc_start_day: world.params.cc_start_day,
-            stride: 1,
-        }
-    }
 }
 
 /// Archive source id reserved for streaming-analysis checkpoint pages
@@ -309,6 +307,15 @@ pub trait DayCollector {
         due: &[Source],
         pages: &mut DayPages<'_>,
     ) -> std::io::Result<Snapshot>;
+
+    /// The day as a self-contained job, when its rows depend only on what
+    /// the job owns (never on the world after this call or on another
+    /// day): the driver then runs it on its own thread, beside other
+    /// days, instead of calling [`collect_day`](Self::collect_day). The
+    /// default keeps the day inline.
+    fn detach_day(&mut self, _world: &World, _day: u32, _due: &[Source]) -> Option<DayJob> {
+        None
+    }
 }
 
 impl<C: DayCollector + ?Sized> DayCollector for &mut C {
@@ -321,7 +328,44 @@ impl<C: DayCollector + ?Sized> DayCollector for &mut C {
     ) -> std::io::Result<Snapshot> {
         (**self).collect_day(world, day, due, pages)
     }
+
+    fn detach_day(&mut self, world: &World, day: u32, due: &[Source]) -> Option<DayJob> {
+        (**self).detach_day(world, day, due)
+    }
 }
+
+/// A detached day: runs anywhere, owns everything it reads, and returns
+/// the day's rows for the driver to intern.
+pub type DayJob = Box<dyn FnOnce() -> std::io::Result<DetachedDay> + Send>;
+
+/// What a [`DayJob`] collected.
+pub struct DetachedDay {
+    /// One sweep per due source, in due order: its rows in entry-list
+    /// order and the quality record that replaces the row-tallied one.
+    pub sweeps: Vec<SupervisedSweep>,
+    /// The job's own telemetry for the day.
+    pub telemetry: Snapshot,
+}
+
+impl DetachedDay {
+    /// Interns the day's rows into `pages` (the collector half of
+    /// [`DayCollector::collect_day`]).
+    fn feed(self, pages: &mut DayPages<'_>) -> Snapshot {
+        for (page, sweep) in self.sweeps.into_iter().enumerate() {
+            for raw in sweep.rows {
+                pages.intern_row(page, raw);
+            }
+            pages.set_quality(page, sweep.quality);
+        }
+        self.telemetry
+    }
+}
+
+/// The most detached days in flight at once. Each holds its own network,
+/// recursor cache and raw rows until it is committed, so memory grows
+/// with this bound. The driver also never runs more than the machine
+/// has cores.
+const MAX_DAYS_IN_FLIGHT: usize = 4;
 
 /// The driver's page builders for one day, one per due source in
 /// [`due_sources_for`] order: the one place collected rows meet the
@@ -395,17 +439,36 @@ impl DayCollector for BulkCollector {
 /// The wire path for chaos sweeps. Each day gets a fresh network seeded
 /// `world.params.seed + day` whose virtual clock starts at zero, so the
 /// schedule describes faults *within* a day and replays identically
-/// every day. The day resolves through one caching-recursor worker, so
+/// every day. The day's servers are the world's [`DayAuthority`] for that
+/// day, and the day resolves through one caching-recursor worker, so
 /// sibling names start their descent at cached zone cuts instead of the
-/// root, and every due source is swept under the supervisor's
-/// dead-letter retry passes. One recursor and one registry per day, like
-/// the network itself: delegations churn between days, so no cache
-/// outlives the world it was filled from, and the day's snapshot is
-/// self-contained, so a resumed run re-measuring the day starts cold and
-/// reproduces the identical telemetry page. A single worker keeps cache
-/// fills independent of thread interleaving.
+/// root; every due source is swept under the supervisor's dead-letter
+/// retry passes. One recursor and one registry per day, like the network
+/// itself: delegations churn between days, so no cache outlives the world
+/// it was filled from, and the day's snapshot is self-contained, so a
+/// resumed run re-measuring the day starts cold and reproduces the
+/// identical telemetry page. A single worker keeps cache fills — and so
+/// which packets are sent and which names fail — independent of thread
+/// interleaving; that is why a day is never split, and why whole days
+/// run side by side instead ([`DayCollector::detach_day`]).
 struct WireCollector {
     schedule: ChaosSchedule,
+}
+
+impl WireCollector {
+    /// Day `day` of `world` as a job owning everything it reads: the
+    /// day's authority, entry lists and routing snapshot.
+    fn job(&self, world: &World, day: u32, due: &[Source]) -> DayJob {
+        let wire_day = WireDay {
+            authority: world.authority(),
+            lists: due.iter().map(|&s| (s, source_entries(world, s))).collect(),
+            pfx2as: world.pfx2as(),
+            seed: world.params.seed.wrapping_add(u64::from(day)),
+            schedule: self.schedule.clone(),
+            day,
+        };
+        Box::new(move || Ok(wire_day.run()))
+    }
 }
 
 impl DayCollector for WireCollector {
@@ -416,13 +479,31 @@ impl DayCollector for WireCollector {
         due: &[Source],
         pages: &mut DayPages<'_>,
     ) -> std::io::Result<Snapshot> {
+        Ok(self.job(world, day, due)()?.feed(pages))
+    }
+
+    fn detach_day(&mut self, world: &World, day: u32, due: &[Source]) -> Option<DayJob> {
+        Some(self.job(world, day, due))
+    }
+}
+
+/// One wire day's inputs, all owned.
+struct WireDay {
+    authority: Arc<DayAuthority>,
+    lists: Vec<(Source, Arc<Vec<ZoneEntry>>)>,
+    pfx2as: Pfx2As,
+    seed: u64,
+    schedule: ChaosSchedule,
+    day: u32,
+}
+
+impl WireDay {
+    fn run(self) -> DetachedDay {
         let registry = Registry::new();
-        let net =
-            Network::with_telemetry(world.params.seed.wrapping_add(u64::from(day)), &registry);
-        net.set_chaos(self.schedule.clone());
-        let catalog = world.materialize(&net);
+        let net = Network::with_telemetry(self.seed, &registry);
+        net.set_chaos(self.schedule);
         let recursor = Recursor::with_telemetry(
-            catalog.root_hints(),
+            self.authority.bind(&net),
             RecursorConfig {
                 resolver: ResolverConfig::resilient(),
                 ..Default::default()
@@ -432,26 +513,32 @@ impl DayCollector for WireCollector {
         let mut path = RecursorPath::new(recursor.worker(
             &net,
             IpAddr::V4(Ipv4Addr::new(172, 16, 0, 53)),
-            u64::from(day),
+            u64::from(self.day),
         ));
         let metrics = SweepMetrics::new(&registry);
-        let pfx2as = world.pfx2as();
-        for (page, &source) in due.iter().enumerate() {
-            let sweep = supervised_sweep(
-                world,
-                &mut path,
-                source,
-                day,
-                &pfx2as,
-                &SupervisorConfig::default(),
-                &metrics,
-            );
-            for raw in sweep.rows {
-                pages.intern_row(page, raw);
-            }
-            pages.set_quality(page, sweep.quality);
+        let sweeps = self
+            .lists
+            .iter()
+            .map(|(source, entries)| {
+                let jobs: Vec<(dps_dns::Name, u32)> = entries
+                    .iter()
+                    .map(|&entry| (self.authority.entry_name(entry), entry_code(entry)))
+                    .collect();
+                sweep_supervised(
+                    &mut path,
+                    &jobs,
+                    &self.pfx2as,
+                    self.day,
+                    *source,
+                    &SupervisorConfig::default(),
+                    &metrics,
+                )
+            })
+            .collect();
+        DetachedDay {
+            sweeps,
+            telemetry: registry.snapshot(),
         }
-        Ok(registry.snapshot())
     }
 }
 
@@ -553,59 +640,161 @@ impl<'c> Study<'c> {
     /// checkpoint pages through the observer on resume, and every freshly
     /// measured day feeds the observer before its commit.
     pub fn run_archived(
-        mut self,
+        self,
         world: &mut World,
         path: &std::path::Path,
         mut observer: Option<&mut dyn DayObserver>,
     ) -> std::io::Result<()> {
-        let mut writer = StoreWriter::resume_or_create(path, self.shards, Some(UNIQUE_KEY_COLUMN))?;
-        // Continue interning into the committed dictionary so a resumed
-        // sweep assigns the same ids an uninterrupted one would.
-        let mut dict = writer.dict().clone();
+        let Self {
+            config,
+            registry,
+            metrics,
+            shards,
+            mut collector,
+            mut on_commit,
+        } = self;
+        let writer = StoreWriter::resume_or_create(path, shards, Some(UNIQUE_KEY_COLUMN))?;
         if let Some(obs) = observer.as_deref_mut() {
-            replay_checkpoints(&writer, path, &self.config, obs)?;
+            replay_checkpoints(&writer, path, &config, obs)?;
         }
-        let mut interner = SldInterner::new();
-        let mut day = 0u32;
-        while day < self.config.days {
-            // Advance through *every* day — including already-committed
-            // ones — so world state evolves exactly as in a fresh run.
-            world.advance_to(Day(day));
-            if !day_committed(&writer, &self.config, day) {
-                let before = self.registry.snapshot();
-                self.metrics.days.inc();
-                let due = due_sources_for(&self.config, day);
-                let mut pages = DayPages {
-                    dict: &mut dict,
-                    interner: &mut interner,
-                    pages: due
-                        .iter()
-                        .map(|&s| (PageBuilder::new(day, s), None))
-                        .collect(),
-                };
-                let collected = self.collector.collect_day(world, day, &due, &mut pages)?;
-                let pages = pages.finish();
-                for page in &pages {
-                    self.metrics.rows.add(u64::from(page.quality.attempted));
-                    self.metrics.data_points.add(page.data_points);
+        let mut committer = Committer {
+            registry: &registry,
+            metrics: &metrics,
+            // Continue interning into the committed dictionary so a
+            // resumed sweep assigns the same ids an uninterrupted one
+            // would.
+            dict: writer.dict().clone(),
+            writer,
+            interner: SldInterner::new(),
+            observer,
+            on_commit: on_commit.as_mut(),
+        };
+        let cap = dps_columnar::mapreduce::default_workers().clamp(1, MAX_DAYS_IN_FLIGHT);
+        std::thread::scope(|scope| {
+            let mut in_flight: VecDeque<InFlight<'_>> = VecDeque::new();
+            let result = (|| {
+                let mut day = 0u32;
+                while day < config.days {
+                    // Advance through *every* day — including already-
+                    // committed ones — so world state evolves exactly as
+                    // in a fresh run.
+                    world.advance_to(Day(day));
+                    if !day_committed(&committer.writer, &config, day) {
+                        let due = due_sources_for(&config, day);
+                        if let Some(job) = collector.detach_day(world, day, &due) {
+                            in_flight.push_back((day, due, scope.spawn(job)));
+                            if in_flight.len() >= cap {
+                                committer.commit_oldest(&mut in_flight)?;
+                            }
+                        } else {
+                            while !in_flight.is_empty() {
+                                committer.commit_oldest(&mut in_flight)?;
+                            }
+                            committer.commit(day, &due, |pages| {
+                                collector.collect_day(world, day, &due, pages)
+                            })?;
+                        }
+                    }
+                    day += config.stride.max(1);
                 }
-                let mut telemetry = self.registry.snapshot().since(&before);
-                telemetry.merge(&collected);
-                let qualities = append_day(
-                    &mut writer,
-                    &dict,
-                    day,
-                    pages,
-                    telemetry,
-                    observer.as_deref_mut(),
-                )?;
-                if let Some(hook) = self.on_commit.as_mut() {
-                    hook(day, &qualities);
+                while !in_flight.is_empty() {
+                    committer.commit_oldest(&mut in_flight)?;
                 }
+                Ok(())
+            })();
+            // After a failed day nothing later is committed: wait for the
+            // jobs still running and drop what they collected.
+            for (_, _, job) in in_flight {
+                let _ = job.join();
             }
-            day += self.config.stride.max(1);
+            result
+        })
+    }
+}
+
+/// A detached day still being collected: its day, due sources and job.
+type InFlight<'scope> = (
+    u32,
+    Vec<Source>,
+    ScopedJoinHandle<'scope, std::io::Result<DetachedDay>>,
+);
+
+/// The driver's commit side: the run-wide dictionary and the archive
+/// writer, which days reach strictly in day order.
+struct Committer<'s, 'o> {
+    registry: &'s Registry,
+    metrics: &'s StudyMetrics,
+    writer: StoreWriter,
+    dict: StringDict,
+    interner: SldInterner,
+    observer: Option<&'o mut dyn DayObserver>,
+    on_commit: Option<&'s mut CommitHook>,
+}
+
+impl Committer<'_, '_> {
+    /// Measures `day`: `collect` feeds the day's pages and returns its
+    /// own telemetry; the driver's counters, the observer and one durable
+    /// commit follow.
+    fn commit(
+        &mut self,
+        day: u32,
+        due: &[Source],
+        collect: impl FnOnce(&mut DayPages<'_>) -> std::io::Result<Snapshot>,
+    ) -> std::io::Result<()> {
+        let before = self.registry.snapshot();
+        self.metrics.days.inc();
+        let mut pages = DayPages {
+            dict: &mut self.dict,
+            interner: &mut self.interner,
+            pages: due
+                .iter()
+                .map(|&s| (PageBuilder::new(day, s), None))
+                .collect(),
+        };
+        let collected = collect(&mut pages)?;
+        let pages = pages.finish();
+        for page in &pages {
+            self.metrics.rows.add(u64::from(page.quality.attempted));
+            self.metrics.data_points.add(page.data_points);
+        }
+        let mut telemetry = self.registry.snapshot().since(&before);
+        telemetry.merge(&collected);
+        let qualities = append_day(
+            &mut self.writer,
+            &self.dict,
+            day,
+            pages,
+            telemetry,
+            self.observer.as_deref_mut(),
+        )?;
+        if let Some(hook) = self.on_commit.as_mut() {
+            hook(day, &qualities);
         }
         Ok(())
+    }
+
+    /// Waits for the oldest detached day and commits it; a job that
+    /// failed or panicked fails the run with its error.
+    fn commit_oldest(&mut self, in_flight: &mut VecDeque<InFlight<'_>>) -> std::io::Result<()> {
+        let Some((day, due, job)) = in_flight.pop_front() else {
+            return Ok(());
+        };
+        let detached = match job.join() {
+            Ok(collected) => {
+                collected.map_err(|e| std::io::Error::new(e.kind(), format!("day {day}: {e}")))?
+            }
+            Err(panic) => {
+                let why = panic
+                    .downcast_ref::<&str>()
+                    .map(|s| s.to_string())
+                    .or_else(|| panic.downcast_ref::<String>().cloned())
+                    .unwrap_or_else(|| "unknown cause".to_string());
+                return Err(std::io::Error::other(format!(
+                    "day {day}: collection job panicked: {why}"
+                )));
+            }
+        };
+        self.commit(day, &due, |pages| Ok(detached.feed(pages)))
     }
 }
 
@@ -819,6 +1008,93 @@ mod tests {
             .unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), bytes);
         std::fs::remove_file(&path).ok();
+    }
+
+    /// A wire collector whose job for `fail_day` fails: with an `Err`,
+    /// or by panicking.
+    struct FailingDay {
+        wire: WireCollector,
+        fail_day: u32,
+        panic: bool,
+    }
+
+    impl DayCollector for FailingDay {
+        fn collect_day(
+            &mut self,
+            world: &World,
+            day: u32,
+            due: &[Source],
+            pages: &mut DayPages<'_>,
+        ) -> std::io::Result<Snapshot> {
+            self.wire.collect_day(world, day, due, pages)
+        }
+
+        fn detach_day(&mut self, world: &World, day: u32, due: &[Source]) -> Option<DayJob> {
+            if day != self.fail_day {
+                return self.wire.detach_day(world, day, due);
+            }
+            let panic = self.panic;
+            Some(Box::new(move || {
+                if panic {
+                    panic!("injected day-job panic");
+                }
+                Err(std::io::Error::other("injected day-job error"))
+            }))
+        }
+    }
+
+    /// A day job that fails or panics ends the run with its error; the
+    /// archive then holds exactly the days before it — the bytes a run
+    /// that stopped there writes — and no later day, though later days
+    /// were already in flight.
+    #[test]
+    fn a_failing_day_job_ends_the_run_with_every_earlier_day_committed() {
+        let params = ScenarioParams {
+            seed: 8,
+            scale: 0.004,
+            gtld_days: 6,
+            cc_start_day: 2,
+        };
+        let config = |days| StudyConfig {
+            days,
+            cc_start_day: 2,
+            stride: 1,
+        };
+        let schedule = ChaosSchedule::parse("degrade@0..inf@loss=0.05").unwrap();
+        let reference = temp_archive();
+        Study::new(config(3))
+            .with_chaos(schedule.clone())
+            .run_archived(&mut World::imc2016(params), &reference, None)
+            .unwrap();
+        let want = std::fs::read(&reference).unwrap();
+        std::fs::remove_file(&reference).ok();
+        for panic in [false, true] {
+            let path = temp_archive();
+            let err = Study::new(config(6))
+                .with_collector(FailingDay {
+                    wire: WireCollector {
+                        schedule: schedule.clone(),
+                    },
+                    fail_day: 3,
+                    panic,
+                })
+                .run_archived(&mut World::imc2016(params), &path, None)
+                .unwrap_err();
+            let bytes = std::fs::read(&path).unwrap();
+            let writer = StoreWriter::resume_or_create(&path, 1, Some(UNIQUE_KEY_COLUMN)).unwrap();
+            let committed: Vec<u32> = (0..6)
+                .filter(|&day| day_committed(&writer, &config(6), day))
+                .collect();
+            drop(writer);
+            std::fs::remove_file(&path).ok();
+            assert!(err.to_string().contains("injected day-job"), "{err}");
+            assert!(err.to_string().contains("day 3"), "{err}");
+            assert_eq!(committed, vec![0, 1, 2], "panic={panic}");
+            assert!(
+                bytes == want,
+                "panic={panic}: archive differs from a 3-day run"
+            );
+        }
     }
 
     #[test]

@@ -322,19 +322,14 @@ enum LoadedPage {
     Quality(Vec<DayQuality>),
 }
 
-/// Reads the page `(day, source)` of `reader` and decodes it once: data
-/// and checkpoint pages come back as their encoded bytes once they are
-/// known to decode (and, for data, to carry this build's schema);
-/// quality and telemetry pages come back decoded.
+/// Reads the page `(day, source)` of `reader`, decoded once
+/// ([`StoreReader::page`]): data and checkpoint pages come back as their
+/// encoded bytes once they are known to decode (and, for data, to carry
+/// this build's schema); quality and telemetry pages come back decoded.
 fn load_page(reader: &StoreReader, day: u32, source: u8) -> std::io::Result<LoadedPage> {
-    let bytes = reader
-        .page_bytes(day, source)?
+    let (table, bytes) = reader
+        .page(day, source)?
         .ok_or_else(|| std::io::Error::other("catalog lists a page the archive cannot produce"))?;
-    let table = Table::from_bytes(&bytes).map_err(|e| {
-        std::io::Error::other(format!(
-            "archive page (day {day}, source {source}) does not decode: {e}"
-        ))
-    })?;
     match source {
         ANALYSIS_SOURCE => Ok(LoadedPage::Analysis(bytes)),
         TELEMETRY_SOURCE => decode_telemetry(&table)

@@ -92,17 +92,6 @@ pub struct RecursorStats {
     pub breaker_trips: u64,
 }
 
-impl RecursorStats {
-    /// Failed network resolutions across every cause.
-    pub fn failed_total(&self) -> u64 {
-        self.failed_timeout
-            + self.failed_unreachable
-            + self.failed_corrupt
-            + self.failed_servfail
-            + self.failed_other
-    }
-}
-
 impl Sub for RecursorStats {
     type Output = RecursorStats;
     fn sub(self, rhs: RecursorStats) -> RecursorStats {

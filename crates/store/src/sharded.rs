@@ -462,13 +462,6 @@ impl ShardedArchive {
         self.assemble(day, source, |shard| shard.project(day, source, cols))
     }
 
-    /// The encoded logical page of `(day, source)`: every shard's
-    /// sub-page stacked in shard order and encoded as one table, the same
-    /// bytes a single-file archive of that table would store.
-    pub fn page_bytes(&self, day: u32, source: u8) -> io::Result<Option<Vec<u8>>> {
-        Ok(self.table(day, source)?.map(|table| table.to_bytes()))
-    }
-
     /// One shard's sub-table of a logical page — the unit of parallel
     /// scan work.
     pub fn shard_table(&self, shard: u32, day: u32, source: u8) -> io::Result<Option<Arc<Table>>> {
@@ -806,13 +799,29 @@ impl StoreReader {
         }
     }
 
-    /// The encoded body of the logical page `(day, source)`, checksum-
-    /// verified: the stored bytes of a single-file archive, the stacked
-    /// shard sub-pages re-encoded for a sharded one.
-    pub fn page_bytes(&self, day: u32, source: u8) -> io::Result<Option<Vec<u8>>> {
+    /// The logical page `(day, source)` decoded once, with its encoded
+    /// body: the same table and bytes whichever layout holds it. A
+    /// single-file page is read as stored (checksum-verified) and decoded;
+    /// a sharded page is assembled from its checksum-verified shard
+    /// sub-pages and encoded once — the bytes a single-file archive of
+    /// that table would store. A page that does not decode is an error.
+    pub fn page(&self, day: u32, source: u8) -> io::Result<Option<(Arc<Table>, Vec<u8>)>> {
         match self {
-            Self::Single(a) => a.page_bytes(day, source),
-            Self::Sharded(a) => a.page_bytes(day, source),
+            Self::Single(a) => {
+                let Some(bytes) = a.page_bytes(day, source)? else {
+                    return Ok(None);
+                };
+                let table = Table::from_bytes(&bytes).map_err(|e| {
+                    corrupt(&format!(
+                        "page (day {day}, source {source}) does not decode: {e}"
+                    ))
+                })?;
+                Ok(Some((Arc::new(table), bytes)))
+            }
+            Self::Sharded(a) => Ok(a.table(day, source)?.map(|table| {
+                let bytes = table.to_bytes();
+                (table, bytes)
+            })),
         }
     }
 

@@ -1218,14 +1218,9 @@ fn cmd_dig(args: CommonArgs) {
     }
     let world = world_for(&args);
     let net = Network::new(args.seed);
-    let catalog = world.materialize(&net);
-    let mut resolver = Resolver::new(
-        &net,
-        "172.16.0.53".parse().unwrap(),
-        0,
-        catalog.root_hints(),
-    )
-    .with_config(config);
+    let root_hints = world.authority().bind(&net);
+    let mut resolver =
+        Resolver::new(&net, "172.16.0.53".parse().unwrap(), 0, root_hints).with_config(config);
     println!("; <<>> dpscope dig <<>> {qname} {qtype} @day {}", args.day);
     match resolver.resolve(&qname, qtype) {
         Ok(res) => print_dig_answer(

@@ -632,3 +632,68 @@ fn cli_wire_sweep_matches_bulk_pages_at_few_packets_per_name() {
     std::fs::remove_dir_all(&bulk).ok();
     std::fs::remove_dir_all(&wire).ok();
 }
+
+/// Runs a wire study of `days` days over a fresh world into `path`,
+/// with a streaming-analysis observer when `stream`.
+fn wire_study(path: &Path, days: u32, stream: bool) {
+    let params = ScenarioParams {
+        seed: 19,
+        scale: 0.004,
+        gtld_days: 6,
+        cc_start_day: 2,
+    };
+    let mut world = World::imc2016(params);
+    let mut engine = stream.then(dps_scope::stream::StreamEngine::new);
+    Study::new(StudyConfig {
+        days,
+        cc_start_day: params.cc_start_day,
+        stride: 1,
+    })
+    .with_chaos(chaos_schedule())
+    .run_archived(
+        &mut world,
+        path,
+        engine
+            .as_mut()
+            .map(|e| e as &mut dyn dps_scope::measure::DayObserver),
+    )
+    .unwrap();
+}
+
+/// Wire days run side by side, but the archive is the one a strictly
+/// serial run writes: a reference built one day per `run_archived` call
+/// (each over a fresh world, resuming the archive, so no two days ever
+/// overlap) is byte-identical to one run keeping several days in flight
+/// — with and without a streaming observer.
+#[test]
+fn pipelined_wire_days_match_a_day_by_day_serial_run() {
+    const DAYS: u32 = 6;
+    for stream in [false, true] {
+        let serial = temp_path(&format!("serial-{stream}"));
+        let pipelined = temp_path(&format!("pipelined-{stream}"));
+        std::fs::remove_file(&serial).ok();
+        std::fs::remove_file(&pipelined).ok();
+        for days in 1..=DAYS {
+            wire_study(&serial, days, stream);
+        }
+        wire_study(&pipelined, DAYS, stream);
+        let (a, b) = (
+            std::fs::read(&serial).unwrap(),
+            std::fs::read(&pipelined).unwrap(),
+        );
+        std::fs::remove_file(&serial).ok();
+        std::fs::remove_file(&pipelined).ok();
+        assert!(
+            a == b,
+            "stream={stream}: pipelined archive differs from the serial one"
+        );
+        let store = {
+            let path = temp_path(&format!("check-{stream}"));
+            std::fs::write(&path, &a).unwrap();
+            let store = SnapshotStore::load_archive(&path).unwrap();
+            std::fs::remove_file(&path).ok();
+            store
+        };
+        assert_eq!(store.days(Source::Com).len(), DAYS as usize);
+    }
+}
