@@ -11,6 +11,7 @@
 #   ./ci.sh fuzz-smoke        deterministic fuzzer over every target
 #   ./ci.sh serve-smoke       real-socket authoritative DNS round trip
 #   ./ci.sh scale-smoke       sharded-archive equivalence + resume smoke
+#   ./ci.sh sweep-smoke       one-CPU bulk sweep byte-identity + closed-stdout smoke
 #   ./ci.sh analyze           dps-analyzer over the workspace (must be clean)
 #   ./ci.sh analyze-fixtures  known-bad corpus must still fail, good must pass
 #   ./ci.sh perfbench-tests   the benchmark harness's unit tests + helper check
@@ -206,6 +207,37 @@ scale_smoke() {
     rm -rf target/ci-scale-single target/ci-scale-sharded target/ci-scale-resume
 }
 
+# The bulk sweep codes rows on its workers, one dictionary per chunk, and
+# commits each day on a commit thread while the next day is collected.
+# On one CPU a block is one chunk and nothing overlaps, so the archive of
+# a `taskset -c 0` run must equal the default run's byte for byte. A
+# reader that leaves early ends a command quietly: `store info | true`
+# must exit without a panic.
+sweep_smoke() {
+    echo "==> smoke: dpscope measure --stream --shards 4 (one CPU, closed stdout)"
+    rm -rf target/ci-sweep-a target/ci-sweep-b target/ci-sweep-stderr.txt
+    ./target/release/dpscope measure --scale 0.02 --days 3 --cc-start 2 \
+        --stream --shards 4 --archive target/ci-sweep-a
+    if command -v taskset >/dev/null 2>&1; then
+        taskset -c 0 ./target/release/dpscope measure --scale 0.02 --days 3 \
+            --cc-start 2 --stream --shards 4 --archive target/ci-sweep-b
+        for f in archive.manifest archive.shard000.dps archive.shard001.dps \
+            archive.shard002.dps archive.shard003.dps; do
+            cmp "target/ci-sweep-a/$f" "target/ci-sweep-b/$f"
+        done
+    else
+        echo "taskset not found: skipping the one-CPU byte-identity check"
+    fi
+    ./target/release/dpscope store info target/ci-sweep-a \
+        2>target/ci-sweep-stderr.txt | true
+    if grep -q panicked target/ci-sweep-stderr.txt; then
+        echo "store info panicked on a closed stdout:" >&2
+        cat target/ci-sweep-stderr.txt >&2
+        exit 1
+    fi
+    rm -rf target/ci-sweep-a target/ci-sweep-b target/ci-sweep-stderr.txt
+}
+
 # Deterministic mutation fuzzing: every decoder target runs a fixed seed
 # for a bounded iteration count; any panic or round-trip divergence fails
 # the gate. The checked-in corpus (including minimised regressions) is
@@ -324,6 +356,12 @@ scale-smoke)
     echo "==> scale smoke green"
     exit 0
     ;;
+sweep-smoke)
+    cargo build --release --offline
+    sweep_smoke
+    echo "==> sweep smoke green"
+    exit 0
+    ;;
 analyze)
     analyze
     echo "==> analyze green"
@@ -368,6 +406,7 @@ stream_smoke
 fuzz_smoke
 serve_smoke
 scale_smoke
+sweep_smoke
 
 echo "==> tier-1: cargo test -q"
 cargo test -q --offline

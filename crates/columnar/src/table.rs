@@ -66,6 +66,29 @@ impl TableBuilder {
         self.columns.first().map_or(0, Vec::len)
     }
 
+    /// Column `i`'s values so far, for rewriting in place (a missing
+    /// column is `None`).
+    pub fn column_mut(&mut self, i: usize) -> Option<&mut [u32]> {
+        self.columns.get_mut(i).map(Vec::as_mut_slice)
+    }
+
+    /// Appends every row of `other`, which must share this builder's
+    /// schema, after the rows already pushed.
+    pub fn append(&mut self, other: TableBuilder) {
+        assert_eq!(other.schema.names(), self.schema.names(), "schema mismatch");
+        for (col, more) in self.columns.iter_mut().zip(&other.columns) {
+            col.extend_from_slice(more);
+        }
+    }
+
+    /// Makes room for exactly `rows` more rows, so a builder whose final
+    /// size is known grows its columns once.
+    pub fn reserve_exact(&mut self, rows: usize) {
+        for col in &mut self.columns {
+            col.reserve_exact(rows);
+        }
+    }
+
     /// Finishes into an immutable table.
     pub fn finish(self) -> Table {
         Table {
@@ -105,13 +128,23 @@ impl Table {
 
     /// Serialises: magic, column count, per column name + encoded data.
     pub fn to_bytes(&self) -> Vec<u8> {
+        self.rows_to_bytes(0, self.rows())
+    }
+
+    /// Serialises rows `start..end` (clamped to the table) without
+    /// copying them first: the bytes of `slice_rows(start, end).to_bytes()`.
+    /// Row-range sharding encodes each shard's sub-page this way.
+    pub fn rows_to_bytes(&self, start: usize, end: usize) -> Vec<u8> {
+        let rows = self.rows();
+        let start = start.min(rows);
+        let end = end.clamp(start, rows);
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
         varint::put_u64(&mut out, self.schema.width() as u64);
         for (name, col) in self.schema.names().iter().zip(&self.columns) {
             varint::put_u64(&mut out, name.len() as u64);
             out.extend_from_slice(name.as_bytes());
-            let enc = encode_u32s(col);
+            let enc = encode_u32s(col.get(start..end).unwrap_or(&[]));
             varint::put_u64(&mut out, enc.len() as u64);
             out.extend_from_slice(&enc);
         }
@@ -205,9 +238,9 @@ impl Table {
         })
     }
 
-    /// A copy of rows `start..end` (clamped to the table). Row-range
-    /// sharding uses this to split one logical page into per-shard
-    /// sub-pages with the exact cluster-lease arithmetic.
+    /// A copy of rows `start..end` (clamped to the table): the table whose
+    /// encoding [`rows_to_bytes`](Self::rows_to_bytes) writes without the
+    /// copy.
     pub fn slice_rows(&self, start: usize, end: usize) -> Table {
         let rows = self.rows();
         let start = start.min(rows);
@@ -309,6 +342,35 @@ mod tests {
         for i in 0..3 {
             assert_eq!(back.column(i), t.column(i));
         }
+    }
+
+    #[test]
+    fn appended_builders_equal_one_built_row_by_row() {
+        let schema = Schema::new(&["day", "id", "ip"]);
+        let mut parts = [
+            TableBuilder::new(schema.clone()),
+            TableBuilder::new(schema.clone()),
+        ];
+        for i in 0..500u32 {
+            if let Some(part) = parts.get_mut(usize::from(i >= 200)) {
+                part.push_row(&[17, i, 0x0A00_0000 + i % 7]);
+            }
+        }
+        let [first, mut second] = parts;
+        if let Some(ids) = second.column_mut(1) {
+            ids.iter_mut().for_each(|id| *id += 1000);
+        }
+        assert!(second.column_mut(3).is_none());
+        let mut joined = TableBuilder::new(schema);
+        joined.append(first);
+        joined.append(second);
+        let joined = joined.finish();
+        let mut want = sample().column(1).to_vec();
+        want.iter_mut().skip(200).for_each(|id| *id += 1000);
+        assert_eq!(joined.rows(), 500);
+        assert_eq!(joined.column(0), sample().column(0));
+        assert_eq!(joined.column(1), want.as_slice());
+        assert_eq!(joined.column(2), sample().column(2));
     }
 
     #[test]

@@ -9,19 +9,38 @@
 //! out over local threads block by block), the wire path
 //! ([`Study::with_chaos`]: supervised iterative resolution over the lossy
 //! simulated network) and `dps-cluster`'s remote collector, which leases
-//! entry ranges to worker agents. Whichever runs, rows meet the dictionary
-//! only in [`DayPages`], in due-source order and then entry order, so the
-//! archive bytes do not depend on the collector's parallelism.
+//! entry ranges to worker agents. Whichever runs, rows meet the run-wide
+//! dictionary only in [`DayPages`], in due-source order and then entry
+//! order, so the archive bytes do not depend on the collector's
+//! parallelism.
+//!
+//! The bulk path codes its rows on the workers: each chunk of entries is
+//! collected and interned against a dictionary of the chunk's own
+//! (`CodedRows`), and the driver only interns the chunk's few strings
+//! into the run-wide dictionary, in the chunk's first-seen order, and maps
+//! the name columns onto those ids. First-seen order across chunks is
+//! entry order, so every id — and every archive byte — is the one
+//! row-by-row interning assigns. Wire and cluster rows are interned on the
+//! driver ([`DayPages::intern_row`]).
+//!
+//! A finished day's tail — the observer, page encoding, writes and the
+//! durable commit, then the [`Study::on_commit`] hook — runs on one commit
+//! thread that owns the archive writer, the observer and the hook. Day
+//! *d* commits there while the driver advances the world and collects day
+//! *d + 1*. At most one day is in the tail, days commit strictly in day
+//! order, and a tail error fails the run before any later day commits.
 //!
 //! A collector whose day is self-contained — today the wire path, whose
 //! day owns its network, recursor and registry — hands each day off as a
 //! detached [`DayJob`]. The driver keeps up to four such days running
 //! (no more than the machine has cores) while it advances the world, and
 //! still interns and commits them strictly in day order, so the archive
-//! is the bytes a one-day-at-a-time run writes.
+//! is the bytes a one-day-at-a-time run writes. A detached day waits for
+//! its own tail: each holds its network and recursor cache until then,
+//! so letting the tail overlap would only add memory.
 
 use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, RecursorPath, SldInterner};
-use crate::observation::{entry_code, schema, Source};
+use crate::observation::{entry_code, schema, Source, COLUMNS};
 use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
 use crate::supervisor::{sweep_supervised, SupervisedSweep, SupervisorConfig, SweepMetrics};
@@ -33,10 +52,10 @@ use dps_netsim::{ChaosSchedule, Day, Network, Pfx2As};
 use dps_recursor::{Recursor, RecursorConfig};
 use dps_store::{StoreReader, StoreWriter};
 use dps_telemetry::{Counter, Registry, Snapshot};
-use std::collections::VecDeque;
+use std::collections::{BTreeSet, VecDeque};
 use std::net::{IpAddr, Ipv4Addr};
-use std::sync::Arc;
-use std::thread::ScopedJoinHandle;
+use std::sync::{mpsc, Arc};
+use std::thread::{Scope, ScopedJoinHandle};
 
 /// Study configuration.
 #[derive(Debug, Clone, Copy)]
@@ -64,8 +83,9 @@ pub const ANALYSIS_SOURCE: u8 = 7;
 /// Every sweep — bulk, wire or cluster — commits through
 /// [`Study::run_archived`], which is what keeps incremental analysis
 /// worker-count-independent: the observer only ever sees the already
-/// deterministically-merged day pages.
-pub trait DayObserver {
+/// deterministically-merged day pages. The observer runs on the run's
+/// commit thread, hence `Send`.
+pub trait DayObserver: Send {
     /// Called once per freshly measured day, after all of the day's rows
     /// have been interned into `dict` but before the commit. Returns the
     /// checkpoint table to persist under [`ANALYSIS_SOURCE`] plus
@@ -249,12 +269,12 @@ impl StudyMetrics {
 }
 
 /// Streaming-generation memory contract: at most this many entries'
-/// worth of raw rows are in flight per source sweep. The day's rows are
-/// generated block by block and interned into the page builder as each
-/// block lands, so peak raw-row memory is `O(STREAM_BLOCK_ENTRIES)`
-/// regardless of scale — never a whole-day `Vec`. Interning still walks
-/// entries in list order, so the produced archive is byte-identical to a
-/// whole-day materialization.
+/// worth of rows are in flight outside the page per source sweep. The
+/// day's rows are generated and coded block by block and appended to the
+/// page builder as each block lands, so that memory is
+/// `O(STREAM_BLOCK_ENTRIES)` regardless of scale — never a whole-day
+/// `Vec`. Dictionary ids still follow entry list order, so the produced
+/// archive is byte-identical to a whole-day materialization.
 pub const STREAM_BLOCK_ENTRIES: usize = 8192;
 
 /// A source's input list for the world's current day: the TLD's zone
@@ -266,6 +286,14 @@ pub fn source_entries(world: &World, source: Source) -> Arc<Vec<ZoneEntry>> {
     }
 }
 
+/// `entries` split into one bulk map task per worker.
+fn bulk_chunks(entries: &[ZoneEntry]) -> Vec<&[ZoneEntry]> {
+    let workers = dps_columnar::mapreduce::default_workers().max(1);
+    entries
+        .chunks(entries.len().div_ceil(workers).max(1))
+        .collect()
+}
+
 /// Collects the raw rows of `entries` over the bulk path, fanned out
 /// over one map task per chunk of the slice. Rows come back in entry
 /// order whatever the thread count.
@@ -274,20 +302,54 @@ pub fn collect_rows<'a>(
     entries: &'a [ZoneEntry],
     pfx2as: &'a Pfx2As,
 ) -> impl Iterator<Item = RawRow> + 'a {
-    let workers = dps_columnar::mapreduce::default_workers().max(1);
-    let chunk = entries.len().div_ceil(workers).max(1);
-    let chunks: Vec<&[ZoneEntry]> = entries.chunks(chunk).collect();
-    let raw_chunks: Vec<Vec<RawRow>> = dps_columnar::mapreduce::par_map(&chunks, |batch| {
-        let mut path = BulkPath::new(world);
-        batch
-            .iter()
-            .map(|&entry| {
-                let apex = world.entry_name(entry);
-                collect_raw(&mut path, &apex, entry_code(entry), pfx2as)
-            })
-            .collect()
-    });
+    let raw_chunks: Vec<Vec<RawRow>> =
+        dps_columnar::mapreduce::par_map(&bulk_chunks(entries), |batch| {
+            let mut path = BulkPath::new(world);
+            batch
+                .iter()
+                .map(|&entry| {
+                    let apex = world.entry_name(entry);
+                    collect_raw(&mut path, &apex, entry_code(entry), pfx2as)
+                })
+                .collect()
+        });
     raw_chunks.into_iter().flatten()
+}
+
+/// Rows of one `(day, source)` page, collected and dictionary-coded on
+/// the worker that gathered them, against a dictionary of their own:
+/// their name columns hold ids of `dict`, which
+/// [`DayPages::push_coded`] maps into the run-wide dictionary.
+pub(crate) struct CodedRows {
+    page: PageBuilder,
+    dict: StringDict,
+}
+
+/// Collects `entries` of `source` over the bulk path, fanned out over one
+/// map task per chunk, each chunk coded on its own thread. Chunks come
+/// back in entry order whatever the thread count.
+fn collect_coded(
+    world: &World,
+    entries: &[ZoneEntry],
+    pfx2as: &Pfx2As,
+    day: u32,
+    source: Source,
+) -> Vec<CodedRows> {
+    dps_columnar::mapreduce::par_map(&bulk_chunks(entries), |batch| {
+        let mut path = BulkPath::new(world);
+        let mut coded = CodedRows {
+            page: PageBuilder::new(day, source),
+            dict: StringDict::new(),
+        };
+        coded.page.builder.reserve_exact(batch.len());
+        let mut interner = SldInterner::new();
+        for &entry in batch.iter() {
+            let apex = world.entry_name(entry);
+            let raw = collect_raw(&mut path, &apex, entry_code(entry), pfx2as);
+            coded.page.intern_row(raw, &mut coded.dict, &mut interner);
+        }
+        coded
+    })
 }
 
 /// Where a measured day's raw rows come from. [`Study::run_archived`] is
@@ -384,6 +446,24 @@ impl DayPages<'_> {
         }
     }
 
+    /// Appends already-coded rows to the page of `due[page]`: their
+    /// dictionary's strings are interned into the run-wide one in their
+    /// id order — which is their first-seen order — and their name
+    /// columns are mapped onto the run-wide ids.
+    pub(crate) fn push_coded(&mut self, page: usize, coded: CodedRows) {
+        if let Some((builder, _)) = self.pages.get_mut(page) {
+            builder.absorb(coded, self.dict);
+        }
+    }
+
+    /// Makes room for `rows` more rows in the page of `due[page]`, so a
+    /// collector that knows the page's size grows it once.
+    pub(crate) fn reserve(&mut self, page: usize, rows: usize) {
+        if let Some((builder, _)) = self.pages.get_mut(page) {
+            builder.builder.reserve_exact(rows);
+        }
+    }
+
     /// Replaces the row-tallied quality record of `due[page]`'s page (a
     /// supervised sweep knows its retries, hedges and breaker trips).
     pub fn set_quality(&mut self, page: usize, quality: DayQuality) {
@@ -407,9 +487,10 @@ impl DayPages<'_> {
 }
 
 /// The local bulk path: each source's entry list in blocks of `block`
-/// entries, every block collected by [`collect_rows`] and interned as it
-/// lands — so raw rows for at most one block exist at any moment (the
-/// fixed-memory contract of [`STREAM_BLOCK_ENTRIES`]). The bulk path
+/// entries, every block collected and coded by [`collect_coded`] and
+/// appended as it lands — so rows for at most one block exist outside
+/// the page at any moment (the fixed-memory contract of
+/// [`STREAM_BLOCK_ENTRIES`]). The bulk path
 /// cannot fail transiently, so pages keep their row-tallied quality:
 /// only definitive failures (vanished names) lower coverage.
 struct BulkCollector {
@@ -420,15 +501,17 @@ impl DayCollector for BulkCollector {
     fn collect_day(
         &mut self,
         world: &World,
-        _day: u32,
+        day: u32,
         due: &[Source],
         pages: &mut DayPages<'_>,
     ) -> std::io::Result<Snapshot> {
         let pfx2as = world.pfx2as();
         for (page, &source) in due.iter().enumerate() {
-            for block in source_entries(world, source).chunks(self.block) {
-                for raw in collect_rows(world, block, &pfx2as) {
-                    pages.intern_row(page, raw);
+            let entries = source_entries(world, source);
+            pages.reserve(page, entries.len());
+            for block in entries.chunks(self.block) {
+                for coded in collect_coded(world, block, &pfx2as, day, source) {
+                    pages.push_coded(page, coded);
                 }
             }
         }
@@ -558,8 +641,9 @@ pub struct Study<'c> {
     on_commit: Option<CommitHook>,
 }
 
-/// The progress hook [`Study::on_commit`] installs.
-type CommitHook = Box<dyn FnMut(u32, &[DayQuality])>;
+/// The progress hook [`Study::on_commit`] installs. It runs on the
+/// commit thread.
+type CommitHook = Box<dyn FnMut(u32, &[DayQuality]) + Send>;
 
 impl<'c> Study<'c> {
     /// A bulk-path study with a private telemetry registry (per-day
@@ -618,8 +702,9 @@ impl<'c> Study<'c> {
     /// Calls `hook` right after each freshly measured day's durable
     /// commit in [`run_archived`](Self::run_archived), with the day's
     /// quality records in due-source order (progress reporting; days
-    /// resumed from the archive are not reported).
-    pub fn on_commit(mut self, hook: impl FnMut(u32, &[DayQuality]) + 'static) -> Self {
+    /// resumed from the archive are not reported). The hook runs on the
+    /// commit thread, once per day and in day order.
+    pub fn on_commit(mut self, hook: impl FnMut(u32, &[DayQuality]) + Send + 'static) -> Self {
         self.on_commit = Some(Box::new(hook));
         self
     }
@@ -639,6 +724,10 @@ impl<'c> Study<'c> {
     /// With a streaming-analysis `observer`, committed days replay their
     /// checkpoint pages through the observer on resume, and every freshly
     /// measured day feeds the observer before its commit.
+    ///
+    /// Each day's tail (observer, page writes, commit, hook) runs on a
+    /// commit thread while the driver collects the next day; see the
+    /// module docs.
     pub fn run_archived(
         self,
         world: &mut World,
@@ -651,51 +740,62 @@ impl<'c> Study<'c> {
             metrics,
             shards,
             mut collector,
-            mut on_commit,
+            on_commit,
         } = self;
         let writer = StoreWriter::resume_or_create(path, shards, Some(UNIQUE_KEY_COLUMN))?;
         if let Some(obs) = observer.as_deref_mut() {
             replay_checkpoints(&writer, path, &config, obs)?;
         }
-        let mut committer = Committer {
-            registry: &registry,
-            metrics: &metrics,
-            // Continue interning into the committed dictionary so a
-            // resumed sweep assigns the same ids an uninterrupted one
-            // would.
-            dict: writer.dict().clone(),
+        // The writer moves to the commit thread: which days are already
+        // durable is read here, once.
+        let stride = config.stride.max(1) as usize;
+        let to_measure: BTreeSet<u32> = (0..config.days)
+            .step_by(stride)
+            .filter(|&day| !day_committed(&writer, &config, day))
+            .collect();
+        // Continue interning into the committed dictionary so a resumed
+        // sweep assigns the same ids an uninterrupted one would.
+        let dict = writer.dict().clone();
+        let tail = Tail {
+            dict: dict.clone(),
             writer,
-            interner: SldInterner::new(),
             observer,
-            on_commit: on_commit.as_mut(),
+            on_commit,
         };
         let cap = dps_columnar::mapreduce::default_workers().clamp(1, MAX_DAYS_IN_FLIGHT);
         std::thread::scope(|scope| {
+            let mut committer = Committer {
+                registry: &registry,
+                metrics: &metrics,
+                synced: dict.len(),
+                dict,
+                interner: SldInterner::new(),
+                tail: TailThread::spawn(scope, tail),
+            };
             let mut in_flight: VecDeque<InFlight<'_>> = VecDeque::new();
             let result = (|| {
-                let mut day = 0u32;
-                while day < config.days {
+                for day in (0..config.days).step_by(stride) {
                     // Advance through *every* day — including already-
                     // committed ones — so world state evolves exactly as
                     // in a fresh run.
                     world.advance_to(Day(day));
-                    if !day_committed(&committer.writer, &config, day) {
-                        let due = due_sources_for(&config, day);
-                        if let Some(job) = collector.detach_day(world, day, &due) {
-                            in_flight.push_back((day, due, scope.spawn(job)));
-                            if in_flight.len() >= cap {
-                                committer.commit_oldest(&mut in_flight)?;
-                            }
-                        } else {
-                            while !in_flight.is_empty() {
-                                committer.commit_oldest(&mut in_flight)?;
-                            }
-                            committer.commit(day, &due, |pages| {
-                                collector.collect_day(world, day, &due, pages)
-                            })?;
-                        }
+                    if !to_measure.contains(&day) {
+                        continue;
                     }
-                    day += config.stride.max(1);
+                    let due = due_sources_for(&config, day);
+                    if let Some(job) = collector.detach_day(world, day, &due) {
+                        in_flight.push_back((day, due, scope.spawn(job)));
+                        if in_flight.len() >= cap {
+                            committer.commit_oldest(&mut in_flight)?;
+                        }
+                    } else {
+                        while !in_flight.is_empty() {
+                            committer.commit_oldest(&mut in_flight)?;
+                        }
+                        committer.commit(day, &due, |pages| {
+                            collector.collect_day(world, day, &due, pages)
+                        })?;
+                    }
                 }
                 while !in_flight.is_empty() {
                     committer.commit_oldest(&mut in_flight)?;
@@ -707,7 +807,9 @@ impl<'c> Study<'c> {
             for (_, _, job) in in_flight {
                 let _ = job.join();
             }
-            result
+            // A day still in the tail is earlier than any the driver
+            // failed on, so its error comes first.
+            committer.tail.shut_down().and(result)
         })
     }
 }
@@ -719,22 +821,23 @@ type InFlight<'scope> = (
     ScopedJoinHandle<'scope, std::io::Result<DetachedDay>>,
 );
 
-/// The driver's commit side: the run-wide dictionary and the archive
-/// writer, which days reach strictly in day order.
-struct Committer<'s, 'o> {
+/// The driver's side of committing: the run-wide dictionary the day's
+/// rows are interned into, the study's counters, and the commit thread
+/// that days reach strictly in day order.
+struct Committer<'s, 'scope> {
     registry: &'s Registry,
     metrics: &'s StudyMetrics,
-    writer: StoreWriter,
     dict: StringDict,
+    /// How much of `dict` the commit thread already holds.
+    synced: usize,
     interner: SldInterner,
-    observer: Option<&'o mut dyn DayObserver>,
-    on_commit: Option<&'s mut CommitHook>,
+    tail: TailThread<'scope>,
 }
 
 impl Committer<'_, '_> {
     /// Measures `day`: `collect` feeds the day's pages and returns its
-    /// own telemetry; the driver's counters, the observer and one durable
-    /// commit follow.
+    /// own telemetry; the driver's counters follow, and the day goes to
+    /// the commit thread once the day before it has committed.
     fn commit(
         &mut self,
         day: u32,
@@ -759,22 +862,20 @@ impl Committer<'_, '_> {
         }
         let mut telemetry = self.registry.snapshot().since(&before);
         telemetry.merge(&collected);
-        let qualities = append_day(
-            &mut self.writer,
-            &self.dict,
+        let new_strings = (self.synced..self.dict.len())
+            .filter_map(|id| self.dict.resolve(id as u32).map(str::to_owned))
+            .collect();
+        self.synced = self.dict.len();
+        self.tail.hand_over(FinishedDay {
             day,
             pages,
             telemetry,
-            self.observer.as_deref_mut(),
-        )?;
-        if let Some(hook) = self.on_commit.as_mut() {
-            hook(day, &qualities);
-        }
-        Ok(())
+            new_strings,
+        })
     }
 
-    /// Waits for the oldest detached day and commits it; a job that
-    /// failed or panicked fails the run with its error.
+    /// Waits for the oldest detached day, commits it and waits for its
+    /// tail; a job that failed or panicked fails the run with its error.
     fn commit_oldest(&mut self, in_flight: &mut VecDeque<InFlight<'_>>) -> std::io::Result<()> {
         let Some((day, due, job)) = in_flight.pop_front() else {
             return Ok(());
@@ -784,19 +885,134 @@ impl Committer<'_, '_> {
                 collected.map_err(|e| std::io::Error::new(e.kind(), format!("day {day}: {e}")))?
             }
             Err(panic) => {
-                let why = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "unknown cause".to_string());
                 return Err(std::io::Error::other(format!(
-                    "day {day}: collection job panicked: {why}"
+                    "day {day}: collection job panicked: {}",
+                    panic_message(&*panic)
                 )));
             }
         };
-        self.commit(day, &due, |pages| Ok(detached.feed(pages)))
+        self.commit(day, &due, |pages| Ok(detached.feed(pages)))?;
+        self.tail.wait_committed()
     }
 }
+
+/// The text of a caught panic.
+fn panic_message(panic: &(dyn std::any::Any + Send)) -> String {
+    panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "unknown cause".to_string())
+}
+
+/// A measured day on its way to the commit thread.
+struct FinishedDay {
+    day: u32,
+    pages: Vec<SourcePage>,
+    telemetry: Snapshot,
+    /// Strings the driver interned since the day before, in id order.
+    new_strings: Vec<String>,
+}
+
+/// What the commit thread owns: the archive writer, its copy of the
+/// run-wide dictionary (kept current from each day's new strings), the
+/// observer and the progress hook.
+struct Tail<'o> {
+    writer: StoreWriter,
+    dict: StringDict,
+    observer: Option<&'o mut dyn DayObserver>,
+    on_commit: Option<CommitHook>,
+}
+
+impl Tail<'_> {
+    /// `day`'s tail: observer, pages, one durable commit, then the hook.
+    fn commit_day(&mut self, day: FinishedDay) -> std::io::Result<()> {
+        for s in &day.new_strings {
+            self.dict.intern(s);
+        }
+        let qualities = append_day(
+            &mut self.writer,
+            &self.dict,
+            day.day,
+            day.pages,
+            day.telemetry,
+            self.observer.as_deref_mut(),
+        )?;
+        if let Some(hook) = self.on_commit.as_mut() {
+            hook(day.day, &qualities);
+        }
+        Ok(())
+    }
+}
+
+/// The driver's handle on the commit thread. It hands over one day at a
+/// time: a day is sent only once the one before it has committed, and a
+/// tail error stops the thread, so no later day commits.
+struct TailThread<'scope> {
+    days: mpsc::Sender<FinishedDay>,
+    done: mpsc::Receiver<std::io::Result<()>>,
+    /// A day was sent whose result has not been received.
+    pending: bool,
+    thread: ScopedJoinHandle<'scope, ()>,
+}
+
+impl<'scope> TailThread<'scope> {
+    fn spawn<'env>(scope: &'scope Scope<'scope, 'env>, mut tail: Tail<'env>) -> Self {
+        let (days, inbox) = mpsc::channel::<FinishedDay>();
+        let (outbox, done) = mpsc::channel();
+        let thread = scope.spawn(move || {
+            for day in inbox {
+                let result = tail.commit_day(day);
+                let failed = result.is_err();
+                if outbox.send(result).is_err() || failed {
+                    break;
+                }
+            }
+        });
+        Self {
+            days,
+            done,
+            pending: false,
+            thread,
+        }
+    }
+
+    /// Hands `day` over once the day in the tail, if any, has committed.
+    fn hand_over(&mut self, day: FinishedDay) -> std::io::Result<()> {
+        self.wait_committed()?;
+        self.days
+            .send(day)
+            .map_err(|_| std::io::Error::other("the commit thread has stopped"))?;
+        self.pending = true;
+        Ok(())
+    }
+
+    /// Waits for the day in the tail, if any, to commit.
+    fn wait_committed(&mut self) -> std::io::Result<()> {
+        if !std::mem::take(&mut self.pending) {
+            return Ok(());
+        }
+        self.done
+            .recv()
+            .unwrap_or_else(|_| Err(std::io::Error::other("the commit thread has stopped")))
+    }
+
+    /// Lets the day in the tail finish, then stops the thread.
+    fn shut_down(mut self) -> std::io::Result<()> {
+        let last = self.wait_committed();
+        drop(self.days);
+        match self.thread.join() {
+            Ok(()) => last,
+            Err(panic) => Err(std::io::Error::other(format!(
+                "commit thread panicked: {}",
+                panic_message(&*panic)
+            ))),
+        }
+    }
+}
+
+/// The snapshot columns that hold dictionary ids.
+const NAME_COLUMNS: [&str; 7] = ["sld", "cname1", "cname2", "ns1", "ns2", "nsh1", "nsh2"];
 
 /// Interns raw rows into one (day, source) page in row order, tallying
 /// the page's quality record as they pass. [`DayPages`] holds one per
@@ -823,6 +1039,30 @@ impl PageBuilder {
             failed: 0,
             causes: CauseCounts::default(),
         }
+    }
+
+    /// Appends `coded`'s rows after the rows so far, mapping their name
+    /// columns from `coded`'s dictionary onto `dict`'s ids (see
+    /// [`DayPages::push_coded`]).
+    fn absorb(&mut self, coded: CodedRows, dict: &mut StringDict) {
+        let CodedRows { page, dict: local } = coded;
+        let ids: Vec<u32> = (0..local.len())
+            .map(|id| local.resolve(id as u32).map_or(0, |s| dict.intern(s)))
+            .collect();
+        let mut rows = page.builder;
+        for name in NAME_COLUMNS {
+            let column = COLUMNS.iter().position(|c| *c == name);
+            if let Some(values) = column.and_then(|i| rows.column_mut(i)) {
+                for v in values {
+                    *v = ids.get(*v as usize).copied().unwrap_or(0);
+                }
+            }
+        }
+        self.builder.append(rows);
+        self.data_points += page.data_points;
+        self.attempted += page.attempted;
+        self.failed += page.failed;
+        self.causes.merge(&page.causes);
     }
 
     /// Interns and appends the next row.
@@ -1095,6 +1335,118 @@ mod tests {
                 "panic={panic}: archive differs from a 3-day run"
             );
         }
+    }
+
+    /// An observer whose checkpoint is the day's row count; it fails on
+    /// `fail_day`.
+    struct RowCounter {
+        fail_day: Option<u32>,
+    }
+
+    impl DayObserver for RowCounter {
+        fn on_day(
+            &mut self,
+            day: u32,
+            pages: &[SourcePage],
+            _dict: &StringDict,
+        ) -> std::io::Result<(Table, Vec<(&'static str, u64)>)> {
+            if self.fail_day == Some(day) {
+                return Err(std::io::Error::other(format!(
+                    "injected observer error {day}"
+                )));
+            }
+            let rows: usize = pages.iter().map(|p| p.table.rows()).sum();
+            let mut table = TableBuilder::new(dps_columnar::Schema::new(&["day", "rows"]));
+            table.push_row(&[day, rows as u32]);
+            Ok((table.finish(), vec![("test.observer.days", 1)]))
+        }
+
+        fn on_resume(&mut self, _day: u32, _table: &Table) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// The days a commit hook reported, each with whether a fresh reader
+    /// already saw it committed.
+    type Seen = Arc<std::sync::Mutex<Vec<(u32, bool)>>>;
+
+    /// A study whose hook records, for each day it reports, whether a
+    /// fresh reader of `path` already sees the day committed.
+    fn reporting_study(config: StudyConfig, path: &std::path::Path) -> (Study<'static>, Seen) {
+        let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+        let (hook_seen, hook_path) = (Arc::clone(&seen), path.to_path_buf());
+        let study = Study::new(config).on_commit(move |day, _| {
+            let visible = StoreReader::open_auto(&hook_path).is_ok_and(|r| {
+                let pages = &r.catalog().pages;
+                pages.contains_key(&(day, QUALITY_SOURCE))
+                    && pages.contains_key(&(day, ANALYSIS_SOURCE))
+            });
+            if let Ok(mut seen) = hook_seen.lock() {
+                seen.push((day, visible));
+            }
+        });
+        (study, seen)
+    }
+
+    /// The commit thread: an observer error on day 3 fails the run with
+    /// that error while days 0–2 stay committed and days 3–5 do not; the
+    /// hook reports each committed day once, in order, after a reader can
+    /// see it; and resuming with a healthy observer writes the bytes of
+    /// an uninterrupted run.
+    #[test]
+    fn a_failing_tail_stops_the_run_at_its_day_and_resumes_byte_identically() {
+        let config = StudyConfig {
+            days: 6,
+            cc_start_day: 2,
+            stride: 1,
+        };
+        let reference = temp_archive();
+        Study::new(config)
+            .run_archived(
+                &mut World::imc2016(ScenarioParams::tiny(4)),
+                &reference,
+                Some(&mut RowCounter { fail_day: None }),
+            )
+            .unwrap();
+        let want = std::fs::read(&reference).unwrap();
+        std::fs::remove_file(&reference).ok();
+
+        let path = temp_archive();
+        let (study, seen) = reporting_study(config, &path);
+        let err = study
+            .run_archived(
+                &mut World::imc2016(ScenarioParams::tiny(4)),
+                &path,
+                Some(&mut RowCounter { fail_day: Some(3) }),
+            )
+            .unwrap_err();
+        assert!(
+            err.to_string().contains("injected observer error 3"),
+            "{err}"
+        );
+        let writer = StoreWriter::resume_or_create(&path, 1, Some(UNIQUE_KEY_COLUMN)).unwrap();
+        let committed: Vec<u32> = (0..6)
+            .filter(|&day| day_committed(&writer, &config, day))
+            .collect();
+        drop(writer);
+        assert_eq!(committed, vec![0, 1, 2]);
+        assert_eq!(*seen.lock().unwrap(), vec![(0, true), (1, true), (2, true)]);
+
+        let (study, seen) = reporting_study(config, &path);
+        study
+            .run_archived(
+                &mut World::imc2016(ScenarioParams::tiny(4)),
+                &path,
+                Some(&mut RowCounter { fail_day: None }),
+            )
+            .unwrap();
+        let bytes = std::fs::read(&path).unwrap();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(*seen.lock().unwrap(), vec![(3, true), (4, true), (5, true)]);
+        assert!(
+            bytes == want,
+            "resumed archive differs from an uninterrupted run"
+        );
     }
 
     #[test]

@@ -288,8 +288,13 @@ impl ShardedWriter {
         let n = self.n_shards();
         for (k, shard) in self.shards.iter_mut().enumerate() {
             let (lo, hi) = shard_range(rows, k as u32, n);
-            let sub = table.slice_rows(lo, hi);
-            shard.append_table(day, source, &sub, if k == 0 { data_points } else { 0 })?;
+            shard.append_rows(
+                day,
+                source,
+                table,
+                lo..hi,
+                if k == 0 { data_points } else { 0 },
+            )?;
         }
         self.pending_coverage
             .entry(day)

@@ -163,12 +163,28 @@ impl ArchiveWriter {
         table: &Table,
         data_points: u64,
     ) -> io::Result<()> {
+        self.append_rows(day, source, table, 0..table.rows(), data_points)
+    }
+
+    /// Appends rows `rows` of `table` (clamped to it) as a page: the page
+    /// [`append_table`](Self::append_table) writes for
+    /// `table.slice_rows(rows.start, rows.end)`, without the copy.
+    pub(crate) fn append_rows(
+        &mut self,
+        day: u32,
+        source: u8,
+        table: &Table,
+        rows: std::ops::Range<usize>,
+        data_points: u64,
+    ) -> io::Result<()> {
         if self.contains(day, source) {
             return Err(io::Error::other(format!(
                 "dps-store: page (day {day}, source {source}) already archived"
             )));
         }
-        let bytes = table.to_bytes();
+        let start = rows.start.min(table.rows());
+        let end = rows.end.clamp(start, table.rows());
+        let bytes = table.rows_to_bytes(start, end);
         self.file.seek(SeekFrom::Start(self.data_end))?;
         self.file.write_all(&bytes)?;
         self.file.write_all(&crc32(&bytes).to_le_bytes())?;
@@ -177,9 +193,9 @@ impl ArchiveWriter {
             source,
             offset: self.data_end,
             len: bytes.len() as u64,
-            rows: table.rows() as u64,
+            rows: (end - start) as u64,
             data_points,
-            raw_bytes: table.raw_len() as u64,
+            raw_bytes: (4 * (end - start) * table.schema().width()) as u64,
         };
         self.data_end += meta.len + PAGE_CRC_LEN;
         self.catalog.pages.insert((day, source), meta.clone());
@@ -188,6 +204,7 @@ impl ArchiveWriter {
             .unique_key_column
             .as_deref()
             .and_then(|name| table.column_by_name(name))
+            .and_then(|col| col.get(start..end))
         {
             let idx = source as usize;
             if self.catalog.uniques.len() <= idx {

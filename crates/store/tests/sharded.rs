@@ -74,6 +74,30 @@ fn shard_range_partitions_exactly() {
     }
 }
 
+/// A shard's sub-page is encoded straight from its row range of the
+/// logical table: the bytes equal those of the copied slice for every
+/// shard of 1–4 shards, empty ranges (fewer rows than shards) included.
+#[test]
+fn row_range_encode_matches_the_copied_slice() {
+    for rows in [0u32, 1, 2, 3, 7, 100, 1000] {
+        let mut b = TableBuilder::new(Schema::new(&["day", "entry", "asn"]));
+        for i in 0..rows {
+            b.push_row(&[3, i * 2, 13335 + i % 5]);
+        }
+        let table = b.finish();
+        for n in 1u32..=4 {
+            for k in 0..n {
+                let (lo, hi) = shard_range(table.rows(), k, n);
+                assert_eq!(
+                    table.rows_to_bytes(lo, hi),
+                    table.slice_rows(lo, hi).to_bytes(),
+                    "rows={rows} n={n} k={k}"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn sharded_roundtrip_matches_single_file() {
     let single = temp_base("single");

@@ -28,6 +28,39 @@ use dps_scope::telemetry::Registry;
 use std::path::PathBuf;
 use std::sync::Arc;
 
+/// Writes to stdout; every command prints through here (`out!`,
+/// `outln!`). A reader that has gone away — `dpscope store info … | head
+/// -1` — ends the command quietly with exit 0, as SIGPIPE ends a C tool;
+/// any other write error exits 1. A sweep stopped this way keeps every
+/// day it committed and resumes from there.
+fn emit(args: std::fmt::Arguments<'_>) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().lock().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    () => {
+        emit(format_args!("\n"))
+    };
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
 struct CommonArgs {
     seed: u64,
     scale: f64,
@@ -249,12 +282,12 @@ fn cmd_simulate(args: CommonArgs) {
     for tld in dps_scope::ecosystem::MEASURED_TLDS {
         let path = args.out.join(format!("{}.zone", tld.label()));
         write(&path, world.zone_file_text(tld));
-        println!("wrote {} ({} SLDs)", path.display(), world.zone_size(tld));
+        outln!("wrote {} ({} SLDs)", path.display(), world.zone_size(tld));
     }
     let pfx2as = world.pfx2as();
     let path = args.out.join(format!("pfx2as-day{:04}.txt", args.day));
     write(&path, pfx2as.to_routeviews_text());
-    println!("wrote {} ({} prefixes)", path.display(), pfx2as.len());
+    outln!("wrote {} ({} prefixes)", path.display(), pfx2as.len());
 
     let mut asns = String::new();
     for (asn, name) in world.as_registry().iter() {
@@ -262,8 +295,8 @@ fn cmd_simulate(args: CommonArgs) {
     }
     let path = args.out.join("as-names.tsv");
     write(&path, asns);
-    println!("wrote {}", path.display());
-    println!(
+    outln!("wrote {}", path.display());
+    outln!(
         "\nworld: {} domains, day {} ({})",
         world.domains().len(),
         args.day,
@@ -277,7 +310,7 @@ fn cmd_measure(args: CommonArgs) {
         usage();
     };
     let mut world = World::imc2016(scenario(&args));
-    println!(
+    outln!(
         "world: {} domains; sweeping {} days…",
         world.domains().len(),
         args.days
@@ -311,7 +344,7 @@ fn cmd_measure(args: CommonArgs) {
     study
         .run_archived(&mut world, &path, observer)
         .unwrap_or_else(|e| fail(path.display(), e));
-    println!(
+    outln!(
         "archived {} to {}",
         dps_scope::core::report::human_bytes(archived_bytes(&path)),
         path.display()
@@ -358,7 +391,7 @@ fn archived_bytes(path: &std::path::Path) -> u64 {
 /// commits.
 fn print_day_quality(day: u32, qualities: &[DayQuality]) {
     for q in qualities {
-        println!(
+        outln!(
             "day {day:>4} {:<8} coverage {:>6.2}%  attempted {:>6}  unresolved {:>4}  \
              recovered {:>4}  trips {:>3}  hedges {:>4}",
             q.source.label(),
@@ -375,7 +408,7 @@ fn print_day_quality(day: u32, qualities: &[DayQuality]) {
 /// One-line streaming-analysis summary after a `--stream` sweep.
 fn print_stream_summary(engine: &dps_scope::stream::StreamEngine) {
     let flags = engine.attack_flags();
-    println!(
+    outln!(
         "stream: {} days analysed, {} providers, {} attack-onset flags",
         engine.days().len(),
         engine.n_providers(),
@@ -443,7 +476,7 @@ fn run_manager(
     let sidecar = archive.join(dps_scope::cluster::PROVENANCE_FILE);
     dps_scope::cluster::write_provenance(&sidecar, &report)
         .unwrap_or_else(|e| fail(sidecar.display(), e));
-    println!(
+    outln!(
         "archived {} to {} ({} workers, {} leases, {} dead-letters, {} stale)",
         dps_scope::core::report::human_bytes(archived_bytes(&path)),
         path.display(),
@@ -452,7 +485,7 @@ fn run_manager(
         report.dead_letters,
         report.stale_rejected,
     );
-    println!("provenance sidecar: {}", sidecar.display());
+    outln!("provenance sidecar: {}", sidecar.display());
     if let Some(engine) = &engine {
         print_stream_summary(engine);
     }
@@ -474,7 +507,7 @@ fn cluster_serve(args: &CommonArgs) {
     std::fs::create_dir_all(&archive).unwrap_or_else(|e| fail(archive.display(), e));
     let mut world = World::imc2016(scenario(args));
     run_manager(args, &mut world, &archive, &bind, || {
-        println!("cluster manager on {bind}; waiting for agents…");
+        outln!("cluster manager on {bind}; waiting for agents…");
         Vec::new()
     });
 }
@@ -515,9 +548,11 @@ fn cluster_agent(args: &CommonArgs) {
         ..Default::default()
     };
     let summary = dps_scope::cluster::run_agent(conn, opts).unwrap_or_else(|e| fail(&addr, e));
-    println!(
+    outln!(
         "agent {}: {} leases, {} rows",
-        summary.worker, summary.leases, summary.rows
+        summary.worker,
+        summary.leases,
+        summary.rows
     );
 }
 
@@ -544,7 +579,7 @@ fn cmd_measure_cluster(args: &CommonArgs, world: &mut World, archive: &std::path
                     .unwrap_or_else(|e| fail("spawn local agent", e))
             })
             .collect();
-        println!("sweeping with {} local worker agents…", args.workers);
+        outln!("sweeping with {} local worker agents…", args.workers);
         agents
     });
 }
@@ -618,22 +653,27 @@ fn cmd_store(args: CommonArgs) {
     match action.as_str() {
         "info" => {
             let catalog = archive.catalog();
-            println!("archive: {}", path.display());
+            outln!("archive: {}", path.display());
             if archive.is_sharded() {
-                println!(
+                outln!(
                     "layout:  sharded ({} shard files + manifest)",
                     archive.n_shards()
                 );
             }
-            println!("pages:   {}", catalog.pages.len());
-            println!(
+            outln!("pages:   {}", catalog.pages.len());
+            outln!(
                 "stored:  {}",
                 dps_scope::core::report::human_bytes(catalog.total_stored_bytes())
             );
-            println!("dict:    {} strings", archive.dict().len());
-            println!(
+            outln!("dict:    {} strings", archive.dict().len());
+            outln!(
                 "{:<12} {:>6} {:>11} {:>13} {:>12} {:>12}",
-                "kind", "days", "first..last", "data points", "stored", "raw"
+                "kind",
+                "days",
+                "first..last",
+                "data points",
+                "stored",
+                "raw"
             );
             // Every page kind present in the catalog gets a row — data
             // sources and bookkeeping kinds alike, and ids this build
@@ -643,7 +683,7 @@ fn cmd_store(args: CommonArgs) {
                     continue;
                 }
                 let id = u8::try_from(source).unwrap_or(u8::MAX);
-                println!(
+                outln!(
                     "{:<12} {:>6} {:>5}..{:<5} {:>13} {:>12} {:>12}",
                     page_kind_label(id),
                     st.days,
@@ -677,8 +717,8 @@ fn cmd_store(args: CommonArgs) {
                 &quality_store,
                 dps_scope::core::DEFAULT_MIN_COVERAGE,
             );
-            println!();
-            println!(
+            outln!();
+            outln!(
                 "{}",
                 dps_scope::core::report::quality_summary(&quality_store, &mask)
             );
@@ -703,8 +743,8 @@ fn cmd_store(args: CommonArgs) {
             if telemetry_days > 0 {
                 let instruments =
                     merged.counters.len() + merged.gauges.len() + merged.histograms.len();
-                println!();
-                println!(
+                outln!();
+                outln!(
                     "telemetry: {telemetry_days} day pages, {instruments} instruments \
                      (dump with `dpscope metrics`)"
                 );
@@ -715,7 +755,7 @@ fn cmd_store(args: CommonArgs) {
                 eprintln!("verify failed: {e}");
                 std::process::exit(1);
             });
-            println!(
+            outln!(
                 "{}: {} pages checked, {} ok, {} corrupt",
                 path.display(),
                 report.pages,
@@ -723,7 +763,7 @@ fn cmd_store(args: CommonArgs) {
                 report.corrupt.len()
             );
             for (day, source) in &report.corrupt {
-                println!("  CORRUPT page (day {day}, source {source})");
+                outln!("  CORRUPT page (day {day}, source {source})");
             }
             if !report.all_ok() {
                 std::process::exit(1);
@@ -751,11 +791,11 @@ fn cmd_store(args: CommonArgs) {
                 }
             };
             let names = table.schema().names().to_vec();
-            println!("{}", names.join("\t"));
+            outln!("{}", names.join("\t"));
             let columns: Vec<&[u32]> = (0..names.len()).map(|c| table.column(c)).collect();
             for row in 0..table.rows() {
                 let line: Vec<String> = columns.iter().map(|c| c[row].to_string()).collect();
-                println!("{}", line.join("\t"));
+                outln!("{}", line.join("\t"));
             }
         }
         other => {
@@ -805,9 +845,9 @@ fn cmd_metrics(args: CommonArgs) {
         std::process::exit(1);
     }
     if json {
-        println!("{}", snapshot.to_json());
+        outln!("{}", snapshot.to_json());
     } else {
-        print!("{}", snapshot.to_text());
+        out!("{}", snapshot.to_text());
     }
     // `--by-worker`: append per-worker provenance counters from the
     // cluster sidecar, as a `worker="…"` label dimension. A separate
@@ -819,7 +859,7 @@ fn cmd_metrics(args: CommonArgs) {
             .unwrap_or_else(|| std::path::Path::new("."))
             .join(dps_scope::cluster::PROVENANCE_FILE);
         match dps_scope::cluster::read_provenance(&sidecar) {
-            Ok(rows) => print!("{}", dps_scope::cluster::render_per_worker(&rows)),
+            Ok(rows) => out!("{}", dps_scope::cluster::render_per_worker(&rows)),
             Err(e) => {
                 eprintln!("cannot read {}: {e}", sidecar.display());
                 std::process::exit(1);
@@ -891,7 +931,7 @@ fn stream_status(path: &std::path::Path, json: bool) {
                 fl.join(", ")
             ));
         }
-        println!(
+        outln!(
             "{{\"days\": {}, \"first_day\": {}, \"last_day\": {}, \"providers\": [{}]}}",
             days.len(),
             days.first().copied().unwrap_or(0),
@@ -900,28 +940,30 @@ fn stream_status(path: &std::path::Path, json: bool) {
         );
         return;
     }
-    println!("archive:   {}", path.display());
-    println!(
+    outln!("archive:   {}", path.display());
+    outln!(
         "analysed:  {} days ({}..{})",
         days.len(),
         days.first().copied().unwrap_or(0),
         days.last().copied().unwrap_or(0)
     );
-    println!("{:<14} {:>10} {:>6}", "provider", "distinct", "flags");
+    outln!("{:<14} {:>10} {:>6}", "provider", "distinct", "flags");
     for (p, name) in names.iter().enumerate() {
         let p = p as u8;
         let latest = engine.distinct_series(p).last().map_or(0, |&(_, est)| est);
         let n_flags = flags.iter().filter(|f| f.provider == p).count();
-        println!("{name:<14} {latest:>10} {n_flags:>6}");
+        outln!("{name:<14} {latest:>10} {n_flags:>6}");
     }
     for f in &flags {
         let name = names
             .get(usize::from(f.provider))
             .cloned()
             .unwrap_or_default();
-        println!(
+        outln!(
             "flag: {name} day {} distinct ~{} (baseline ~{})",
-            f.day, f.estimate, f.baseline
+            f.day,
+            f.estimate,
+            f.baseline
         );
     }
 }
@@ -951,7 +993,7 @@ fn stream_check(path: &std::path::Path) {
         dps_scope::core::QualityMask::from_store(&store, dps_scope::core::DEFAULT_MIN_COVERAGE);
     let rescan = analysis_json(&out, &refs.names, &mask.masked_gtld_days());
     if incremental == rescan {
-        println!(
+        outln!(
             "{}: incremental analysis matches full rescan ({} days, {} analysis bytes)",
             path.display(),
             engine.days().len(),
@@ -979,11 +1021,15 @@ fn stream_correlate(args: &CommonArgs, path: &std::path::Path) {
     let names = engine.provider_names();
     let c = correlate(&flags, &truth, DEFAULT_TOLERANCE);
     let name = |p: u8| names.get(usize::from(p)).cloned().unwrap_or_default();
-    println!(
+    outln!(
         "scenario: seed {} scale {} days {} cc-start {} (tolerance ±{} days)",
-        args.seed, args.scale, args.days, args.cc_start, c.tolerance
+        args.seed,
+        args.scale,
+        args.days,
+        args.cc_start,
+        c.tolerance
     );
-    println!(
+    outln!(
         "flags: {} matched, {} unmatched; activations: {} labelled, {} missed",
         c.matched.len(),
         c.unmatched_flags.len(),
@@ -991,7 +1037,7 @@ fn stream_correlate(args: &CommonArgs, path: &std::path::Path) {
         c.missed.len()
     );
     for f in &c.matched {
-        println!(
+        outln!(
             "  matched   {} day {} (distinct ~{})",
             name(f.provider),
             f.day,
@@ -999,7 +1045,7 @@ fn stream_correlate(args: &CommonArgs, path: &std::path::Path) {
         );
     }
     for f in &c.unmatched_flags {
-        println!(
+        outln!(
             "  unmatched {} day {} (distinct ~{})",
             name(f.provider),
             f.day,
@@ -1007,7 +1053,7 @@ fn stream_correlate(args: &CommonArgs, path: &std::path::Path) {
         );
     }
     for &(p, day) in &c.missed {
-        println!("  missed    {} activation day {day}", name(p));
+        outln!("  missed    {} activation day {day}", name(p));
     }
 }
 
@@ -1053,7 +1099,7 @@ fn cmd_analyze(args: CommonArgs) {
     let ctx = Context::build(config).unwrap_or_else(|e| fail("analyze", e));
     for id in ids {
         match run(&ctx, &id) {
-            Some(text) => println!("{text}"),
+            Some(text) => outln!("{text}"),
             None => {
                 eprintln!("unknown experiment {id:?}");
                 usage();
@@ -1065,9 +1111,9 @@ fn cmd_analyze(args: CommonArgs) {
 /// Answer-section renderer shared by the simulated and real-socket dig
 /// paths: status line, then one record per line.
 fn print_dig_answer(rcode: Rcode, answers: &[Record], suffix: &str) {
-    println!(";; status: {rcode}{suffix}");
+    outln!(";; status: {rcode}{suffix}");
     for rec in answers {
-        println!("{rec}");
+        outln!("{rec}");
     }
 }
 
@@ -1144,14 +1190,14 @@ fn dig_real(args: &CommonArgs, qname: &Name, qtype: RrType, bufsize: Option<u16>
         std::process::exit(1);
     });
     if resp.header.tc && !tcp {
-        println!(";; truncated, retrying over TCP");
+        outln!(";; truncated, retrying over TCP");
         raw = exchange(true);
         resp = Message::parse(&raw).unwrap_or_else(|e| {
             eprintln!(";; malformed TCP response from {addr}: {e:?}");
             std::process::exit(1);
         });
     }
-    println!("; <<>> dpscope dig <<>> {qname} {qtype} @{url}");
+    outln!("; <<>> dpscope dig <<>> {qname} {qtype} @{url}");
     print_dig_answer(
         resp.header.rcode,
         &resp.answers,
@@ -1221,14 +1267,14 @@ fn cmd_dig(args: CommonArgs) {
     let root_hints = world.authority().bind(&net);
     let mut resolver =
         Resolver::new(&net, "172.16.0.53".parse().unwrap(), 0, root_hints).with_config(config);
-    println!("; <<>> dpscope dig <<>> {qname} {qtype} @day {}", args.day);
+    outln!("; <<>> dpscope dig <<>> {qname} {qtype} @day {}", args.day);
     match resolver.resolve(&qname, qtype) {
         Ok(res) => print_dig_answer(
             res.rcode,
             &res.answers,
             &format!(", elapsed: {} µs (virtual)", res.elapsed_us),
         ),
-        Err(e) => println!(";; resolution failed: {e} (cause: {})", e.cause().label()),
+        Err(e) => outln!(";; resolution failed: {e} (cause: {})", e.cause().label()),
     }
 }
 
@@ -1261,7 +1307,7 @@ fn cmd_serve(args: CommonArgs) {
         eprintln!("serve: {e}");
         std::process::exit(1);
     });
-    println!(
+    outln!(
         "serve: listening udp={} tcp={}",
         server.udp_addr(),
         server.tcp_addr()
@@ -1272,12 +1318,10 @@ fn cmd_serve(args: CommonArgs) {
         line.clear();
     }
     server.shutdown();
-    // The supervising process may have dropped our stdout already; a
-    // closed pipe must not turn a clean shutdown into a panic.
-    use std::io::Write as _;
-    let mut out = std::io::stdout();
-    let _ = writeln!(out, "serve: shutdown");
-    let _ = write!(out, "{}", registry.snapshot().to_text());
+    // The supervising process may have dropped our stdout already: `out!`
+    // then ends the clean shutdown with exit 0 as well.
+    outln!("serve: shutdown");
+    out!("{}", registry.snapshot().to_text());
 }
 
 /// Reads the checked-in corpus for one fuzz target, sorted by file name
@@ -1322,7 +1366,7 @@ fn cmd_fuzz(args: CommonArgs) {
     for target in targets {
         let corpus = load_fuzz_corpus(target.name);
         let outcome = dps_scope::fuzz::fuzz(target, args.iters, args.seed, &corpus, 8);
-        println!(
+        outln!(
             "fuzz {:<13} seed {:>6}  {:>8} iters  corpus {:>2}  failures {}",
             target.name,
             args.seed,
@@ -1333,7 +1377,7 @@ fn cmd_fuzz(args: CommonArgs) {
         for (i, f) in outcome.failures.iter().enumerate() {
             failed = true;
             let hex: String = f.minimised.iter().map(|b| format!("{b:02x}")).collect();
-            println!(
+            outln!(
                 "  FAIL {}: {} (minimised {} bytes: {hex})",
                 i,
                 f.reason,
@@ -1343,7 +1387,7 @@ fn cmd_fuzz(args: CommonArgs) {
             if std::fs::create_dir_all(&dir).is_ok() {
                 let path = dir.join(format!("{}-{i}.bin", target.name));
                 if std::fs::write(&path, &f.minimised).is_ok() {
-                    println!("  artifact: {}", path.display());
+                    outln!("  artifact: {}", path.display());
                 }
             }
         }

@@ -4,10 +4,12 @@
 //! sweeps into a temporary archive that it removes afterwards. Bad
 //! `dig` input is an exit-1 error too, and so is a cluster role that
 //! cannot bind its socket or loses its manager, a `simulate` that cannot
-//! write its output, and a store or stream read of a corrupt page.
+//! write its output, and a store or stream read of a corrupt page. A
+//! command whose stdout reader goes away exits 0 without a panic.
 
+use std::io::BufRead as _;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 const SCENARIO: [&str; 6] = ["--scale", "0.004", "--days", "3", "--cc-start", "2"];
 
@@ -161,6 +163,72 @@ fn one_day_measure_succeeds_and_verifies() {
         "store verify failed: {}",
         String::from_utf8_lossy(&out.stdout)
     );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Exit code 0 and no panic: a command whose reader went away.
+fn assert_quiet_exit(out: &Output, what: &str) {
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!stderr.contains("panicked"), "{what} panicked: {stderr}");
+    assert_eq!(out.status.code(), Some(0), "{what}: stderr {stderr}");
+}
+
+/// Runs `cmd` with the read end of its stdout pipe closed before it
+/// writes a byte, as `cmd | true` does.
+fn run_with_closed_stdout(mut cmd: Command) -> Output {
+    cmd.stdout(Stdio::piped()).stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("spawn dpscope");
+    drop(child.stdout.take());
+    child.wait_with_output().expect("wait for dpscope")
+}
+
+fn assert_verifies(archive: &Path) {
+    let mut verify = Command::new(env!("CARGO_BIN_EXE_dpscope"));
+    verify.args(["store", "verify", arg(archive)]);
+    let out = run(verify);
+    assert!(
+        out.status.success(),
+        "store verify failed: {}",
+        String::from_utf8_lossy(&out.stdout)
+    );
+}
+
+/// A closed stdout (`dpscope … | head -1`) ends a command with exit 0,
+/// never the "failed printing to stdout" panic. A sweep whose reader
+/// leaves after the first day line stops there with every committed day
+/// intact: the archive verifies, and resuming it writes the bytes of an
+/// uninterrupted sweep.
+#[test]
+fn a_closed_stdout_ends_commands_quietly() {
+    let dir = temp_dir("epipe");
+    let archive = dir.join("archive");
+    let mut cmd = dpscope(&["measure", "--archive", arg(&archive)]);
+    cmd.stdout(Stdio::piped()).stderr(Stdio::piped());
+    let mut child = cmd.spawn().expect("spawn dpscope");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let first_day = std::io::BufReader::new(stdout)
+        .lines()
+        .map_while(Result::ok)
+        .find(|line| line.starts_with("day "));
+    assert!(first_day.is_some(), "measure printed no day line");
+    let out = child.wait_with_output().expect("wait for dpscope");
+    assert_quiet_exit(&out, "measure with its reader gone after a day line");
+    assert_verifies(&archive);
+
+    let out = run_with_closed_stdout(dpscope(&["store", "info", arg(&archive)]));
+    assert_quiet_exit(&out, "store info | true");
+    let out = run_with_closed_stdout(dpscope(&["measure", "--archive", arg(&archive)]));
+    assert_quiet_exit(&out, "measure | true");
+    assert_verifies(&archive);
+
+    let out = run(dpscope(&["measure", "--archive", arg(&archive)]));
+    assert!(out.status.success(), "resumed sweep failed");
+    let whole = dir.join("whole");
+    let out = run(dpscope(&["measure", "--archive", arg(&whole)]));
+    assert!(out.status.success(), "uninterrupted sweep failed");
+    let resumed = std::fs::read(archive.join("archive.dps")).expect("resumed archive");
+    let want = std::fs::read(whole.join("archive.dps")).expect("uninterrupted archive");
+    assert!(resumed == want, "the resumed archive differs");
     std::fs::remove_dir_all(&dir).ok();
 }
 
