@@ -135,18 +135,6 @@ fn run_agent_world() -> f64 {
     start.elapsed().as_secs_f64()
 }
 
-/// Physical memory of the host in MiB (`MemTotal`), 0 where
-/// `/proc/meminfo` is unreadable.
-fn host_mem_mib() -> u64 {
-    std::fs::read_to_string("/proc/meminfo")
-        .ok()
-        .and_then(|info| {
-            let line = info.lines().find(|l| l.starts_with("MemTotal:"))?;
-            line.split_whitespace().nth(1)?.parse::<u64>().ok()
-        })
-        .map_or(0, |kib| kib / 1024)
-}
-
 /// Noise filter: the minimum over samples. The bench host is shared and
 /// single-core, so wall times carry large additive interference; the
 /// minimum is the closest observation to the true cost of the work.
@@ -208,7 +196,7 @@ fn bench(c: &mut Criterion) {
          \"agent_world_ms\": {:.1},\n  \
          \"protocol_overhead_pct_1w\": {overhead_pct:.2},\n  \
          \"protocol_overhead_budget_pct\": 5.0\n}}\n",
-        host_mem_mib(),
+        dps_bench::host_mem_mib(),
         single_s * 1e3,
         single_s * 1e3 / f64::from(DAYS),
         world_s * 1e3,

@@ -7,7 +7,9 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughpu
 use dps_dns::{Name, RrType};
 use dps_ecosystem::{ScenarioParams, Tld, World};
 use dps_netsim::{Day, Network};
-use dps_recursor::{Recursor, RecursorConfig, SweepScheduler};
+use dps_recursor::{Recursor, RecursorConfig};
+use std::net::IpAddr;
+use std::sync::Arc;
 
 fn jobs(world: &World) -> Vec<(Name, RrType)> {
     let mut jobs = Vec::new();
@@ -20,26 +22,40 @@ fn jobs(world: &World) -> Vec<(Name, RrType)> {
     jobs
 }
 
+fn recursor(net: &Arc<Network>, src: IpAddr, root_hints: Vec<IpAddr>) -> Recursor {
+    Recursor::new(net, src, 0, root_hints, RecursorConfig::default())
+}
+
+/// Resolves every job on day 0 through `recursor`; returns the packets the
+/// network sent meanwhile.
+fn sweep(recursor: &mut Recursor, net: &Network, jobs: &[(Name, RrType)]) -> u64 {
+    recursor.begin_day(Day(0));
+    let before = net.stats().snapshot().sent;
+    for (qname, qtype) in jobs {
+        let _ = recursor.resolve(qname, *qtype);
+    }
+    net.stats().snapshot().sent - before
+}
+
 fn bench(c: &mut Criterion) {
     let world = World::imc2016(ScenarioParams::tiny(17));
-    let src: std::net::IpAddr = "172.16.9.1".parse().unwrap();
+    let src: IpAddr = "172.16.9.1".parse().unwrap();
     let jobs = jobs(&world);
 
     // One-off packet accounting, printed alongside the timings.
     {
         let net = Network::new(3);
         let catalog = world.materialize(&net);
-        let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-        let scheduler = SweepScheduler::new(recursor, 4);
-        let cold = scheduler.run_sweep(&net, src, Day(0), &jobs);
-        let warm = scheduler.run_sweep(&net, src, Day(0), &jobs);
+        let mut recursor = recursor(&net, src, catalog.root_hints());
+        let cold = sweep(&mut recursor, &net, &jobs);
+        let hits = recursor.stats().cache_hits;
+        let warm = sweep(&mut recursor, &net, &jobs);
+        let warm_hits = recursor.stats().cache_hits - hits;
         println!(
-            "recursor packets: {} queries; cold sweep {} packets, warm sweep {} \
+            "recursor packets: {} queries; cold sweep {cold} packets, warm sweep {warm} \
              packets (hit ratio {:.3})",
-            cold.queries,
-            cold.packets_sent,
-            warm.packets_sent,
-            warm.hit_ratio()
+            jobs.len(),
+            warm_hits as f64 / jobs.len() as f64
         );
     }
 
@@ -52,22 +68,17 @@ fn bench(c: &mut Criterion) {
         let catalog = world.materialize(&net);
         b.iter(|| {
             // Fresh recursor per iteration: every query pays full descent.
-            let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-            let report = SweepScheduler::new(recursor, 4).run_sweep(&net, src, Day(0), &jobs);
-            black_box(report.packets_sent)
+            let mut recursor = recursor(&net, src, catalog.root_hints());
+            black_box(sweep(&mut recursor, &net, &jobs))
         })
     });
 
     group.bench_function("warm_sweep", |b| {
         let net = Network::new(5);
         let catalog = world.materialize(&net);
-        let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-        let scheduler = SweepScheduler::new(recursor, 4);
-        scheduler.run_sweep(&net, src, Day(0), &jobs); // populate caches
-        b.iter(|| {
-            let report = scheduler.run_sweep(&net, src, Day(0), &jobs);
-            black_box(report.packets_sent)
-        })
+        let mut recursor = recursor(&net, src, catalog.root_hints());
+        sweep(&mut recursor, &net, &jobs); // populate caches
+        b.iter(|| black_box(sweep(&mut recursor, &net, &jobs)))
     });
 
     group.finish();

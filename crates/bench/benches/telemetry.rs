@@ -12,7 +12,7 @@ use dps_dns::{Name, RrType};
 use dps_ecosystem::{ScenarioParams, Tld, World};
 use dps_measure::{Study, StudyConfig};
 use dps_netsim::{Day, Network};
-use dps_recursor::{Recursor, RecursorConfig, SweepScheduler};
+use dps_recursor::{Recursor, RecursorConfig};
 use dps_store::{Archive, ScanQuery};
 use dps_telemetry::Registry;
 use std::time::Instant;
@@ -82,6 +82,17 @@ fn jobs(world: &World) -> Vec<(Name, RrType)> {
     jobs
 }
 
+/// Resolves every job on day 0 through `recursor`; returns the packets the
+/// network sent meanwhile.
+fn sweep(recursor: &mut Recursor, net: &Network, jobs: &[(Name, RrType)]) -> u64 {
+    recursor.begin_day(Day(0));
+    let before = net.stats().snapshot().sent;
+    for (qname, qtype) in jobs {
+        let _ = recursor.resolve(qname, *qtype);
+    }
+    net.stats().snapshot().sent - before
+}
+
 fn bench(c: &mut Criterion) {
     // --- store: warm full scans, detached vs instrumented -------------
     let days = 10u32;
@@ -140,30 +151,33 @@ fn bench(c: &mut Criterion) {
 
     let net = Network::new(5);
     let catalog = world.materialize(&net);
-    let plain = SweepScheduler::new(
-        Recursor::new(catalog.root_hints(), RecursorConfig::default()),
-        4,
+    let mut plain = Recursor::new(
+        &net,
+        src,
+        0,
+        catalog.root_hints(),
+        RecursorConfig::default(),
     );
     let recursor_registry = Registry::new();
-    let metered = SweepScheduler::new(
-        Recursor::with_telemetry(
-            catalog.root_hints(),
-            RecursorConfig::default(),
-            &recursor_registry,
-        ),
-        4,
+    let mut metered = Recursor::with_telemetry(
+        &net,
+        src,
+        0,
+        catalog.root_hints(),
+        RecursorConfig::default(),
+        &recursor_registry,
     );
-    plain.run_sweep(&net, src, Day(0), &jobs);
-    metered.run_sweep(&net, src, Day(0), &jobs);
+    sweep(&mut plain, &net, &jobs);
+    sweep(&mut metered, &net, &jobs);
 
     let (recursor_detached_ns, recursor_instrumented_ns, recursor_overhead) = compare(
         SAMPLES,
         ITERS,
         || {
-            black_box(plain.run_sweep(&net, src, Day(0), &jobs).packets_sent);
+            black_box(sweep(&mut plain, &net, &jobs));
         },
         || {
-            black_box(metered.run_sweep(&net, src, Day(0), &jobs).packets_sent);
+            black_box(sweep(&mut metered, &net, &jobs));
         },
     );
 
@@ -175,8 +189,9 @@ fn bench(c: &mut Criterion) {
     );
     let answer_ratio = ahits as f64 / (ahits + amisses).max(1) as f64;
 
+    let host_cpus = std::thread::available_parallelism().map_or(1, usize::from);
     let json = format!(
-        "{{\n  \"store\": {{\n    \"scan_warm_detached_ns\": {store_detached_ns:.0},\n    \
+        "{{\n  \"host\": {{ \"cpus\": {host_cpus}, \"mem_mib\": {} }},\n  \"store\": {{\n    \"scan_warm_detached_ns\": {store_detached_ns:.0},\n    \
          \"scan_warm_instrumented_ns\": {store_instrumented_ns:.0},\n    \
          \"overhead_pct\": {store_overhead:.2},\n    \"cache\": {{\n      \
          \"hits\": {hits},\n      \"misses\": {misses},\n      \
@@ -187,6 +202,7 @@ fn bench(c: &mut Criterion) {
          \"overhead_pct\": {recursor_overhead:.2},\n    \"cache\": {{\n      \
          \"answer_hits\": {ahits},\n      \"answer_misses\": {amisses},\n      \
          \"hit_ratio\": {answer_ratio:.4}\n    }}\n  }}\n}}\n",
+        dps_bench::host_mem_mib(),
         pages = counter("store.pages.decoded"),
         bytes = counter("store.bytes.read"),
     );
@@ -216,10 +232,10 @@ fn bench(c: &mut Criterion) {
         })
     });
     group.bench_function("recursor_sweep_warm_detached", |b| {
-        b.iter(|| black_box(plain.run_sweep(&net, src, Day(0), &jobs).packets_sent))
+        b.iter(|| black_box(sweep(&mut plain, &net, &jobs)))
     });
     group.bench_function("recursor_sweep_warm_instrumented", |b| {
-        b.iter(|| black_box(metered.run_sweep(&net, src, Day(0), &jobs).packets_sent))
+        b.iter(|| black_box(sweep(&mut metered, &net, &jobs)))
     });
     group.finish();
     std::fs::remove_file(&path).ok();

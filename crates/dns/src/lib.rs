@@ -6,7 +6,7 @@
 //! detection (`A`, `AAAA`, `NS`, `CNAME`, `SOA`, `MX`, `TXT`) and full
 //! message encoding/decoding.
 //!
-//! It is written in the spirit of `smoltcp`: no dependencies beyond `bytes`,
+//! It is written in the spirit of `smoltcp`: no dependencies,
 //! explicit error types, no panics on untrusted input, and exhaustive tests
 //! (unit tests per module plus property-based round-trip tests).
 //!

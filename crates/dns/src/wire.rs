@@ -13,8 +13,6 @@
 use crate::error::{NameError, WireError};
 use crate::name::{Name, MAX_NAME_LEN};
 use crate::rr::{Class, RData, Record, RrType, Soa};
-use bytes::{Buf, BufMut, BytesMut};
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Upper bound on an encoded message (the 16-bit length framing limit).
@@ -24,29 +22,47 @@ pub const MAX_MESSAGE_LEN: usize = u16::MAX as usize;
 /// A valid chain can never exceed the 127 labels a 255-octet name allows.
 const MAX_POINTER_HOPS: usize = 127;
 
+/// Highest offset a 14-bit compression pointer can reach.
+const MAX_POINTER_OFFSET: usize = 0x3FFF;
+
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
+/// A name suffix written at `offset` in the output, whose wire form is
+/// `arena[at..at + len]`.
+struct Suffix {
+    at: usize,
+    len: usize,
+    offset: u16,
+}
+
 /// Streaming encoder with name compression.
+///
+/// Every suffix written at an offset a pointer can reach is registered
+/// once, at its first write. The wire forms live back to back in one
+/// arena, and a lookup scans the few registered suffixes of a message, so
+/// encoding allocates nothing per suffix.
 pub struct Encoder {
-    buf: BytesMut,
-    /// Maps a name suffix (in wire form) to its offset in `buf`.
-    compression: HashMap<Vec<u8>, u16>,
+    buf: Vec<u8>,
+    /// Wire forms of the names whose suffixes are registered.
+    arena: Vec<u8>,
+    suffixes: Vec<Suffix>,
 }
 
 impl Encoder {
     /// Creates an encoder with a reasonable initial capacity.
     pub fn new() -> Self {
         Self {
-            buf: BytesMut::with_capacity(512),
-            compression: HashMap::new(),
+            buf: Vec::with_capacity(512),
+            arena: Vec::new(),
+            suffixes: Vec::new(),
         }
     }
 
     /// Finishes encoding and returns the message bytes.
     pub fn finish(self) -> Vec<u8> {
-        self.buf.to_vec()
+        self.buf
     }
 
     /// Current output length.
@@ -61,44 +77,63 @@ impl Encoder {
 
     /// Appends a big-endian u16.
     pub fn put_u16(&mut self, v: u16) {
-        self.buf.put_u16(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends a big-endian u32.
     pub fn put_u32(&mut self, v: u32) {
-        self.buf.put_u32(v);
+        self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
     /// Appends raw octets.
     pub fn put_slice(&mut self, s: &[u8]) {
-        self.buf.put_slice(s);
+        self.buf.extend_from_slice(s);
+    }
+
+    /// The output offset of the registered suffix equal to `rest`.
+    fn lookup(&self, rest: &[u8]) -> Option<u16> {
+        self.suffixes
+            .iter()
+            .find(|s| s.len == rest.len() && self.arena.get(s.at..s.at + s.len) == Some(rest))
+            .map(|s| s.offset)
     }
 
     /// Appends a domain name, emitting a compression pointer for the longest
     /// suffix already written, and registering every new suffix.
     pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
-        let mut rest: &[u8] = name.as_wire();
+        let wire = name.as_wire();
+        // Where this name's wire form starts in the arena, once copied, and
+        // the name offset it was copied from.
+        let mut copied: Option<(usize, usize)> = None;
+        let mut pos = 0usize;
         // Walk label by label; at each step either emit a pointer to an
         // already-written suffix, or write this label and register the
         // suffix starting here for future message parts.
-        while let Some((&len, _)) = rest.split_first() {
-            if len == 0 {
-                break;
-            }
-            if let Some(&offset) = self.compression.get(rest) {
-                self.buf.put_u16(0xC000 | offset);
+        while let Some(&len) = wire.get(pos).filter(|&&len| len != 0) {
+            let rest = wire.get(pos..).unwrap_or(&[]);
+            if let Some(offset) = self.lookup(rest) {
+                self.put_u16(0xC000 | offset);
                 return self.check_len();
             }
-            // Register this suffix if its offset fits in 14 bits.
             let here = self.buf.len();
-            if here <= 0x3FFF {
-                self.compression.insert(rest.to_vec(), here as u16);
+            if here <= MAX_POINTER_OFFSET {
+                let (base, from) = *copied.get_or_insert_with(|| {
+                    let base = self.arena.len();
+                    self.arena.extend_from_slice(rest);
+                    (base, pos)
+                });
+                self.suffixes.push(Suffix {
+                    at: base + (pos - from),
+                    len: rest.len(),
+                    offset: here as u16,
+                });
             }
-            let label = rest.get(..1 + len as usize).ok_or(WireError::Truncated)?;
-            self.buf.put_slice(label);
-            rest = rest.get(1 + len as usize..).unwrap_or(&[]);
+            let end = pos + 1 + usize::from(len);
+            let label = wire.get(pos..end).ok_or(WireError::Truncated)?;
+            self.buf.extend_from_slice(label);
+            pos = end;
         }
-        self.buf.put_u8(0);
+        self.buf.push(0);
         self.check_len()
     }
 
@@ -158,7 +193,7 @@ impl Encoder {
                     if s.len() > 255 {
                         return Err(WireError::StringTooLong(s.len()));
                     }
-                    self.buf.put_u8(s.len() as u8);
+                    self.buf.push(s.len() as u8);
                     self.put_slice(s);
                 }
             }
@@ -217,14 +252,18 @@ impl<'a> Decoder<'a> {
 
     /// Reads a big-endian u16.
     pub fn get_u16(&mut self) -> Result<u16, WireError> {
-        let mut s = self.take(2)?;
-        Ok(s.get_u16())
+        let s = self.take(2)?;
+        Ok(u16::from_be_bytes(
+            s.try_into().map_err(|_| WireError::Truncated)?,
+        ))
     }
 
     /// Reads a big-endian u32.
     pub fn get_u32(&mut self) -> Result<u32, WireError> {
-        let mut s = self.take(4)?;
-        Ok(s.get_u32())
+        let s = self.take(4)?;
+        Ok(u32::from_be_bytes(
+            s.try_into().map_err(|_| WireError::Truncated)?,
+        ))
     }
 
     /// Decodes a (possibly compressed) domain name at the cursor.

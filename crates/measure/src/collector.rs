@@ -111,37 +111,20 @@ impl QueryPath for WirePath {
     }
 }
 
-/// Iterative resolution through the shared caching recursor: wire
-/// semantics, but TTL-aware answer/infrastructure caches and query
-/// coalescing amortise packets across domains. The chaos sweep's path.
-pub struct RecursorPath {
-    worker: dps_recursor::RecursorWorker,
-}
-
-impl RecursorPath {
-    /// Wraps a recursor worker (one per sweeping thread; see
-    /// [`dps_recursor::Recursor::worker`]).
-    pub fn new(worker: dps_recursor::RecursorWorker) -> Self {
-        Self { worker }
-    }
-
-    /// UDP queries this path's socket has sent.
-    pub fn queries_sent(&self) -> u64 {
-        self.worker.queries_sent()
-    }
-}
-
-impl QueryPath for RecursorPath {
+/// Iterative resolution through a caching recursor: wire semantics, but
+/// TTL-aware answer/infrastructure caches amortise packets across
+/// domains. The chaos sweep's path.
+impl QueryPath for dps_recursor::Recursor {
     fn query(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
-        self.worker.resolve(qname, qtype)
+        self.resolve(qname, qtype)
     }
 
     fn pause_us(&mut self, dt_us: u64) {
-        self.worker.sleep_us(dt_us);
+        self.sleep_us(dt_us);
     }
 
     fn telemetry(&self) -> PathTelemetry {
-        let stats = self.worker.service_stats();
+        let stats = self.stats();
         PathTelemetry {
             hedges: stats.hedges,
             breaker_trips: stats.breaker_trips,
@@ -149,7 +132,7 @@ impl QueryPath for RecursorPath {
     }
 
     fn now_us(&self) -> u64 {
-        self.worker.now_us()
+        dps_recursor::Recursor::now_us(self)
     }
 }
 

@@ -35,7 +35,7 @@ pub mod snapshot;
 pub mod supervisor;
 pub mod telemetry;
 
-pub use collector::{BulkPath, PathTelemetry, QueryPath, RecursorPath, WirePath};
+pub use collector::{BulkPath, PathTelemetry, QueryPath, WirePath};
 pub use observation::{Source, SOURCES};
 pub use pipeline::{
     collect_rows, day_committed, due_sources_for, resume_store, source_entries, DayCollector,

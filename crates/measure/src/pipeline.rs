@@ -39,7 +39,7 @@
 //! its own tail: each holds its network and recursor cache until then,
 //! so letting the tail overlap would only add memory.
 
-use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, RecursorPath, SldInterner};
+use crate::collector::{collect_raw, BulkPath, QueryPath, RawRow, SldInterner};
 use crate::observation::{entry_code, schema, Source, COLUMNS};
 use crate::quality::{encode_qualities, CauseCounts, DayQuality, QUALITY_SOURCE};
 use crate::snapshot::{SnapshotStore, UNIQUE_KEY_COLUMN};
@@ -523,14 +523,14 @@ impl DayCollector for BulkCollector {
 /// `world.params.seed + day` whose virtual clock starts at zero, so the
 /// schedule describes faults *within* a day and replays identically
 /// every day. The day's servers are the world's [`DayAuthority`] for that
-/// day, and the day resolves through one caching-recursor worker, so
+/// day, and the day resolves through one caching [`Recursor`], so
 /// sibling names start their descent at cached zone cuts instead of the
 /// root; every due source is swept under the supervisor's dead-letter
 /// retry passes. One recursor and one registry per day, like the network
 /// itself: delegations churn between days, so no cache outlives the world
 /// it was filled from, and the day's snapshot is self-contained, so a
 /// resumed run re-measuring the day starts cold and reproduces the
-/// identical telemetry page. A single worker keeps cache fills — and so
+/// identical telemetry page. A single resolver keeps cache fills — and so
 /// which packets are sent and which names fail — independent of thread
 /// interleaving; that is why a day is never split, and why whole days
 /// run side by side instead ([`DayCollector::detach_day`]).
@@ -585,7 +585,10 @@ impl WireDay {
         let registry = Registry::new();
         let net = Network::with_telemetry(self.seed, &registry);
         net.set_chaos(self.schedule);
-        let recursor = Recursor::with_telemetry(
+        let mut path = Recursor::with_telemetry(
+            &net,
+            IpAddr::V4(Ipv4Addr::new(172, 16, 0, 53)),
+            u64::from(self.day),
             self.authority.bind(&net),
             RecursorConfig {
                 resolver: ResolverConfig::resilient(),
@@ -593,11 +596,6 @@ impl WireDay {
             },
             &registry,
         );
-        let mut path = RecursorPath::new(recursor.worker(
-            &net,
-            IpAddr::V4(Ipv4Addr::new(172, 16, 0, 53)),
-            u64::from(self.day),
-        ));
         let metrics = SweepMetrics::new(&registry);
         let sweeps = self
             .lists

@@ -71,6 +71,8 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("recursor.infra.hits", MetricKind::Counter),
     ("recursor.iteration.depth", MetricKind::Histogram),
     ("recursor.queries", MetricKind::Counter),
+    // Always 0 since the recursor resolves on one thread and coalesces
+    // nothing; kept so the ids after it keep their archived meaning.
     ("recursor.singleflight.coalesced", MetricKind::Counter),
     ("store.bytes.read", MetricKind::Counter),
     ("store.cache.hits", MetricKind::Counter),

@@ -10,6 +10,7 @@
 
 use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::{SnapshotStore, Study, StudyConfig, SOURCES};
+use dps_netsim::ChaosSchedule;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Unique suffix per archive file so concurrently running tests in this
@@ -233,5 +234,66 @@ fn bulk_sweep_archive_digest_is_pinned() {
         (bytes.len(), fnv1a(&bytes)),
         (113_530, 0x3bc9_58cf_1a3d_c5ec),
         "bulk sweep archive bytes changed"
+    );
+}
+
+/// Pins the exact archive bytes of a small wire sweep under chaos. Loss
+/// makes the recursor retry and hedge, the blackout of one of hostco1's
+/// two name servers (30.1.0.16) trips its breaker, and the names left
+/// failed after the first pass get a dead-letter pass, so this digest
+/// covers every packet the caching recursor sends and every telemetry
+/// counter it archives. A change to it is a change to the measured data
+/// or to the packets sent: re-pin it only with a deliberate change.
+#[test]
+fn wire_sweep_archive_digest_is_pinned() {
+    let mut world = World::imc2016(ScenarioParams {
+        seed: 2016,
+        scale: 0.02,
+        gtld_days: 3,
+        cc_start_day: 2,
+    });
+    let dir = std::env::temp_dir().join(format!(
+        "dps-determinism-wire-digest-{}-{}",
+        std::process::id(),
+        NEXT_FILE.fetch_add(1, Ordering::Relaxed)
+    ));
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let path = dir.join("archive.dps");
+    let schedule =
+        ChaosSchedule::parse("degrade@0..inf@loss=0.02; blackout@0..inf@30.1.0.16").expect("spec");
+    Study::new(StudyConfig {
+        days: 3,
+        cc_start_day: 2,
+        stride: 1,
+    })
+    .with_chaos(schedule)
+    .run_archived(&mut world, &path, None)
+    .expect("archived study runs");
+    let bytes = std::fs::read(&path).expect("archive readable");
+    let store = SnapshotStore::load_archive(&path).expect("archive loads");
+    std::fs::remove_dir_all(&dir).ok();
+    let counter = |name: &str| -> u64 {
+        (0..3)
+            .filter_map(|day| store.telemetry(day))
+            .map(|snap| snap.counters.get(name).copied().unwrap_or(0))
+            .sum()
+    };
+    let hedges: u32 = (0..3)
+        .flat_map(|day| SOURCES.iter().map(move |&s| (day, s)))
+        .filter_map(|(day, s)| store.quality(day, s))
+        .map(|q| q.hedges)
+        .sum();
+    assert!(hedges > 0, "no hedges sent");
+    for name in [
+        "health.breaker.trips",
+        "sweep.deadletter.passes",
+        "recursor.infra.hits",
+    ] {
+        assert!(counter(name) > 0, "{name} stayed 0");
+    }
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (86_121, 0x62ec_d13f_6618_6b16),
+        "wire sweep archive bytes changed"
     );
 }

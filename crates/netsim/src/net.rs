@@ -353,15 +353,15 @@ impl Socket {
         };
         let first_lat = lat(&mut self.rng);
         metrics.latency_us.observe(first_lat);
-        let mut out = vec![(data.clone(), first_lat)];
         if self.rng.gen::<f64>() < profile.duplicate {
             stats.duplicated.fetch_add(1, Ordering::Relaxed);
             metrics.duplicated.inc();
             let dup_lat = lat(&mut self.rng);
             metrics.latency_us.observe(dup_lat);
-            out.push((data, dup_lat));
+            // Only a duplicated leg needs a second copy of the bytes.
+            return vec![(data.clone(), first_lat), (data, dup_lat)];
         }
-        out
+        vec![(data, first_lat)]
     }
 
     /// Sends `payload` to `dst`. Any responses are scheduled into this

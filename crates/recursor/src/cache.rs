@@ -2,30 +2,30 @@
 //!
 //! Keys are `(owner name, query type)`; values are full [`Resolution`]s so
 //! a hit reproduces the uncached observation byte for byte. Entries honour
-//! record TTLs against the shared virtual clock; authoritative negative
+//! record TTLs against the recursor's virtual clock; authoritative negative
 //! answers (NXDOMAIN / NODATA) are cached per RFC 2308 with the zone's SOA
-//! `minimum` as their lifetime. The cache is sharded to keep lock
-//! contention off the sweep's hot path and capacity-bounded: a full shard
-//! evicts its earliest-expiring entry, which a fresh insert is about to
-//! outlive anyway. Each shard keeps a `BTreeMap` expiry index beside the
-//! hash map so the victim is found in O(log n) instead of a full scan
-//! under the hot-path lock.
+//! `minimum` as their lifetime. The cache is capacity-bounded per shard:
+//! a key's hash picks its shard, and a full shard evicts its
+//! earliest-expiring entry, which a fresh insert is about to outlive
+//! anyway. Which entries a day's inserts evict decides which packets are
+//! sent, so the shard routing and per-shard capacity are part of the
+//! resolver's behaviour. Each shard keeps a `BTreeMap` expiry index beside
+//! the hash map so the victim is found in O(log n) instead of a full scan.
 
 use dps_authdns::resolver::Resolution;
 use dps_dns::{Name, RrType};
 use dps_telemetry::{Counter, Registry};
-use parking_lot::Mutex;
 // dps: allow-file(unordered-collection, reason = "each shard's answer map is a keyed lookup only, never iterated; eviction order comes from the BTreeMap expiry index")
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Answer-cache tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
     /// Maximum cached answers across all shards.
     pub capacity: usize,
-    /// Number of independently locked shards (rounded up to at least 1).
+    /// Number of shards, each with its own capacity bound (rounded up to
+    /// at least 1).
     pub shards: usize,
     /// Negative-answer lifetime when the response carried no SOA to take
     /// RFC 2308's `minimum` from (seconds).
@@ -55,7 +55,7 @@ pub struct CachedAnswer {
     expiry_seq: u64,
 }
 
-/// Monotonic counters, readable as a consistent-enough snapshot.
+/// Monotonic counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
     /// Lookups served from cache.
@@ -70,28 +70,17 @@ pub struct CacheStats {
     pub expirations: u64,
 }
 
-#[derive(Default)]
-struct AtomicCacheStats {
-    hits: AtomicU64,
-    misses: AtomicU64,
-    inserts: AtomicU64,
-    evictions: AtomicU64,
-    expirations: AtomicU64,
-}
-
 type Key = (Name, RrType);
 
 /// One shard: the answer map plus an expiry-ordered index over the same
 /// entries, so capacity eviction pops the earliest expiry in O(log n)
-/// rather than scanning the whole map under the lock.
+/// rather than scanning the whole map.
 #[derive(Default)]
 struct ShardState {
     map: HashMap<Key, CachedAnswer>,
     by_expiry: BTreeMap<(u64, u64), Key>,
     next_seq: u64,
 }
-
-type Shard = Mutex<ShardState>;
 
 /// Telemetry handles mirroring the lookup-path [`CacheStats`] counters
 /// into a shared registry (`recursor.answer.*`). `Default` handles are
@@ -113,11 +102,11 @@ impl CacheMetrics {
     }
 }
 
-/// Sharded, thread-safe, TTL-aware cache of complete resolutions.
+/// Sharded, TTL-aware cache of complete resolutions.
 pub struct AnswerCache {
-    shards: Vec<Shard>,
+    shards: Vec<ShardState>,
     shard_capacity: usize,
-    stats: AtomicCacheStats,
+    stats: CacheStats,
     metrics: CacheMetrics,
 }
 
@@ -128,11 +117,9 @@ impl AnswerCache {
         // Ceil-divide so the whole-cache bound is at least `capacity`.
         let shard_capacity = config.capacity.div_ceil(shards).max(1);
         Self {
-            shards: (0..shards)
-                .map(|_| Mutex::new(ShardState::default()))
-                .collect(),
+            shards: (0..shards).map(|_| ShardState::default()).collect(),
             shard_capacity,
-            stats: AtomicCacheStats::default(),
+            stats: CacheStats::default(),
             metrics: CacheMetrics::default(),
         }
     }
@@ -144,16 +131,17 @@ impl AnswerCache {
         self
     }
 
-    fn shard(&self, key: &Key) -> &Shard {
+    /// The index of the shard `(qname, qtype)` routes to: the key tuple's
+    /// hash (a borrowed name hashes like an owned one).
+    fn shard_of(&self, qname: &Name, qtype: RrType) -> usize {
         let mut h = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut h);
-        // dps: allow(taint-panic, reason = "index is hash % shards.len() over a fixed non-empty shard array; no input value can push it out of bounds")
-        &self.shards[(h.finish() as usize) % self.shards.len()]
+        (qname, qtype).hash(&mut h);
+        (h.finish() as usize) % self.shards.len()
     }
 
     /// The resolution cached for `(qname, qtype)`, if still live at
     /// `now_us`. Expired entries are dropped on contact.
-    pub fn get(&self, qname: &Name, qtype: RrType, now_us: u64) -> Option<Resolution> {
+    pub fn get(&mut self, qname: &Name, qtype: RrType, now_us: u64) -> Option<Resolution> {
         self.get_with_expiry(qname, qtype, now_us).map(|(r, _)| r)
     }
 
@@ -162,17 +150,17 @@ impl AnswerCache {
     /// name must cap the derived TTL by the remaining lifetime, as a real
     /// resolver decrements TTLs on replay.
     pub fn get_with_expiry(
-        &self,
+        &mut self,
         qname: &Name,
         qtype: RrType,
         now_us: u64,
     ) -> Option<(Resolution, u64)> {
+        let at = self.shard_of(qname, qtype);
+        let state = self.shards.get_mut(at)?;
         let key = (qname.clone(), qtype);
-        let mut shard = self.shard(&key).lock();
-        let state = &mut *shard;
         match state.map.get(&key) {
             Some(e) if e.expires_at_us > now_us => {
-                self.stats.hits.fetch_add(1, Ordering::Relaxed);
+                self.stats.hits += 1;
                 self.metrics.hits.inc();
                 Some((e.resolution.clone(), e.expires_at_us))
             }
@@ -182,14 +170,14 @@ impl AnswerCache {
                         .by_expiry
                         .remove(&(dead.expires_at_us, dead.expiry_seq));
                 }
-                self.stats.expirations.fetch_add(1, Ordering::Relaxed);
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.expirations += 1;
+                self.stats.misses += 1;
                 self.metrics.expired.inc();
                 self.metrics.misses.inc();
                 None
             }
             None => {
-                self.stats.misses.fetch_add(1, Ordering::Relaxed);
+                self.stats.misses += 1;
                 self.metrics.misses.inc();
                 None
             }
@@ -199,11 +187,10 @@ impl AnswerCache {
     /// Whether the live entry for `(qname, qtype)` is negative. `None` when
     /// nothing (live) is cached. Does not touch hit/miss counters.
     pub fn negative(&self, qname: &Name, qtype: RrType, now_us: u64) -> Option<bool> {
-        let key = (qname.clone(), qtype);
-        let shard = self.shard(&key).lock();
-        shard
+        self.shards
+            .get(self.shard_of(qname, qtype))?
             .map
-            .get(&key)
+            .get(&(qname.clone(), qtype))
             .filter(|e| e.expires_at_us > now_us)
             .map(|e| e.negative)
     }
@@ -213,7 +200,7 @@ impl AnswerCache {
     /// the answer a zone serves *now* wins. A zero TTL is uncacheable and
     /// ignored.
     pub fn insert(
-        &self,
+        &mut self,
         qname: &Name,
         qtype: RrType,
         resolution: Resolution,
@@ -224,10 +211,12 @@ impl AnswerCache {
         if ttl_secs == 0 {
             return;
         }
+        let at = self.shard_of(qname, qtype);
+        let Some(state) = self.shards.get_mut(at) else {
+            return;
+        };
         let key = (qname.clone(), qtype);
         let expires_at_us = now_us + u64::from(ttl_secs) * 1_000_000;
-        let mut shard = self.shard(&key).lock();
-        let state = &mut *shard;
         let expiry_seq = state.next_seq;
         state.next_seq += 1;
         if let Some(old) = state.map.remove(&key) {
@@ -236,7 +225,7 @@ impl AnswerCache {
             // Evict the entry closest to dying of old age.
             if let Some((_, victim)) = state.by_expiry.pop_first() {
                 state.map.remove(&victim);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+                self.stats.evictions += 1;
             }
         }
         state
@@ -251,12 +240,12 @@ impl AnswerCache {
                 expiry_seq,
             },
         );
-        self.stats.inserts.fetch_add(1, Ordering::Relaxed);
+        self.stats.inserts += 1;
     }
 
     /// Live + expired-but-unswept entries currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.lock().map.len()).sum()
+        self.shards.iter().map(|s| s.map.len()).sum()
     }
 
     /// True when nothing is cached.
@@ -266,13 +255,7 @@ impl AnswerCache {
 
     /// Counter snapshot.
     pub fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.stats.hits.load(Ordering::Relaxed),
-            misses: self.stats.misses.load(Ordering::Relaxed),
-            inserts: self.stats.inserts.load(Ordering::Relaxed),
-            evictions: self.stats.evictions.load(Ordering::Relaxed),
-            expirations: self.stats.expirations.load(Ordering::Relaxed),
-        }
+        self.stats
     }
 }
 
@@ -295,7 +278,7 @@ mod tests {
 
     #[test]
     fn serves_until_ttl_then_expires() {
-        let cache = AnswerCache::new(&CacheConfig::default());
+        let mut cache = AnswerCache::new(&CacheConfig::default());
         cache.insert(
             &n("a.test"),
             RrType::A,
@@ -313,7 +296,7 @@ mod tests {
 
     #[test]
     fn capacity_evicts_earliest_expiry() {
-        let cache = AnswerCache::new(&CacheConfig {
+        let mut cache = AnswerCache::new(&CacheConfig {
             capacity: 2,
             shards: 1,
             ..Default::default()
@@ -346,7 +329,7 @@ mod tests {
 
     #[test]
     fn positive_insert_replaces_negative_entry() {
-        let cache = AnswerCache::new(&CacheConfig::default());
+        let mut cache = AnswerCache::new(&CacheConfig::default());
         cache.insert(
             &n("flip.test"),
             RrType::A,
@@ -374,7 +357,7 @@ mod tests {
 
     #[test]
     fn zero_ttl_is_not_cached() {
-        let cache = AnswerCache::new(&CacheConfig::default());
+        let mut cache = AnswerCache::new(&CacheConfig::default());
         cache.insert(&n("zero.test"), RrType::A, res(Rcode::NoError), 0, false, 0);
         assert!(cache.is_empty());
     }

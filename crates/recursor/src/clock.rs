@@ -1,63 +1,59 @@
 //! The recursor's notion of time.
 //!
-//! Cache expiry needs one monotonic timeline shared by every worker, while
-//! the netsim keeps a *per-socket* virtual clock. [`SharedClock`] bridges
-//! the two: each worker projects its socket time onto the shared timeline
-//! as `day start + its own work since the day began` and folds that in with
-//! [`SharedClock::advance_to`], so shared time is the *max* of the workers'
-//! timelines — independent of worker count — rather than the sum of all
-//! their work. The sweep scheduler jumps the clock to each study day's
-//! start with [`SharedClock::advance_to_day`], so a 300 s TTL survives a
-//! same-day sweep but is long expired by the next daily snapshot.
+//! Cache expiry needs a monotonic timeline that jumps at day boundaries,
+//! while the netsim keeps a per-socket virtual clock that only counts the
+//! socket's own work. [`Clock`] bridges the two: within a day, now is `day
+//! start + socket time spent since the day began`. [`Clock::begin_day`]
+//! jumps to a study day's start, so a 300 s TTL survives a same-day sweep
+//! but is long expired by the next daily snapshot.
 
 use dps_netsim::Day;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Virtual microseconds in one study day.
-pub const DAY_US: u64 = 86_400_000_000;
+const DAY_US: u64 = 86_400_000_000;
 
-/// A monotonic virtual clock in microseconds, shared across workers.
-#[derive(Debug, Default)]
-pub struct SharedClock {
-    us: AtomicU64,
-    day_start: AtomicU64,
+/// A monotonic virtual clock in microseconds, driven by one socket.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Clock {
+    now_us: u64,
+    day_start_us: u64,
+    /// Socket time when the current day began.
+    socket_anchor_us: u64,
 }
 
-impl SharedClock {
-    /// A clock at time zero (the start of study day 0).
-    pub fn new() -> Self {
-        Self::default()
+impl Clock {
+    /// A clock at the start of study day 0, anchored at socket time
+    /// `socket_now_us`.
+    pub(crate) fn new(socket_now_us: u64) -> Self {
+        Self {
+            now_us: 0,
+            day_start_us: 0,
+            socket_anchor_us: socket_now_us,
+        }
     }
 
     /// Current virtual time.
-    pub fn now_us(&self) -> u64 {
-        self.us.load(Ordering::Acquire)
+    pub(crate) fn now_us(&self) -> u64 {
+        self.now_us
     }
 
-    /// Moves the clock forward to `us` if it is ahead of the current time;
-    /// never moves backwards.
-    pub fn advance_to(&self, us: u64) {
-        self.us.fetch_max(us, Ordering::AcqRel);
-    }
-
-    /// Adds `delta` microseconds of elapsed work.
-    pub fn advance_by(&self, delta: u64) {
-        self.us.fetch_add(delta, Ordering::AcqRel);
-    }
-
-    /// Jumps to the start of `day` (no-op if the clock is already past it).
-    /// Also records the day start so workers can re-anchor their per-socket
-    /// timelines.
-    pub fn advance_to_day(&self, day: Day) {
+    /// Jumps to the start of `day`, with the socket at `socket_now_us`.
+    /// A day that does not start after the current day is a no-op.
+    pub(crate) fn begin_day(&mut self, day: Day, socket_now_us: u64) {
         let start = u64::from(day.0) * DAY_US;
-        self.day_start.fetch_max(start, Ordering::AcqRel);
-        self.advance_to(start);
+        if start > self.day_start_us {
+            self.day_start_us = start;
+            self.socket_anchor_us = socket_now_us;
+            self.now_us = self.now_us.max(start);
+        }
     }
 
-    /// The start (µs) of the most recent day the clock was jumped to —
-    /// the epoch workers anchor their socket timelines against.
-    pub fn day_start_us(&self) -> u64 {
-        self.day_start.load(Ordering::Acquire)
+    /// Takes in the socket time spent up to `socket_now_us` and returns
+    /// the new now. Never moves backwards.
+    pub(crate) fn sync(&mut self, socket_now_us: u64) -> u64 {
+        let projected = self.day_start_us + (socket_now_us - self.socket_anchor_us);
+        self.now_us = self.now_us.max(projected);
+        self.now_us
     }
 }
 
@@ -66,37 +62,32 @@ mod tests {
     use super::*;
 
     #[test]
-    fn advances_monotonically() {
-        let c = SharedClock::new();
-        c.advance_to(100);
-        c.advance_to(50);
-        assert_eq!(c.now_us(), 100);
-        c.advance_by(7);
-        assert_eq!(c.now_us(), 107);
+    fn follows_socket_time_monotonically() {
+        let mut c = Clock::new(0);
+        assert_eq!(c.sync(100), 100);
+        assert_eq!(c.sync(100), 100);
+        assert_eq!(c.sync(107), 107);
     }
 
     #[test]
     fn day_jumps_are_idempotent() {
-        let c = SharedClock::new();
-        c.advance_to_day(Day(2));
+        let mut c = Clock::new(0);
+        c.begin_day(Day(2), 0);
         assert_eq!(c.now_us(), 2 * DAY_US);
-        c.advance_by(500);
-        c.advance_to_day(Day(2));
+        c.sync(500);
+        c.begin_day(Day(2), 500);
         assert_eq!(c.now_us(), 2 * DAY_US + 500);
-        c.advance_to_day(Day(3));
+        c.begin_day(Day(3), 500);
         assert_eq!(c.now_us(), 3 * DAY_US);
     }
 
     #[test]
-    fn day_start_tracks_latest_day_jump() {
-        let c = SharedClock::new();
-        assert_eq!(c.day_start_us(), 0);
-        c.advance_to_day(Day(2));
-        assert_eq!(c.day_start_us(), 2 * DAY_US);
-        // Worker-projected times move `now` but never the day epoch.
-        c.advance_to(2 * DAY_US + 1_000);
-        assert_eq!(c.day_start_us(), 2 * DAY_US);
-        c.advance_to_day(Day(1));
-        assert_eq!(c.day_start_us(), 2 * DAY_US, "epoch never rewinds");
+    fn a_day_counts_only_socket_time_spent_since_it_began() {
+        let mut c = Clock::new(40);
+        assert_eq!(c.sync(1_040), 1_000);
+        c.begin_day(Day(1), 5_000);
+        assert_eq!(c.sync(5_250), DAY_US + 250);
+        c.begin_day(Day(0), 9_000);
+        assert_eq!(c.sync(9_000), DAY_US + 4_000, "a day never rewinds");
     }
 }

@@ -8,7 +8,6 @@
 //! TTL.
 
 use dps_dns::Name;
-use parking_lot::Mutex;
 // dps: allow-file(unordered-collection, reason = "the cut map is a keyed lookup only, never iterated; eviction order comes from the BTreeMap expiry index")
 use std::collections::{BTreeMap, HashMap};
 use std::net::IpAddr;
@@ -42,7 +41,7 @@ impl InfraState {
 
 /// Capacity-bounded cache of zone cut → name-server addresses.
 pub struct InfraCache {
-    inner: Mutex<InfraState>,
+    state: InfraState,
     capacity: usize,
 }
 
@@ -50,19 +49,19 @@ impl InfraCache {
     /// An empty cache holding at most `capacity` cuts.
     pub fn new(capacity: usize) -> Self {
         Self {
-            inner: Mutex::new(InfraState::default()),
+            state: InfraState::default(),
             capacity: capacity.max(1),
         }
     }
 
     /// Records that `cut` is served by `servers` for `ttl_secs`. A full
     /// cache first evicts the cut closest to expiry.
-    pub fn put(&self, cut: Name, servers: Vec<IpAddr>, ttl_secs: u32, now_us: u64) {
+    pub fn put(&mut self, cut: Name, servers: Vec<IpAddr>, ttl_secs: u32, now_us: u64) {
         if ttl_secs == 0 || servers.is_empty() {
             return;
         }
         let key = cut.as_wire().to_vec();
-        let mut state = self.inner.lock();
+        let state = &mut self.state;
         if state.cuts.contains_key(&key) {
             state.remove(&key);
         } else if state.cuts.len() >= self.capacity {
@@ -88,9 +87,9 @@ impl InfraCache {
     /// with its servers. Walks towards the root; expired entries along the
     /// way are dropped. The root itself is never cached here — when this
     /// returns `None`, resolution starts from the root hints.
-    pub fn deepest(&self, qname: &Name, now_us: u64) -> Option<(Name, Vec<IpAddr>)> {
+    pub fn deepest(&mut self, qname: &Name, now_us: u64) -> Option<(Name, Vec<IpAddr>)> {
         let wire = qname.as_wire();
-        let mut state = self.inner.lock();
+        let state = &mut self.state;
         let mut at = 0usize;
         // Each suffix of the wire form starting at a label boundary is an
         // enclosing name; the final root octet ends the walk.
@@ -111,7 +110,7 @@ impl InfraCache {
 
     /// Cached cuts (including expired-but-unswept ones).
     pub fn len(&self) -> usize {
-        self.inner.lock().cuts.len()
+        self.state.cuts.len()
     }
 
     /// True when nothing is cached.
@@ -134,7 +133,7 @@ mod tests {
 
     #[test]
     fn deepest_enclosing_cut_wins() {
-        let cache = InfraCache::new(16);
+        let mut cache = InfraCache::new(16);
         cache.put(n("com"), vec![ip("10.0.0.1")], 300, 0);
         cache.put(n("examp.com"), vec![ip("10.0.0.2")], 300, 0);
         let (cut, servers) = cache.deepest(&n("www.examp.com"), 0).unwrap();
@@ -147,7 +146,7 @@ mod tests {
 
     #[test]
     fn expiry_falls_back_to_shallower_cut() {
-        let cache = InfraCache::new(16);
+        let mut cache = InfraCache::new(16);
         cache.put(n("com"), vec![ip("10.0.0.1")], 3_600, 0);
         cache.put(n("examp.com"), vec![ip("10.0.0.2")], 60, 0);
         let (cut, _) = cache.deepest(&n("www.examp.com"), 61_000_000).unwrap();
@@ -157,7 +156,7 @@ mod tests {
 
     #[test]
     fn capacity_bound_holds() {
-        let cache = InfraCache::new(2);
+        let mut cache = InfraCache::new(2);
         cache.put(n("a.test"), vec![ip("10.0.0.1")], 10, 0);
         cache.put(n("b.test"), vec![ip("10.0.0.2")], 20, 0);
         cache.put(n("c.test"), vec![ip("10.0.0.3")], 30, 0);
@@ -173,7 +172,7 @@ mod tests {
         // Same TTL at the same instant: the tie is broken by insertion
         // order, never by hash-map iteration order.
         for _ in 0..32 {
-            let cache = InfraCache::new(3);
+            let mut cache = InfraCache::new(3);
             for cut in ["a.test", "b.test", "c.test", "d.test", "e.test"] {
                 cache.put(n(cut), vec![ip("10.0.0.1")], 60, 0);
             }
@@ -189,7 +188,7 @@ mod tests {
 
     #[test]
     fn refreshing_a_cut_moves_it_in_the_eviction_order() {
-        let cache = InfraCache::new(2);
+        let mut cache = InfraCache::new(2);
         cache.put(n("a.test"), vec![ip("10.0.0.1")], 10, 0);
         cache.put(n("b.test"), vec![ip("10.0.0.2")], 20, 0);
         cache.put(n("a.test"), vec![ip("10.0.0.3")], 30, 0);

@@ -1,26 +1,24 @@
-//! dps-recursor: a caching recursive-resolution service.
+//! dps-recursor: a caching recursive resolver.
 //!
 //! Sits between `dps-authdns` (iterative resolution over the simulated
 //! network) and `dps-measure` (the sweep pipeline). Adds the pieces a real
-//! resolver fleet would have that the bare iterative resolver lacks:
+//! resolver has that the bare iterative resolver lacks:
 //!
 //! * a sharded, TTL-aware **answer cache** (positive + RFC 2308 negative),
 //! * an **infrastructure cache** of referral NS sets and glue so sibling
 //!   queries skip the root,
-//! * **singleflight coalescing** of concurrent identical queries,
-//! * a **sweep scheduler** with bounded per-server concurrency and
-//!   per-sweep statistics.
+//! * a **virtual clock** that jumps at day boundaries, so a day's cache
+//!   expires before the next daily sweep.
+//!
+//! A [`Recursor`] owns its socket, caches, clock and counters and resolves
+//! through `&mut self`: a wire day resolves every name through one of them
+//! on one thread, so cache fills never depend on thread interleaving.
 
 pub mod cache;
-pub mod clock;
+mod clock;
 pub mod infra;
 pub mod recursor;
-pub mod scheduler;
-pub mod singleflight;
 
 pub use cache::{AnswerCache, CacheConfig, CacheStats, CachedAnswer};
-pub use clock::SharedClock;
 pub use infra::InfraCache;
-pub use recursor::{Recursor, RecursorConfig, RecursorStats, RecursorWorker};
-pub use scheduler::{ServerGate, SweepReport, SweepScheduler};
-pub use singleflight::Singleflight;
+pub use recursor::{Recursor, RecursorConfig, RecursorStats};

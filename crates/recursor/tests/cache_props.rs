@@ -36,7 +36,7 @@ proptest! {
             1..80,
         )
     ) {
-        let cache = AnswerCache::new(&CacheConfig::default());
+        let mut cache = AnswerCache::new(&CacheConfig::default());
         let mut model: HashMap<u8, (u64, u64)> = HashMap::new();
         let mut now = 0u64;
         for (seq, (k, ttl, advance, is_insert)) in ops.into_iter().enumerate() {
@@ -69,7 +69,7 @@ proptest! {
         shards in 1usize..=4,
         keys in proptest::collection::vec(any::<u8>(), 1..200),
     ) {
-        let cache = AnswerCache::new(&CacheConfig {
+        let mut cache = AnswerCache::new(&CacheConfig {
             capacity,
             shards,
             ..CacheConfig::default()
@@ -93,7 +93,7 @@ proptest! {
         pos_ttl in 1u32..600,
         gap_us in 0u64..500_000,
     ) {
-        let cache = AnswerCache::new(&CacheConfig::default());
+        let mut cache = AnswerCache::new(&CacheConfig::default());
         let name = key(k);
         let negative = Resolution { rcode: Rcode::NxDomain, answers: Vec::new(), elapsed_us: 1 };
         cache.insert(&name, RrType::A, negative, neg_ttl, true, 0);

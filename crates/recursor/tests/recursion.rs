@@ -1,13 +1,15 @@
 //! End-to-end recursor behaviour over a materialized world: cache reuse
-//! within a day, TTL expiry across days, packet accounting, coalescing and
-//! the sweep scheduler.
+//! within a day, TTL expiry across days, packet accounting over a
+//! one-resolver sweep, negative caching, alias replay and the virtual
+//! clock.
 
 use dps_authdns::health::{HealthConfig, ServerHealth};
 use dps_dns::{Name, RrType};
 use dps_ecosystem::{ScenarioParams, World};
 use dps_netsim::{ChaosSchedule, Day, Network};
-use dps_recursor::{Recursor, RecursorConfig, SweepScheduler};
+use dps_recursor::{Recursor, RecursorConfig};
 use std::net::IpAddr;
+use std::sync::Arc;
 
 fn src() -> IpAddr {
     "172.16.5.1".parse().unwrap()
@@ -15,6 +17,44 @@ fn src() -> IpAddr {
 
 fn world() -> World {
     World::imc2016(ScenarioParams::tiny(41))
+}
+
+/// A recursor with the default config, sending from [`src`] on stream 0.
+fn recursor(net: &Arc<Network>, root_hints: Vec<IpAddr>) -> Recursor {
+    Recursor::new(net, src(), 0, root_hints, RecursorConfig::default())
+}
+
+/// What one sweep did, in numbers.
+struct Sweep {
+    queries: u64,
+    cache_hits: u64,
+    packets_sent: u64,
+    errors: u64,
+}
+
+impl Sweep {
+    fn hit_ratio(&self) -> f64 {
+        self.cache_hits as f64 / self.queries as f64
+    }
+}
+
+/// Resolves every job on `day` through `recursor`, counting the packets
+/// the whole network sent meanwhile.
+fn sweep(recursor: &mut Recursor, net: &Network, day: Day, jobs: &[(Name, RrType)]) -> Sweep {
+    recursor.begin_day(day);
+    let packets_before = net.stats().snapshot().sent;
+    let stats_before = recursor.stats();
+    let errors = jobs
+        .iter()
+        .filter(|(qname, qtype)| recursor.resolve(qname, *qtype).is_err())
+        .count() as u64;
+    let stats = recursor.stats();
+    Sweep {
+        queries: stats.queries - stats_before.queries,
+        cache_hits: stats.cache_hits - stats_before.cache_hits,
+        packets_sent: net.stats().snapshot().sent - packets_before,
+        errors,
+    }
 }
 
 fn jobs_for(world: &World, take: usize) -> Vec<(Name, RrType)> {
@@ -40,15 +80,14 @@ fn repeat_queries_are_served_from_cache_without_packets() {
     let world = world();
     let net = Network::new(5);
     let catalog = world.materialize(&net);
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut worker = recursor.worker(&net, src(), 0);
+    let mut recursor = recursor(&net, catalog.root_hints());
 
     let apex = world.entry_name(world.zone_entries(dps_ecosystem::Tld::Com)[0]);
-    let first = worker.resolve(&apex, RrType::A).unwrap();
+    let first = recursor.resolve(&apex, RrType::A).unwrap();
     let packets_after_first = net.stats().snapshot().sent;
     assert!(packets_after_first > 0);
 
-    let second = worker.resolve(&apex, RrType::A).unwrap();
+    let second = recursor.resolve(&apex, RrType::A).unwrap();
     assert_eq!(first, second, "cache replays the resolution verbatim");
     assert_eq!(
         net.stats().snapshot().sent,
@@ -68,17 +107,16 @@ fn day_boundary_expires_answers_but_not_correctness() {
     let world = world();
     let net = Network::new(6);
     let catalog = world.materialize(&net);
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut worker = recursor.worker(&net, src(), 0);
+    let mut recursor = recursor(&net, catalog.root_hints());
 
     let apex = world.entry_name(world.zone_entries(dps_ecosystem::Tld::Com)[0]);
     recursor.begin_day(Day(0));
-    let day0 = worker.resolve(&apex, RrType::A).unwrap();
+    let day0 = recursor.resolve(&apex, RrType::A).unwrap();
     let packets_day0 = net.stats().snapshot().sent;
 
     // Same day: a hit. Next day: zone TTLs (≤ hours) have long lapsed.
     recursor.begin_day(Day(1));
-    let day1 = worker.resolve(&apex, RrType::A).unwrap();
+    let day1 = recursor.resolve(&apex, RrType::A).unwrap();
     assert!(
         net.stats().snapshot().sent > packets_day0,
         "day-1 lookup went to the network"
@@ -95,20 +133,19 @@ fn infra_cache_skips_the_root_for_sibling_queries() {
     let world = world();
     let net = Network::new(7);
     let catalog = world.materialize(&net);
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut worker = recursor.worker(&net, src(), 0);
+    let mut recursor = recursor(&net, catalog.root_hints());
 
     let entries = world.zone_entries(dps_ecosystem::Tld::Com);
     let first = world.entry_name(entries[0]);
     let sibling = world.entry_name(entries[1]);
 
-    worker.resolve(&first, RrType::A).unwrap();
+    recursor.resolve(&first, RrType::A).unwrap();
     assert!(
         !recursor.infra_cache().is_empty(),
         "referrals populated the infra cache"
     );
     let stats_before = recursor.stats();
-    worker.resolve(&sibling, RrType::A).unwrap();
+    recursor.resolve(&sibling, RrType::A).unwrap();
     let stats = recursor.stats();
     assert!(
         stats.infra_starts > stats_before.infra_starts,
@@ -131,10 +168,9 @@ fn warm_sweep_needs_five_times_fewer_packets_than_uncached_wire() {
     }
     let uncached_packets = net.stats().snapshot().sent - before;
 
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let scheduler = SweepScheduler::new(recursor, 1);
-    let cold = scheduler.run_sweep(&net, src(), Day(0), &jobs);
-    let warm = scheduler.run_sweep(&net, src(), Day(0), &jobs);
+    let mut recursor = recursor(&net, catalog.root_hints());
+    let cold = sweep(&mut recursor, &net, Day(0), &jobs);
+    let warm = sweep(&mut recursor, &net, Day(0), &jobs);
 
     assert_eq!(cold.queries, jobs.len() as u64);
     assert!(
@@ -152,32 +188,11 @@ fn warm_sweep_needs_five_times_fewer_packets_than_uncached_wire() {
 }
 
 #[test]
-fn scheduler_coalesces_identical_concurrent_questions() {
-    let world = world();
-    let net = Network::new(9);
-    let catalog = world.materialize(&net);
-    let apex = world.entry_name(world.zone_entries(dps_ecosystem::Tld::Com)[0]);
-
-    // Every worker asks the same (slow, uncached) question at once.
-    let jobs: Vec<(Name, RrType)> = (0..64).map(|_| (apex.clone(), RrType::A)).collect();
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let report = SweepScheduler::new(recursor, 8).run_sweep(&net, src(), Day(0), &jobs);
-
-    assert_eq!(report.queries, 64);
-    assert_eq!(report.errors, 0);
-    assert!(
-        report.coalesced + report.cache_hits >= 63,
-        "all but the leader shared its work: {report:?}"
-    );
-}
-
-#[test]
 fn recursor_answers_match_the_bulk_path() {
     let world = world();
     let net = Network::new(10);
     let catalog = world.materialize(&net);
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut worker = recursor.worker(&net, src(), 0);
+    let mut recursor = recursor(&net, catalog.root_hints());
 
     for entry in world
         .zone_entries(dps_ecosystem::Tld::Com)
@@ -193,7 +208,7 @@ fn recursor_answers_match_the_bulk_path() {
             (&apex, RrType::Ns),
             (&apex, RrType::Aaaa),
         ] {
-            match (world.resolve(qname, qtype), worker.resolve(qname, qtype)) {
+            match (world.resolve(qname, qtype), recursor.resolve(qname, qtype)) {
                 (Ok(bulk), Ok(rec)) => {
                     assert_eq!(bulk.rcode, rec.rcode, "{qname} {qtype}");
                     assert_eq!(bulk.answers, rec.answers, "{qname} {qtype}");
@@ -210,25 +225,23 @@ fn negative_answers_are_cached_rfc2308() {
     let world = world();
     let net = Network::new(11);
     let catalog = world.materialize(&net);
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut worker = recursor.worker(&net, src(), 0);
+    let mut recursor = recursor(&net, catalog.root_hints());
 
     let missing: Name = "definitely-not-registered-zz.com".parse().unwrap();
-    let first = worker.resolve(&missing, RrType::A).unwrap();
+    let first = recursor.resolve(&missing, RrType::A).unwrap();
     assert_eq!(first.rcode, dps_dns::Rcode::NxDomain);
     let packets = net.stats().snapshot().sent;
 
-    let second = worker.resolve(&missing, RrType::A).unwrap();
+    let second = recursor.resolve(&missing, RrType::A).unwrap();
     assert_eq!(second.rcode, dps_dns::Rcode::NxDomain);
     assert_eq!(
         net.stats().snapshot().sent,
         packets,
         "NXDOMAIN served from cache"
     );
+    let now = recursor.clock_us();
     assert_eq!(
-        recursor
-            .answer_cache()
-            .negative(&missing, RrType::A, recursor.clock().now_us()),
+        recursor.answer_cache().negative(&missing, RrType::A, now),
         Some(true)
     );
 }
@@ -309,6 +322,49 @@ mod cname_world {
     }
 }
 
+/// A server may answer with a CNAME loop inside one response (its own
+/// expansion is bounded, not loop-free): the recursor must still return.
+#[test]
+fn a_cname_loop_in_one_response_terminates() {
+    use dps_authdns::{AuthServer, Catalog, Zone};
+    use dps_dns::RData;
+    let n = cname_world::n;
+    let net = Network::new(34);
+    let catalog = Catalog::new();
+    let root_addr: IpAddr = "10.9.0.1".parse().unwrap();
+    let zone_addr: IpAddr = "10.9.2.1".parse().unwrap();
+    let mut root = Zone::new(Name::root());
+    root.add(n("examp.le"), RData::Ns(n("ns.examp.le")));
+    root.add(n("ns.examp.le"), RData::A("10.9.2.1".parse().unwrap()));
+    let root_handle = catalog.add_zone(root, vec![root_addr]);
+    let mut examp = Zone::new(n("examp.le"));
+    examp.add(n("a.examp.le"), RData::Cname(n("b.examp.le")));
+    examp.add(n("b.examp.le"), RData::Cname(n("a.examp.le")));
+    let examp_handle = catalog.add_zone(examp, vec![zone_addr]);
+    let root_srv = AuthServer::new();
+    root_srv.serve_zone(root_handle);
+    root_srv.bind(&net, root_addr);
+    let examp_srv = AuthServer::new();
+    examp_srv.serve_zone(examp_handle);
+    examp_srv.bind(&net, zone_addr);
+
+    // On a separate thread, so a regression fails instead of hanging.
+    let (done, outcome) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut recursor = recursor(&net, vec![root_addr]);
+        done.send(recursor.resolve(&n("a.examp.le"), RrType::A))
+            .ok();
+    });
+    let resolution = outcome
+        .recv_timeout(std::time::Duration::from_secs(30))
+        .expect("resolution of a CNAME loop returned")
+        .expect("the loop is answered, not an error");
+    assert!(resolution
+        .answers
+        .iter()
+        .all(|r| matches!(r.rdata, RData::Cname(_))));
+}
+
 /// A chain re-cached from a replayed alias target must not outlive the
 /// cached entry it was derived from (real resolvers decrement TTLs on
 /// replay; re-granting the full record TTL would stretch it up to ~2×).
@@ -316,27 +372,27 @@ mod cname_world {
 fn replayed_alias_target_does_not_stretch_ttl() {
     let net = Network::new(31);
     let hints = cname_world::build(&net);
-    let recursor = Recursor::new(hints, RecursorConfig::default());
-    let mut worker = recursor.worker(&net, src(), 0);
+    let mut recursor = recursor(&net, hints);
 
     let www = cname_world::n("www.examp.le");
     let www2 = cname_world::n("www2.examp.le");
     let edge = cname_world::n("edge.cdn.net");
 
     // Cold chase caches the shared edge under its own name (zone TTL 300 s).
-    let first = worker.resolve(&www, RrType::A).unwrap();
+    let first = recursor.resolve(&www, RrType::A).unwrap();
     assert_eq!(first.answers.len(), 2, "CNAME + A: {first:?}");
+    let now = recursor.clock_us();
     let (_, edge_expires) = recursor
         .answer_cache()
-        .get_with_expiry(&edge, RrType::A, recursor.clock().now_us())
+        .get_with_expiry(&edge, RrType::A, now)
         .expect("edge cached under its own name");
 
     // Near the edge's expiry, a sibling alias replays it from cache.
-    recursor.clock().advance_to(290_000_000);
-    let second = worker.resolve(&www2, RrType::A).unwrap();
+    recursor.sleep_us(290_000_000 - now);
+    let second = recursor.resolve(&www2, RrType::A).unwrap();
     assert_eq!(first.answers[1], second.answers[1], "same replayed edge A");
 
-    let now = recursor.clock().now_us();
+    let now = recursor.clock_us();
     let (_, www2_expires) = recursor
         .answer_cache()
         .get_with_expiry(&www2, RrType::A, now)
@@ -347,51 +403,17 @@ fn replayed_alias_target_does_not_stretch_ttl() {
     );
 
     // Past the edge's authoritative expiry, the derived chain is gone too.
-    recursor.clock().advance_to(edge_expires + 1);
+    recursor.sleep_us(edge_expires + 1 - now);
+    let now = recursor.clock_us();
     assert!(
-        recursor
-            .answer_cache()
-            .get(&www2, RrType::A, recursor.clock().now_us())
-            .is_none(),
+        recursor.answer_cache().get(&www2, RrType::A, now).is_none(),
         "derived chain served past its source's TTL"
     );
 }
 
-/// Virtual time is the max of the workers' per-socket timelines, not the
-/// sum of all their work — otherwise cache lifetimes would shrink as the
-/// worker count grows.
-#[test]
-fn shared_clock_tracks_max_worker_timeline_not_sum() {
-    let world = world();
-    let net = Network::new(32);
-    let catalog = world.materialize(&net);
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-
-    let entries = world.zone_entries(dps_ecosystem::Tld::Com);
-    let first = world.entry_name(entries[0]);
-    let second = world.entry_name(entries[1]);
-
-    let mut w1 = recursor.worker(&net, src(), 0);
-    let mut w2 = recursor.worker(&net, src(), 1);
-    let r1 = w1.resolve(&first, RrType::A).unwrap();
-    let r2 = w2.resolve(&second, RrType::A).unwrap();
-    assert!(r1.elapsed_us > 0 && r2.elapsed_us > 0);
-
-    let now = recursor.clock().now_us();
-    assert_eq!(
-        now,
-        r1.elapsed_us.max(r2.elapsed_us),
-        "clock is the max worker timeline"
-    );
-    assert!(
-        now < r1.elapsed_us + r2.elapsed_us,
-        "clock must not sum concurrent workers' time"
-    );
-}
-
-/// The shared clock follows a worker's socket time through failed
-/// resolutions and pauses, not only through successes: breakers and TTLs
-/// read it, so a supervisor's pause must be able to cool an open breaker.
+/// The virtual clock follows the socket time through failed resolutions
+/// and pauses, not only through successes: breakers and TTLs read it, so
+/// a supervisor's pause must be able to cool an open breaker.
 #[test]
 fn shared_clock_advances_on_failures_and_pauses() {
     let world = world();
@@ -408,36 +430,35 @@ fn shared_clock_advances_on_failures_and_pauses() {
         health,
         ..RecursorConfig::default()
     };
-    let recursor = Recursor::new(hints.clone(), config);
-    let mut worker = recursor.worker(&net, src(), 0);
+    let mut recursor = Recursor::new(&net, src(), 0, hints.clone(), config);
 
     let apex = world.entry_name(world.zone_entries(dps_ecosystem::Tld::Com)[0]);
     assert!(
-        worker.resolve(&apex, RrType::A).is_err(),
+        recursor.resolve(&apex, RrType::A).is_err(),
         "blackout answered"
     );
-    let failed_at = worker.now_us();
+    let failed_at = recursor.now_us();
     assert!(failed_at > 0, "timeouts spent socket time");
     assert_eq!(
-        recursor.clock().now_us(),
+        recursor.clock_us(),
         failed_at,
         "a failed resolution's socket time reaches the shared clock"
     );
     let root = hints[0];
     assert_eq!(
-        recursor.health().check(root, recursor.clock().now_us()),
+        recursor.health().check(root, recursor.clock_us()),
         ServerHealth::Open,
         "the silent root's breaker tripped"
     );
 
-    worker.sleep_us(60_000_000);
+    recursor.sleep_us(60_000_000);
     assert_eq!(
-        recursor.clock().now_us(),
+        recursor.clock_us(),
         failed_at + 60_000_000,
         "a pause reaches the shared clock"
     );
     assert_eq!(
-        recursor.health().check(root, recursor.clock().now_us()),
+        recursor.health().check(root, recursor.clock_us()),
         ServerHealth::Probe,
         "the pause cooled the breaker to half-open"
     );

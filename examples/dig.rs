@@ -17,18 +17,17 @@
 
 use dps_scope::authdns::{Resolution, ResolveError, Resolver};
 use dps_scope::prelude::*;
-use dps_scope::recursor::RecursorWorker;
 
 enum Engine {
-    Wire(Resolver),
-    Cached(Recursor, RecursorWorker),
+    Wire(Box<Resolver>),
+    Cached(Box<Recursor>),
 }
 
 impl Engine {
     fn resolve(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
         match self {
             Engine::Wire(r) => r.resolve(qname, qtype),
-            Engine::Cached(_, w) => w.resolve(qname, qtype),
+            Engine::Cached(r) => r.resolve(qname, qtype),
         }
     }
 }
@@ -75,11 +74,20 @@ fn main() {
     let source: std::net::IpAddr = "172.16.0.53".parse().unwrap();
 
     let mut engine = if cached {
-        let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-        let worker = recursor.worker(&net, source, 0);
-        Engine::Cached(recursor, worker)
+        Engine::Cached(Box::new(Recursor::new(
+            &net,
+            source,
+            0,
+            catalog.root_hints(),
+            RecursorConfig::default(),
+        )))
     } else {
-        Engine::Wire(Resolver::new(&net, source, 0, catalog.root_hints()))
+        Engine::Wire(Box::new(Resolver::new(
+            &net,
+            source,
+            0,
+            catalog.root_hints(),
+        )))
     };
 
     if args.len() >= 2 {
@@ -90,7 +98,7 @@ fn main() {
             // Ask again: the second pass is answered from cache.
             print_resolution(&qname, qtype, &mut engine);
         }
-        print_stats(&net, &engine);
+        print_stats(&net, &mut engine);
         return;
     }
 
@@ -115,22 +123,22 @@ fn main() {
             break;
         }
     }
-    print_stats(&net, &engine);
+    print_stats(&net, &mut engine);
 }
 
-fn print_stats(net: &std::sync::Arc<Network>, engine: &Engine) {
+fn print_stats(net: &std::sync::Arc<Network>, engine: &mut Engine) {
     let sent = net.stats().snapshot().sent;
     match engine {
         Engine::Wire(_) => {
             println!(";; MODE: iterative (no cache); udp packets sent: {sent}");
         }
-        Engine::Cached(recursor, _) => {
+        Engine::Cached(recursor) => {
             let s = recursor.stats();
             let c = recursor.answer_cache().stats();
             println!(";; MODE: caching recursor; udp packets sent: {sent}");
             println!(
-                ";; queries: {} (cache hits {}, misses {}, coalesced {})",
-                s.queries, s.cache_hits, s.cache_misses, s.coalesced
+                ";; queries: {} (cache hits {}, misses {})",
+                s.queries, s.cache_hits, s.cache_misses
             );
             println!(
                 ";; answer cache: {} entries, {} inserts, {} evictions; infra cuts cached: {}",

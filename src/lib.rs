@@ -77,7 +77,7 @@ pub mod prelude {
         DayQuality, SnapshotStore, Source, Study, StudyConfig, SupervisorConfig,
     };
     pub use dps_netsim::{ChaosSchedule, Day, FaultProfile, Network, Prefix};
-    pub use dps_recursor::{Recursor, RecursorConfig, SweepScheduler};
+    pub use dps_recursor::{Recursor, RecursorConfig};
     pub use dps_store::{Archive, ArchiveWriter, ScanQuery, StoreReader, StoreWriter};
     pub use dps_stream::{KmvSketch, StreamEngine};
 }

@@ -1,10 +1,10 @@
 //! The measurement pipeline through the caching recursor: a first-pass
-//! sweep over a `RecursorPath` must write byte-identical snapshot tables to the
+//! sweep through a `Recursor` must write byte-identical snapshot tables to the
 //! uncached wire path, and a warm repeat sweep must cost a small fraction
 //! of the packets.
 
 use dps_scope::authdns::Resolver;
-use dps_scope::measure::collector::{QueryPath, RecursorPath, SldInterner, WirePath};
+use dps_scope::measure::collector::{QueryPath, SldInterner, WirePath};
 use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
 use dps_scope::measure::SweepMetrics;
 use dps_scope::prelude::*;
@@ -56,19 +56,24 @@ fn recursor_sweep_matches_wire_sweep_with_fewer_packets() {
     assert!(wire_packets > 0);
 
     // Cold recursor sweep, then a warm repeat of the same day.
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut rec_path = RecursorPath::new(recursor.worker(&net, "172.16.0.8".parse().unwrap(), 3));
+    let mut recursor = Recursor::new(
+        &net,
+        "172.16.0.8".parse().unwrap(),
+        3,
+        catalog.root_hints(),
+        RecursorConfig::default(),
+    );
     let mut cold_store = SnapshotStore::new();
     let mut warm_store = SnapshotStore::new();
     let mut rec_interner = SldInterner::new();
     recursor.begin_day(Day(0));
 
     let before = net.stats().snapshot().sent;
-    first_pass(&world, &mut rec_path, &mut cold_store, &mut rec_interner);
+    first_pass(&world, &mut recursor, &mut cold_store, &mut rec_interner);
     let cold_packets = net.stats().snapshot().sent - before;
 
     let before = net.stats().snapshot().sent;
-    first_pass(&world, &mut rec_path, &mut warm_store, &mut rec_interner);
+    first_pass(&world, &mut recursor, &mut warm_store, &mut rec_interner);
     let warm_packets = net.stats().snapshot().sent - before;
 
     // Identical observations: the encoded snapshots are byte-for-byte equal.

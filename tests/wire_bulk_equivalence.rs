@@ -7,7 +7,6 @@
 
 use dps_scope::authdns::{DirectResolver, Resolution, Resolver};
 use dps_scope::prelude::*;
-use dps_scope::recursor::RecursorWorker;
 
 fn world_at(day: u32, seed: u64) -> World {
     let params = ScenarioParams {
@@ -24,8 +23,13 @@ fn world_at(day: u32, seed: u64) -> World {
 fn compare_all(world: &World, net: &std::sync::Arc<Network>) {
     let catalog = world.materialize(net);
     let mut wire = Resolver::new(net, "172.16.0.2".parse().unwrap(), 7, catalog.root_hints());
-    let recursor = Recursor::new(catalog.root_hints(), RecursorConfig::default());
-    let mut cached: RecursorWorker = recursor.worker(net, "172.16.0.3".parse().unwrap(), 7);
+    let mut cached = Recursor::new(
+        net,
+        "172.16.0.3".parse().unwrap(),
+        7,
+        catalog.root_hints(),
+        RecursorConfig::default(),
+    );
 
     let mut compared = 0usize;
     let mut sample: Vec<(Name, RrType, Resolution)> = Vec::new();
@@ -67,7 +71,7 @@ fn compare_all(world: &World, net: &std::sync::Arc<Network>) {
 
     // Second pass over a sample: the recursor must replay the exact same
     // resolution from cache, without touching the network again.
-    let hits_before = recursor.stats().cache_hits;
+    let hits_before = cached.stats().cache_hits;
     let packets_before = net.stats().snapshot().sent;
     for (qname, qtype, first) in &sample {
         let replay = cached.resolve(qname, *qtype).unwrap();
@@ -78,7 +82,7 @@ fn compare_all(world: &World, net: &std::sync::Arc<Network>) {
         packets_before,
         "replays sent no packets"
     );
-    assert!(recursor.stats().cache_hits >= hits_before + sample.len() as u64);
+    assert!(cached.stats().cache_hits >= hits_before + sample.len() as u64);
 }
 
 #[test]
