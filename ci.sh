@@ -11,7 +11,7 @@
 #   ./ci.sh fuzz-smoke        deterministic fuzzer over every target
 #   ./ci.sh serve-smoke       real-socket authoritative DNS round trip
 #   ./ci.sh scale-smoke       sharded-archive equivalence + resume smoke
-#   ./ci.sh sweep-smoke       one-CPU bulk sweep byte-identity + closed-stdout smoke
+#   ./ci.sh sweep-smoke       one-CPU sweep byte-identity, sharded stream check, closed stdout
 #   ./ci.sh analyze           dps-analyzer over the workspace (must be clean)
 #   ./ci.sh analyze-fixtures  known-bad corpus must still fail, good must pass
 #   ./ci.sh perfbench-tests   the benchmark harness's unit tests + helper check
@@ -210,7 +210,8 @@ scale_smoke() {
 # The bulk sweep codes rows on its workers, one dictionary per chunk, and
 # commits each day on a commit thread while the next day is collected.
 # On one CPU a block is one chunk and nothing overlaps, so the archive of
-# a `taskset -c 0` run must equal the default run's byte for byte. A
+# a `taskset -c 0` run must equal the default run's byte for byte. The
+# sharded stream state must equal a full rescan (`stream check`). A
 # reader that leaves early ends a command quietly: `store info | true`
 # must exit without a panic.
 sweep_smoke() {
@@ -228,6 +229,7 @@ sweep_smoke() {
     else
         echo "taskset not found: skipping the one-CPU byte-identity check"
     fi
+    ./target/release/dpscope stream check target/ci-sweep-a
     ./target/release/dpscope store info target/ci-sweep-a \
         2>target/ci-sweep-stderr.txt | true
     if grep -q panicked target/ci-sweep-stderr.txt; then

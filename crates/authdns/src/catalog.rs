@@ -74,11 +74,6 @@ impl Catalog {
         self.servers.read().get(origin).cloned().unwrap_or_default()
     }
 
-    /// Updates the server list for an existing zone.
-    pub fn set_servers(&self, origin: &Name, servers: Vec<IpAddr>) {
-        self.servers.write().insert(origin.clone(), servers);
-    }
-
     /// Sets the root-hint addresses used by iterative resolvers.
     pub fn set_root_hints(&self, hints: Vec<IpAddr>) {
         *self.root_hints.write() = hints;

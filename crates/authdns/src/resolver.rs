@@ -336,9 +336,11 @@ impl Resolver {
             chain.extend(resp.answers.iter().cloned());
 
             // Follow the CNAME chain inside this response to find where we
-            // stand now.
+            // stand now. A chain without a repeat has fewer links than the
+            // response has records, so the bound only cuts a loop (a server
+            // may answer with one).
             let mut tip = current.clone();
-            loop {
+            for _ in 0..resp.answers.len() {
                 let next = resp.answers.iter().find_map(|r| match &r.rdata {
                     RData::Cname(t) if r.name == tip => Some(t.clone()),
                     _ => None,
@@ -804,6 +806,44 @@ mod tests {
         assert_eq!(chain, vec![&n("edge.foob.ar")]);
         let a_rec = res.records_of(RrType::A).next().unwrap();
         assert_eq!(a_rec.rdata, a("198.51.100.7"));
+    }
+
+    /// A server may answer with a CNAME loop inside one response (its own
+    /// expansion is bounded, not loop-free): the resolver must still return.
+    #[test]
+    fn wire_cname_loop_in_one_response_terminates() {
+        let net = Network::new(17);
+        let catalog = Catalog::new();
+        let root_addr = ip("10.9.0.1");
+        let mut root = Zone::new(Name::root());
+        root.add(n("examp.le"), RData::Ns(n("ns.examp.le")));
+        root.add(n("ns.examp.le"), a("10.9.2.1"));
+        let root_handle = catalog.add_zone(root, vec![root_addr]);
+        let mut examp = Zone::new(n("examp.le"));
+        examp.add(n("a.examp.le"), RData::Cname(n("b.examp.le")));
+        examp.add(n("b.examp.le"), RData::Cname(n("a.examp.le")));
+        let examp_handle = catalog.add_zone(examp, vec![ip("10.9.2.1")]);
+        let root_srv = AuthServer::new();
+        root_srv.serve_zone(root_handle);
+        root_srv.bind(&net, root_addr);
+        let examp_srv = AuthServer::new();
+        examp_srv.serve_zone(examp_handle);
+        examp_srv.bind(&net, ip("10.9.2.1"));
+
+        // On a separate thread, so a regression fails instead of hanging.
+        let (done, outcome) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut r = Resolver::new(&net, ip("172.16.0.1"), 0, vec![root_addr]);
+            done.send(r.resolve(&n("a.examp.le"), RrType::A)).ok();
+        });
+        let res = outcome
+            .recv_timeout(std::time::Duration::from_secs(30))
+            .expect("resolution of a CNAME loop returned")
+            .expect("the loop is answered, not an error");
+        assert!(res
+            .answers
+            .iter()
+            .all(|r| matches!(r.rdata, RData::Cname(_))));
     }
 
     #[test]

@@ -460,15 +460,6 @@ impl Scheduler {
         }
     }
 
-    /// The unit a lease id currently maps to, if any (used to translate
-    /// result frames back to unit keys without trusting the frame).
-    pub fn lease_unit(&self, lease: u64) -> Option<UnitKey> {
-        self.units.iter().find_map(|(key, unit)| match unit.state {
-            UnitState::Assigned { lease: l, .. } if l == lease => Some(*key),
-            _ => None,
-        })
-    }
-
     /// Number of live workers.
     pub fn live_workers(&self) -> usize {
         self.workers.values().filter(|st| st.alive).count()

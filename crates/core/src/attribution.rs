@@ -108,7 +108,7 @@ fn referencing_entries(
                 .map(|c| table.column(c))
                 .collect();
             for i in 0..table.rows() {
-                let (_, _, row) = Row::unpack(&cols, i);
+                let row = Row::unpack(&cols, i);
                 if refs.classify(&row).iter().any(|&(p, _)| p == provider) {
                     out.insert(row.entry, (row.ns1, row.cname1));
                 }

@@ -121,7 +121,7 @@ pub fn analyze_day(store: &SnapshotStore, refs: &CompiledRefs, day: u32) -> Comb
             .map(|c| table.column(c))
             .collect();
         for i in 0..table.rows() {
-            let (_, _, row) = Row::unpack(&cols, i);
+            let row = Row::unpack(&cols, i);
             for (p, kinds) in refs.classify(&row) {
                 counts[p as usize][Combo::from_kinds(kinds).index()] += 1;
             }

@@ -301,7 +301,7 @@ fn for_each_sampled_row(
                 .map(|c| table.column(c))
                 .collect();
             for i in 0..table.rows() {
-                let (_, _, row) = Row::unpack(&cols, i);
+                let row = Row::unpack(&cols, i);
                 if !row.failed {
                     f(source, &row);
                 }

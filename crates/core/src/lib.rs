@@ -42,7 +42,7 @@ pub mod util;
 
 pub use quality::{QualityMask, DEFAULT_MIN_COVERAGE};
 pub use references::{CompiledRefs, ProviderRefs, RefKind};
-pub use scan::{ScanOutput, Scanner, SeriesSet, Timelines};
+pub use scan::{DayPartial, ScanFold, ScanOutput, Scanner, SeriesSet, Timelines};
 
 #[cfg(test)]
 pub(crate) mod testing {

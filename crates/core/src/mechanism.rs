@@ -121,7 +121,7 @@ fn page_samples(
         .collect();
     let mut out = Vec::new();
     for i in 0..table.rows() {
-        let (_, _, row) = Row::unpack(&cols, i);
+        let row = Row::unpack(&cols, i);
         let Some(providers) = wanted.get(&row.entry) else {
             continue;
         };
@@ -280,7 +280,7 @@ mod tests {
                     .map(|c| table.column(c))
                     .collect();
                 for i in 0..table.rows() {
-                    let (_, _, row) = Row::unpack(&cols, i);
+                    let row = Row::unpack(&cols, i);
                     for &p in wanted.get(&row.entry).into_iter().flatten() {
                         let kinds = refs
                             .classify(&row)

@@ -35,6 +35,16 @@ impl RefKind {
     pub fn contains(self, other: RefKind) -> bool {
         self.0 & other.0 == other.0
     }
+
+    /// The kinds as bits: ASN = 1, CNAME = 2, NS = 4.
+    pub fn bits(self) -> u8 {
+        self.0
+    }
+
+    /// The kinds of [`bits`](Self::bits).
+    pub fn from_bits(bits: u8) -> Self {
+        RefKind(bits)
+    }
 }
 
 /// The reference set of one provider.

@@ -251,7 +251,7 @@ pub fn ns_host_census(
                 .map(|c| table.column(c))
                 .collect();
             for i in 0..table.rows() {
-                let (_, _, row) = Row::unpack(&cols, i);
+                let row = Row::unpack(&cols, i);
                 let delegated = [row.ns1, row.ns2]
                     .iter()
                     .any(|&sld| refs.provider_of_ns(sld) == Some(provider));

@@ -5,8 +5,8 @@
 use crate::references::{CompiledRefs, RefKind};
 use crate::util::DayBits;
 use dps_measure::observation::Row;
-use dps_measure::{SnapshotStore, Source};
-use std::collections::HashMap;
+use dps_measure::{SnapshotStore, Source, SOURCES};
+use std::collections::{BTreeMap, HashMap};
 
 /// Daily count series aligned to `days`.
 #[derive(Debug, Clone)]
@@ -30,17 +30,18 @@ pub struct SeriesSet {
 }
 
 impl SeriesSet {
-    fn new(n_days: usize, n_providers: usize) -> Self {
-        let zeros = || vec![0u32; n_days];
+    /// An empty set over no days; [`ScanFold::push`] appends each day.
+    fn new(n_providers: usize) -> Self {
+        let empty = |n: usize| vec![Vec::new(); n];
         Self {
             days: Vec::new(),
-            zone_sizes: (0..5).map(|_| zeros()).collect(),
-            provider_any: (0..n_providers).map(|_| zeros()).collect(),
-            provider_asn: (0..n_providers).map(|_| zeros()).collect(),
-            provider_cname: (0..n_providers).map(|_| zeros()).collect(),
-            provider_ns: (0..n_providers).map(|_| zeros()).collect(),
-            tld_any: (0..3).map(|_| zeros()).collect(),
-            source_any: (0..5).map(|_| zeros()).collect(),
+            zone_sizes: empty(SOURCES.len()),
+            provider_any: empty(n_providers),
+            provider_asn: empty(n_providers),
+            provider_cname: empty(n_providers),
+            provider_ns: empty(n_providers),
+            tld_any: empty(GTLD_SOURCES),
+            source_any: empty(SOURCES.len()),
         }
     }
 
@@ -73,7 +74,7 @@ impl SeriesSet {
 }
 
 /// Per-domain, per-provider reference timeline over the gTLD window.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
     /// Days with any reference.
     pub any: DayBits,
@@ -103,6 +104,154 @@ pub struct ScanOutput {
     pub timelines: Timelines,
 }
 
+/// Number of gTLD sources (`.com`, `.net`, `.org`): the first three
+/// [`SOURCES`], the only ones with provider counts and timelines.
+const GTLD_SOURCES: usize = 3;
+
+/// One day's classification: the map output of one page, and, summed
+/// with `+=` over the day's sources and shards (partials over the same
+/// providers), the unit [`ScanFold`] folds. Every field is additive, so
+/// the sum of a day's partials does not depend on how its rows were
+/// split.
+#[derive(Debug, Clone)]
+pub struct DayPartial {
+    /// Rows per source (zone size), indexed by [`Source::index`].
+    pub rows: [u32; SOURCES.len()],
+    /// Rows referencing any provider, per source.
+    pub source_any: [u32; SOURCES.len()],
+    /// Per provider: `[any, asn, cname, ns]` row counts, gTLD sources
+    /// only.
+    pub providers: Vec<[u32; 4]>,
+    /// `(entry, provider, kinds)` of every referencing gTLD row, in row
+    /// order.
+    pub references: Vec<(u32, u8, RefKind)>,
+}
+
+impl DayPartial {
+    /// An empty partial over `n_providers` providers.
+    pub fn new(n_providers: usize) -> Self {
+        Self {
+            rows: [0; SOURCES.len()],
+            source_any: [0; SOURCES.len()],
+            providers: vec![[0; 4]; n_providers],
+            references: Vec::new(),
+        }
+    }
+}
+
+impl std::ops::AddAssign for DayPartial {
+    fn add_assign(&mut self, other: Self) {
+        for (a, b) in self.rows.iter_mut().zip(other.rows) {
+            *a += b;
+        }
+        for (a, b) in self.source_any.iter_mut().zip(other.source_any) {
+            *a += b;
+        }
+        for (a, b) in self.providers.iter_mut().zip(other.providers) {
+            for (x, y) in a.iter_mut().zip(b) {
+                *x += y;
+            }
+        }
+        self.references.extend(other.references);
+    }
+}
+
+/// The reduce side of the scan: folds one [`DayPartial`] per day, in
+/// ascending day order, into the series and timelines. It holds no page
+/// and needs no day list up front, so a full scan and the stream engine
+/// (which learns each day as it commits) fold the same way.
+#[derive(Debug, Clone)]
+pub struct ScanFold {
+    series: SeriesSet,
+    timelines: HashMap<(u32, u8), Timeline>,
+}
+
+impl ScanFold {
+    /// An empty fold over `n_providers` providers.
+    pub fn new(n_providers: usize) -> Self {
+        Self {
+            series: SeriesSet::new(n_providers),
+            timelines: HashMap::new(),
+        }
+    }
+
+    /// Days folded so far, ascending.
+    pub fn days(&self) -> &[u32] {
+        &self.series.days
+    }
+
+    /// Appends `day`'s summed partial. A timeline's day bits grow as
+    /// they are set; [`finish`](Self::finish) pads them to the day count.
+    ///
+    /// # Panics
+    ///
+    /// If `day` is not above every day folded so far.
+    pub fn push(&mut self, day: u32, partial: &DayPartial) {
+        assert!(
+            self.series.days.last() < Some(&day),
+            "days fold in ascending order"
+        );
+        let di = self.series.days.len();
+        let series = &mut self.series;
+        series.days.push(day);
+        append(&mut series.zone_sizes, partial.rows);
+        append(&mut series.source_any, partial.source_any);
+        append(&mut series.tld_any, partial.source_any);
+        let counts = &partial.providers;
+        append(
+            &mut series.provider_any,
+            counts.iter().map(|&[any, ..]| any),
+        );
+        append(
+            &mut series.provider_asn,
+            counts.iter().map(|&[_, asn, ..]| asn),
+        );
+        append(
+            &mut series.provider_cname,
+            counts.iter().map(|&[.., cname, _]| cname),
+        );
+        append(&mut series.provider_ns, counts.iter().map(|&[.., ns]| ns));
+        for &(entry, p, kinds) in &partial.references {
+            let tl = self.timelines.entry((entry, p)).or_default();
+            tl.any.set(di);
+            if kinds.contains(RefKind::ASN) {
+                tl.asn.set(di);
+            }
+            if kinds.contains(RefKind::CNAME) {
+                tl.cname.set(di);
+            }
+            if kinds.contains(RefKind::NS) {
+                tl.ns.set(di);
+            }
+        }
+    }
+
+    /// The folded output, every timeline spanning every folded day.
+    pub fn finish(mut self) -> ScanOutput {
+        let n_days = self.series.days.len();
+        for tl in self.timelines.values_mut() {
+            for bits in [&mut tl.any, &mut tl.asn, &mut tl.cname, &mut tl.ns] {
+                bits.extend_to(n_days);
+            }
+        }
+        ScanOutput {
+            timelines: Timelines {
+                days: self.series.days.clone(),
+                map: self.timelines,
+            },
+            series: self.series,
+        }
+    }
+}
+
+/// Appends one day's value to each series, 0 where `values` runs out.
+fn append(series: &mut [Vec<u32>], values: impl IntoIterator<Item = u32>) {
+    let values = values.into_iter().chain(std::iter::repeat(0));
+    for (s, v) in series.iter_mut().zip(values) {
+        s.push(v);
+    }
+}
+
 /// The scanner.
 pub struct Scanner<'a> {
     refs: &'a CompiledRefs,
@@ -114,44 +263,32 @@ impl<'a> Scanner<'a> {
         Self { refs }
     }
 
-    /// Runs the full pass over an in-memory snapshot store. Day tables are
-    /// decoded and classified on the MapReduce worker pool (one map task
-    /// per day table); per-day partial results are merged on the caller
-    /// thread.
+    /// Runs the full pass over an in-memory snapshot store, one map task
+    /// per day table.
     pub fn run(&self, store: &SnapshotStore) -> ScanOutput {
         let days = store.days(Source::Com);
-        let day_pos: HashMap<u32, usize> = days.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-
-        // Gather all (source, day, encoded table) map tasks.
-        let mut tasks: Vec<(Source, u32, &[u8])> = Vec::new();
-        for source in dps_measure::SOURCES {
+        let mut tasks: Vec<(u32, Source, &[u8])> = Vec::new();
+        for source in SOURCES {
             for (day, bytes) in store.encoded(source) {
-                if day_pos.contains_key(&day) {
-                    tasks.push((source, day, bytes));
+                if days.binary_search(&day).is_ok() {
+                    tasks.push((day, source, bytes));
                 }
             }
         }
-
-        let partials = dps_columnar::mapreduce::par_map(&tasks, |&(source, day, bytes)| {
-            let table = dps_columnar::Table::from_bytes(bytes).expect("store holds valid tables");
-            self.map_day(source, day, &table)
-        });
-
-        self.merge(days, partials)
+        self.map_fold(&tasks, |&(_, source, bytes)| {
+            let table = dps_columnar::Table::from_bytes(bytes).map_err(std::io::Error::other)?;
+            Ok(self.classify_table(source, &table))
+        })
+        .expect("store holds valid tables")
     }
 
     /// Runs the full pass over either archive layout. For a sharded
     /// archive each shard's sub-page is its own map task, so one logical
     /// day table is classified by up to `n_shards` workers in parallel;
-    /// merging sums the per-shard partials (row counts and classification
-    /// counts are per-row, so shard sums equal the logical totals, and
-    /// reference timelines are day-bit sets, which are order-independent).
+    /// the day's shard partials sum to the logical page's.
     pub fn run_store(&self, store: &dps_store::StoreReader) -> std::io::Result<ScanOutput> {
         let days = store.catalog().days(Source::Com.index() as u8);
-        let day_pos: HashMap<u32, usize> = days.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        let n_shards = store.n_shards();
-
-        let mut tasks: Vec<(Source, u32, u32)> = Vec::new();
+        let mut tasks: Vec<(u32, Source, u32)> = Vec::new();
         for &(day, source) in store.catalog().pages.keys() {
             if source == dps_measure::QUALITY_SOURCE
                 || source == dps_measure::TELEMETRY_SOURCE
@@ -165,108 +302,61 @@ impl<'a> Scanner<'a> {
             }
             let source = Source::from_index(u32::from(source))
                 .ok_or_else(|| std::io::Error::other("archive has an unknown source id"))?;
-            if day_pos.contains_key(&day) {
-                for shard in 0..n_shards {
-                    tasks.push((source, day, shard));
-                }
+            if days.binary_search(&day).is_ok() {
+                tasks.extend((0..store.n_shards()).map(|shard| (day, source, shard)));
             }
         }
-        // Table 1 order (sources outer, days inner), shards innermost so
-        // a shard's partials land adjacent and the merge stays identical
-        // to the unsharded pass.
-        tasks.sort_by_key(|&(source, day, shard)| (source.index(), day, shard));
-
-        let results = dps_columnar::mapreduce::par_map(&tasks, |&(source, day, shard)| {
+        self.map_fold(&tasks, |&(day, source, shard)| {
             let table = store
                 .shard_table(shard, day, source.index() as u8)?
                 .ok_or_else(|| std::io::Error::other("catalog-listed page missing"))?;
-            Ok::<_, std::io::Error>(self.map_day(source, day, &table))
-        });
-        let partials = results.into_iter().collect::<std::io::Result<Vec<_>>>()?;
-
-        Ok(self.merge(days, partials))
+            Ok(self.classify_table(source, &table))
+        })
     }
 
-    /// Merges per-day partials into the final output (deterministic:
-    /// partials arrive in task order).
-    fn merge(&self, days: Vec<u32>, partials: Vec<DayPartial>) -> ScanOutput {
-        let n_days = days.len();
-        let day_pos: HashMap<u32, usize> = days.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        let mut series = SeriesSet::new(n_days, self.refs.n);
-        series.days = days.clone();
-        let mut timelines = Timelines {
-            days,
-            map: HashMap::new(),
-        };
-
-        for partial in partials {
-            let di = day_pos[&partial.day];
-            let src = partial.source.index();
-            // Accumulate rather than assign: a sharded archive yields one
-            // partial per (source, day, shard) whose counts sum to the
-            // logical page's; an unsharded pass has exactly one partial
-            // per (source, day), so += and = coincide there.
-            series.zone_sizes[src][di] += partial.rows;
-            series.source_any[src][di] += partial.source_any;
-            let gtld = matches!(partial.source, Source::Com | Source::Net | Source::Org);
-            if !gtld {
-                continue;
-            }
-            series.tld_any[src][di] += partial.source_any;
-            for (p, counts) in partial.provider_counts.iter().enumerate() {
-                series.provider_any[p][di] += counts[0];
-                series.provider_asn[p][di] += counts[1];
-                series.provider_cname[p][di] += counts[2];
-                series.provider_ns[p][di] += counts[3];
-            }
-            for (entry, p, kinds) in partial.references {
-                let tl = timelines.map.entry((entry, p)).or_insert_with(|| Timeline {
-                    any: DayBits::new(n_days),
-                    asn: DayBits::new(n_days),
-                    cname: DayBits::new(n_days),
-                    ns: DayBits::new(n_days),
-                });
-                tl.any.set(di);
-                if kinds.contains(RefKind::ASN) {
-                    tl.asn.set(di);
-                }
-                if kinds.contains(RefKind::CNAME) {
-                    tl.cname.set(di);
-                }
-                if kinds.contains(RefKind::NS) {
-                    tl.ns.set(di);
-                }
-            }
+    /// Maps `(day, source, page)` tasks to partials on the worker pool,
+    /// sums each day's partials and folds the days in ascending order.
+    fn map_fold<X: Sync>(
+        &self,
+        tasks: &[(u32, Source, X)],
+        map: impl Fn(&(u32, Source, X)) -> std::io::Result<DayPartial> + Sync,
+    ) -> std::io::Result<ScanOutput> {
+        let partials = dps_columnar::mapreduce::par_map(tasks, map);
+        let mut by_day: BTreeMap<u32, DayPartial> = BTreeMap::new();
+        for (&(day, ..), partial) in tasks.iter().zip(partials) {
+            *by_day
+                .entry(day)
+                .or_insert_with(|| DayPartial::new(self.refs.n)) += partial?;
         }
-        ScanOutput { series, timelines }
+        let mut fold = ScanFold::new(self.refs.n);
+        for (day, partial) in by_day {
+            fold.push(day, &partial);
+        }
+        Ok(fold.finish())
     }
 
-    /// Map task: classify one decoded day table into a partial result.
-    fn map_day(&self, source: Source, day: u32, table: &dps_columnar::Table) -> DayPartial {
+    /// The row kernel: classifies one decoded table of `source` into a
+    /// partial.
+    pub fn classify_table(&self, source: Source, table: &dps_columnar::Table) -> DayPartial {
         let cols: Vec<&[u32]> = (0..table.schema().width())
             .map(|c| table.column(c))
             .collect();
-        let gtld = matches!(source, Source::Com | Source::Net | Source::Org);
-        let mut partial = DayPartial {
-            source,
-            day,
-            rows: table.rows() as u32,
-            source_any: 0,
-            provider_counts: vec![[0; 4]; self.refs.n],
-            references: Vec::new(),
-        };
+        let src = source.index();
+        let gtld = src < GTLD_SOURCES;
+        let mut partial = DayPartial::new(self.refs.n);
+        partial.rows[src] = table.rows() as u32;
         for i in 0..table.rows() {
-            let (_, _, row) = Row::unpack(&cols, i);
+            let row = Row::unpack(&cols, i);
             let found = self.refs.classify(&row);
             if found.is_empty() {
                 continue;
             }
-            partial.source_any += 1;
+            partial.source_any[src] += 1;
             if !gtld {
                 continue;
             }
             for &(p, kinds) in &found {
-                let counts = &mut partial.provider_counts[p as usize];
+                let counts = &mut partial.providers[p as usize];
                 counts[0] += 1;
                 counts[1] += u32::from(kinds.contains(RefKind::ASN));
                 counts[2] += u32::from(kinds.contains(RefKind::CNAME));
@@ -276,17 +366,6 @@ impl<'a> Scanner<'a> {
         }
         partial
     }
-}
-
-/// Partial classification result of one day table (the map output).
-struct DayPartial {
-    source: Source,
-    day: u32,
-    rows: u32,
-    source_any: u32,
-    /// Per provider: `[any, asn, cname, ns]`.
-    provider_counts: Vec<[u32; 4]>,
-    references: Vec<(u32, u8, RefKind)>,
 }
 
 #[cfg(test)]
@@ -377,7 +456,8 @@ mod tests {
         assert_eq!(arch.series.provider_ns, mem.series.provider_ns);
         assert_eq!(arch.series.tld_any, mem.series.tld_any);
         assert_eq!(arch.series.source_any, mem.series.source_any);
-        assert_eq!(arch.timelines.map.len(), mem.timelines.map.len());
+        assert_eq!(arch.timelines.days, mem.timelines.days);
+        assert_eq!(arch.timelines.map, mem.timelines.map);
     }
 
     /// `run_store` over a sharded archive must reproduce the scan of the
@@ -418,7 +498,8 @@ mod tests {
         assert_eq!(sharded.series.provider_ns, mem.series.provider_ns);
         assert_eq!(sharded.series.tld_any, mem.series.tld_any);
         assert_eq!(sharded.series.source_any, mem.series.source_any);
-        assert_eq!(sharded.timelines.map.len(), mem.timelines.map.len());
+        assert_eq!(sharded.timelines.days, mem.timelines.days);
+        assert_eq!(sharded.timelines.map, mem.timelines.map);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Small utilities: day bitsets and robust statistics.
 
-/// A fixed-capacity bitset indexed by measured-day position.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A bitset indexed by measured-day position.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DayBits {
-    words: Vec<u64>,
+    words: Box<[u64]>,
     len: usize,
 }
 
@@ -11,7 +11,7 @@ impl DayBits {
     /// A bitset for `len` days, all clear.
     pub fn new(len: usize) -> Self {
         Self {
-            words: vec![0; len.div_ceil(64)],
+            words: vec![0; len.div_ceil(64)].into_boxed_slice(),
             len,
         }
     }
@@ -26,11 +26,23 @@ impl DayBits {
         self.len == 0
     }
 
-    /// Sets day `i`. Out-of-range days are ignored.
+    /// Sets day `i`, growing the set to `i + 1` days if it is shorter.
     pub fn set(&mut self, i: usize) {
-        debug_assert!(i < self.len);
+        self.extend_to(i + 1);
         if let Some(w) = self.words.get_mut(i / 64) {
             *w |= 1 << (i % 64);
+        }
+    }
+
+    /// Grows the set to `len` days, the new ones clear; a set of at least
+    /// `len` days is unchanged. Allocates exactly the words it needs.
+    pub(crate) fn extend_to(&mut self, len: usize) {
+        if len > self.len {
+            let mut words = std::mem::take(&mut self.words).into_vec();
+            words.reserve_exact(len.div_ceil(64) - words.len());
+            words.resize(len.div_ceil(64), 0);
+            self.words = words.into_boxed_slice();
+            self.len = len;
         }
     }
 
@@ -134,6 +146,20 @@ mod tests {
         assert_eq!(b.count(), 4);
         assert_eq!(b.first(), Some(0));
         assert_eq!(b.last(), Some(129));
+    }
+
+    #[test]
+    fn set_grows_and_extend_pads() {
+        let mut grown = DayBits::default();
+        grown.set(3);
+        grown.set(70);
+        assert_eq!(grown.len(), 71);
+        grown.extend_to(130);
+        grown.extend_to(5);
+        let mut fixed = DayBits::new(130);
+        fixed.set(3);
+        fixed.set(70);
+        assert_eq!(grown, fixed);
     }
 
     #[test]

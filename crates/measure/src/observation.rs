@@ -189,35 +189,31 @@ impl Row {
         ]
     }
 
-    /// Unpacks a row from decoded columns at index `i`.
-    pub fn unpack(cols: &[&[u32]], i: usize) -> (u32, Source, Row) {
-        let day = cols[0][i];
-        let source = Source::from_index(cols[1][i]).expect("valid source");
+    /// Unpacks the row at index `i` from decoded columns. The day and
+    /// source columns are not read: a page's day and source are its
+    /// catalog key.
+    pub fn unpack(cols: &[&[u32]], i: usize) -> Row {
         let apex_v4 = cols[4][i];
         let asn1 = cols[13][i];
-        (
-            day,
-            source,
-            Row {
-                entry: cols[2][i],
-                sld: cols[3][i],
-                apex_v4,
-                www_v4: cols[5][i] ^ apex_v4,
-                aaaa: cols[6][i] != 0,
-                cname1: cols[7][i],
-                cname2: cols[8][i],
-                ns1: cols[9][i],
-                ns2: cols[10][i],
-                nsh1: cols[11][i],
-                nsh2: cols[12][i],
-                asn1,
-                asn2: cols[14][i],
-                www_asn: cols[15][i] ^ asn1,
-                aaaa_asn: cols[16][i],
-                failed: cols[17][i] != 0,
-                data_points: 0,
-            },
-        )
+        Row {
+            entry: cols[2][i],
+            sld: cols[3][i],
+            apex_v4,
+            www_v4: cols[5][i] ^ apex_v4,
+            aaaa: cols[6][i] != 0,
+            cname1: cols[7][i],
+            cname2: cols[8][i],
+            ns1: cols[9][i],
+            ns2: cols[10][i],
+            nsh1: cols[11][i],
+            nsh2: cols[12][i],
+            asn1,
+            asn2: cols[14][i],
+            www_asn: cols[15][i] ^ asn1,
+            aaaa_asn: cols[16][i],
+            failed: cols[17][i] != 0,
+            data_points: 0,
+        }
     }
 }
 
@@ -271,9 +267,9 @@ mod tests {
         let packed = row.pack(17, Source::Org);
         let cols: Vec<Vec<u32>> = (0..18).map(|c| vec![packed[c]]).collect();
         let refs: Vec<&[u32]> = cols.iter().map(Vec::as_slice).collect();
-        let (day, source, back) = Row::unpack(&refs, 0);
-        assert_eq!(day, 17);
-        assert_eq!(source, Source::Org);
+        let back = Row::unpack(&refs, 0);
+        assert_eq!(refs[0][0], 17);
+        assert_eq!(Source::from_index(refs[1][0]), Some(Source::Org));
         assert_eq!(back.apex_v4, row.apex_v4);
         assert_eq!(back.www_v4, row.www_v4);
         assert_eq!(back.www_asn, row.www_asn);

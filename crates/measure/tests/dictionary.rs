@@ -80,7 +80,7 @@ fn no_customer_apex_is_ever_interned() {
                 .map(|c| table.column(c))
                 .collect();
             for i in 0..table.rows() {
-                let (_, _, row) = Row::unpack(&cols, i);
+                let row = Row::unpack(&cols, i);
                 if is_customer_entry(row.entry) {
                     assert_eq!(row.sld, 0, "customer entry {}", row.entry);
                     customers += 1;

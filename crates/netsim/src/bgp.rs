@@ -46,11 +46,6 @@ impl Rib {
         }
     }
 
-    /// True if `asn` currently originates `prefix`.
-    pub fn is_announced(&self, prefix: &Prefix, asn: Asn) -> bool {
-        self.origins.get(prefix).is_some_and(|s| s.contains(&asn))
-    }
-
     /// Number of announced prefixes.
     pub fn len(&self) -> usize {
         self.origins.len()

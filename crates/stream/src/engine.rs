@@ -2,9 +2,13 @@
 //!
 //! `StreamEngine` hooks the day-commit path ([`dps_measure::DayObserver`])
 //! and maintains DPS-use, growth, and flux state one day-delta at a
-//! time, never rescanning the archive. Every live day flows through
-//! *exactly* the same `delta → apply_delta` path a resumed day replays
-//! from its persisted checkpoint page, which is what makes crash/resume
+//! time, never rescanning the archive. It owns no classification code:
+//! a day's pages go through the scan's row kernel
+//! ([`Scanner::classify_table`]) and the day's delta goes into the
+//! scan's day-ordered fold ([`ScanFold`]), so the engine's output is the
+//! full scan's by construction. Every live day flows through *exactly*
+//! the same `delta → apply_delta` path a resumed day replays from its
+//! persisted checkpoint page, which is what makes crash/resume
 //! byte-identical to an uninterrupted run.
 //!
 //! Classifying each day against the *growing* dictionary is exact:
@@ -12,37 +16,25 @@
 //! dictionary id assigned after day `d` — the compiled reference set at
 //! day `d` classifies day-`d` rows identically to the final dictionary.
 
-// dps: allow-file(unordered-collection, reason = "finalize materialises dps-core's public Timelines type, whose map field is a HashMap; all engine-internal state is ordered BTree maps")
-
 use crate::page::{decode_delta, encode_delta, DayDelta};
 use crate::sketch::{flag_onsets, AttackFlag, KmvSketch, DEFAULT_K, SKETCH_SEED};
 use dps_columnar::{StringDict, Table};
-use dps_core::util::DayBits;
 use dps_core::{
-    CompiledRefs, ProviderRefs, RefKind, ScanOutput, SeriesSet, Timelines, DEFAULT_MIN_COVERAGE,
+    CompiledRefs, DayPartial, ProviderRefs, RefKind, ScanFold, ScanOutput, Scanner,
+    DEFAULT_MIN_COVERAGE,
 };
-use dps_measure::observation::Row;
 use dps_measure::{DayObserver, DayQuality, Source, SourcePage};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 /// Incremental analysis state over the day-delta stream.
 #[derive(Debug, Clone)]
 pub struct StreamEngine {
     refs: Vec<ProviderRefs>,
-    sketch_k: usize,
-    /// Observed days, ascending (deltas must arrive in day order).
-    days: Vec<u32>,
-    /// `(day, source) → rows` (zone size).
-    zone_rows: BTreeMap<(u32, u8), u32>,
-    /// `(day, source) → rows referencing any provider`.
-    source_any: BTreeMap<(u32, u8), u32>,
+    /// The scan's day-ordered fold; it also holds the observed days.
+    fold: ScanFold,
     /// `(day, source) → (attempted, failed)` — the only quality inputs
     /// coverage masking depends on.
     coverage: BTreeMap<(u32, u8), (u32, u32)>,
-    /// `(day, provider) → [any, asn, cname, ns]` gTLD-summed counts.
-    providers: BTreeMap<(u32, u8), [u32; 4]>,
-    /// `(entry, provider) → day → OR'd reference-kind bits`.
-    references: BTreeMap<(u32, u8), BTreeMap<u32, u8>>,
     /// `(provider, day) → distinct-touch sketch`.
     sketches: BTreeMap<(u8, u32), KmvSketch>,
 }
@@ -50,20 +42,11 @@ pub struct StreamEngine {
 impl StreamEngine {
     /// An engine over the paper's Table 2 provider references.
     pub fn new() -> Self {
-        Self::with_refs(ProviderRefs::paper_table2(), DEFAULT_K)
-    }
-
-    /// An engine over custom references and sketch budget.
-    pub fn with_refs(refs: Vec<ProviderRefs>, sketch_k: usize) -> Self {
+        let refs = ProviderRefs::paper_table2();
         Self {
+            fold: ScanFold::new(refs.len()),
             refs,
-            sketch_k: sketch_k.max(1),
-            days: Vec::new(),
-            zone_rows: BTreeMap::new(),
-            source_any: BTreeMap::new(),
             coverage: BTreeMap::new(),
-            providers: BTreeMap::new(),
-            references: BTreeMap::new(),
             sketches: BTreeMap::new(),
         }
     }
@@ -80,65 +63,50 @@ impl StreamEngine {
 
     /// Days observed so far, ascending.
     pub fn days(&self) -> &[u32] {
-        &self.days
+        self.fold.days()
     }
 
-    /// Classifies one committed day's pages into its delta. Pure: does
-    /// not mutate the engine (the caller applies the delta separately,
-    /// through the same path resume uses).
-    pub fn delta_from_pages(&self, day: u32, pages: &[SourcePage], dict: &StringDict) -> DayDelta {
+    /// Classifies one committed day's pages into its delta with the
+    /// scan's row kernel. Pure: does not mutate the engine (the caller
+    /// applies the delta separately, through the same path resume uses).
+    fn delta_from_pages(&self, day: u32, pages: &[SourcePage], dict: &StringDict) -> DayDelta {
         let compiled = CompiledRefs::compile(&self.refs, dict);
+        let scanner = Scanner::new(&compiled);
         let n = self.refs.len();
-        let mut delta = DayDelta {
-            day,
-            sources: Vec::new(),
-            providers: vec![[0u32; 4]; n],
-            references: BTreeMap::new(),
-            sketches: vec![KmvSketch::new(self.sketch_k); n],
-        };
+        let mut sum = DayPartial::new(n);
+        let mut sources = Vec::new();
         for page in pages {
-            let table = &page.table;
-            let cols: Vec<&[u32]> = (0..table.schema().width())
-                .map(|c| table.column(c))
-                .collect();
-            let gtld = matches!(page.source, Source::Com | Source::Net | Source::Org);
-            let mut source_any = 0u32;
-            for i in 0..table.rows() {
-                let (_, _, row) = Row::unpack(&cols, i);
-                let found = compiled.classify(&row);
-                if found.is_empty() {
-                    continue;
-                }
-                source_any += 1;
-                if !gtld {
-                    continue;
-                }
-                for &(p, kinds) in &found {
-                    let counts = &mut delta.providers[p as usize];
-                    counts[0] += 1;
-                    counts[1] += u32::from(kinds.contains(RefKind::ASN));
-                    counts[2] += u32::from(kinds.contains(RefKind::CNAME));
-                    counts[3] += u32::from(kinds.contains(RefKind::NS));
-                    *delta.references.entry((row.entry, p)).or_insert(0) |= kind_bits(kinds);
-                    delta.sketches[p as usize].insert(SKETCH_SEED, u64::from(row.entry));
-                }
-            }
-            delta.sources.push((
-                page.source.index() as u8,
-                table.rows() as u32,
-                source_any,
+            let partial = scanner.classify_table(page.source, &page.table);
+            let src = page.source.index();
+            sources.push((
+                src as u8,
+                partial.rows[src],
+                partial.source_any[src],
                 page.quality.attempted,
                 page.quality.failed,
             ));
+            sum += partial;
         }
-        delta
+        let mut references = BTreeMap::new();
+        let mut sketches = vec![KmvSketch::new(DEFAULT_K); n];
+        for &(entry, p, kinds) in &sum.references {
+            *references.entry((entry, p)).or_insert(0) |= kinds.bits();
+            sketches[usize::from(p)].insert(SKETCH_SEED, u64::from(entry));
+        }
+        DayDelta {
+            day,
+            sources,
+            providers: sum.providers,
+            references,
+            sketches,
+        }
     }
 
     /// Applies one day delta — the single state-mutation path shared by
-    /// live commits and checkpoint replay. Deltas must arrive in
-    /// strictly ascending day order.
-    pub fn apply_delta(&mut self, delta: &DayDelta) -> std::io::Result<()> {
-        if self.days.last().is_some_and(|&d| d >= delta.day) {
+    /// live commits and checkpoint replay — by folding it as the day's
+    /// scan partial. Deltas must arrive in strictly ascending day order.
+    fn apply_delta(&mut self, delta: &DayDelta) -> std::io::Result<()> {
+        if self.days().last().is_some_and(|&d| d >= delta.day) {
             return Err(std::io::Error::other(
                 "analysis checkpoints must replay in ascending day order",
             ));
@@ -148,22 +116,26 @@ impl StreamEngine {
                 "analysis checkpoint provider count does not match this build",
             ));
         }
-        self.days.push(delta.day);
+        let mut partial = DayPartial {
+            providers: delta.providers.clone(),
+            references: delta
+                .references
+                .iter()
+                .map(|(&(entry, p), &bits)| (entry, p, RefKind::from_bits(bits)))
+                .collect(),
+            ..DayPartial::new(0)
+        };
         for &(source, rows, any, attempted, failed) in &delta.sources {
-            self.zone_rows.insert((delta.day, source), rows);
-            self.source_any.insert((delta.day, source), any);
+            let src = usize::from(source);
+            if let (Some(r), Some(a)) = (partial.rows.get_mut(src), partial.source_any.get_mut(src))
+            {
+                *r = rows;
+                *a = any;
+            }
             self.coverage
                 .insert((delta.day, source), (attempted, failed));
         }
-        for (p, counts) in delta.providers.iter().enumerate() {
-            self.providers.insert((delta.day, p as u8), *counts);
-        }
-        for (&(entry, p), &bits) in &delta.references {
-            self.references
-                .entry((entry, p))
-                .or_default()
-                .insert(delta.day, bits);
-        }
+        self.fold.push(delta.day, &partial);
         for (p, sketch) in delta.sketches.iter().enumerate() {
             self.sketches.insert((p as u8, delta.day), sketch.clone());
         }
@@ -194,89 +166,9 @@ impl StreamEngine {
 
     /// Materialises the accumulated state as the exact [`ScanOutput`]
     /// the full-rescan `dps-core` scanner would produce over the same
-    /// archive.
+    /// archive: both finish the same fold.
     pub fn finalize(&self) -> ScanOutput {
-        let n_days = self.days.len();
-        let n = self.refs.len();
-        let day_pos: BTreeMap<u32, usize> =
-            self.days.iter().enumerate().map(|(i, &d)| (d, i)).collect();
-        let zeros = || vec![0u32; n_days];
-        let mut series = SeriesSet {
-            days: self.days.clone(),
-            zone_sizes: (0..5).map(|_| zeros()).collect(),
-            provider_any: (0..n).map(|_| zeros()).collect(),
-            provider_asn: (0..n).map(|_| zeros()).collect(),
-            provider_cname: (0..n).map(|_| zeros()).collect(),
-            provider_ns: (0..n).map(|_| zeros()).collect(),
-            tld_any: (0..3).map(|_| zeros()).collect(),
-            source_any: (0..5).map(|_| zeros()).collect(),
-        };
-        for (&(day, source), &rows) in &self.zone_rows {
-            if let (Some(&di), Some(dst)) = (
-                day_pos.get(&day),
-                series.zone_sizes.get_mut(usize::from(source)),
-            ) {
-                dst[di] = rows;
-            }
-        }
-        for (&(day, source), &any) in &self.source_any {
-            let Some(&di) = day_pos.get(&day) else {
-                continue;
-            };
-            if let Some(dst) = series.source_any.get_mut(usize::from(source)) {
-                dst[di] = any;
-            }
-            if let Some(dst) = series.tld_any.get_mut(usize::from(source)) {
-                dst[di] = any;
-            }
-        }
-        for (&(day, p), counts) in &self.providers {
-            let (Some(&di), p) = (day_pos.get(&day), usize::from(p)) else {
-                continue;
-            };
-            series.provider_any[p][di] = counts[0];
-            series.provider_asn[p][di] = counts[1];
-            series.provider_cname[p][di] = counts[2];
-            series.provider_ns[p][di] = counts[3];
-        }
-        let mut map = HashMap::new();
-        for (&(entry, p), days) in &self.references {
-            let mut any = DayBits::new(n_days);
-            let mut asn = DayBits::new(n_days);
-            let mut cname = DayBits::new(n_days);
-            let mut ns = DayBits::new(n_days);
-            for (&day, &bits) in days {
-                let Some(&di) = day_pos.get(&day) else {
-                    continue;
-                };
-                any.set(di);
-                if bits & 1 != 0 {
-                    asn.set(di);
-                }
-                if bits & 2 != 0 {
-                    cname.set(di);
-                }
-                if bits & 4 != 0 {
-                    ns.set(di);
-                }
-            }
-            map.insert(
-                (entry, p),
-                dps_core::scan::Timeline {
-                    any,
-                    asn,
-                    cname,
-                    ns,
-                },
-            );
-        }
-        ScanOutput {
-            series,
-            timelines: Timelines {
-                days: self.days.clone(),
-                map,
-            },
-        }
+        self.fold.clone().finish()
     }
 
     /// Per-provider `(day, distinct-estimate)` series, ascending.
@@ -340,10 +232,4 @@ impl DayObserver for StreamEngine {
         }
         self.apply_delta(&delta)
     }
-}
-
-fn kind_bits(kinds: RefKind) -> u8 {
-    u8::from(kinds.contains(RefKind::ASN))
-        | (u8::from(kinds.contains(RefKind::CNAME)) << 1)
-        | (u8::from(kinds.contains(RefKind::NS)) << 2)
 }

@@ -7,7 +7,10 @@
 //! * [`engine::StreamEngine`] implements `dps_measure::DayObserver` and
 //!   consumes each day's delta *at commit time* — from
 //!   `Study::run_archived`, which every sweep runs through — maintaining
-//!   DPS-use, growth, and flux state without ever rescanning.
+//!   DPS-use, growth, and flux state without ever rescanning. It
+//!   classifies with `dps-core`'s row kernel and folds days with its
+//!   day-ordered fold (`Scanner::classify_table`, `ScanFold`), so it
+//!   carries no second copy of the scan.
 //! * [`page`] persists each day's delta as an `ANALYSIS_SOURCE`
 //!   checkpoint page inside the same durable commit as the data, so a
 //!   crashed-and-resumed sweep replays `decode → apply` to byte-identical
@@ -20,7 +23,9 @@
 //! * [`correlate`] scores those flags against the scenario's labelled
 //!   mass on-demand activation events.
 //! * [`report::analysis_json`] renders analysis state canonically; the
-//!   equivalence guarantee ("incremental == full rescan") is enforced as
+//!   equivalence guarantee ("incremental == full rescan": commit-time
+//!   pages equal archived pages, checkpoint replay is exact, and the
+//!   day-at-a-time fold equals the rescan's parallel one) is enforced as
 //!   byte equality of this rendering (`dpscope stream check`).
 
 pub mod correlate;
@@ -42,41 +47,51 @@ mod tests {
     use dps_ecosystem::{ScenarioParams, World};
     use dps_measure::{SnapshotStore, Study, StudyConfig};
 
-    /// The tentpole invariant, in-process: run a study with the engine
-    /// observing every commit, then full-rescan the same archive with
-    /// dps-core — both renderings must be byte-identical.
+    /// The equivalence invariant, in-process: run a study with the
+    /// engine observing every commit, then full-rescan the same archive
+    /// with dps-core — both renderings must be byte-identical, for a
+    /// single-file and for a sharded archive.
     #[test]
     fn incremental_analysis_matches_full_rescan() {
-        let path =
-            std::env::temp_dir().join(format!("dps-stream-equiv-{}.dps", std::process::id()));
-        std::fs::remove_file(&path).ok();
-        let config = StudyConfig {
-            days: 8,
-            cc_start_day: 5,
-            stride: 1,
-        };
-        let mut world = World::imc2016(ScenarioParams::tiny(13));
-        let mut engine = StreamEngine::new();
-        Study::new(config)
-            .run_archived(&mut world, &path, Some(&mut engine))
-            .unwrap();
-        let store = SnapshotStore::load_archive(&path).unwrap();
+        for shards in [1, 3] {
+            let dir = std::env::temp_dir()
+                .join(format!("dps-stream-equiv-{}-{shards}", std::process::id()));
+            std::fs::remove_dir_all(&dir).ok();
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("archive.dps");
+            let config = StudyConfig {
+                days: 8,
+                cc_start_day: 5,
+                stride: 1,
+            };
+            let mut world = World::imc2016(ScenarioParams::tiny(13));
+            let mut engine = StreamEngine::new();
+            Study::new(config)
+                .with_shards(shards)
+                .run_archived(&mut world, &path, Some(&mut engine))
+                .unwrap();
+            let store = SnapshotStore::load_archive(&path).unwrap();
 
-        let incremental = analysis_json(
-            &engine.finalize(),
-            &engine.provider_names(),
-            &engine.masked_gtld_days(),
-        );
+            let incremental = analysis_json(
+                &engine.finalize(),
+                &engine.provider_names(),
+                &engine.masked_gtld_days(),
+            );
 
-        let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
-        let archive = dps_store::StoreReader::open_auto(&path).unwrap();
-        let out = Scanner::new(&refs).run_store(&archive).unwrap();
-        let mask = QualityMask::from_store(&store, DEFAULT_MIN_COVERAGE);
-        let rescan = analysis_json(&out, &refs.names, &mask.masked_gtld_days());
-        std::fs::remove_file(&path).ok();
+            let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
+            let archive = dps_store::StoreReader::open_auto(&path).unwrap();
+            assert_eq!(archive.is_sharded(), shards > 1);
+            let out = Scanner::new(&refs).run_store(&archive).unwrap();
+            let mask = QualityMask::from_store(&store, DEFAULT_MIN_COVERAGE);
+            let rescan = analysis_json(&out, &refs.names, &mask.masked_gtld_days());
+            std::fs::remove_dir_all(&dir).ok();
 
-        assert_eq!(incremental, rescan, "incremental must equal full rescan");
-        assert_eq!(engine.days(), out.series.days.as_slice());
+            assert_eq!(
+                incremental, rescan,
+                "incremental must equal full rescan ({shards} shards)"
+            );
+            assert_eq!(engine.days(), out.series.days.as_slice());
+        }
     }
 
     /// Resuming from checkpoint pages alone rebuilds the exact engine

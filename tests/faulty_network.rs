@@ -107,8 +107,8 @@ fn compare(bulk: &SnapshotStore, wire: &SnapshotStore) -> (usize, usize) {
         let bc: Vec<&[u32]> = (0..b.schema().width()).map(|c| b.column(c)).collect();
         let wc: Vec<&[u32]> = (0..w.schema().width()).map(|c| w.column(c)).collect();
         for i in 0..b.rows() {
-            let (_, _, rb) = Row::unpack(&bc, i);
-            let (_, _, rw) = Row::unpack(&wc, i);
+            let rb = Row::unpack(&bc, i);
+            let rw = Row::unpack(&wc, i);
             assert_eq!(rb.entry, rw.entry);
             if rw.failed {
                 failed += 1;
