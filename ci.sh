@@ -13,6 +13,7 @@
 #   ./ci.sh scale-smoke       sharded-archive equivalence + resume smoke
 #   ./ci.sh sweep-smoke       one-CPU sweep byte-identity, sharded stream check, closed stdout
 #   ./ci.sh analyze           dps-analyzer over the workspace (must be clean)
+#   ./ci.sh doc               rustdoc over the workspace's own crates, warnings denied
 #   ./ci.sh analyze-fixtures  known-bad corpus must still fail, good must pass
 #   ./ci.sh perfbench-tests   the benchmark harness's unit tests + helper check
 set -eu
@@ -293,6 +294,22 @@ analyze() {
         || { echo "missing SARIF artifact target/dps-analyzer.sarif" >&2; exit 1; }
 }
 
+# Rustdoc over the workspace's own crates with warnings denied, so a
+# broken or ambiguous intra-doc link fails CI. The vendored stand-ins
+# under vendor/ are workspace members too but are left out: their docs
+# are not ours to fix.
+doc() {
+    echo "==> cargo doc (deny warnings, workspace crates)"
+    pkgs=$(cargo metadata --offline --no-deps --format-version 1 | python3 -c '
+import json, sys
+for p in json.load(sys.stdin)["packages"]:
+    if "/vendor/" not in p["manifest_path"]:
+        print("-p", p["name"])
+')
+    # shellcheck disable=SC2086 # one word per -p flag and package name
+    RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps $pkgs
+}
+
 # Negative check: every bad fixture must still fire its annotated rules,
 # every good fixture must stay clean. Guards the analyzer itself against
 # silently losing its teeth.
@@ -369,6 +386,11 @@ analyze)
     echo "==> analyze green"
     exit 0
     ;;
+doc)
+    doc
+    echo "==> doc green"
+    exit 0
+    ;;
 analyze-fixtures)
     analyze_fixtures
     echo "==> analyze-fixtures green"
@@ -387,6 +409,7 @@ cargo fmt --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
+doc
 analyze
 analyze_fixtures
 perfbench_tests

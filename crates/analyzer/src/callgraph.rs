@@ -15,7 +15,7 @@
 //! a missed path is a missed panic. [`Graph::edges_precise`] keeps only
 //! the edges with positive evidence — path-qualified calls, unqualified
 //! free calls, and method calls whose name has exactly one impl in the
-//! workspace and does not shadow a std method (see [`STD_SHADOWED`]).
+//! workspace and does not shadow a std method (see `STD_SHADOWED`).
 //! The lock lattice runs on the precise set: a spurious edge
 //! there doesn't merely widen a report, it *manufactures* deadlock
 //! cycles and I/O taints (every `.insert(…)` would alias every `insert`

@@ -96,7 +96,7 @@ impl AuthServer {
 /// the name is not at or below the zone's origin, and `soa_record` gives
 /// the SOA record a negative answer carries. The zone covering the
 /// question answers it, and a CNAME is chased through every zone the
-/// server serves, up to [`MAX_CHAIN`] hops. Returns `None` for messages a
+/// server serves, up to `MAX_CHAIN` hops. Returns `None` for messages a
 /// server drops (responses, and queries without exactly one question).
 ///
 /// [`AuthServer::answer`] runs it over materialized zones; a model that

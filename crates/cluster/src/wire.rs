@@ -486,7 +486,7 @@ pub enum FrameError {
 }
 
 /// Incremental frame reassembly over a byte stream. Feed arbitrary read
-/// chunks with [`extend`](FrameBuf::extend); [`next`](FrameBuf::next)
+/// chunks with [`extend`](FrameBuf::extend); [`next_frame`](FrameBuf::next_frame)
 /// yields complete payloads as they become available. Length prefixes
 /// beyond [`MAX_FRAME`] poison the stream (the peer is hostile or the
 /// framing is lost — there is no resynchronisation).

@@ -122,7 +122,7 @@ pub fn analyze_day(store: &SnapshotStore, refs: &CompiledRefs, day: u32) -> Comb
             .collect();
         for i in 0..table.rows() {
             let row = Row::unpack(&cols, i);
-            for (p, kinds) in refs.classify(&row) {
+            for &(p, kinds) in refs.classify(&row).iter() {
                 counts[p as usize][Combo::from_kinds(kinds).index()] += 1;
             }
         }

@@ -14,8 +14,9 @@
 
 use crate::peaks::{classify_mode, UseMode};
 use crate::references::{CompiledRefs, RefKind};
-use crate::scan::Timelines;
-use dps_measure::observation::Row;
+use crate::scan::{column, KernelColumns, Timelines};
+use crate::util::DayBits;
+use dps_measure::observation::SCAN_COLUMNS;
 use dps_measure::{SnapshotStore, Source};
 use std::collections::HashMap;
 use std::fmt;
@@ -71,12 +72,13 @@ pub fn analyze(
     timelines: &Timelines,
 ) -> Vec<MechanismBreakdown> {
     // 1. The on-demand population per provider.
-    let mut wanted: HashMap<u32, Vec<u8>> = HashMap::new();
+    let mut on_demand: HashMap<u32, Vec<u8>> = HashMap::new();
     for (&(entry, provider), tl) in &timelines.map {
         if classify_mode(&tl.asn) == UseMode::OnDemand {
-            wanted.entry(entry).or_default().push(provider);
+            on_demand.entry(entry).or_default().push(provider);
         }
     }
+    let wanted = Wanted::new(on_demand);
 
     // 2. Footprints of exactly those domains: one map task per page,
     // merged in (source, day) order so every domain's samples stay in
@@ -108,35 +110,68 @@ pub fn analyze(
         .collect()
 }
 
+/// The on-demand entries to sample and the providers each is wanted
+/// for. Membership is a dense bitset over entry codes (a [`DayBits`]
+/// indexed by entry), sized once by the largest wanted one, so the
+/// per-row test is one bit read; only a wanted row looks up its
+/// providers.
+struct Wanted {
+    entries: DayBits,
+    providers: HashMap<u32, Vec<u8>>,
+}
+
+impl Wanted {
+    fn new(providers: HashMap<u32, Vec<u8>>) -> Self {
+        let len = providers.keys().max().map_or(0, |&e| e as usize + 1);
+        let mut entries = DayBits::new(len);
+        for &entry in providers.keys() {
+            entries.set(entry as usize);
+        }
+        Self { entries, providers }
+    }
+
+    /// The providers `entry` is wanted for, if any.
+    fn get(&self, entry: u32) -> Option<&[u8]> {
+        if !self.entries.get(entry as usize) {
+            return None;
+        }
+        self.providers.get(&entry).map(Vec::as_slice)
+    }
+}
+
+/// The columns the mechanism pass decodes: the kernel's, plus the apex
+/// address it compares across days.
+const SAMPLE_COLUMNS: [&str; SCAN_COLUMNS.len() + 1] = {
+    let mut cols = ["apex_v4"; SCAN_COLUMNS.len() + 1];
+    let mut i = 0;
+    while i < SCAN_COLUMNS.len() {
+        cols[i] = SCAN_COLUMNS[i];
+        i += 1;
+    }
+    cols
+};
+
 /// The footprint samples of one encoded day table: one per row of a
 /// wanted domain and each provider it is wanted for, in row order.
-fn page_samples(
-    bytes: &[u8],
-    refs: &CompiledRefs,
-    wanted: &HashMap<u32, Vec<u8>>,
-) -> Vec<((u32, u8), DaySample)> {
-    let table = dps_columnar::Table::from_bytes(bytes).expect("store holds valid tables");
-    let cols: Vec<&[u32]> = (0..table.schema().width())
-        .map(|c| table.column(c))
-        .collect();
+fn page_samples(bytes: &[u8], refs: &CompiledRefs, wanted: &Wanted) -> Vec<((u32, u8), DaySample)> {
+    let table = dps_columnar::Table::from_bytes_projected(bytes, &SAMPLE_COLUMNS)
+        .expect("store holds valid tables");
+    let (cols, apex_v4) = KernelColumns::of(&table)
+        .and_then(|cols| Ok((cols, column(&table, "apex_v4")?)))
+        .expect("a projected table holds its columns");
     let mut out = Vec::new();
-    for i in 0..table.rows() {
-        let row = Row::unpack(&cols, i);
-        let Some(providers) = wanted.get(&row.entry) else {
+    for (i, &entry) in cols.entry.iter().enumerate() {
+        let Some(providers) = wanted.get(entry) else {
             continue;
         };
-        let found = refs.classify(&row);
+        let found = cols.classify(refs, i);
         for &p in providers {
-            let kinds = found
-                .iter()
-                .find(|&&(q, _)| q == p)
-                .map(|&(_, k)| k)
-                .unwrap_or_default();
+            let kinds = found.kinds_of(p);
             out.push((
-                (row.entry, p),
+                (entry, p),
                 DaySample {
                     diverted: kinds.contains(RefKind::ASN),
-                    apex_v4: row.apex_v4,
+                    apex_v4: apex_v4[i],
                     has_provider_cname: kinds.contains(RefKind::CNAME),
                     has_provider_ns: kinds.contains(RefKind::NS),
                 },
@@ -192,6 +227,7 @@ pub fn render(breakdowns: &[MechanismBreakdown], names: &[String]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dps_measure::observation::Row;
 
     fn sample(diverted: bool, addr: u32, cname: bool, ns: bool) -> DaySample {
         DaySample {
@@ -282,12 +318,7 @@ mod tests {
                 for i in 0..table.rows() {
                     let row = Row::unpack(&cols, i);
                     for &p in wanted.get(&row.entry).into_iter().flatten() {
-                        let kinds = refs
-                            .classify(&row)
-                            .into_iter()
-                            .find(|&(q, _)| q == p)
-                            .map(|(_, k)| k)
-                            .unwrap_or_default();
+                        let kinds = refs.classify(&row).kinds_of(p);
                         samples.entry((row.entry, p)).or_default().push(DaySample {
                             diverted: kinds.contains(RefKind::ASN),
                             apex_v4: row.apex_v4,

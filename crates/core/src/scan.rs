@@ -2,9 +2,10 @@
 //! producing daily series for every figure and per-domain reference
 //! timelines for the always-on/on-demand analyses.
 
-use crate::references::{CompiledRefs, RefKind};
+use crate::references::{CompiledRefs, Matches, RefKind};
 use crate::util::DayBits;
-use dps_measure::observation::Row;
+use dps_columnar::Table;
+use dps_measure::observation::SCAN_COLUMNS;
 use dps_measure::{SnapshotStore, Source, SOURCES};
 use std::collections::{BTreeMap, HashMap};
 
@@ -113,7 +114,7 @@ const GTLD_SOURCES: usize = 3;
 /// providers), the unit [`ScanFold`] folds. Every field is additive, so
 /// the sum of a day's partials does not depend on how its rows were
 /// split.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DayPartial {
     /// Rows per source (zone size), indexed by [`Source::index`].
     pub rows: [u32; SOURCES.len()],
@@ -264,7 +265,8 @@ impl<'a> Scanner<'a> {
     }
 
     /// Runs the full pass over an in-memory snapshot store, one map task
-    /// per day table.
+    /// per day table. Each task decodes only the kernel's
+    /// [`SCAN_COLUMNS`] of its page.
     pub fn run(&self, store: &SnapshotStore) -> ScanOutput {
         let days = store.days(Source::Com);
         let mut tasks: Vec<(u32, Source, &[u8])> = Vec::new();
@@ -276,8 +278,9 @@ impl<'a> Scanner<'a> {
             }
         }
         self.map_fold(&tasks, |&(_, source, bytes)| {
-            let table = dps_columnar::Table::from_bytes(bytes).map_err(std::io::Error::other)?;
-            Ok(self.classify_table(source, &table))
+            let table =
+                Table::from_bytes_projected(bytes, &SCAN_COLUMNS).map_err(std::io::Error::other)?;
+            self.classify_table(source, &table)
         })
         .expect("store holds valid tables")
     }
@@ -310,7 +313,7 @@ impl<'a> Scanner<'a> {
             let table = store
                 .shard_table(shard, day, source.index() as u8)?
                 .ok_or_else(|| std::io::Error::other("catalog-listed page missing"))?;
-            Ok(self.classify_table(source, &table))
+            self.classify_table(source, &table)
         })
     }
 
@@ -336,18 +339,17 @@ impl<'a> Scanner<'a> {
     }
 
     /// The row kernel: classifies one decoded table of `source` into a
-    /// partial.
-    pub fn classify_table(&self, source: Source, table: &dps_columnar::Table) -> DayPartial {
-        let cols: Vec<&[u32]> = (0..table.schema().width())
-            .map(|c| table.column(c))
-            .collect();
+    /// partial. It reads the [`SCAN_COLUMNS`] by name, so `table` may be
+    /// a full decode or a projection holding at least those columns; a
+    /// table missing one is an error.
+    pub fn classify_table(&self, source: Source, table: &Table) -> std::io::Result<DayPartial> {
+        let cols = KernelColumns::of(table)?;
         let src = source.index();
         let gtld = src < GTLD_SOURCES;
         let mut partial = DayPartial::new(self.refs.n);
         partial.rows[src] = table.rows() as u32;
         for i in 0..table.rows() {
-            let row = Row::unpack(&cols, i);
-            let found = self.refs.classify(&row);
+            let found = cols.classify(self.refs, i);
             if found.is_empty() {
                 continue;
             }
@@ -355,17 +357,73 @@ impl<'a> Scanner<'a> {
             if !gtld {
                 continue;
             }
-            for &(p, kinds) in &found {
+            let entry = cols.entry[i];
+            for &(p, kinds) in found.iter() {
                 let counts = &mut partial.providers[p as usize];
                 counts[0] += 1;
                 counts[1] += u32::from(kinds.contains(RefKind::ASN));
                 counts[2] += u32::from(kinds.contains(RefKind::CNAME));
                 counts[3] += u32::from(kinds.contains(RefKind::NS));
-                partial.references.push((row.entry, p, kinds));
+                partial.references.push((entry, p, kinds));
             }
         }
-        partial
+        Ok(partial)
     }
+}
+
+/// The [`SCAN_COLUMNS`] of one decoded table, looked up by name once per
+/// table, so the kernel runs on a full decode and a projected one alike.
+/// Every column is exactly the table's row count long.
+pub(crate) struct KernelColumns<'t> {
+    /// Zone-entry codes.
+    pub(crate) entry: &'t [u32],
+    cname: [&'t [u32]; 2],
+    ns: [&'t [u32]; 2],
+    asn1: &'t [u32],
+    asn2: &'t [u32],
+    wasnx: &'t [u32],
+    aaaa_asn: &'t [u32],
+    failed: &'t [u32],
+}
+
+impl<'t> KernelColumns<'t> {
+    /// The kernel's columns of `table`, or an error naming the first one
+    /// it lacks.
+    pub(crate) fn of(table: &'t Table) -> std::io::Result<Self> {
+        let col = |name| column(table, name);
+        Ok(Self {
+            entry: col("entry")?,
+            cname: [col("cname1")?, col("cname2")?],
+            ns: [col("ns1")?, col("ns2")?],
+            asn1: col("asn1")?,
+            asn2: col("asn2")?,
+            wasnx: col("wasnx")?,
+            aaaa_asn: col("aaaa_asn")?,
+            failed: col("failed")?,
+        })
+    }
+
+    /// The `(provider, kinds)` pairs row `i` references; none for a
+    /// failed row.
+    pub(crate) fn classify(&self, refs: &CompiledRefs, i: usize) -> Matches {
+        if self.failed[i] != 0 {
+            return Matches::default();
+        }
+        let asn1 = self.asn1[i];
+        refs.classify_keys(
+            [asn1, self.asn2[i], self.wasnx[i] ^ asn1, self.aaaa_asn[i]],
+            [self.cname[0][i], self.cname[1][i]],
+            [self.ns[0][i], self.ns[1][i]],
+        )
+    }
+}
+
+/// Column `name` of `table`, checked to span every row.
+pub(crate) fn column<'t>(table: &'t Table, name: &str) -> std::io::Result<&'t [u32]> {
+    table
+        .column_by_name(name)
+        .filter(|c| c.len() == table.rows())
+        .ok_or_else(|| std::io::Error::other(format!("table has no {name} column")))
 }
 
 #[cfg(test)]
@@ -500,6 +558,39 @@ mod tests {
         assert_eq!(sharded.series.source_any, mem.series.source_any);
         assert_eq!(sharded.timelines.days, mem.timelines.days);
         assert_eq!(sharded.timelines.map, mem.timelines.map);
+    }
+
+    /// The kernel reads its columns by name: a full decode and the
+    /// projected decode of the same page classify to equal partials, and
+    /// a table lacking a kernel column is an error, not a panic.
+    #[test]
+    fn full_and_projected_tables_classify_alike() {
+        let mut world = World::imc2016(ScenarioParams::tiny(11));
+        let config = StudyConfig {
+            days: 8,
+            cc_start_day: 4,
+            stride: 1,
+        };
+        let store = swept(&mut world, config);
+        let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
+        let scanner = Scanner::new(&refs);
+        let mut referencing = 0;
+        for source in SOURCES {
+            for (_, bytes) in store.encoded(source) {
+                let full = Table::from_bytes(bytes).unwrap();
+                let projected = Table::from_bytes_projected(bytes, &SCAN_COLUMNS).unwrap();
+                assert_eq!(projected.schema().width(), SCAN_COLUMNS.len());
+                let a = scanner.classify_table(source, &full).unwrap();
+                let b = scanner.classify_table(source, &projected).unwrap();
+                assert_eq!(a, b);
+                referencing += a.source_any[source.index()];
+            }
+        }
+        assert!(referencing > 0, "some rows reference a provider");
+        let (_, bytes) = store.encoded(Source::Com)[0];
+        let narrow = Table::from_bytes_projected(bytes, &SCAN_COLUMNS[..9]).unwrap();
+        let err = scanner.classify_table(Source::Com, &narrow).unwrap_err();
+        assert!(err.to_string().contains("failed"), "{err}");
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! [`DayAuthority`] binds the same servers at the same addresses but
 //! builds nothing per domain: the zones no customer domain changes (the
 //! root, the TLD zones' `ns.nic` records and infrastructure delegations,
-//! the infrastructure zones' own records) form a [`Skeleton`] built once
+//! the infrastructure zones' own records) form a `Skeleton` built once
 //! per process, and whatever a customer domain adds — its zone, its TLD
 //! delegation, its `www` CNAME hop records — is computed per query from
 //! the day's domain and basket tables. The answers go through the same

@@ -80,6 +80,14 @@ pub const COLUMNS: [&str; 18] = [
     "ns2", "nsh1", "nsh2", "asn1", "asn2", "wasnx", "aaaa_asn", "failed",
 ];
 
+/// The columns the classification kernel reads, a projection of
+/// [`COLUMNS`]: a row's zone entry, its reference keys (CNAME and NS SLD
+/// ids, origin ASes, `www` as an XOR-delta against `asn1`) and whether it
+/// failed. Scans decode only these.
+pub const SCAN_COLUMNS: [&str; 10] = [
+    "entry", "cname1", "cname2", "ns1", "ns2", "asn1", "asn2", "wasnx", "aaaa_asn", "failed",
+];
+
 /// Builds the snapshot schema.
 pub fn schema() -> Schema {
     Schema::new(&COLUMNS)

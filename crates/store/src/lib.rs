@@ -6,7 +6,7 @@
 //! random access by footer catalog, bounded memory, restartable
 //! collection.
 //!
-//! On disk (see [`format`] for the exact layout): a magic header, then
+//! On disk (see [`format`](mod@format) for the exact layout): a magic header, then
 //! row-group **pages** — one encoded `dps-columnar` table chunk each,
 //! CRC32-checksummed — then a footer **catalog** mapping `(day, source)`
 //! to byte ranges, row counts and exact per-source statistics, plus the

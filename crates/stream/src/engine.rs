@@ -69,14 +69,19 @@ impl StreamEngine {
     /// Classifies one committed day's pages into its delta with the
     /// scan's row kernel. Pure: does not mutate the engine (the caller
     /// applies the delta separately, through the same path resume uses).
-    fn delta_from_pages(&self, day: u32, pages: &[SourcePage], dict: &StringDict) -> DayDelta {
+    fn delta_from_pages(
+        &self,
+        day: u32,
+        pages: &[SourcePage],
+        dict: &StringDict,
+    ) -> std::io::Result<DayDelta> {
         let compiled = CompiledRefs::compile(&self.refs, dict);
         let scanner = Scanner::new(&compiled);
         let n = self.refs.len();
         let mut sum = DayPartial::new(n);
         let mut sources = Vec::new();
         for page in pages {
-            let partial = scanner.classify_table(page.source, &page.table);
+            let partial = scanner.classify_table(page.source, &page.table)?;
             let src = page.source.index();
             sources.push((
                 src as u8,
@@ -93,13 +98,13 @@ impl StreamEngine {
             *references.entry((entry, p)).or_insert(0) |= kinds.bits();
             sketches[usize::from(p)].insert(SKETCH_SEED, u64::from(entry));
         }
-        DayDelta {
+        Ok(DayDelta {
             day,
             sources,
             providers: sum.providers,
             references,
             sketches,
-        }
+        })
     }
 
     /// Applies one day delta — the single state-mutation path shared by
@@ -203,7 +208,7 @@ impl DayObserver for StreamEngine {
         pages: &[SourcePage],
         dict: &StringDict,
     ) -> std::io::Result<(Table, Vec<(&'static str, u64)>)> {
-        let delta = self.delta_from_pages(day, pages, dict);
+        let delta = self.delta_from_pages(day, pages, dict)?;
         let table = encode_delta(&delta);
         let counters = vec![
             ("stream.checkpoint.bytes", table.to_bytes().len() as u64),

@@ -20,7 +20,7 @@
 //!   a fixed hash seed, so sketches are worker-count-independent — and
 //!   flags attack-onset days where the distinct-touch estimate spikes
 //!   over its trailing baseline.
-//! * [`correlate`] scores those flags against the scenario's labelled
+//! * [`correlate`](mod@correlate) scores those flags against the scenario's labelled
 //!   mass on-demand activation events.
 //! * [`report::analysis_json`] renders analysis state canonically; the
 //!   equivalence guarantee ("incremental == full rescan": commit-time
