@@ -25,11 +25,14 @@ cd "$(dirname "$0")"
 # bulk sweep: a re-run over the finished archive changes no byte, and the
 # wire sweep works with --stream and --shards. The sweep must also resolve
 # through the caching recursor (infra-cache hits, <= 12 packets per name).
+# A second spec adds corrupted and duplicated legs, and its serial and
+# pipelined runs must give the same archive and the same `metrics --json`.
 chaos_smoke() {
     echo "==> smoke: dpscope measure --chaos (determinism, resume, stream, shards)"
     chaos='blackout@0..1500ms; degrade@0..inf@loss=0.15'
     rm -rf target/ci-chaos-a target/ci-chaos-b target/ci-chaos-stream \
-        target/ci-chaos-sharded target/ci-chaos-metrics.json
+        target/ci-chaos-sharded target/ci-chaos-metrics.json \
+        target/ci-chaos-faults-a target/ci-chaos-faults-b
     ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
         --archive target/ci-chaos-a --chaos "$chaos"
     # On one CPU the driver keeps a single wire day in flight, so this
@@ -63,8 +66,24 @@ if hits == 0 or per_name > 12:
     ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
         --shards 2 --archive target/ci-chaos-sharded --chaos "$chaos"
     ./target/release/dpscope store verify target/ci-chaos-sharded
+    # Corrupted and duplicated legs on top of loss and a permanent
+    # blackout: the serial-vs-pipelined cmp must also hold where netsim
+    # flips a bit in a datagram or delivers it twice.
+    faults='degrade@0..inf@loss=0.02,corrupt=0.02,dup=0.02; blackout@0..inf@30.1.0.16'
+    ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
+        --archive target/ci-chaos-faults-a --chaos "$faults"
+    taskset -c 0 ./target/release/dpscope measure --scale 0.004 --days 2 --cc-start 2 \
+        --archive target/ci-chaos-faults-b --chaos "$faults"
+    cmp target/ci-chaos-faults-a/archive.dps target/ci-chaos-faults-b/archive.dps
+    for side in a b; do
+        ./target/release/dpscope metrics "target/ci-chaos-faults-$side" --json \
+            >"target/ci-chaos-faults-$side.json"
+    done
+    cmp target/ci-chaos-faults-a.json target/ci-chaos-faults-b.json
     rm -rf target/ci-chaos-a target/ci-chaos-b target/ci-chaos-stream \
-        target/ci-chaos-sharded target/ci-chaos-metrics.json
+        target/ci-chaos-sharded target/ci-chaos-metrics.json \
+        target/ci-chaos-faults-a target/ci-chaos-faults-b \
+        target/ci-chaos-faults-a.json target/ci-chaos-faults-b.json
 }
 
 # Archived telemetry must be deterministic and non-trivial: two same-seed

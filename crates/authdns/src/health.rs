@@ -20,7 +20,6 @@
 
 use dps_telemetry::{Counter, Registry};
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -64,6 +63,25 @@ impl Entry {
             consecutive: 0,
             state: State::Closed,
         }
+    }
+}
+
+/// One [`Entry`] per tracked server, sorted by address: a sweep talks to
+/// a few dozen servers, so a binary search finds one without hashing.
+#[derive(Debug, Default)]
+struct Entries(Vec<(IpAddr, Entry)>);
+
+impl Entries {
+    /// `server`'s entry, created closed on first contact.
+    fn get(&mut self, server: IpAddr) -> &mut Entry {
+        let at = match self.0.binary_search_by(|(addr, _)| addr.cmp(&server)) {
+            Ok(at) => at,
+            Err(at) => {
+                self.0.insert(at, (server, Entry::new()));
+                at
+            }
+        };
+        &mut self.0[at].1
     }
 }
 
@@ -113,7 +131,7 @@ impl HealthMetrics {
 #[derive(Debug, Default)]
 pub struct HealthTracker {
     config: HealthConfig,
-    entries: Mutex<HashMap<IpAddr, Entry>>,
+    entries: Mutex<Entries>,
     trips: AtomicU64,
     skips: AtomicU64,
     metrics: HealthMetrics,
@@ -125,7 +143,7 @@ impl HealthTracker {
     pub fn new(config: HealthConfig) -> Self {
         Self {
             config,
-            entries: Mutex::new(HashMap::new()),
+            entries: Mutex::new(Entries::default()),
             trips: AtomicU64::new(0),
             skips: AtomicU64::new(0),
             metrics: HealthMetrics::default(),
@@ -146,7 +164,7 @@ impl HealthTracker {
             return;
         }
         let mut entries = self.entries.lock();
-        let e = entries.entry(server).or_insert_with(Entry::new);
+        let e = entries.get(server);
         e.consecutive = 0;
         e.state = State::Closed;
     }
@@ -159,7 +177,7 @@ impl HealthTracker {
             return;
         }
         let mut entries = self.entries.lock();
-        let e = entries.entry(server).or_insert_with(Entry::new);
+        let e = entries.get(server);
         e.consecutive = e.consecutive.saturating_add(1);
         let reopen = match e.state {
             State::Closed => e.consecutive >= self.config.failure_threshold,
@@ -183,7 +201,7 @@ impl HealthTracker {
             return ServerHealth::Available;
         }
         let mut entries = self.entries.lock();
-        let e = entries.entry(server).or_insert_with(Entry::new);
+        let e = entries.get(server);
         match e.state {
             State::Closed => ServerHealth::Available,
             State::Open { until_us } if now_us >= until_us => {
@@ -201,33 +219,40 @@ impl HealthTracker {
         }
     }
 
-    /// Orders `servers` for a query at virtual time `now_us`: available
+    /// Orders `servers` for a query at virtual time `now_us` into `out`
+    /// (cleared first; the caller keeps it across queries): available
     /// servers first, then half-open probes, then open breakers — each
     /// group keeping its original order. Nothing is dropped: if every
     /// breaker is open the caller still gets the full list.
-    pub fn order(&self, servers: &[IpAddr], now_us: u64) -> Vec<IpAddr> {
+    pub fn order(&self, servers: &[IpAddr], now_us: u64, out: &mut Vec<IpAddr>) {
+        out.clear();
         if self.config.failure_threshold == 0 || servers.len() <= 1 {
-            return servers.to_vec();
+            out.extend_from_slice(servers);
+            return;
         }
-        let mut available = Vec::new();
-        let mut probes = Vec::new();
-        let mut open = Vec::new();
+        // `out` grows as [available.., probes.., open..]; each server is
+        // checked once, in order, and slotted at the end of its group.
+        let (mut available, mut probes) = (0usize, 0usize);
         for &s in servers {
             match self.check(s, now_us) {
-                ServerHealth::Available => available.push(s),
-                ServerHealth::Probe => probes.push(s),
-                ServerHealth::Open => open.push(s),
+                ServerHealth::Available => {
+                    out.insert(available, s);
+                    available += 1;
+                }
+                ServerHealth::Probe => {
+                    out.insert(available + probes, s);
+                    probes += 1;
+                }
+                ServerHealth::Open => out.push(s),
             }
         }
         // Count a skip only when an open server was actually deprioritised
         // behind *some* healthier alternative.
-        if !open.is_empty() && (!available.is_empty() || !probes.is_empty()) {
-            self.skips.fetch_add(open.len() as u64, Ordering::Relaxed);
-            self.metrics.skips.add(open.len() as u64);
+        let open = (out.len() - available - probes) as u64;
+        if open > 0 && available + probes > 0 {
+            self.skips.fetch_add(open, Ordering::Relaxed);
+            self.metrics.skips.add(open);
         }
-        available.extend(probes);
-        available.extend(open);
-        available
     }
 
     /// Times the breaker tripped (including half-open probe failures).
@@ -319,15 +344,35 @@ mod tests {
         for _ in 0..3 {
             t.record_failure(a, 0);
         }
-        let ordered = t.order(&[a, b, c], 0);
+        let mut ordered = Vec::new();
+        t.order(&[a, b, c], 0, &mut ordered);
         assert_eq!(ordered, vec![b, c, a]);
         assert_eq!(t.skips(), 1);
-        // All open: original order survives.
+        // All open: original order survives (and the buffer is refilled,
+        // not appended to).
         for _ in 0..3 {
             t.record_failure(b, 0);
             t.record_failure(c, 0);
         }
-        assert_eq!(t.order(&[a, b, c], 0), vec![a, b, c]);
+        t.order(&[a, b, c], 0, &mut ordered);
+        assert_eq!(ordered, vec![a, b, c]);
+    }
+
+    #[test]
+    fn order_groups_keep_their_original_order() {
+        let t = tracker();
+        let s: Vec<IpAddr> = (1..=6).map(|i| ip(&format!("10.0.0.{i}"))).collect();
+        // s[0] and s[4] tripped late (still open at 1 s); s[2] and s[5]
+        // tripped at 0 and are due a probe at 1 s; s[1] and s[3] healthy.
+        for &(server, at) in &[(s[2], 0), (s[5], 0), (s[0], 500_000), (s[4], 500_000)] {
+            for _ in 0..3 {
+                t.record_failure(server, at);
+            }
+        }
+        let mut ordered = vec![ip("192.0.2.1")];
+        t.order(&s, 1_000_000, &mut ordered);
+        assert_eq!(ordered, vec![s[1], s[3], s[2], s[5], s[0], s[4]]);
+        assert_eq!(t.skips(), 2);
     }
 
     #[test]
@@ -342,7 +387,7 @@ mod tests {
         for _ in 0..3 {
             t.record_failure(a, 0);
         }
-        t.order(&[a, b], 0);
+        t.order(&[a, b], 0, &mut Vec::new());
         t.check(a, 1_000_000); // cool-down over: claims the probe slot
         let snap = registry.snapshot();
         assert_eq!(snap.counters.get("health.breaker.trips"), Some(&1));

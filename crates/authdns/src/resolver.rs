@@ -13,7 +13,7 @@
 use crate::catalog::Catalog;
 use crate::health::HealthTracker;
 use crate::zone::LookupOutcome;
-use dps_dns::{Message, Name, Question, RData, Rcode, Record, RrType, WireError};
+use dps_dns::{Message, Name, RData, Rcode, Record, RrType, WireError};
 use dps_netsim::{Network, RecvError, Socket};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -227,6 +227,10 @@ pub struct Resolver {
     next_id: u16,
     sent: u64,
     hedges: u64,
+    /// The breaker-ordered server list of the current query.
+    ordered: Vec<IpAddr>,
+    /// The current exchange's query datagram.
+    query: Vec<u8>,
 }
 
 impl Resolver {
@@ -246,6 +250,8 @@ impl Resolver {
             next_id: 1,
             sent: 0,
             hedges: 0,
+            ordered: Vec::new(),
+            query: Vec::new(),
         }
     }
 
@@ -441,35 +447,44 @@ impl Resolver {
         qtype: RrType,
     ) -> Result<Message, ResolveError> {
         let mut last_err = ResolveError::Timeout;
-        for round in 0..self.config.retries.max(1) {
-            self.backoff_sleep(round);
-            let ordered = match &self.health {
-                Some(h) => h.order(servers, self.socket.now_us()),
-                None => servers.to_vec(),
-            };
-            for (i, &server) in ordered.iter().enumerate() {
-                let hedge = if self.config.hedge_after_us > 0 {
-                    ordered.get(i + 1).copied()
-                } else {
-                    None
-                };
-                match self.exchange_hedged(server, hedge, qname, qtype) {
-                    Ok(out) => {
-                        if let Some(h) = &self.health {
-                            h.record_success(out.responder);
-                        }
-                        return Ok(out.message);
+        // One ordering buffer serves every round (a query never nests).
+        let mut ordered = std::mem::take(&mut self.ordered);
+        let result = 'rounds: {
+            for round in 0..self.config.retries.max(1) {
+                self.backoff_sleep(round);
+                match &self.health {
+                    Some(h) => h.order(servers, self.socket.now_us(), &mut ordered),
+                    None => {
+                        ordered.clear();
+                        ordered.extend_from_slice(servers);
                     }
-                    Err(e) => {
-                        if let Some(h) = self.health.clone() {
-                            h.record_failure(server, self.socket.now_us());
+                }
+                for (i, &server) in ordered.iter().enumerate() {
+                    let hedge = if self.config.hedge_after_us > 0 {
+                        ordered.get(i + 1).copied()
+                    } else {
+                        None
+                    };
+                    match self.exchange_hedged(server, hedge, qname, qtype) {
+                        Ok(out) => {
+                            if let Some(h) = &self.health {
+                                h.record_success(out.responder);
+                            }
+                            break 'rounds Ok(out.message);
                         }
-                        last_err = e;
+                        Err(e) => {
+                            if let Some(h) = &self.health {
+                                h.record_failure(server, self.socket.now_us());
+                            }
+                            last_err = e;
+                        }
                     }
                 }
             }
-        }
-        Err(last_err)
+            Err(last_err)
+        };
+        self.ordered = ordered;
+        result
     }
 
     /// One validated request/response exchange: a single attempt against a
@@ -505,13 +520,9 @@ impl Resolver {
     ) -> Result<ExchangeOutcome, ResolveError> {
         self.next_id = self.next_id.wrapping_add(1).max(1);
         let id = self.next_id;
-        let query = Message::query(id, Question::new(qname.clone(), qtype));
-        let bytes = match query.to_bytes() {
-            Ok(b) => b,
-            Err(e) => return Err(ResolveError::Malformed(e)),
-        };
+        Message::write_query(id, qname, qtype, &mut self.query);
         self.socket.drain();
-        self.socket.send_to(server, &bytes);
+        self.socket.send_to(server, &self.query);
         self.sent += 1;
 
         let deadline_budget = self.config.attempt_timeout_us;
@@ -543,7 +554,7 @@ impl Resolver {
             if let Some(at) = hedge_at.filter(|_| !hedge_sent) {
                 if spent >= at {
                     let h = hedge.expect("hedge_at implies hedge");
-                    self.socket.send_to(h, &bytes);
+                    self.socket.send_to(h, &self.query);
                     self.sent += 1;
                     self.hedges += 1;
                     hedge_sent = true;

@@ -60,6 +60,15 @@ impl AuthServer {
     /// Answers one parsed query (the wire-independent core, also used by
     /// tests). Returns `None` for messages we would drop on the floor.
     pub fn answer(&self, query: &Message) -> Option<Message> {
+        // The response keeps the query's header and question, none of
+        // its records: copy only those.
+        let query = Message {
+            header: query.header.clone(),
+            questions: query.questions.clone(),
+            answers: Vec::new(),
+            authorities: Vec::new(),
+            additionals: Vec::new(),
+        };
         answer_from(
             query,
             |qname| self.find_zone(qname),
@@ -89,7 +98,8 @@ impl AuthServer {
     }
 }
 
-/// Answers one parsed query from one server's zones, given how to reach
+/// Answers one parsed query (taken by value: its question becomes the
+/// response's) from one server's zones, given how to reach
 /// them: `find_zone` gives the deepest served zone covering a name (a
 /// served root zone covers every name), `lookup_within` looks a name up
 /// in a zone ([`Zone::lookup`](crate::Zone::lookup)) or gives `None` when
@@ -102,7 +112,7 @@ impl AuthServer {
 /// [`AuthServer::answer`] runs it over materialized zones; a model that
 /// computes the same lookups on demand gets the same responses.
 pub fn answer_from<Z>(
-    query: &Message,
+    query: Message,
     find_zone: impl Fn(&Name) -> Option<Z>,
     lookup_within: impl Fn(&Z, &Name, RrType) -> Option<LookupOutcome>,
     soa_record: impl Fn(&Z) -> Record,
@@ -110,22 +120,27 @@ pub fn answer_from<Z>(
     if query.header.qr || query.questions.len() != 1 {
         return None;
     }
-    let question = query.questions.first()?;
-    let mut resp = query.answer_template();
+    // The question moves into the response; the record sections are
+    // filled below, beside it.
+    let mut resp = query.into_answer_template();
+    let question = resp.questions.first()?;
 
     let Some(zone) = find_zone(&question.qname) else {
         resp.header.rcode = Rcode::Refused;
         return Some(resp);
     };
 
-    let mut qname = question.qname.clone();
+    // The CNAME target being chased, once the chain has left the
+    // question's name.
+    let mut target: Option<Name> = None;
     for hop in 0..MAX_CHAIN {
+        let qname = target.as_ref().unwrap_or(&question.qname);
         // A CNAME may lead out of the first zone; see if we serve the
         // target.
-        let outcome = match lookup_within(&zone, &qname, question.qtype) {
+        let outcome = match lookup_within(&zone, qname, question.qtype) {
             Some(outcome) => outcome,
-            None => match find_zone(&qname)
-                .and_then(|other| lookup_within(&other, &qname, question.qtype))
+            None => match find_zone(qname)
+                .and_then(|other| lookup_within(&other, qname, question.qtype))
             {
                 Some(outcome) => outcome,
                 None => break,
@@ -134,12 +149,12 @@ pub fn answer_from<Z>(
         match outcome {
             LookupOutcome::Answer(recs) => {
                 resp.header.aa = true;
-                resp.answers.extend(recs);
+                append(&mut resp.answers, recs);
                 break;
             }
             LookupOutcome::Cname(rec) => {
                 resp.header.aa = true;
-                let target = match &rec.rdata {
+                let next = match &rec.rdata {
                     RData::Cname(t) => t.clone(),
                     // A Cname outcome always carries CNAME rdata; if
                     // that invariant ever broke, answer with what we
@@ -150,12 +165,12 @@ pub fn answer_from<Z>(
                 if hop + 1 == MAX_CHAIN {
                     break;
                 }
-                qname = target;
+                target = Some(next);
             }
             LookupOutcome::Referral { ns, glue } => {
                 resp.header.aa = false;
-                resp.authorities.extend(ns);
-                resp.additionals.extend(glue);
+                append(&mut resp.authorities, ns);
+                append(&mut resp.additionals, glue);
                 break;
             }
             LookupOutcome::NoData => {
@@ -176,6 +191,16 @@ pub fn answer_from<Z>(
         }
     }
     Some(resp)
+}
+
+/// Appends records to a response section, taking them whole when the
+/// section is still empty.
+fn append(section: &mut Vec<Record>, records: Vec<Record>) {
+    if section.is_empty() {
+        *section = records;
+    } else {
+        section.extend(records);
+    }
 }
 
 #[cfg(test)]

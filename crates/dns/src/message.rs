@@ -217,6 +217,20 @@ impl Message {
         }
     }
 
+    /// Writes the wire form of `Message::query(id, Question::new(qname,
+    /// qtype))` into `out` (cleared first) without building the message:
+    /// a resolver's per-exchange query. The question's name is the
+    /// message's first, so it is never compressed.
+    pub fn write_query(id: u16, qname: &Name, qtype: RrType, out: &mut Vec<u8>) {
+        out.clear();
+        for field in [id, Header::query(id).flags(), 1, 0, 0, 0] {
+            out.extend_from_slice(&field.to_be_bytes());
+        }
+        out.extend_from_slice(qname.as_wire());
+        out.extend_from_slice(&qtype.code().to_be_bytes());
+        out.extend_from_slice(&Class::In.code().to_be_bytes());
+    }
+
     /// Starts a response to this query: same id and question, QR set,
     /// empty record sections for the responder to fill.
     pub fn answer_template(&self) -> Self {
@@ -230,6 +244,18 @@ impl Message {
             authorities: Vec::new(),
             additionals: Vec::new(),
         }
+    }
+
+    /// [`answer_template`](Self::answer_template) for a query the
+    /// responder owns: the question moves into the response instead of
+    /// being copied.
+    pub fn into_answer_template(mut self) -> Self {
+        self.header.qr = true;
+        self.header.ra = false;
+        self.answers.clear();
+        self.authorities.clear();
+        self.additionals.clear();
+        self
     }
 
     /// Encodes to wire format.
@@ -328,6 +354,22 @@ mod tests {
     }
 
     #[test]
+    fn write_query_matches_the_encoded_query() {
+        let mut out = vec![0xAA; 3];
+        for (id, name, qtype) in [
+            (1u16, n("www.examp.le"), RrType::A),
+            (0xFFFF, Name::root(), RrType::Ns),
+            (77, n("d1.com"), RrType::Other(99)),
+        ] {
+            Message::write_query(id, &name, qtype, &mut out);
+            let want = Message::query(id, Question::new(name, qtype))
+                .to_bytes()
+                .unwrap();
+            assert_eq!(out, want);
+        }
+    }
+
+    #[test]
     fn response_roundtrip_with_all_sections() {
         let q = Message::query(7, Question::new(n("www.examp.le"), RrType::A));
         let mut r = q.answer_template();
@@ -384,6 +426,20 @@ mod tests {
         assert!(r.header.qr);
         assert_eq!(r.header.id, 99);
         assert_eq!(r.questions, q.questions);
+    }
+
+    #[test]
+    fn owned_answer_template_matches_the_borrowed_one() {
+        let mut q = Message::query(99, Question::new(n("a.b"), RrType::Ns));
+        q.header.rd = true;
+        q.header.ra = true;
+        q.additionals.push(Record::new(
+            n("a.b"),
+            Class::In,
+            0,
+            RData::A(Ipv4Addr::new(10, 0, 0, 1)),
+        ));
+        assert_eq!(q.clone().into_answer_template(), q.answer_template());
     }
 
     #[test]

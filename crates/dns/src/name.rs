@@ -262,6 +262,14 @@ pub struct Labels<'a> {
     rest: &'a [u8],
 }
 
+impl<'a> Labels<'a> {
+    /// The labels of an uncompressed wire-form name as [`Name::as_wire`]
+    /// or [`Name::suffix_wire`] lend it, without building a [`Name`].
+    pub fn of_wire(wire: &'a [u8]) -> Self {
+        Self { rest: wire }
+    }
+}
+
 impl<'a> Iterator for Labels<'a> {
     type Item = &'a [u8];
 
@@ -435,6 +443,8 @@ mod tests {
         let name = n("www.examp.le");
         let collected: Vec<&[u8]> = name.labels().collect();
         assert_eq!(collected, vec![b"www".as_slice(), b"examp", b"le"]);
+        let suffix: Vec<&[u8]> = Labels::of_wire(name.suffix_wire(2)).collect();
+        assert_eq!(suffix, vec![b"examp".as_slice(), b"le"]);
     }
 
     #[test]

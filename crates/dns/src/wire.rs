@@ -29,25 +29,34 @@ const MAX_POINTER_OFFSET: usize = 0x3FFF;
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// A name suffix written at `offset` in the output, whose wire form is
-/// `arena[at..at + len]`.
+/// A name suffix registered for compression: written at `offset` in the
+/// output, `len` octets long uncompressed.
+#[derive(Clone, Copy, Default)]
 struct Suffix {
-    at: usize,
-    len: usize,
     offset: u16,
+    len: u16,
 }
+
+/// Registered suffixes an encoder holds inline before it spills to the
+/// heap; a typical response registers well under this many.
+const INLINE_SUFFIXES: usize = 32;
 
 /// Streaming encoder with name compression.
 ///
 /// Every suffix written at an offset a pointer can reach is registered
-/// once, at its first write. The wire forms live back to back in one
-/// arena, and a lookup scans the few registered suffixes of a message, so
-/// encoding allocates nothing per suffix.
+/// once, at its first write, as its offset and uncompressed length: the
+/// output itself holds its bytes, read back through any pointers when a
+/// later name is compared with it. A lookup scans the few registered
+/// suffixes of a message, and the first 32 of them sit
+/// inline, so encoding a typical message allocates nothing beyond the
+/// output.
 pub struct Encoder {
     buf: Vec<u8>,
-    /// Wire forms of the names whose suffixes are registered.
-    arena: Vec<u8>,
-    suffixes: Vec<Suffix>,
+    inline: [Suffix; INLINE_SUFFIXES],
+    /// Suffixes registered so far; those past the inline table are in
+    /// `spill`.
+    registered: usize,
+    spill: Vec<Suffix>,
 }
 
 impl Encoder {
@@ -55,8 +64,9 @@ impl Encoder {
     pub fn new() -> Self {
         Self {
             buf: Vec::with_capacity(512),
-            arena: Vec::new(),
-            suffixes: Vec::new(),
+            inline: [Suffix::default(); INLINE_SUFFIXES],
+            registered: 0,
+            spill: Vec::new(),
         }
     }
 
@@ -90,11 +100,49 @@ impl Encoder {
         self.buf.extend_from_slice(s);
     }
 
-    /// The output offset of the registered suffix equal to `rest`.
+    fn register(&mut self, suffix: Suffix) {
+        match self.inline.get_mut(self.registered) {
+            Some(slot) => *slot = suffix,
+            None => self.spill.push(suffix),
+        }
+        self.registered += 1;
+    }
+
+    /// True if the name written at `offset` in the output spells the
+    /// uncompressed wire form `rest`. Every pointer this encoder writes
+    /// points before itself, so the walk ends.
+    fn spells(&self, mut offset: usize, rest: &[u8]) -> bool {
+        let mut pos = 0usize;
+        loop {
+            let Some(&len) = self.buf.get(offset) else {
+                return false;
+            };
+            if len & 0xC0 == 0xC0 {
+                let Some(&low) = self.buf.get(offset + 1) else {
+                    return false;
+                };
+                offset = (usize::from(len & 0x3F) << 8) | usize::from(low);
+                continue;
+            }
+            let end = 1 + usize::from(len);
+            if self.buf.get(offset..offset + end) != rest.get(pos..pos + end) {
+                return false;
+            }
+            if len == 0 {
+                return pos + 1 == rest.len();
+            }
+            pos += end;
+            offset += end;
+        }
+    }
+
+    /// The output offset of the first registered suffix equal to `rest`.
     fn lookup(&self, rest: &[u8]) -> Option<u16> {
-        self.suffixes
+        let inline = self.inline.get(..self.registered).unwrap_or(&self.inline);
+        inline
             .iter()
-            .find(|s| s.len == rest.len() && self.arena.get(s.at..s.at + s.len) == Some(rest))
+            .chain(&self.spill)
+            .find(|s| usize::from(s.len) == rest.len() && self.spells(usize::from(s.offset), rest))
             .map(|s| s.offset)
     }
 
@@ -102,9 +150,6 @@ impl Encoder {
     /// suffix already written, and registering every new suffix.
     pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
         let wire = name.as_wire();
-        // Where this name's wire form starts in the arena, once copied, and
-        // the name offset it was copied from.
-        let mut copied: Option<(usize, usize)> = None;
         let mut pos = 0usize;
         // Walk label by label; at each step either emit a pointer to an
         // already-written suffix, or write this label and register the
@@ -117,15 +162,9 @@ impl Encoder {
             }
             let here = self.buf.len();
             if here <= MAX_POINTER_OFFSET {
-                let (base, from) = *copied.get_or_insert_with(|| {
-                    let base = self.arena.len();
-                    self.arena.extend_from_slice(rest);
-                    (base, pos)
-                });
-                self.suffixes.push(Suffix {
-                    at: base + (pos - from),
-                    len: rest.len(),
+                self.register(Suffix {
                     offset: here as u16,
+                    len: rest.len() as u16,
                 });
             }
             let end = pos + 1 + usize::from(len);
@@ -443,6 +482,75 @@ mod tests {
         // Second name should be `\x04mail` + 2-byte pointer = 7 octets,
         // instead of 15 uncompressed.
         assert_eq!(bytes.len(), a.wire_len() + 7);
+    }
+
+    /// The compressor the encoder replaced, kept as an oracle: each
+    /// registered suffix's uncompressed bytes copied into an arena.
+    fn compress_with_arena(prefix: usize, names: &[Name]) -> Vec<u8> {
+        let mut buf = vec![0u8; prefix];
+        let mut arena: Vec<u8> = Vec::new();
+        let mut suffixes: Vec<(usize, usize, u16)> = Vec::new();
+        'names: for name in names {
+            let wire = name.as_wire();
+            let mut pos = 0;
+            let base = arena.len();
+            arena.extend_from_slice(wire);
+            while wire[pos] != 0 {
+                let rest = &wire[pos..];
+                if let Some(&(.., offset)) = suffixes
+                    .iter()
+                    .find(|&&(at, len, _)| &arena[at..at + len] == rest)
+                {
+                    buf.extend_from_slice(&(0xC000 | offset).to_be_bytes());
+                    continue 'names;
+                }
+                if buf.len() <= MAX_POINTER_OFFSET {
+                    suffixes.push((base + pos, rest.len(), buf.len() as u16));
+                }
+                let end = pos + 1 + usize::from(wire[pos]);
+                buf.extend_from_slice(&wire[pos..end]);
+                pos = end;
+            }
+            buf.push(0);
+        }
+        buf
+    }
+
+    #[test]
+    fn compression_matches_the_arena_encoder() {
+        // Names over a tiny label alphabet share many suffixes; enough of
+        // them per message to spill past the inline suffix table, and
+        // every other message starts near the last offset a pointer can
+        // reach, so registration stops partway through.
+        let labels = ["a", "b", "www", "examp", "le", "ns1", "d1", "com", "net"];
+        let mut state = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: usize| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            (state % n as u64) as usize
+        };
+        for round in 0..500 {
+            let names: Vec<Name> = (0..1 + round % 60)
+                .map(|_| {
+                    let count = next(5);
+                    Name::from_labels((0..count).map(|_| labels[next(labels.len())].as_bytes()))
+                        .unwrap()
+                })
+                .collect();
+            let prefix = if round % 2 == 0 {
+                12
+            } else {
+                MAX_POINTER_OFFSET - 40
+            };
+            let mut enc = Encoder::new();
+            enc.put_slice(&vec![0; prefix]);
+            for name in &names {
+                enc.put_name(name).unwrap();
+            }
+            let want = compress_with_arena(prefix, &names);
+            assert_eq!(enc.finish(), want, "{names:?}");
+        }
     }
 
     #[test]

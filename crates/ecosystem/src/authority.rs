@@ -16,7 +16,9 @@
 //!
 //! [`AuthServer`]: dps_authdns::AuthServer
 
-use crate::domain::{domain_apex, id_name, parse_id_label, Diversion, DomainState, IdLabel};
+use crate::domain::{
+    domain_apex, id_name, parse_id_label, ApexWire, Diversion, DomainState, IdLabel,
+};
 use crate::ids::{DomainId, HosterId, ProviderId, Tld};
 use crate::spec::{self, HOSTERS, PROVIDERS};
 use crate::world::{
@@ -24,6 +26,7 @@ use crate::world::{
 };
 use dps_authdns::server::answer_from;
 use dps_authdns::{LookupOutcome, Zone};
+use dps_dns::name::Labels;
 use dps_dns::{Class, Message, Name, RData, Record, RrType};
 use dps_netsim::net::Handler;
 use dps_netsim::Network;
@@ -205,30 +208,32 @@ impl DayAuthority {
     /// [`servers`]) and returns the root hints.
     pub fn bind(self: &Arc<Self>, net: &Network) -> Vec<IpAddr> {
         for (addr, server) in servers() {
-            net.bind_service(addr, self.server_handler(server));
+            net.bind_service(addr, self.handler(server));
         }
         vec![spec::root_server_addr()]
     }
 
-    /// A network handler answering as `server`.
-    fn server_handler(self: &Arc<Self>, server: AuthorityServer) -> Handler {
+    /// A network handler answering as `server`: the handler [`bind`]
+    /// installs at each of `server`'s addresses.
+    ///
+    /// [`bind`]: Self::bind
+    pub fn handler(self: &Arc<Self>, server: AuthorityServer) -> Handler {
         let me = Arc::clone(self);
         Arc::new(move |_src: IpAddr, payload: &[u8]| {
             let query = Message::parse(payload).ok()?;
-            let resp = me.respond(server, &query)?;
+            let resp = me.respond(server, query)?;
             resp.to_bytes().ok()
         })
     }
 
     /// Answers one parsed query as `server` would; `None` for messages a
     /// server drops.
-    fn respond(&self, server: AuthorityServer, query: &Message) -> Option<Message> {
+    fn respond(&self, server: AuthorityServer, query: Message) -> Option<Message> {
         answer_from(
             query,
             |qname| self.covering_zone(server, qname),
             |&zone, qname, qtype| {
-                qname
-                    .is_subdomain_of(&self.zone_origin(zone))
+                self.in_zone(zone, qname)
                     .then(|| self.zone_lookup(zone, qname, qtype))
             },
             |&zone| self.zone_soa(zone),
@@ -247,11 +252,11 @@ impl DayAuthority {
         &self.state.domains[id.0 as usize]
     }
 
-    /// The customer domain whose apex is the two-label name `apex` (in
-    /// canonical `d<id>.<tld>` form), if it is alive today, its DNS is up
-    /// and it lives in that TLD.
-    fn served_domain(&self, apex: &Name) -> Option<(DomainId, &DomainState)> {
-        let mut labels = apex.labels();
+    /// The customer domain whose apex is the two-label name with wire
+    /// form `apex` (in canonical `d<id>.<tld>` form), if it is alive
+    /// today, its DNS is up and it lives in that TLD.
+    fn served_domain(&self, apex: &[u8]) -> Option<(DomainId, &DomainState)> {
+        let mut labels = Labels::of_wire(apex);
         let (Some(first), Some(tld), None) = (labels.next(), labels.next(), labels.next()) else {
             return None;
         };
@@ -282,43 +287,45 @@ impl DayAuthority {
             AuthorityServer::Provider(p) => InfraOwner::Provider(p),
             AuthorityServer::Hoster(h) => InfraOwner::Hoster(h),
         };
-        let count = qname.label_count();
-        for n in (1..=count).rev() {
+        // Each enclosing name, deepest first: the suffixes of the wire
+        // form that start at a label boundary (`n` labels long).
+        let wire = qname.as_wire();
+        let mut at = 0usize;
+        for n in (1..=qname.label_count()).rev() {
+            let suffix = wire.get(at..)?;
             if n == 2 {
-                let apex = if count == 2 {
-                    qname.clone()
-                } else {
-                    qname.suffix(2)
-                };
-                if let Some((id, st)) = self.served_domain(&apex) {
+                if let Some((id, st)) = self.served_domain(suffix) {
                     if Self::customer_server(st) == server {
                         return Some(ZoneRef::Customer(id));
                     }
                 }
             }
-            let served = skeleton()
-                .by_sld
-                .get(qname.suffix_wire(n))
-                .and_then(|zones| {
-                    zones
-                        .iter()
-                        .rev()
-                        .find(|&&z| infra_table()[z].owner == owner)
-                });
+            let served = skeleton().by_sld.get(suffix).and_then(|zones| {
+                zones
+                    .iter()
+                    .rev()
+                    .find(|&&z| infra_table()[z].owner == owner)
+            });
             if let Some(&z) = served {
                 return Some(ZoneRef::Infra(z));
             }
+            at += 1 + usize::from(*suffix.first()?);
         }
         None
     }
 
-    /// The origin of a served zone.
-    fn zone_origin(&self, zone: ZoneRef) -> Name {
+    /// True if `qname` is at or below the origin of a served zone (the
+    /// wire-suffix test of [`Name::is_subdomain_of`], with no origin
+    /// built).
+    fn in_zone(&self, zone: ZoneRef, qname: &Name) -> bool {
+        let wire = qname.as_wire();
         match zone {
-            ZoneRef::Root => Name::root(),
-            ZoneRef::Tld(tld) => skeleton().tlds[&tld].origin().clone(),
-            ZoneRef::Infra(z) => infra_table()[z].sld.clone(),
-            ZoneRef::Customer(id) => domain_apex(id, self.domain_state(id).tld),
+            ZoneRef::Root => wire.ends_with(&[0]),
+            ZoneRef::Tld(tld) => wire.ends_with(skeleton().tlds[&tld].origin().as_wire()),
+            ZoneRef::Infra(z) => wire.ends_with(infra_table()[z].sld.as_wire()),
+            ZoneRef::Customer(id) => {
+                wire.ends_with(ApexWire::new(id, self.domain_state(id).tld).as_bytes())
+            }
         }
     }
 
@@ -328,8 +335,8 @@ impl DayAuthority {
             ZoneRef::Root => skeleton().root.soa_record(),
             ZoneRef::Tld(tld) => skeleton().tlds[&tld].soa_record(),
             ZoneRef::Infra(z) => skeleton().infra_zones[z].soa_record(),
-            ZoneRef::Customer(_) => {
-                let origin = self.zone_origin(zone);
+            ZoneRef::Customer(id) => {
+                let origin = domain_apex(id, self.domain_state(id).tld);
                 let soa = Zone::default_soa(&origin);
                 Record::new(origin, Class::In, soa.minimum, RData::Soa(soa))
             }
@@ -353,13 +360,14 @@ impl DayAuthority {
     fn tld_lookup(&self, tld: Tld, qname: &Name, qtype: RrType) -> LookupOutcome {
         let zone = &skeleton().tlds[&tld];
         if qname.label_count() >= 2 {
-            let cut = qname.suffix(2);
-            if let Some((id, st)) = self.served_domain(&cut) {
-                let ns: Vec<Record> = World::ns_hosts(id, st)
-                    .into_iter()
-                    .flatten()
-                    .map(|host| record(cut.clone(), RData::Ns(host.clone())))
-                    .collect();
+            if let Some((id, st)) = self.served_domain(qname.suffix_wire(2)) {
+                let ns = records(
+                    qname.suffix(2),
+                    World::ns_hosts(id, st)
+                        .into_iter()
+                        .flatten()
+                        .map(|host| RData::Ns(host.clone())),
+                );
                 let glue = zone.glue_for(&ns);
                 return LookupOutcome::Referral { ns, glue };
             }
@@ -468,40 +476,37 @@ impl DayAuthority {
             3 => qname.labels().next(),
             _ => return LookupOutcome::NxDomain,
         };
-        let rdata: Vec<RData> = match first {
+        // A customer RRset has at most two records (the NS set).
+        let rdata: [Option<RData>; 2] = match first {
             None => match qtype {
-                RrType::A => vec![v4()],
-                RrType::Aaaa => v6().into_iter().collect(),
-                RrType::Ns => World::ns_hosts(id, st)
-                    .into_iter()
-                    .flatten()
-                    .map(|h| RData::Ns(h.clone()))
-                    .collect(),
-                _ => Vec::new(),
+                RrType::A => [Some(v4()), None],
+                RrType::Aaaa => [v6(), None],
+                RrType::Ns => World::ns_hosts(id, st).map(|h| h.map(|h| RData::Ns(h.clone()))),
+                _ => [None, None],
             },
-            Some(b"www") => match World::www_chain(id, st) {
-                [Some(first), _] => match qtype {
-                    RrType::Cname => vec![RData::Cname(first)],
-                    RrType::Any => Vec::new(),
-                    _ => return LookupOutcome::Cname(record(qname.clone(), RData::Cname(first))),
-                },
+            Some(b"www") => match World::www_hops(id, st) {
+                [Some((prefix, suffix)), _] => {
+                    let first = id_name(prefix, id.0, suffix);
+                    match qtype {
+                        RrType::Cname => [Some(RData::Cname(first)), None],
+                        RrType::Any => [None, None],
+                        _ => {
+                            return LookupOutcome::Cname(record(qname.clone(), RData::Cname(first)))
+                        }
+                    }
+                }
                 _ => match qtype {
-                    RrType::A => vec![v4()],
-                    RrType::Aaaa => v6().into_iter().collect(),
-                    _ => Vec::new(),
+                    RrType::A => [Some(v4()), None],
+                    RrType::Aaaa => [v6(), None],
+                    _ => [None, None],
                 },
             },
             Some(_) => return LookupOutcome::NxDomain,
         };
-        if rdata.is_empty() {
+        if rdata.iter().all(Option::is_none) {
             LookupOutcome::NoData
         } else {
-            LookupOutcome::Answer(
-                rdata
-                    .into_iter()
-                    .map(|rd| record(qname.clone(), rd))
-                    .collect(),
-            )
+            LookupOutcome::Answer(records(qname.clone(), rdata.into_iter().flatten()))
         }
     }
 }
@@ -509,4 +514,19 @@ impl DayAuthority {
 /// A record of a generated zone (every zone uses the default TTL).
 fn record(owner: Name, rdata: RData) -> Record {
     Record::new(owner, Class::In, TTL, rdata)
+}
+
+/// An RRset of a generated zone: one record per `rdata`, all owned by
+/// `owner` (moved into the last record, cloned for the others).
+fn records(owner: Name, rdata: impl IntoIterator<Item = RData>) -> Vec<Record> {
+    let mut rdata = rdata.into_iter().peekable();
+    let mut out = Vec::new();
+    while let Some(rd) = rdata.next() {
+        if rdata.peek().is_none() {
+            out.push(record(owner, rd));
+            break;
+        }
+        out.push(record(owner.clone(), rd));
+    }
+    out
 }

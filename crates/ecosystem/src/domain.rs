@@ -128,6 +128,39 @@ impl IdLabel {
     }
 }
 
+/// The wire form of a domain apex `d<id>.<tld>` in a stack buffer, so the
+/// wire path's authority can test a name against a customer zone without
+/// building the zone's origin.
+pub(crate) struct ApexWire {
+    buf: [u8; 1 + 11 + 1 + 63 + 1],
+    len: usize,
+}
+
+impl ApexWire {
+    pub(crate) fn new(id: DomainId, tld: Tld) -> Self {
+        let mut out = Self {
+            buf: [0; 77],
+            len: 0,
+        };
+        let label = IdLabel::new(b'd', id.0);
+        for part in [label.as_bytes(), tld.label().as_bytes()] {
+            let end = out.len + 1 + part.len();
+            if let Some(slot) = out.buf.get_mut(out.len..end) {
+                slot[0] = part.len() as u8;
+                slot[1..].copy_from_slice(part);
+            }
+            out.len = end;
+        }
+        // The root octet is the buffer's zero fill.
+        out.len += 1;
+        out
+    }
+
+    pub(crate) fn as_bytes(&self) -> &[u8] {
+        self.buf.get(..self.len).unwrap_or_default()
+    }
+}
+
 /// `<prefix><id>.<suffix>` (`d42.edgekey.net`), built from labels with no
 /// presentation-format round trip. `suffix` is a dotted static name.
 pub(crate) fn id_name(prefix: u8, id: u32, suffix: &str) -> Name {
@@ -207,6 +240,14 @@ mod tests {
             domain_apex(DomainId(u32::MAX), Tld::Biz).to_string(),
             "d4294967295.biz."
         );
+        for id in [0u32, 9, 10, 123_456, u32::MAX] {
+            for tld in [Tld::Com, Tld::Net, Tld::Org, Tld::Nl, Tld::Biz] {
+                assert_eq!(
+                    ApexWire::new(DomainId(id), tld).as_bytes(),
+                    domain_apex(DomainId(id), tld).as_wire()
+                );
+            }
+        }
         let compute: Name = "d7.compute.amazonaws.com".parse().unwrap();
         assert_eq!(id_name(b'd', 7, "compute.amazonaws.com"), compute);
     }

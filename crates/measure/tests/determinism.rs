@@ -237,15 +237,9 @@ fn bulk_sweep_archive_digest_is_pinned() {
     );
 }
 
-/// Pins the exact archive bytes of a small wire sweep under chaos. Loss
-/// makes the recursor retry and hedge, the blackout of one of hostco1's
-/// two name servers (30.1.0.16) trips its breaker, and the names left
-/// failed after the first pass get a dead-letter pass, so this digest
-/// covers every packet the caching recursor sends and every telemetry
-/// counter it archives. A change to it is a change to the measured data
-/// or to the packets sent: re-pin it only with a deliberate change.
-#[test]
-fn wire_sweep_archive_digest_is_pinned() {
+/// Sweeps the pinned wire scenario (seed 2016, scale 0.02, 3 days) under
+/// `spec` and returns the archive bytes with the store loaded from them.
+fn wire_sweep(spec: &str) -> (Vec<u8>, SnapshotStore) {
     let mut world = World::imc2016(ScenarioParams {
         seed: 2016,
         scale: 0.02,
@@ -259,8 +253,7 @@ fn wire_sweep_archive_digest_is_pinned() {
     ));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("archive.dps");
-    let schedule =
-        ChaosSchedule::parse("degrade@0..inf@loss=0.02; blackout@0..inf@30.1.0.16").expect("spec");
+    let schedule = ChaosSchedule::parse(spec).expect("spec");
     Study::new(StudyConfig {
         days: 3,
         cc_start_day: 2,
@@ -272,12 +265,27 @@ fn wire_sweep_archive_digest_is_pinned() {
     let bytes = std::fs::read(&path).expect("archive readable");
     let store = SnapshotStore::load_archive(&path).expect("archive loads");
     std::fs::remove_dir_all(&dir).ok();
-    let counter = |name: &str| -> u64 {
-        (0..3)
-            .filter_map(|day| store.telemetry(day))
-            .map(|snap| snap.counters.get(name).copied().unwrap_or(0))
-            .sum()
-    };
+    (bytes, store)
+}
+
+/// A telemetry counter summed over the wire scenario's three days.
+fn day_counter(store: &SnapshotStore, name: &str) -> u64 {
+    (0..3)
+        .filter_map(|day| store.telemetry(day))
+        .map(|snap| snap.counters.get(name).copied().unwrap_or(0))
+        .sum()
+}
+
+/// Pins the exact archive bytes of a small wire sweep under chaos. Loss
+/// makes the recursor retry and hedge, the blackout of one of hostco1's
+/// two name servers (30.1.0.16) trips its breaker, and the names left
+/// failed after the first pass get a dead-letter pass, so this digest
+/// covers every packet the caching recursor sends and every telemetry
+/// counter it archives. A change to it is a change to the measured data
+/// or to the packets sent: re-pin it only with a deliberate change.
+#[test]
+fn wire_sweep_archive_digest_is_pinned() {
+    let (bytes, store) = wire_sweep("degrade@0..inf@loss=0.02; blackout@0..inf@30.1.0.16");
     let hedges: u32 = (0..3)
         .flat_map(|day| SOURCES.iter().map(move |&s| (day, s)))
         .filter_map(|(day, s)| store.quality(day, s))
@@ -289,11 +297,30 @@ fn wire_sweep_archive_digest_is_pinned() {
         "sweep.deadletter.passes",
         "recursor.infra.hits",
     ] {
-        assert!(counter(name) > 0, "{name} stayed 0");
+        assert!(day_counter(&store, name) > 0, "{name} stayed 0");
     }
     assert_eq!(
         (bytes.len(), fnv1a(&bytes)),
         (86_121, 0x62ec_d13f_6618_6b16),
         "wire sweep archive bytes changed"
+    );
+}
+
+/// Pins the same wire sweep with corrupted and duplicated legs on top of
+/// the loss and the blackout. The draw order of one leg (loss, corrupt,
+/// latency, duplicate) decides every later packet's fate, so a change to
+/// the corrupt or duplicate branch of netsim's fault injection shows here
+/// even where the loss-only digest above cannot see it.
+#[test]
+fn wire_sweep_with_corruption_and_duplication_is_pinned() {
+    let (bytes, store) =
+        wire_sweep("degrade@0..inf@loss=0.02,corrupt=0.02,dup=0.02; blackout@0..inf@30.1.0.16");
+    for name in ["net.packets.corrupted", "net.packets.duplicated"] {
+        assert!(day_counter(&store, name) > 0, "{name} stayed 0");
+    }
+    assert_eq!(
+        (bytes.len(), fnv1a(&bytes)),
+        (88_048, 0xf521_756a_a734_0ff8),
+        "corrupting wire sweep archive bytes changed"
     );
 }

@@ -19,8 +19,7 @@ use parking_lot::RwLock;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
-// dps: allow-file(unordered-collection, reason = "the service table is a per-address dispatch lookup, never iterated; delivery order is governed by the virtual-time BinaryHeap")
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::net::IpAddr;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,11 +188,34 @@ impl NetMetrics {
     }
 }
 
+/// Everything a send reads about the network: the bound services, the
+/// base fault profile and the chaos schedule. A change replaces it
+/// whole and bumps [`Network`]'s version, so a [`Socket`] keeps the
+/// fabric it last saw and sends through it without taking a lock or
+/// touching a reference count per packet.
+#[derive(Clone, Default)]
+struct Fabric {
+    /// Bound services, sorted by address (binary-searched per send).
+    services: Vec<(IpAddr, Handler)>,
+    faults: FaultProfile,
+    chaos: Option<Arc<ChaosSchedule>>,
+}
+
+impl Fabric {
+    fn service(&self, addr: IpAddr) -> Option<&Handler> {
+        self.services
+            .binary_search_by(|(bound, _)| bound.cmp(&addr))
+            .ok()
+            .and_then(|i| self.services.get(i))
+            .map(|(_, handler)| handler)
+    }
+}
+
 /// The shared network fabric.
 pub struct Network {
-    services: RwLock<HashMap<IpAddr, Handler>>,
-    faults: RwLock<FaultProfile>,
-    chaos: RwLock<Option<Arc<ChaosSchedule>>>,
+    fabric: RwLock<Arc<Fabric>>,
+    /// Bumped under the `fabric` write lock by every change to it.
+    version: AtomicU64,
     stats: NetworkStats,
     metrics: NetMetrics,
     seed: u64,
@@ -201,9 +223,10 @@ pub struct Network {
 
 impl fmt::Debug for Network {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let fabric = self.fabric.read();
         f.debug_struct("Network")
-            .field("services", &self.services.read().len())
-            .field("faults", &*self.faults.read())
+            .field("services", &fabric.services.len())
+            .field("faults", &fabric.faults)
             .finish()
     }
 }
@@ -218,39 +241,47 @@ impl Network {
     /// Creates a network whose `net.*` instruments live in `registry`.
     pub fn with_telemetry(seed: u64, registry: &Registry) -> Arc<Self> {
         Arc::new(Self {
-            services: RwLock::new(HashMap::new()),
-            faults: RwLock::new(FaultProfile::default()),
-            chaos: RwLock::new(None),
+            fabric: RwLock::new(Arc::default()),
+            version: AtomicU64::new(0),
             stats: NetworkStats::default(),
             metrics: NetMetrics::new(registry),
             seed,
         })
     }
 
+    /// Applies `change` to the fabric; sockets pick it up on their next
+    /// send.
+    fn update(&self, change: impl FnOnce(&mut Fabric)) {
+        let mut fabric = self.fabric.write();
+        change(Arc::make_mut(&mut fabric));
+        self.version.fetch_add(1, Ordering::Release);
+    }
+
     /// Replaces the fault profile (affects subsequent sends).
     pub fn set_faults(&self, profile: FaultProfile) {
-        *self.faults.write() = profile;
+        self.update(|f| f.faults = profile);
     }
 
     /// Current fault profile.
     pub fn faults(&self) -> FaultProfile {
-        *self.faults.read()
+        self.fabric.read().faults
     }
 
     /// Installs a scripted chaos schedule, layered on the base fault
     /// profile and evaluated against each sending socket's virtual clock.
     pub fn set_chaos(&self, schedule: ChaosSchedule) {
-        *self.chaos.write() = Some(Arc::new(schedule));
+        let schedule = Arc::new(schedule);
+        self.update(|f| f.chaos = Some(schedule));
     }
 
     /// Removes any installed chaos schedule.
     pub fn clear_chaos(&self) {
-        *self.chaos.write() = None;
+        self.update(|f| f.chaos = None);
     }
 
     /// The installed chaos schedule, if any.
     pub fn chaos(&self) -> Option<Arc<ChaosSchedule>> {
-        self.chaos.read().clone()
+        self.fabric.read().chaos.clone()
     }
 
     /// The seed this network (and its sockets' RNG streams) derive from.
@@ -260,17 +291,26 @@ impl Network {
 
     /// Registers a service at `addr`, replacing any previous one.
     pub fn bind_service(&self, addr: IpAddr, handler: Handler) {
-        self.services.write().insert(addr, handler);
+        self.update(
+            |f| match f.services.binary_search_by(|(bound, _)| bound.cmp(&addr)) {
+                Ok(i) => {
+                    if let Some(slot) = f.services.get_mut(i) {
+                        slot.1 = handler;
+                    }
+                }
+                Err(i) => f.services.insert(i, (addr, handler)),
+            },
+        );
     }
 
     /// Removes the service at `addr`.
     pub fn unbind(&self, addr: IpAddr) {
-        self.services.write().remove(&addr);
+        self.update(|f| f.services.retain(|(bound, _)| *bound != addr));
     }
 
     /// True if a service is bound at `addr`.
     pub fn is_bound(&self, addr: IpAddr) -> bool {
-        self.services.read().contains_key(&addr)
+        self.fabric.read().service(addr).is_some()
     }
 
     /// Aggregate fault/delivery counters.
@@ -288,8 +328,11 @@ impl Network {
         if let IpAddr::V4(v4) = src {
             h ^= u64::from(u32::from(v4)) << 17;
         }
+        let version = self.version.load(Ordering::Acquire);
         Socket {
             net: Arc::clone(self),
+            fabric: Arc::clone(&self.fabric.read()),
+            version,
             src,
             rng: SmallRng::seed_from_u64(h),
             inbox: BinaryHeap::new(),
@@ -306,11 +349,79 @@ type Delivery = Reverse<(u64, u64, IpAddr, Option<Vec<u8>>)>;
 /// A client UDP socket with a private virtual clock.
 pub struct Socket {
     net: Arc<Network>,
+    /// The network's fabric as of `version`.
+    fabric: Arc<Fabric>,
+    version: u64,
     src: IpAddr,
     rng: SmallRng,
     inbox: BinaryHeap<Delivery>,
     now_us: u64,
     seq: u64,
+}
+
+/// What fault injection did to one leg: the one-way latency of each copy
+/// that arrives (none when lost, two when duplicated) and the bit flipped
+/// in transit, as `(octet index, mask)`.
+struct LegFate {
+    latency_us: [u64; 2],
+    copies: usize,
+    flip: Option<(usize, u8)>,
+}
+
+impl LegFate {
+    fn latencies(&self) -> &[u64] {
+        self.latency_us.get(..self.copies).unwrap_or(&[])
+    }
+
+    /// Draws one leg's fate for a `len`-octet datagram, in the order
+    /// loss → corruption → latency → duplication (a duplicate draws its
+    /// own latency last), and counts it.
+    fn draw(rng: &mut SmallRng, len: usize, profile: &FaultProfile, net: &Network) -> Self {
+        let (stats, metrics) = (&net.stats, &net.metrics);
+        if rng.gen::<f64>() < profile.loss {
+            stats.dropped.fetch_add(1, Ordering::Relaxed);
+            metrics.dropped.inc();
+            return Self {
+                latency_us: [0; 2],
+                copies: 0,
+                flip: None,
+            };
+        }
+        let mut flip = None;
+        if rng.gen::<f64>() < profile.corrupt && len > 0 {
+            let idx = rng.gen_range(0..len);
+            let bit = 1u8 << rng.gen_range(0..8);
+            flip = Some((idx, bit));
+            stats.corrupted.fetch_add(1, Ordering::Relaxed);
+            metrics.corrupted.inc();
+        }
+        let lat = |rng: &mut SmallRng| -> u64 {
+            let (lo, hi) = profile.latency_us;
+            let lat = if hi > lo { rng.gen_range(lo..=hi) } else { lo };
+            metrics.latency_us.observe(lat);
+            lat
+        };
+        let first = lat(rng);
+        let dup = (rng.gen::<f64>() < profile.duplicate).then(|| {
+            stats.duplicated.fetch_add(1, Ordering::Relaxed);
+            metrics.duplicated.inc();
+            lat(rng)
+        });
+        Self {
+            latency_us: [first, dup.unwrap_or(0)],
+            copies: 1 + usize::from(dup.is_some()),
+            flip,
+        }
+    }
+
+    /// Flips this leg's corrupted bit in `data`, if it has one.
+    fn corrupt(&self, data: &mut [u8]) {
+        if let Some((idx, bit)) = self.flip {
+            if let Some(byte) = data.get_mut(idx) {
+                *byte ^= bit;
+            }
+        }
+    }
 }
 
 impl Socket {
@@ -324,116 +435,107 @@ impl Socket {
         self.now_us
     }
 
-    fn leg_faults(&mut self, payload: &[u8], profile: &FaultProfile) -> Vec<(Vec<u8>, u64)> {
-        // Returns 0..=2 (payload, one-way latency) copies for one leg.
-        let stats = &self.net.stats;
-        let metrics = &self.net.metrics;
-        if self.rng.gen::<f64>() < profile.loss {
-            stats.dropped.fetch_add(1, Ordering::Relaxed);
-            metrics.dropped.inc();
-            return Vec::new();
-        }
-        let mut data = payload.to_vec();
-        if self.rng.gen::<f64>() < profile.corrupt && !data.is_empty() {
-            let idx = self.rng.gen_range(0..data.len());
-            let bit = 1u8 << self.rng.gen_range(0..8);
-            if let Some(byte) = data.get_mut(idx) {
-                *byte ^= bit;
-            }
-            stats.corrupted.fetch_add(1, Ordering::Relaxed);
-            metrics.corrupted.inc();
-        }
-        let lat = |rng: &mut SmallRng| -> u64 {
-            let (lo, hi) = profile.latency_us;
-            if hi > lo {
-                rng.gen_range(lo..=hi)
-            } else {
-                lo
-            }
-        };
-        let first_lat = lat(&mut self.rng);
-        metrics.latency_us.observe(first_lat);
-        if self.rng.gen::<f64>() < profile.duplicate {
-            stats.duplicated.fetch_add(1, Ordering::Relaxed);
-            metrics.duplicated.inc();
-            let dup_lat = lat(&mut self.rng);
-            metrics.latency_us.observe(dup_lat);
-            // Only a duplicated leg needs a second copy of the bytes.
-            return vec![(data.clone(), first_lat), (data, dup_lat)];
-        }
-        vec![(data, first_lat)]
-    }
-
     /// Sends `payload` to `dst`. Any responses are scheduled into this
     /// socket's inbox with simulated round-trip latency. An installed
     /// [`ChaosSchedule`] is consulted per leg — the request leg at the
     /// current clock, the response leg at its (virtual) server-arrival
-    /// time — so scripted windows cut exchanges mid-flight.
+    /// time — so scripted windows cut exchanges mid-flight. Only a
+    /// corrupted request or a duplicated response copies the bytes.
     pub fn send_to(&mut self, dst: IpAddr, payload: &[u8]) {
-        let base = self.net.faults();
-        let chaos = self.net.chaos();
-        self.net.stats.sent.fetch_add(1, Ordering::Relaxed);
-        self.net.metrics.sent.inc();
+        let version = self.net.version.load(Ordering::Acquire);
+        if version != self.version {
+            self.fabric = Arc::clone(&self.net.fabric.read());
+            self.version = version;
+        }
+        let Self {
+            net,
+            fabric,
+            src,
+            rng,
+            inbox,
+            now_us,
+            seq,
+            ..
+        } = self;
+        let (now, stats, metrics) = (*now_us, &net.stats, &net.metrics);
+        stats.sent.fetch_add(1, Ordering::Relaxed);
+        metrics.sent.inc();
 
         // A chaos window that alters (rather than swallows) a leg counts as
         // a degradation activation.
-        let degraded = self.net.metrics.degraded.clone();
-        let effective = move |at: u64| -> Option<FaultProfile> {
-            match &chaos {
+        let base = fabric.faults;
+        let effective = |at: u64| -> Option<FaultProfile> {
+            match &fabric.chaos {
                 Some(sched) => {
                     let profile = sched.effective(at, dst, base);
                     if profile.is_some_and(|p| p != base) {
-                        degraded.inc();
+                        metrics.degraded.inc();
                     }
                     profile
                 }
                 None => Some(base),
             }
         };
-        let Some(req_profile) = effective(self.now_us) else {
-            self.net.stats.blackholed.fetch_add(1, Ordering::Relaxed);
-            self.net.metrics.blackholed.inc();
+        let blackholed = || {
+            stats.blackholed.fetch_add(1, Ordering::Relaxed);
+            metrics.blackholed.inc();
+        };
+        let Some(req_profile) = effective(now) else {
+            blackholed();
             return;
         };
-        let requests = self.leg_faults(payload, &req_profile);
-        if requests.is_empty() {
+        let request = LegFate::draw(rng, payload.len(), &req_profile, net);
+        if request.copies == 0 {
             return;
         }
-        let handler = self.net.services.read().get(&dst).cloned();
-        let Some(handler) = handler else {
+        let Some(handler) = fabric.service(dst) else {
             // No service bound: the host's stack answers with an ICMP
             // port-unreachable notice after a round trip (unless a chaos
             // window swallows the return path too).
-            self.net.stats.unroutable.fetch_add(1, Ordering::Relaxed);
-            self.net.metrics.unroutable.inc();
-            for (_, req_lat) in requests {
-                if effective(self.now_us + req_lat).is_none() {
-                    self.net.stats.blackholed.fetch_add(1, Ordering::Relaxed);
-                    self.net.metrics.blackholed.inc();
+            stats.unroutable.fetch_add(1, Ordering::Relaxed);
+            metrics.unroutable.inc();
+            for &req_lat in request.latencies() {
+                if effective(now + req_lat).is_none() {
+                    blackholed();
                     continue;
                 }
-                let arrive = self.now_us + req_lat * 2;
-                self.seq += 1;
-                self.inbox.push(Reverse((arrive, self.seq, dst, None)));
+                *seq += 1;
+                inbox.push(Reverse((now + req_lat * 2, *seq, dst, None)));
             }
             return;
         };
-        for (req, req_lat) in requests {
-            let Some(resp) = handler(self.src, &req) else {
+        let corrupted;
+        let req: &[u8] = if request.flip.is_some() {
+            let mut data = payload.to_vec();
+            request.corrupt(&mut data);
+            corrupted = data;
+            &corrupted
+        } else {
+            payload
+        };
+        for &req_lat in request.latencies() {
+            let Some(mut resp) = handler(*src, req) else {
                 continue;
             };
-            let Some(resp_profile) = effective(self.now_us + req_lat) else {
-                self.net.stats.blackholed.fetch_add(1, Ordering::Relaxed);
-                self.net.metrics.blackholed.inc();
+            let Some(resp_profile) = effective(now + req_lat) else {
+                blackholed();
                 continue;
             };
-            for (resp_data, resp_lat) in self.leg_faults(&resp, &resp_profile) {
-                let arrive = self.now_us + req_lat + resp_lat;
-                self.seq += 1;
-                self.inbox
-                    .push(Reverse((arrive, self.seq, dst, Some(resp_data))));
-                self.net.stats.delivered.fetch_add(1, Ordering::Relaxed);
-                self.net.metrics.delivered.inc();
+            let response = LegFate::draw(rng, resp.len(), &resp_profile, net);
+            response.corrupt(&mut resp);
+            let mut deliver = |data: Vec<u8>, resp_lat: u64| {
+                *seq += 1;
+                inbox.push(Reverse((now + req_lat + resp_lat, *seq, dst, Some(data))));
+                stats.delivered.fetch_add(1, Ordering::Relaxed);
+                metrics.delivered.inc();
+            };
+            match *response.latencies() {
+                [first] => deliver(resp, first),
+                [first, dup] => {
+                    deliver(resp.clone(), first);
+                    deliver(resp, dup);
+                }
+                _ => {}
             }
         }
     }

@@ -9,15 +9,19 @@
 //! earliest-expiring entry, which a fresh insert is about to outlive
 //! anyway. Which entries a day's inserts evict decides which packets are
 //! sent, so the shard routing and per-shard capacity are part of the
-//! resolver's behaviour. Each shard keeps a `BTreeMap` expiry index beside
-//! the hash map so the victim is found in O(log n) instead of a full scan.
+//! resolver's behaviour. A key is hashed once per operation (`DefaultHasher`
+//! over `(qname, qtype)`): that hash picks the shard and keys the shard's
+//! map, and a lookup borrows the caller's name instead of building a key.
+//! Each shard keeps a `BTreeMap` expiry index beside the map so the victim
+//! is found in O(log n) instead of a full scan.
 
 use dps_authdns::resolver::Resolution;
 use dps_dns::{Name, RrType};
 use dps_telemetry::{Counter, Registry};
 // dps: allow-file(unordered-collection, reason = "each shard's answer map is a keyed lookup only, never iterated; eviction order comes from the BTreeMap expiry index")
+use std::collections::hash_map::{DefaultHasher, Entry as MapEntry};
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Answer-cache tunables.
 #[derive(Debug, Clone, Copy)]
@@ -70,16 +74,112 @@ pub struct CacheStats {
     pub expirations: u64,
 }
 
-type Key = (Name, RrType);
+/// A cached answer with the key it was stored under.
+struct Entry {
+    qname: Name,
+    qtype: RrType,
+    answer: CachedAnswer,
+}
 
-/// One shard: the answer map plus an expiry-ordered index over the same
-/// entries, so capacity eviction pops the earliest expiry in O(log n)
-/// rather than scanning the whole map.
+impl Entry {
+    fn is(&self, qname: &Name, qtype: RrType) -> bool {
+        self.qtype == qtype && self.qname == *qname
+    }
+}
+
+/// A shard's entries whose keys share one 64-bit hash: almost always
+/// one; a true collision keeps the others in `more`.
+struct Bucket {
+    first: Entry,
+    more: Vec<Entry>,
+}
+
+/// Hashes a key's precomputed 64-bit hash to itself, so the shard map
+/// does not hash a name a second time.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(b);
+        }
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.0 = n;
+    }
+}
+
+/// The `(qname, qtype)` hash that routes a key to its shard and finds it
+/// in the shard's map.
+fn key_hash(qname: &Name, qtype: RrType) -> u64 {
+    let mut h = DefaultHasher::new();
+    (qname, qtype).hash(&mut h);
+    h.finish()
+}
+
+/// One shard: the answers by key hash plus an expiry-ordered index over
+/// the same entries (each as its key hash), so capacity eviction pops
+/// the earliest expiry in O(log n) rather than scanning the whole map.
 #[derive(Default)]
 struct ShardState {
-    map: HashMap<Key, CachedAnswer>,
-    by_expiry: BTreeMap<(u64, u64), Key>,
+    map: HashMap<u64, Bucket, BuildHasherDefault<KeyHasher>>,
+    by_expiry: BTreeMap<(u64, u64), u64>,
+    entries: usize,
     next_seq: u64,
+}
+
+impl ShardState {
+    fn find(&self, hash: u64, qname: &Name, qtype: RrType) -> Option<&Entry> {
+        let bucket = self.map.get(&hash)?;
+        std::iter::once(&bucket.first)
+            .chain(&bucket.more)
+            .find(|e| e.is(qname, qtype))
+    }
+
+    fn find_mut(&mut self, hash: u64, qname: &Name, qtype: RrType) -> Option<&mut Entry> {
+        let bucket = self.map.get_mut(&hash)?;
+        std::iter::once(&mut bucket.first)
+            .chain(&mut bucket.more)
+            .find(|e| e.is(qname, qtype))
+    }
+
+    fn push(&mut self, hash: u64, entry: Entry) {
+        match self.map.entry(hash) {
+            MapEntry::Occupied(bucket) => bucket.into_mut().more.push(entry),
+            MapEntry::Vacant(slot) => {
+                slot.insert(Bucket {
+                    first: entry,
+                    more: Vec::new(),
+                });
+            }
+        }
+        self.entries += 1;
+    }
+
+    /// Removes the entry under `hash` that `which` picks, and its index
+    /// entry.
+    fn remove(&mut self, hash: u64, which: impl Fn(&Entry) -> bool) -> Option<Entry> {
+        let bucket = self.map.get_mut(&hash)?;
+        let gone = if which(&bucket.first) {
+            match bucket.more.pop() {
+                Some(next) => std::mem::replace(&mut bucket.first, next),
+                None => self.map.remove(&hash)?.first,
+            }
+        } else {
+            let i = bucket.more.iter().position(which)?;
+            bucket.more.swap_remove(i)
+        };
+        self.entries -= 1;
+        self.by_expiry
+            .remove(&(gone.answer.expires_at_us, gone.answer.expiry_seq));
+        Some(gone)
+    }
 }
 
 /// Telemetry handles mirroring the lookup-path [`CacheStats`] counters
@@ -131,68 +231,60 @@ impl AnswerCache {
         self
     }
 
-    /// The index of the shard `(qname, qtype)` routes to: the key tuple's
-    /// hash (a borrowed name hashes like an owned one).
-    fn shard_of(&self, qname: &Name, qtype: RrType) -> usize {
-        let mut h = std::collections::hash_map::DefaultHasher::new();
-        (qname, qtype).hash(&mut h);
-        (h.finish() as usize) % self.shards.len()
+    /// The key hash of `(qname, qtype)` and the index of the shard it
+    /// routes to.
+    fn locate(&self, qname: &Name, qtype: RrType) -> (u64, usize) {
+        let hash = key_hash(qname, qtype);
+        (hash, (hash as usize) % self.shards.len())
     }
 
     /// The resolution cached for `(qname, qtype)`, if still live at
     /// `now_us`. Expired entries are dropped on contact.
     pub fn get(&mut self, qname: &Name, qtype: RrType, now_us: u64) -> Option<Resolution> {
-        self.get_with_expiry(qname, qtype, now_us).map(|(r, _)| r)
+        self.peek(qname, qtype, now_us).map(|(r, _)| r.clone())
     }
 
-    /// Like [`AnswerCache::get`], but also returns the entry's absolute
-    /// expiry (µs). Callers that re-cache a replayed answer under a new
-    /// name must cap the derived TTL by the remaining lifetime, as a real
-    /// resolver decrements TTLs on replay.
-    pub fn get_with_expiry(
-        &mut self,
-        qname: &Name,
-        qtype: RrType,
-        now_us: u64,
-    ) -> Option<(Resolution, u64)> {
-        let at = self.shard_of(qname, qtype);
+    /// Like [`AnswerCache::get`], but lends the cached resolution
+    /// instead of copying it, with the entry's absolute expiry (µs).
+    /// Callers that re-cache a replayed answer under a new name must cap
+    /// the derived TTL by the remaining lifetime, as a real resolver
+    /// decrements TTLs on replay. Counts as a lookup exactly as `get`
+    /// does.
+    pub fn peek(&mut self, qname: &Name, qtype: RrType, now_us: u64) -> Option<(&Resolution, u64)> {
+        let (hash, at) = self.locate(qname, qtype);
         let state = self.shards.get_mut(at)?;
-        let key = (qname.clone(), qtype);
-        match state.map.get(&key) {
-            Some(e) if e.expires_at_us > now_us => {
-                self.stats.hits += 1;
-                self.metrics.hits.inc();
-                Some((e.resolution.clone(), e.expires_at_us))
-            }
-            Some(_) => {
-                if let Some(dead) = state.map.remove(&key) {
-                    state
-                        .by_expiry
-                        .remove(&(dead.expires_at_us, dead.expiry_seq));
-                }
-                self.stats.expirations += 1;
-                self.stats.misses += 1;
-                self.metrics.expired.inc();
-                self.metrics.misses.inc();
-                None
-            }
-            None => {
-                self.stats.misses += 1;
-                self.metrics.misses.inc();
-                None
-            }
+        let Some(live) = state
+            .find(hash, qname, qtype)
+            .map(|e| e.answer.expires_at_us > now_us)
+        else {
+            self.stats.misses += 1;
+            self.metrics.misses.inc();
+            return None;
+        };
+        if !live {
+            state.remove(hash, |e| e.is(qname, qtype));
+            self.stats.expirations += 1;
+            self.stats.misses += 1;
+            self.metrics.expired.inc();
+            self.metrics.misses.inc();
+            return None;
         }
+        self.stats.hits += 1;
+        self.metrics.hits.inc();
+        state
+            .find(hash, qname, qtype)
+            .map(|e| (&e.answer.resolution, e.answer.expires_at_us))
     }
 
     /// Whether the live entry for `(qname, qtype)` is negative. `None` when
     /// nothing (live) is cached. Does not touch hit/miss counters.
     pub fn negative(&self, qname: &Name, qtype: RrType, now_us: u64) -> Option<bool> {
+        let (hash, at) = self.locate(qname, qtype);
         self.shards
-            .get(self.shard_of(qname, qtype))?
-            .map
-            .get(&(qname.clone(), qtype))
-            .filter(|e| e.expires_at_us > now_us)
-            .map(|e| e.negative)
+            .get(at)?
+            .find(hash, qname, qtype)
+            .filter(|e| e.answer.expires_at_us > now_us)
+            .map(|e| e.answer.negative)
     }
 
     /// Stores `resolution` for `ttl_secs` starting at `now_us`. A positive
@@ -211,41 +303,47 @@ impl AnswerCache {
         if ttl_secs == 0 {
             return;
         }
-        let at = self.shard_of(qname, qtype);
+        let (hash, at) = self.locate(qname, qtype);
         let Some(state) = self.shards.get_mut(at) else {
             return;
         };
-        let key = (qname.clone(), qtype);
         let expires_at_us = now_us + u64::from(ttl_secs) * 1_000_000;
         let expiry_seq = state.next_seq;
         state.next_seq += 1;
-        if let Some(old) = state.map.remove(&key) {
+        let answer = CachedAnswer {
+            resolution,
+            expires_at_us,
+            negative,
+            expiry_seq,
+        };
+        if let Some(entry) = state.find_mut(hash, qname, qtype) {
+            // The key is already held: swap the answer in place.
+            let old = std::mem::replace(&mut entry.answer, answer);
             state.by_expiry.remove(&(old.expires_at_us, old.expiry_seq));
-        } else if state.map.len() >= self.shard_capacity {
-            // Evict the entry closest to dying of old age.
-            if let Some((_, victim)) = state.by_expiry.pop_first() {
-                state.map.remove(&victim);
-                self.stats.evictions += 1;
+        } else {
+            if state.entries >= self.shard_capacity {
+                // Evict the entry closest to dying of old age.
+                if let Some(((_, seq), victim)) = state.by_expiry.pop_first() {
+                    state.remove(victim, |e| e.answer.expiry_seq == seq);
+                    self.stats.evictions += 1;
+                }
             }
+            state.push(
+                hash,
+                Entry {
+                    qname: qname.clone(),
+                    qtype,
+                    answer,
+                },
+            );
         }
-        state
-            .by_expiry
-            .insert((expires_at_us, expiry_seq), key.clone());
-        state.map.insert(
-            key,
-            CachedAnswer {
-                resolution,
-                expires_at_us,
-                negative,
-                expiry_seq,
-            },
-        );
+        state.by_expiry.insert((expires_at_us, expiry_seq), hash);
         self.stats.inserts += 1;
     }
 
     /// Live + expired-but-unswept entries currently held.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.map.len()).sum()
+        self.shards.iter().map(|s| s.entries).sum()
     }
 
     /// True when nothing is cached.
@@ -353,6 +451,47 @@ mod tests {
             Rcode::NoError
         );
         assert_eq!(cache.len(), 1);
+    }
+
+    #[test]
+    fn keys_sharing_a_hash_stay_apart() {
+        // Force three keys into one bucket, as a 64-bit hash collision
+        // would.
+        let mut shard = ShardState::default();
+        let names = ["a.test", "b.test", "c.test"];
+        for (seq, name) in names.iter().enumerate() {
+            let answer = CachedAnswer {
+                resolution: res(Rcode::NoError),
+                expires_at_us: 10,
+                negative: false,
+                expiry_seq: seq as u64,
+            };
+            shard.push(
+                7,
+                Entry {
+                    qname: n(name),
+                    qtype: RrType::A,
+                    answer,
+                },
+            );
+            shard.by_expiry.insert((10, seq as u64), 7);
+        }
+        assert_eq!(shard.entries, 3);
+        for name in names {
+            assert!(shard.find(7, &n(name), RrType::A).is_some(), "{name}");
+        }
+        assert!(shard.find(7, &n("a.test"), RrType::Aaaa).is_none());
+        assert!(shard.find(8, &n("a.test"), RrType::A).is_none());
+        let gone = |e: Option<Entry>| e.map(|e| e.qname.to_string());
+        let a = shard.remove(7, |e| e.is(&n("a.test"), RrType::A));
+        assert_eq!(gone(a), Some("a.test.".into()));
+        assert!(shard.find(7, &n("b.test"), RrType::A).is_some());
+        let c = shard.remove(7, |e| e.answer.expiry_seq == 2);
+        assert_eq!(gone(c), Some("c.test.".into()));
+        let b = shard.remove(7, |e| e.is(&n("b.test"), RrType::A));
+        assert_eq!(gone(b), Some("b.test.".into()));
+        assert!(shard.map.is_empty() && shard.by_expiry.is_empty());
+        assert_eq!(shard.entries, 0);
     }
 
     #[test]

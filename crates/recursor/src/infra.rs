@@ -55,57 +55,71 @@ impl InfraCache {
     }
 
     /// Records that `cut` is served by `servers` for `ttl_secs`. A full
-    /// cache first evicts the cut closest to expiry.
-    pub fn put(&mut self, cut: Name, servers: Vec<IpAddr>, ttl_secs: u32, now_us: u64) {
+    /// cache first evicts the cut closest to expiry; a cut already held
+    /// is refreshed in place.
+    pub fn put(&mut self, cut: &Name, servers: &[IpAddr], ttl_secs: u32, now_us: u64) {
         if ttl_secs == 0 || servers.is_empty() {
             return;
         }
-        let key = cut.as_wire().to_vec();
         let state = &mut self.state;
-        if state.cuts.contains_key(&key) {
-            state.remove(&key);
-        } else if state.cuts.len() >= self.capacity {
+        let seq = state.next_seq;
+        state.next_seq += 1;
+        let expires_at_us = now_us + u64::from(ttl_secs) * 1_000_000;
+        if let Some(e) = state.cuts.get_mut(cut.as_wire()) {
+            let stale = (e.expires_at_us, e.seq);
+            e.servers.clear();
+            e.servers.extend_from_slice(servers);
+            e.expires_at_us = expires_at_us;
+            e.seq = seq;
+            if let Some(key) = state.by_expiry.remove(&stale) {
+                state.by_expiry.insert((expires_at_us, seq), key);
+            }
+            return;
+        }
+        if state.cuts.len() >= self.capacity {
             if let Some((_, victim)) = state.by_expiry.pop_first() {
                 state.cuts.remove(&victim);
             }
         }
-        let seq = state.next_seq;
-        state.next_seq += 1;
-        let expires_at_us = now_us + u64::from(ttl_secs) * 1_000_000;
+        let key = cut.as_wire().to_vec();
         state.by_expiry.insert((expires_at_us, seq), key.clone());
         state.cuts.insert(
             key,
             InfraEntry {
-                servers,
+                servers: servers.to_vec(),
                 expires_at_us,
                 seq,
             },
         );
     }
 
-    /// The deepest cached cut enclosing `qname` (the qname itself counts),
-    /// with its servers. Walks towards the root; expired entries along the
-    /// way are dropped. The root itself is never cached here — when this
-    /// returns `None`, resolution starts from the root hints.
-    pub fn deepest(&mut self, qname: &Name, now_us: u64) -> Option<(Name, Vec<IpAddr>)> {
-        let wire = qname.as_wire();
+    /// Where the deepest live cut enclosing the name `wire` starts in it.
+    /// Walks towards the root; expired entries along the way are dropped.
+    fn deepest_at(&mut self, wire: &[u8], now_us: u64) -> Option<usize> {
         let state = &mut self.state;
         let mut at = 0usize;
         // Each suffix of the wire form starting at a label boundary is an
         // enclosing name; the final root octet ends the walk.
         while let Some(&len) = wire.get(at).filter(|&&len| len != 0) {
-            let suffix = &wire[at..];
+            let suffix = wire.get(at..)?;
             match state.cuts.get(suffix) {
-                Some(e) if e.expires_at_us > now_us => {
-                    let cut = Name::from_wire(suffix).ok()?;
-                    return Some((cut, e.servers.clone()));
-                }
+                Some(e) if e.expires_at_us > now_us => return Some(at),
                 Some(_) => state.remove(suffix),
                 None => {}
             }
             at += 1 + usize::from(len);
         }
         None
+    }
+
+    /// The servers of the deepest cached cut enclosing `qname` (the
+    /// qname itself counts). Walks towards the root; expired entries
+    /// along the way are dropped. The root itself is never cached here —
+    /// when this returns `None`, resolution starts from the root hints.
+    pub fn deepest(&mut self, qname: &Name, now_us: u64) -> Option<&[IpAddr]> {
+        let wire = qname.as_wire();
+        let cut = wire.get(self.deepest_at(wire, now_us)?..)?;
+        self.state.cuts.get(cut).map(|e| e.servers.as_slice())
     }
 
     /// Cached cuts (including expired-but-unswept ones).
@@ -134,32 +148,32 @@ mod tests {
     #[test]
     fn deepest_enclosing_cut_wins() {
         let mut cache = InfraCache::new(16);
-        cache.put(n("com"), vec![ip("10.0.0.1")], 300, 0);
-        cache.put(n("examp.com"), vec![ip("10.0.0.2")], 300, 0);
-        let (cut, servers) = cache.deepest(&n("www.examp.com"), 0).unwrap();
-        assert_eq!(cut, n("examp.com"));
-        assert_eq!(servers, vec![ip("10.0.0.2")]);
-        let (cut, _) = cache.deepest(&n("other.com"), 0).unwrap();
-        assert_eq!(cut, n("com"));
+        cache.put(&n("com"), &[ip("10.0.0.1")], 300, 0);
+        cache.put(&n("examp.com"), &[ip("10.0.0.2")], 300, 0);
+        // Each cut has its own server, so the servers name the cut.
+        let servers = cache.deepest(&n("www.examp.com"), 0).unwrap();
+        assert_eq!(servers, [ip("10.0.0.2")]);
+        let servers = cache.deepest(&n("other.com"), 0).unwrap();
+        assert_eq!(servers, [ip("10.0.0.1")], "com");
         assert!(cache.deepest(&n("other.net"), 0).is_none());
     }
 
     #[test]
     fn expiry_falls_back_to_shallower_cut() {
         let mut cache = InfraCache::new(16);
-        cache.put(n("com"), vec![ip("10.0.0.1")], 3_600, 0);
-        cache.put(n("examp.com"), vec![ip("10.0.0.2")], 60, 0);
-        let (cut, _) = cache.deepest(&n("www.examp.com"), 61_000_000).unwrap();
-        assert_eq!(cut, n("com"), "expired deep cut skipped");
+        cache.put(&n("com"), &[ip("10.0.0.1")], 3_600, 0);
+        cache.put(&n("examp.com"), &[ip("10.0.0.2")], 60, 0);
+        let servers = cache.deepest(&n("www.examp.com"), 61_000_000).unwrap();
+        assert_eq!(servers, [ip("10.0.0.1")], "expired deep cut skipped");
         assert_eq!(cache.len(), 1, "expired entry dropped on contact");
     }
 
     #[test]
     fn capacity_bound_holds() {
         let mut cache = InfraCache::new(2);
-        cache.put(n("a.test"), vec![ip("10.0.0.1")], 10, 0);
-        cache.put(n("b.test"), vec![ip("10.0.0.2")], 20, 0);
-        cache.put(n("c.test"), vec![ip("10.0.0.3")], 30, 0);
+        cache.put(&n("a.test"), &[ip("10.0.0.1")], 10, 0);
+        cache.put(&n("b.test"), &[ip("10.0.0.2")], 20, 0);
+        cache.put(&n("c.test"), &[ip("10.0.0.3")], 30, 0);
         assert_eq!(cache.len(), 2);
         assert!(
             cache.deepest(&n("a.test"), 0).is_none(),
@@ -174,7 +188,7 @@ mod tests {
         for _ in 0..32 {
             let mut cache = InfraCache::new(3);
             for cut in ["a.test", "b.test", "c.test", "d.test", "e.test"] {
-                cache.put(n(cut), vec![ip("10.0.0.1")], 60, 0);
+                cache.put(&n(cut), &[ip("10.0.0.1")], 60, 0);
             }
             assert_eq!(cache.len(), 3);
             for gone in ["a.test", "b.test"] {
@@ -189,12 +203,12 @@ mod tests {
     #[test]
     fn refreshing_a_cut_moves_it_in_the_eviction_order() {
         let mut cache = InfraCache::new(2);
-        cache.put(n("a.test"), vec![ip("10.0.0.1")], 10, 0);
-        cache.put(n("b.test"), vec![ip("10.0.0.2")], 20, 0);
-        cache.put(n("a.test"), vec![ip("10.0.0.3")], 30, 0);
-        cache.put(n("c.test"), vec![ip("10.0.0.4")], 40, 0);
+        cache.put(&n("a.test"), &[ip("10.0.0.1")], 10, 0);
+        cache.put(&n("b.test"), &[ip("10.0.0.2")], 20, 0);
+        cache.put(&n("a.test"), &[ip("10.0.0.3")], 30, 0);
+        cache.put(&n("c.test"), &[ip("10.0.0.4")], 40, 0);
         assert!(cache.deepest(&n("b.test"), 0).is_none(), "stale b evicted");
-        let (_, servers) = cache.deepest(&n("a.test"), 0).unwrap();
-        assert_eq!(servers, vec![ip("10.0.0.3")], "refreshed a kept");
+        let servers = cache.deepest(&n("a.test"), 0).unwrap();
+        assert_eq!(servers, [ip("10.0.0.3")], "refreshed a kept");
     }
 }

@@ -127,6 +127,10 @@ pub struct Recursor {
     health: Arc<HealthTracker>,
     stats: RecursorStats,
     metrics: RecursorMetrics,
+    /// Server lists of finished descents, reused by the next ones.
+    spare_servers: Vec<Vec<IpAddr>>,
+    /// The breaker-ordered server list of the current query.
+    ordered: Vec<IpAddr>,
 }
 
 impl Recursor {
@@ -168,6 +172,8 @@ impl Recursor {
             resolver,
             clock,
             health,
+            spare_servers: Vec::new(),
+            ordered: Vec::new(),
         }
     }
 
@@ -250,26 +256,28 @@ impl Recursor {
     fn resolve_network(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
         let started = self.resolver.now_us();
         let mut chain: Vec<Record> = Vec::new();
-        let mut current = qname.clone();
+        // The alias target the chase restarted at, once it has.
+        let mut restarted: Option<Name> = None;
 
         for _ in 0..=self.config.resolver.max_indirections {
+            let current = restarted.as_ref().unwrap_or(qname);
+            let is_restart = current != qname;
             // A restarted alias target may itself be cached (shared CDN
             // edges are hit by many apexes).
-            if current != *qname {
+            if is_restart {
                 let now = self.clock.now_us();
-                if let Some((hit, expires_at_us)) =
-                    self.answers.get_with_expiry(&current, qtype, now)
-                {
+                if let Some((hit, expires_at_us)) = self.answers.peek(current, qtype, now) {
                     self.stats.cache_hits += 1;
                     // The replayed records keep their original ttl fields,
                     // so the re-cached chain must not outlive the entry it
                     // was derived from: cap by the remaining lifetime.
                     let remaining_secs = (expires_at_us.saturating_sub(now) / 1_000_000) as u32;
-                    chain.extend(hit.answers);
+                    let rcode = hit.rcode;
+                    chain.extend(hit.answers.iter().cloned());
                     return Ok(self.finish(
                         qname,
                         qtype,
-                        hit.rcode,
+                        rcode,
                         chain,
                         started,
                         None,
@@ -278,15 +286,15 @@ impl Recursor {
                 }
             }
 
-            let resp = self.resolve_once(&current, qtype, 0)?;
+            let resp = self.resolve_once(current, qtype, 0)?;
             let soa = soa_minimum(&resp);
             match resp.header.rcode {
                 Rcode::NoError => {}
                 Rcode::NxDomain => {
-                    if current != *qname {
-                        self.cache_segment(&current, qtype, Rcode::NxDomain, &resp.answers, soa);
+                    if is_restart {
+                        self.cache_segment(current, qtype, Rcode::NxDomain, &resp.answers, soa);
                     }
-                    chain.extend(resp.answers);
+                    append(&mut chain, resp.answers);
                     return Ok(self.finish(
                         qname,
                         qtype,
@@ -303,7 +311,7 @@ impl Recursor {
             // Follow the CNAME chain inside this response. A chain without
             // a repeat has fewer links than the response has records, so
             // the bound only cuts a loop (a server may answer with one).
-            let mut tip = &current;
+            let mut tip = current;
             for _ in 0..resp.answers.len() {
                 match resp.answers.iter().find_map(|r| match &r.rdata {
                     RData::Cname(t) if r.name == *tip => Some(t),
@@ -319,19 +327,19 @@ impl Recursor {
                     .answers
                     .iter()
                     .any(|r| r.name == *tip && r.rtype() == qtype);
-            if have_final || *tip == current {
-                if current != *qname {
+            if have_final || tip == current {
+                if is_restart {
                     // Terminal segment of a restarted chase: cacheable under
                     // its own name, so other apexes aliased onto the same
                     // target (shared CDN edges) hit without a descent.
-                    self.cache_segment(&current, qtype, Rcode::NoError, &resp.answers, soa);
+                    self.cache_segment(current, qtype, Rcode::NoError, &resp.answers, soa);
                 }
-                chain.extend(resp.answers);
+                append(&mut chain, resp.answers);
                 return Ok(self.finish(qname, qtype, Rcode::NoError, chain, started, soa, None));
             }
             let tip = tip.clone();
-            chain.extend(resp.answers);
-            current = tip;
+            append(&mut chain, resp.answers);
+            restarted = Some(tip);
         }
         Err(ResolveError::TooManyIndirections)
     }
@@ -353,6 +361,10 @@ impl Recursor {
         } else {
             answers.iter().map(|r| r.ttl).min().unwrap_or(0)
         };
+        if ttl == 0 {
+            // Uncacheable: do not copy the records for nothing.
+            return;
+        }
         let resolution = Resolution {
             rcode,
             answers: answers.to_vec(),
@@ -395,8 +407,10 @@ impl Recursor {
             resolution.answers.iter().map(|r| r.ttl).min().unwrap_or(0)
         };
         let ttl = ttl_cap.map_or(ttl, |cap| ttl.min(cap));
-        self.answers
-            .insert(qname, qtype, resolution.clone(), ttl, negative, now);
+        if ttl > 0 {
+            self.answers
+                .insert(qname, qtype, resolution.clone(), ttl, negative, now);
+        }
         resolution
     }
 
@@ -412,35 +426,40 @@ impl Recursor {
         if depth > 2 {
             return Err(ResolveError::NoNameservers);
         }
-        let servers = match self.infra.deepest(qname, self.clock.now_us()) {
-            Some((_, cached)) => {
+        // Nested glue resolutions each take a server list of their own.
+        let mut servers = self.spare_servers.pop().unwrap_or_default();
+        servers.clear();
+        match self.infra.deepest(qname, self.clock.now_us()) {
+            Some(cached) => {
+                servers.extend_from_slice(cached);
                 self.stats.infra_starts += 1;
                 self.metrics.infra_hits.inc();
-                cached
             }
-            None => self.root_hints.clone(),
-        };
+            None => servers.extend_from_slice(&self.root_hints),
+        }
 
         let mut rounds = 0u64;
-        let result = self.descend(qname, qtype, depth, servers, &mut rounds);
+        let result = self.descend(qname, qtype, depth, &mut servers, &mut rounds);
+        self.spare_servers.push(servers);
         self.metrics.iteration_depth.observe(rounds);
         result
     }
 
     /// The referral walk of [`Recursor::resolve_once`], split out so
     /// the number of query rounds lands in the iteration-depth histogram
-    /// on every exit path.
+    /// on every exit path. `servers` holds the current cut's addresses;
+    /// each referral refills it with the next cut's.
     fn descend(
         &mut self,
         qname: &Name,
         qtype: RrType,
         depth: u32,
-        mut servers: Vec<IpAddr>,
+        servers: &mut Vec<IpAddr>,
         rounds: &mut u64,
     ) -> Result<Message, ResolveError> {
         for _ in 0..=self.config.resolver.max_referrals {
             *rounds += 1;
-            let resp = self.query(&servers, qname, qtype)?;
+            let resp = self.query(servers, qname, qtype)?;
             match resp.header.rcode {
                 Rcode::NoError => {}
                 _ => return Ok(resp),
@@ -450,66 +469,48 @@ impl Recursor {
             }
 
             // Referral: learn the cut, gather NS targets + glue.
-            let ns_records: Vec<&Record> = resp
-                .authorities
-                .iter()
-                .filter(|r| matches!(r.rdata, RData::Ns(_)))
-                .collect();
-            let Some(cut) = ns_records.first().map(|r| r.name.clone()) else {
+            let ns_records = || {
+                resp.authorities.iter().filter_map(|r| match &r.rdata {
+                    RData::Ns(target) => Some((r, target)),
+                    _ => None,
+                })
+            };
+            let Some(cut) = ns_records().next().map(|(r, _)| &r.name) else {
                 return Err(ResolveError::NoNameservers);
             };
-            let ns_ttl = ns_records.iter().map(|r| r.ttl).min().unwrap_or(0);
-            let ns_targets: Vec<Name> = ns_records
-                .iter()
-                .filter_map(|r| match &r.rdata {
-                    RData::Ns(t) => Some(t.clone()),
-                    _ => None,
-                })
-                .collect();
-
-            let mut next: Vec<IpAddr> = resp
-                .additionals
-                .iter()
-                .filter_map(|r| match &r.rdata {
-                    RData::A(a) if ns_targets.contains(&r.name) => Some(IpAddr::V4(*a)),
-                    _ => None,
-                })
-                .collect();
-            if next.is_empty() {
+            let ns_ttl = ns_records().map(|(r, _)| r.ttl).min().unwrap_or(0);
+            servers.clear();
+            servers.extend(resp.additionals.iter().filter_map(|r| match &r.rdata {
+                RData::A(a) if ns_records().any(|(_, t)| *t == r.name) => Some(IpAddr::V4(*a)),
+                _ => None,
+            }));
+            if servers.is_empty() {
                 // Glueless delegation: resolve the first NS names, via the
                 // answer cache when their addresses are already known.
-                for target in ns_targets.iter().take(2) {
-                    let cached = self.answers.get(target, RrType::A, self.clock.now_us());
-                    let from_cache = cached.is_some();
-                    let answers = match cached {
-                        Some(hit) => {
-                            self.stats.cache_hits += 1;
-                            hit.answers
-                        }
-                        None => match self.resolve_once(target, RrType::A, depth + 1) {
-                            Ok(m) => m.answers,
-                            Err(_) => continue,
-                        },
+                for (_, target) in ns_records().take(2) {
+                    let now = self.clock.now_us();
+                    if let Some((hit, _)) = self.answers.peek(target, RrType::A, now) {
+                        self.stats.cache_hits += 1;
+                        servers.extend(addresses_of(&hit.answers, target));
+                        continue;
+                    }
+                    let Ok(m) = self.resolve_once(target, RrType::A, depth + 1) else {
+                        continue;
                     };
-                    let known = next.len();
-                    next.extend(answers.iter().filter_map(|r| match &r.rdata {
-                        RData::A(a) if r.name == *target => Some(IpAddr::V4(*a)),
-                        _ => None,
-                    }));
-                    if !from_cache && next.len() > known {
+                    let known = servers.len();
+                    servers.extend(addresses_of(&m.answers, target));
+                    if servers.len() > known {
                         // Cache the NS host's address, so the next cut it
                         // serves skips this lookup.
                         self.sync_clock();
-                        self.cache_segment(target, RrType::A, Rcode::NoError, &answers, None);
+                        self.cache_segment(target, RrType::A, Rcode::NoError, &m.answers, None);
                     }
                 }
             }
-            if next.is_empty() {
+            if servers.is_empty() {
                 return Err(ResolveError::NoNameservers);
             }
-            self.infra
-                .put(cut, next.clone(), ns_ttl, self.clock.now_us());
-            servers = next;
+            self.infra.put(cut, servers, ns_ttl, self.clock.now_us());
         }
         Err(ResolveError::TooManyReferrals)
     }
@@ -527,38 +528,62 @@ impl Recursor {
         let hedging = self.config.resolver.hedge_after_us > 0;
         let mut last_err = ResolveError::Timeout;
         let mut attempts = 0u64;
-        for round in 0..self.config.resolver.retries.max(1) {
-            self.resolver.backoff_sleep(round);
-            let now = self.sync_clock();
-            let ordered = self.health.order(servers, now);
-            for (i, &server) in ordered.iter().enumerate() {
-                if attempts > 0 {
-                    self.stats.retries += 1;
-                }
-                attempts += 1;
-                let hedges_before = self.resolver.hedges_sent();
-                let hedge = if hedging {
-                    ordered.get(i + 1).copied()
-                } else {
-                    None
-                };
-                let exchanged = self.resolver.exchange_hedged(server, hedge, qname, qtype);
-                self.stats.hedges += self.resolver.hedges_sent() - hedges_before;
-                match exchanged {
-                    Ok(out) => {
-                        self.health.record_success(out.responder);
-                        return Ok(out.message);
+        // One ordering buffer serves every round (a query never nests).
+        let mut ordered = std::mem::take(&mut self.ordered);
+        let result = 'rounds: {
+            for round in 0..self.config.resolver.retries.max(1) {
+                self.resolver.backoff_sleep(round);
+                let now = self.sync_clock();
+                self.health.order(servers, now, &mut ordered);
+                for (i, &server) in ordered.iter().enumerate() {
+                    if attempts > 0 {
+                        self.stats.retries += 1;
                     }
-                    Err(e) => {
-                        let now = self.sync_clock();
-                        self.health.record_failure(server, now);
-                        last_err = e;
+                    attempts += 1;
+                    let hedges_before = self.resolver.hedges_sent();
+                    let hedge = if hedging {
+                        ordered.get(i + 1).copied()
+                    } else {
+                        None
+                    };
+                    let exchanged = self.resolver.exchange_hedged(server, hedge, qname, qtype);
+                    self.stats.hedges += self.resolver.hedges_sent() - hedges_before;
+                    match exchanged {
+                        Ok(out) => {
+                            self.health.record_success(out.responder);
+                            break 'rounds Ok(out.message);
+                        }
+                        Err(e) => {
+                            let now = self.sync_clock();
+                            self.health.record_failure(server, now);
+                            last_err = e;
+                        }
                     }
                 }
             }
-        }
-        Err(last_err)
+            Err(last_err)
+        };
+        self.ordered = ordered;
+        result
     }
+}
+
+/// Appends a response's answer records to a resolution chain (taking
+/// the records whole when the chain is still empty).
+fn append(chain: &mut Vec<Record>, answers: Vec<Record>) {
+    if chain.is_empty() {
+        *chain = answers;
+    } else {
+        chain.extend(answers);
+    }
+}
+
+/// The addresses `answers` gives for `host`.
+fn addresses_of<'a>(answers: &'a [Record], host: &'a Name) -> impl Iterator<Item = IpAddr> + 'a {
+    answers.iter().filter_map(move |r| match &r.rdata {
+        RData::A(a) if r.name == *host => Some(IpAddr::V4(*a)),
+        _ => None,
+    })
 }
 
 /// RFC 2308 negative TTL: the SOA `minimum` attached to the authority

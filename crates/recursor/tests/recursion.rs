@@ -384,7 +384,7 @@ fn replayed_alias_target_does_not_stretch_ttl() {
     let now = recursor.clock_us();
     let (_, edge_expires) = recursor
         .answer_cache()
-        .get_with_expiry(&edge, RrType::A, now)
+        .peek(&edge, RrType::A, now)
         .expect("edge cached under its own name");
 
     // Near the edge's expiry, a sibling alias replays it from cache.
@@ -395,7 +395,7 @@ fn replayed_alias_target_does_not_stretch_ttl() {
     let now = recursor.clock_us();
     let (_, www2_expires) = recursor
         .answer_cache()
-        .get_with_expiry(&www2, RrType::A, now)
+        .peek(&www2, RrType::A, now)
         .expect("derived chain cached");
     assert!(
         www2_expires <= edge_expires,

@@ -4,89 +4,93 @@
 //! `analyze ids:` list) is snapshotted verbatim, so any new command or
 //! flag must update the help — and any help edit is a reviewed diff
 //! here — keeping the documentation from drifting out of sync with the
-//! CLI (`metrics --by-worker` and `measure --workers` once did).
+//! CLI (`metrics --by-worker` and `measure --workers` once did). The
+//! snapshot keeps every line's indentation: command descriptions and
+//! option explanations are indented under their headings, and a help
+//! text built from `\`-continued lines (which drop the next line's
+//! leading spaces) would fail here.
 
 use std::process::Command;
 
 const HELP_SNAPSHOT: &str = "\
-usage: dpscope <command> [options]\n\
-\n\
-commands:\n\
-simulate   export zone files, pfx2as and AS registry for --day\n\
-measure    run the full study, save the archive to --archive\n\
-(resumes from the last committed day if interrupted;\n\
-with --chaos, sweeps over the wire under supervision)\n\
-analyze    regenerate tables/figures (ids or 'all') from --archive\n\
-dig        resolve <name> <type> through the simulated Internet\n\
-(+tries=N and +timeout=MS tune the wire resolver);\n\
-with --server udp://A or tcp://A, query a real DNS\n\
-server over the network instead (+bufsize=N sets the\n\
-EDNS0 size, +noedns sends a classic query; truncated\n\
-UDP answers retry over TCP)\n\
-serve      authoritative DNS over real sockets for the *.zone\n\
-files in --zones (hot-reloaded on change); UDP with\n\
-EDNS0/TC plus TCP fallback, hardened against\n\
-malformed input, floods and slowloris; runs until\n\
-stdin closes\n\
-fuzz       run the deterministic mutation fuzzer against one\n\
-decoder target (or 'all'): fuzz <target> --iters N\n\
---seed S; corpus under crates/fuzz/corpus/<target>\n\
-store      inspect a single-file archive: store <info|verify|cat> <path>\n\
-(info includes the per-day data-quality summary)\n\
-metrics    dump archived sweep telemetry: metrics <path> [--json]\n\
-(all days merged; --day N selects one day's page;\n\
---by-worker appends per-worker provenance counters)\n\
-cluster    multi-process sweep roles:\n\
-cluster serve --bind ADDR --archive DIR  (manager)\n\
-cluster agent --connect ADDR [--name S]  (worker)\n\
-ADDRs containing '/' are Unix sockets, else TCP\n\
-stream     incremental analysis over an archive measured with\n\
---stream (replays the persisted checkpoint pages):\n\
-stream status <path> [--json]  days, per-provider\n\
-distinct estimates, attack flags\n\
-stream check <path>   verify the streamed state\n\
-equals a full dps-core rescan\n\
-stream correlate <path>  score attack flags against\n\
-scenario ground truth (pass the same\n\
---seed/--scale/--days/--cc-start\n\
-the archive was measured with)\n\
-\n\
-options:\n\
---seed N       world seed           (default 2016)\n\
---scale X      population scale     (default 1.0 = 1/1000 real)\n\
---days N       study length         (default 550)\n\
---cc-start N   .nl/Alexa start day  (default 366)\n\
---stride N     measure every Nth day (default 1)\n\
---day N        day for simulate/dig (default 0)\n\
---out DIR      output directory     (default target/dpscope)\n\
---archive DIR  measurement archive directory\n\
---source N     store cat: source id (0=com 1=net 2=org 3=nl 4=alexa)\n\
---cols A,B     store cat: project these columns only\n\
---chaos SPEC   measure: sweep over the simulated wire under a\n\
-scripted fault schedule, e.g.\n\
-'degrade@0..inf@loss=0.15; blackout@5s..20s@10.0.0.1'\n\
-(commits and resumes per day like the bulk sweep;\n\
-works with --stream and --shards, not --workers)\n\
---stream       measure: maintain incremental analysis at each\n\
-day's commit and checkpoint it in the archive\n\
-(works with --workers and with --chaos)\n\
---shards N     measure: write a sharded archive (manifest + N\n\
-shard files; scans parallelise per shard) when\n\
-creating a fresh one; resume keeps the existing\n\
-layout (default 1 = single-file archive.dps)\n\
---workers N    measure: sweep with N local worker-agent processes\n\
-over a Unix socket (archive stays byte-identical)\n\
---bind ADDR    cluster serve: listen address\n\
---min-workers N  cluster serve: hold leases until N agents have\n\
-joined (late fleets all participate; default 0)\n\
---connect ADDR cluster agent: manager address\n\
---name S       cluster agent: display name for provenance\n\
---zones DIR    serve: directory of *.zone files (stem = origin)\n\
---udp ADDR     serve: UDP listen address (default 127.0.0.1:0)\n\
---tcp ADDR     serve: TCP listen address (default 127.0.0.1:0)\n\
---iters N      fuzz: iterations per target (default 100000)\n\
---server URL   dig: real server, udp://host:port or tcp://host:port\n\
-\n\
+usage: dpscope <command> [options]
+
+commands:
+  simulate   export zone files, pfx2as and AS registry for --day
+  measure    run the full study, save the archive to --archive
+             (resumes from the last committed day if interrupted;
+             with --chaos, sweeps over the wire under supervision)
+  analyze    regenerate tables/figures (ids or 'all') from --archive
+  dig        resolve <name> <type> through the simulated Internet
+             (+tries=N and +timeout=MS tune the wire resolver);
+             with --server udp://A or tcp://A, query a real DNS
+             server over the network instead (+bufsize=N sets the
+             EDNS0 size, +noedns sends a classic query; truncated
+             UDP answers retry over TCP)
+  serve      authoritative DNS over real sockets for the *.zone
+             files in --zones (hot-reloaded on change); UDP with
+             EDNS0/TC plus TCP fallback, hardened against
+             malformed input, floods and slowloris; runs until
+             stdin closes
+  fuzz       run the deterministic mutation fuzzer against one
+             decoder target (or 'all'): fuzz <target> --iters N
+             --seed S; corpus under crates/fuzz/corpus/<target>
+  store      inspect a single-file archive: store <info|verify|cat> <path>
+             (info includes the per-day data-quality summary)
+  metrics    dump archived sweep telemetry: metrics <path> [--json]
+             (all days merged; --day N selects one day's page;
+             --by-worker appends per-worker provenance counters)
+  cluster    multi-process sweep roles:
+               cluster serve --bind ADDR --archive DIR  (manager)
+               cluster agent --connect ADDR [--name S]  (worker)
+             ADDRs containing '/' are Unix sockets, else TCP
+  stream     incremental analysis over an archive measured with
+             --stream (replays the persisted checkpoint pages):
+               stream status <path> [--json]  days, per-provider
+                              distinct estimates, attack flags
+               stream check <path>   verify the streamed state
+                              equals a full dps-core rescan
+               stream correlate <path>  score attack flags against
+                              scenario ground truth (pass the same
+                              --seed/--scale/--days/--cc-start
+                              the archive was measured with)
+
+options:
+  --seed N       world seed           (default 2016)
+  --scale X      population scale     (default 1.0 = 1/1000 real)
+  --days N       study length         (default 550)
+  --cc-start N   .nl/Alexa start day  (default 366)
+  --stride N     measure every Nth day (default 1)
+  --day N        day for simulate/dig (default 0)
+  --out DIR      output directory     (default target/dpscope)
+  --archive DIR  measurement archive directory
+  --source N     store cat: source id (0=com 1=net 2=org 3=nl 4=alexa)
+  --cols A,B     store cat: project these columns only
+  --chaos SPEC   measure: sweep over the simulated wire under a
+                 scripted fault schedule, e.g.
+                 'degrade@0..inf@loss=0.15; blackout@5s..20s@10.0.0.1'
+                 (commits and resumes per day like the bulk sweep;
+                 works with --stream and --shards, not --workers)
+  --stream       measure: maintain incremental analysis at each
+                 day's commit and checkpoint it in the archive
+                 (works with --workers and with --chaos)
+  --shards N     measure: write a sharded archive (manifest + N
+                 shard files; scans parallelise per shard) when
+                 creating a fresh one; resume keeps the existing
+                 layout (default 1 = single-file archive.dps)
+  --workers N    measure: sweep with N local worker-agent processes
+                 over a Unix socket (archive stays byte-identical)
+  --bind ADDR    cluster serve: listen address
+  --min-workers N  cluster serve: hold leases until N agents have
+                 joined (late fleets all participate; default 0)
+  --connect ADDR cluster agent: manager address
+  --name S       cluster agent: display name for provenance
+  --zones DIR    serve: directory of *.zone files (stem = origin)
+  --udp ADDR     serve: UDP listen address (default 127.0.0.1:0)
+  --tcp ADDR     serve: TCP listen address (default 127.0.0.1:0)
+  --iters N      fuzz: iterations per target (default 100000)
+  --server URL   dig: real server, udp://host:port or tcp://host:port
+
 ";
 
 #[test]
