@@ -15,7 +15,8 @@
 #   ./ci.sh analyze           dps-analyzer over the workspace (must be clean)
 #   ./ci.sh doc               rustdoc over the workspace's own crates, warnings denied
 #   ./ci.sh analyze-fixtures  known-bad corpus must still fail, good must pass
-#   ./ci.sh perfbench-tests   the benchmark harness's unit tests + helper check
+#   ./ci.sh perfbench-tests   the benchmark harness's unit tests, helper check and
+#                             traced-wire pages against a bulk sweep
 set -eu
 
 cd "$(dirname "$0")"
@@ -342,13 +343,40 @@ analyze_fixtures() {
 # statistics and checks with a few milliseconds of unit tests. Its helper
 # binary builds as a package of its own against the workspace crates:
 # checking it catches an API change that breaks it, and --locked catches
-# any drift of its lock file.
+# any drift of its lock file. The benchmark's traced wire pass
+# (`perfbench trace-wire`) resolves through `WirePath`, the recursor with
+# both caches off, and must archive the data pages of a bulk sweep of the
+# same seed (run.py: "wire: traced data pages differ"); the helper builds
+# in release mode beside `dpscope`, as the benchmark builds it.
 perfbench_tests() {
     echo "==> perfbench unit tests"
     PYTHONDONTWRITEBYTECODE=1 python3 -m unittest discover perfbench
     echo "==> perfbench helper: cargo check --locked"
     cargo check --offline --locked --manifest-path perfbench/traced/Cargo.toml \
         --target-dir target/perfbench-traced
+    echo "==> perfbench helper: trace-wire data pages equal a bulk sweep"
+    cargo build --release --offline --bin dpscope
+    cargo build --release --offline --locked --manifest-path perfbench/traced/Cargo.toml \
+        --target-dir target
+    rm -rf target/ci-trace-wire target/ci-trace-bulk target/ci-trace-wire.spans.tsv \
+        target/ci-trace-wire.pages target/ci-trace-bulk.pages
+    scenario='--seed 2016 --scale 0.004 --days 2 --cc-start 1'
+    # shellcheck disable=SC2086 # one word per scenario flag and value
+    ./target/release/perfbench trace-wire $scenario --chaos 'degrade@0..inf@loss=0.02' \
+        --archive target/ci-trace-wire --spans target/ci-trace-wire.spans.tsv >/dev/null
+    # shellcheck disable=SC2086
+    ./target/release/dpscope measure $scenario --archive target/ci-trace-bulk >/dev/null
+    for side in wire bulk; do
+        ./target/release/perfbench digest --archive "target/ci-trace-$side/archive.dps" \
+            | grep '^page ' >"target/ci-trace-$side.pages"
+    done
+    test -s target/ci-trace-bulk.pages
+    cmp target/ci-trace-wire.pages target/ci-trace-bulk.pages || {
+        echo "perfbench trace-wire data pages differ from a bulk sweep" >&2
+        exit 1
+    }
+    rm -rf target/ci-trace-wire target/ci-trace-bulk target/ci-trace-wire.spans.tsv \
+        target/ci-trace-wire.pages target/ci-trace-bulk.pages
 }
 
 case "${1:-}" in

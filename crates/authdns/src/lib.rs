@@ -13,15 +13,13 @@
 //!   and the measurement platform parses),
 //! * [`health`] — a per-nameserver circuit breaker (consecutive-failure
 //!   trip, half-open probing) consulted by server selection,
-//! * [`resolver`] — an iterative resolver that starts from root hints,
-//!   chases referrals and CNAME chains, retries over lossy links (with
-//!   exponential backoff, hedged second attempts, and a per-cause failure
-//!   taxonomy), and a
-//!   [`resolver::DirectResolver`] that evaluates the same semantics
-//!   directly against the catalog (the bulk path for 10^8-query sweeps).
+//! * [`resolver`] — the exchange layer of iterative resolution: validated
+//!   UDP exchanges with hedged second attempts, the exponential backoff
+//!   between retry rounds, and a per-cause failure taxonomy. The referral
+//!   walk over it is `dps-recursor`'s `Recursor`.
 //!
-//! The equivalence of the wire path and the bulk path is asserted by tests
-//! in `tests/equivalence.rs`.
+//! Bulk sweeps skip the wire and ask the world model (`World::resolve`);
+//! `tests/wire_bulk_equivalence.rs` holds the two paths equal.
 
 pub mod catalog;
 pub mod health;
@@ -33,8 +31,7 @@ pub mod zonefile;
 pub use catalog::Catalog;
 pub use health::{HealthConfig, HealthMetrics, HealthTracker, ServerHealth};
 pub use resolver::{
-    DirectResolver, ExchangeOutcome, FailureCause, Resolution, ResolveError, Resolver,
-    ResolverConfig,
+    ExchangeOutcome, FailureCause, Resolution, ResolveError, Resolver, ResolverConfig,
 };
 pub use server::{answer_from, AuthServer};
 pub use zone::{LookupOutcome, Zone};

@@ -7,6 +7,8 @@ use dps_columnar::StringDict;
 use dps_dns::{Name, RData, Rcode, RrType};
 use dps_ecosystem::World;
 use dps_netsim::Pfx2As;
+use dps_recursor::{CacheConfig, Recursor};
+use dps_telemetry::Registry;
 // dps: allow-file(unordered-collection, reason = "SldInterner's caches are keyed lookups only, never iterated; dictionary ids are assigned by StringDict in first-intern order, so hash order cannot leak into output")
 use std::collections::HashMap;
 use std::net::IpAddr;
@@ -78,43 +80,44 @@ impl QueryPath for BulkPath<'_> {
 }
 
 /// Iterative resolution over the simulated network, from the root for
-/// every query: the uncached baseline.
-pub struct WirePath {
-    resolver: Resolver,
-}
+/// every query: the uncached baseline, a [`Recursor`] with both caches
+/// off. Its `recursor.*` instruments are detached.
+pub struct WirePath(Recursor);
 
 impl WirePath {
-    /// Wraps an iterative resolver.
+    /// Resolves through `resolver`, with its root hints, wire policy and
+    /// health tracker.
     pub fn new(resolver: Resolver) -> Self {
-        Self { resolver }
+        let off = CacheConfig {
+            capacity: 0,
+            ..CacheConfig::default()
+        };
+        Self(Recursor::over(resolver, off, 0, &Registry::new()))
     }
 }
 
 impl QueryPath for WirePath {
     fn query(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
-        self.resolver.resolve(qname, qtype)
+        self.0.resolve(qname, qtype)
     }
 
     fn pause_us(&mut self, dt_us: u64) {
-        self.resolver.sleep_us(dt_us);
+        self.0.sleep_us(dt_us);
     }
 
     fn telemetry(&self) -> PathTelemetry {
-        PathTelemetry {
-            hedges: self.resolver.hedges_sent(),
-            breaker_trips: self.resolver.health().map_or(0, |h| h.trips()),
-        }
+        self.0.telemetry()
     }
 
     fn now_us(&self) -> u64 {
-        self.resolver.now_us()
+        self.0.now_us()
     }
 }
 
 /// Iterative resolution through a caching recursor: wire semantics, but
 /// TTL-aware answer/infrastructure caches amortise packets across
 /// domains. The chaos sweep's path.
-impl QueryPath for dps_recursor::Recursor {
+impl QueryPath for Recursor {
     fn query(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
         self.resolve(qname, qtype)
     }
@@ -132,7 +135,7 @@ impl QueryPath for dps_recursor::Recursor {
     }
 
     fn now_us(&self) -> u64 {
-        dps_recursor::Recursor::now_us(self)
+        Recursor::now_us(self)
     }
 }
 

@@ -26,10 +26,11 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 /// Answer-cache tunables.
 #[derive(Debug, Clone, Copy)]
 pub struct CacheConfig {
-    /// Maximum cached answers across all shards.
+    /// Maximum cached answers across all shards. `0` stores nothing:
+    /// every lookup misses without hashing its key.
     pub capacity: usize,
-    /// Number of shards, each with its own capacity bound (rounded up to
-    /// at least 1).
+    /// Number of shards (at least 1), each with its own capacity bound:
+    /// `capacity / shards`, rounded up.
     pub shards: usize,
     /// Negative-answer lifetime when the response carried no SOA to take
     /// RFC 2308's `minimum` from (seconds).
@@ -215,7 +216,7 @@ impl AnswerCache {
     pub fn new(config: &CacheConfig) -> Self {
         let shards = config.shards.max(1);
         // Ceil-divide so the whole-cache bound is at least `capacity`.
-        let shard_capacity = config.capacity.div_ceil(shards).max(1);
+        let shard_capacity = config.capacity.div_ceil(shards);
         Self {
             shards: (0..shards).map(|_| ShardState::default()).collect(),
             shard_capacity,
@@ -251,6 +252,11 @@ impl AnswerCache {
     /// decrements TTLs on replay. Counts as a lookup exactly as `get`
     /// does.
     pub fn peek(&mut self, qname: &Name, qtype: RrType, now_us: u64) -> Option<(&Resolution, u64)> {
+        if self.shard_capacity == 0 {
+            self.stats.misses += 1;
+            self.metrics.misses.inc();
+            return None;
+        }
         let (hash, at) = self.locate(qname, qtype);
         let state = self.shards.get_mut(at)?;
         let Some(live) = state
@@ -279,6 +285,9 @@ impl AnswerCache {
     /// Whether the live entry for `(qname, qtype)` is negative. `None` when
     /// nothing (live) is cached. Does not touch hit/miss counters.
     pub fn negative(&self, qname: &Name, qtype: RrType, now_us: u64) -> Option<bool> {
+        if self.shard_capacity == 0 {
+            return None;
+        }
         let (hash, at) = self.locate(qname, qtype);
         self.shards
             .get(at)?
@@ -290,7 +299,7 @@ impl AnswerCache {
     /// Stores `resolution` for `ttl_secs` starting at `now_us`. A positive
     /// insert over a negative entry (or vice versa) simply replaces it —
     /// the answer a zone serves *now* wins. A zero TTL is uncacheable and
-    /// ignored.
+    /// ignored, as is every insert into a zero-capacity cache.
     pub fn insert(
         &mut self,
         qname: &Name,
@@ -300,7 +309,7 @@ impl AnswerCache {
         negative: bool,
         now_us: u64,
     ) {
-        if ttl_secs == 0 {
+        if ttl_secs == 0 || self.shard_capacity == 0 {
             return;
         }
         let (hash, at) = self.locate(qname, qtype);
@@ -492,6 +501,20 @@ mod tests {
         assert_eq!(gone(b), Some("b.test.".into()));
         assert!(shard.map.is_empty() && shard.by_expiry.is_empty());
         assert_eq!(shard.entries, 0);
+    }
+
+    #[test]
+    fn zero_capacity_stores_nothing() {
+        let mut cache = AnswerCache::new(&CacheConfig {
+            capacity: 0,
+            ..Default::default()
+        });
+        cache.insert(&n("a.test"), RrType::A, res(Rcode::NoError), 300, false, 0);
+        assert!(cache.is_empty());
+        assert!(cache.get(&n("a.test"), RrType::A, 0).is_none());
+        assert_eq!(cache.negative(&n("a.test"), RrType::A, 0), None);
+        let s = cache.stats();
+        assert_eq!((s.hits, s.misses, s.inserts), (0, 1, 0));
     }
 
     #[test]

@@ -46,11 +46,12 @@ pub struct InfraCache {
 }
 
 impl InfraCache {
-    /// An empty cache holding at most `capacity` cuts.
+    /// An empty cache holding at most `capacity` cuts. A zero-capacity
+    /// cache stores nothing, and every descent starts at the root.
     pub fn new(capacity: usize) -> Self {
         Self {
             state: InfraState::default(),
-            capacity: capacity.max(1),
+            capacity,
         }
     }
 
@@ -58,7 +59,7 @@ impl InfraCache {
     /// cache first evicts the cut closest to expiry; a cut already held
     /// is refreshed in place.
     pub fn put(&mut self, cut: &Name, servers: &[IpAddr], ttl_secs: u32, now_us: u64) {
-        if ttl_secs == 0 || servers.is_empty() {
+        if ttl_secs == 0 || servers.is_empty() || self.capacity == 0 {
             return;
         }
         let state = &mut self.state;
@@ -117,6 +118,9 @@ impl InfraCache {
     /// along the way are dropped. The root itself is never cached here —
     /// when this returns `None`, resolution starts from the root hints.
     pub fn deepest(&mut self, qname: &Name, now_us: u64) -> Option<&[IpAddr]> {
+        if self.capacity == 0 {
+            return None;
+        }
         let wire = qname.as_wire();
         let cut = wire.get(self.deepest_at(wire, now_us)?..)?;
         self.state.cuts.get(cut).map(|e| e.servers.as_slice())
@@ -179,6 +183,14 @@ mod tests {
             cache.deepest(&n("a.test"), 0).is_none(),
             "earliest expiry evicted"
         );
+    }
+
+    #[test]
+    fn zero_capacity_stores_nothing() {
+        let mut cache = InfraCache::new(0);
+        cache.put(&n("com"), &[ip("10.0.0.1")], 300, 0);
+        assert!(cache.is_empty());
+        assert!(cache.deepest(&n("examp.com"), 0).is_none());
     }
 
     #[test]

@@ -1,8 +1,10 @@
 //! dps-recursor: a caching recursive resolver.
 //!
-//! Sits between `dps-authdns` (iterative resolution over the simulated
-//! network) and `dps-measure` (the sweep pipeline). Adds the pieces a real
-//! resolver has that the bare iterative resolver lacks:
+//! Sits between `dps-authdns` (validated exchanges over the simulated
+//! network) and `dps-measure` (the sweep pipeline). Its [`Recursor`] is
+//! the workspace's one referral walk, from the root hints through glue
+//! and glueless referrals and CNAME restarts, with the pieces a real
+//! resolver adds to it (both caches off give the uncached baseline):
 //!
 //! * a sharded, TTL-aware **answer cache** (positive + RFC 2308 negative),
 //! * an **infrastructure cache** of referral NS sets and glue so sibling

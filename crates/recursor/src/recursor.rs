@@ -13,6 +13,10 @@
 //! 3. the wire, with `ResolverConfig` retry/timeout policy, circuit
 //!    breakers and hedging.
 //!
+//! With both caches off (`CacheConfig::capacity` and `infra_capacity`
+//! zero) every question descends from the root: the uncached wire
+//! baseline.
+//!
 //! Cache hits replay the original [`Resolution`] verbatim — same rcode,
 //! same records, same TTL fields — so measurement observations are
 //! byte-identical with and without the cache (asserted by the three-way
@@ -37,7 +41,8 @@ pub struct RecursorConfig {
     pub resolver: ResolverConfig,
     /// Answer-cache sizing and negative-TTL fallback.
     pub cache: CacheConfig,
-    /// Maximum cached zone cuts in the infrastructure cache.
+    /// Maximum cached zone cuts in the infrastructure cache (`0` caches
+    /// none).
     pub infra_capacity: usize,
     /// Per-nameserver circuit-breaker policy.
     pub health: HealthConfig,
@@ -116,15 +121,15 @@ impl RecursorMetrics {
 }
 
 /// A caching recursive resolver that owns its socket, caches, clock and
-/// counters.
+/// counters. Its root hints, wire policy and health tracker are its
+/// [`Resolver`]'s.
 pub struct Recursor {
-    config: RecursorConfig,
-    root_hints: Vec<IpAddr>,
     resolver: Resolver,
     answers: AnswerCache,
     infra: InfraCache,
+    /// RFC 2308 fallback lifetime of negative answers without an SOA.
+    negative_ttl_fallback: u32,
     clock: Clock,
-    health: Arc<HealthTracker>,
     stats: RecursorStats,
     metrics: RecursorMetrics,
     /// Server lists of finished descents, reused by the next ones.
@@ -157,21 +162,33 @@ impl Recursor {
         config: RecursorConfig,
         registry: &Registry,
     ) -> Self {
-        let health = Arc::new(HealthTracker::new(config.health).with_telemetry(registry));
-        let resolver = Resolver::new(net, src, stream, root_hints.clone())
+        let health = HealthTracker::new(config.health).with_telemetry(registry);
+        let resolver = Resolver::new(net, src, stream, root_hints)
             .with_config(config.resolver)
-            .with_health(Arc::clone(&health));
-        let clock = Clock::new(resolver.now_us());
+            .with_health(Arc::new(health));
+        Self::over(resolver, config.cache, config.infra_capacity, registry)
+    }
+
+    /// A recursor resolving through `resolver`, whose root hints, wire
+    /// policy and health tracker it uses, with an answer cache sized by
+    /// `cache` and an infrastructure cache of `infra_capacity` cuts, and
+    /// its `recursor.*` instruments in `registry`. Zero for both
+    /// capacities gives the uncached baseline: every question descends
+    /// from the root.
+    pub fn over(
+        resolver: Resolver,
+        cache: CacheConfig,
+        infra_capacity: usize,
+        registry: &Registry,
+    ) -> Self {
         Self {
-            answers: AnswerCache::new(&config.cache).with_telemetry(registry),
-            infra: InfraCache::new(config.infra_capacity),
+            answers: AnswerCache::new(&cache).with_telemetry(registry),
+            infra: InfraCache::new(infra_capacity),
+            negative_ttl_fallback: cache.negative_ttl_fallback,
+            clock: Clock::new(resolver.now_us()),
             metrics: RecursorMetrics::new(registry),
             stats: RecursorStats::default(),
-            config,
-            root_hints,
             resolver,
-            clock,
-            health,
             spare_servers: Vec::new(),
             ordered: Vec::new(),
         }
@@ -200,13 +217,13 @@ impl Recursor {
 
     /// The per-nameserver health tracker.
     pub fn health(&self) -> &Arc<HealthTracker> {
-        &self.health
+        self.resolver.health()
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> RecursorStats {
         RecursorStats {
-            breaker_trips: self.health.trips(),
+            breaker_trips: self.health().trips(),
             ..self.stats
         }
     }
@@ -250,16 +267,17 @@ impl Recursor {
         self.clock.sync(self.resolver.now_us())
     }
 
-    /// Full resolution over the network. Mirrors `Resolver::resolve`'s
-    /// CNAME-restart loop, with the answer cache consulted at each restart
-    /// and results cached on the way out.
+    /// Full resolution over the network: one descent per CNAME restart
+    /// (an alias target outside the answering zone starts a new one),
+    /// with the answer cache consulted at each restart and results cached
+    /// on the way out.
     fn resolve_network(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
         let started = self.resolver.now_us();
         let mut chain: Vec<Record> = Vec::new();
         // The alias target the chase restarted at, once it has.
         let mut restarted: Option<Name> = None;
 
-        for _ in 0..=self.config.resolver.max_indirections {
+        for _ in 0..=self.resolver.config().max_indirections {
             let current = restarted.as_ref().unwrap_or(qname);
             let is_restart = current != qname;
             // A restarted alias target may itself be cached (shared CDN
@@ -357,7 +375,7 @@ impl Recursor {
     ) {
         let negative = rcode == Rcode::NxDomain || !answers.iter().any(|r| r.rtype() == qtype);
         let ttl = if negative {
-            soa_minimum.unwrap_or(self.config.cache.negative_ttl_fallback)
+            soa_minimum.unwrap_or(self.negative_ttl_fallback)
         } else {
             answers.iter().map(|r| r.ttl).min().unwrap_or(0)
         };
@@ -402,7 +420,7 @@ impl Recursor {
         let negative =
             rcode == Rcode::NxDomain || !resolution.answers.iter().any(|r| r.rtype() == qtype);
         let ttl = if negative {
-            soa_minimum.unwrap_or(self.config.cache.negative_ttl_fallback)
+            soa_minimum.unwrap_or(self.negative_ttl_fallback)
         } else {
             resolution.answers.iter().map(|r| r.ttl).min().unwrap_or(0)
         };
@@ -435,7 +453,7 @@ impl Recursor {
                 self.stats.infra_starts += 1;
                 self.metrics.infra_hits.inc();
             }
-            None => servers.extend_from_slice(&self.root_hints),
+            None => servers.extend_from_slice(self.resolver.root_hints()),
         }
 
         let mut rounds = 0u64;
@@ -457,7 +475,7 @@ impl Recursor {
         servers: &mut Vec<IpAddr>,
         rounds: &mut u64,
     ) -> Result<Message, ResolveError> {
-        for _ in 0..=self.config.resolver.max_referrals {
+        for _ in 0..=self.resolver.config().max_referrals {
             *rounds += 1;
             let resp = self.query(servers, qname, qtype)?;
             match resp.header.rcode {
@@ -515,8 +533,7 @@ impl Recursor {
         Err(ResolveError::TooManyReferrals)
     }
 
-    /// `Resolver`-style retry/failover over `servers`, one validated
-    /// exchange at a time. Server order consults the circuit breakers;
+    /// Retry/failover over `servers`, one validated exchange at a time. Server order consults the circuit breakers;
     /// retry rounds back off exponentially (if configured); a straggling
     /// exchange hedges onto the next candidate.
     fn query(
@@ -525,16 +542,16 @@ impl Recursor {
         qname: &Name,
         qtype: RrType,
     ) -> Result<Message, ResolveError> {
-        let hedging = self.config.resolver.hedge_after_us > 0;
+        let hedging = self.resolver.config().hedge_after_us > 0;
         let mut last_err = ResolveError::Timeout;
         let mut attempts = 0u64;
         // One ordering buffer serves every round (a query never nests).
         let mut ordered = std::mem::take(&mut self.ordered);
         let result = 'rounds: {
-            for round in 0..self.config.resolver.retries.max(1) {
+            for round in 0..self.resolver.config().retries.max(1) {
                 self.resolver.backoff_sleep(round);
                 let now = self.sync_clock();
-                self.health.order(servers, now, &mut ordered);
+                self.resolver.health().order(servers, now, &mut ordered);
                 for (i, &server) in ordered.iter().enumerate() {
                     if attempts > 0 {
                         self.stats.retries += 1;
@@ -550,12 +567,12 @@ impl Recursor {
                     self.stats.hedges += self.resolver.hedges_sent() - hedges_before;
                     match exchanged {
                         Ok(out) => {
-                            self.health.record_success(out.responder);
+                            self.resolver.health().record_success(out.responder);
                             break 'rounds Ok(out.message);
                         }
                         Err(e) => {
                             let now = self.sync_clock();
-                            self.health.record_failure(server, now);
+                            self.resolver.health().record_failure(server, now);
                             last_err = e;
                         }
                     }

@@ -7,7 +7,8 @@ use dps_authdns::health::{HealthConfig, ServerHealth};
 use dps_dns::{Name, RrType};
 use dps_ecosystem::{ScenarioParams, World};
 use dps_netsim::{ChaosSchedule, Day, Network};
-use dps_recursor::{Recursor, RecursorConfig};
+use dps_recursor::{CacheConfig, Recursor, RecursorConfig};
+use dps_telemetry::Registry;
 use std::net::IpAddr;
 use std::sync::Arc;
 
@@ -160,13 +161,24 @@ fn warm_sweep_needs_five_times_fewer_packets_than_uncached_wire() {
     let catalog = world.materialize(&net);
     let jobs = jobs_for(&world, 40);
 
-    // Baseline: the uncached wire resolver, fresh descent per query.
-    let mut baseline = dps_authdns::resolver::Resolver::new(&net, src(), 99, catalog.root_hints());
+    // Baseline: the uncached wire path, both caches off, so every query
+    // descends from the root.
+    let resolver = dps_authdns::resolver::Resolver::new(&net, src(), 99, catalog.root_hints());
+    let off = CacheConfig {
+        capacity: 0,
+        ..CacheConfig::default()
+    };
+    let mut baseline = Recursor::over(resolver, off, 0, &Registry::new());
     let before = net.stats().snapshot().sent;
+    let mut uncached_elapsed_us = 0;
     for (qname, qtype) in &jobs {
-        let _ = baseline.resolve(qname, *qtype);
+        if let Ok(res) = baseline.resolve(qname, *qtype) {
+            uncached_elapsed_us += res.elapsed_us;
+        }
     }
     let uncached_packets = net.stats().snapshot().sent - before;
+    // Pinned: the uncached baseline's exact packets and virtual time.
+    assert_eq!((uncached_packets, uncached_elapsed_us), (1443, 31_737_273));
 
     let mut recursor = recursor(&net, catalog.root_hints());
     let cold = sweep(&mut recursor, &net, Day(0), &jobs);

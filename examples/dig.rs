@@ -10,31 +10,17 @@
 //! ```
 //!
 //! Flags (anywhere on the command line, like real dig):
-//! * `+cache`     route queries through the caching recursor (`dps-recursor`);
-//!   each query runs twice so the second pass shows the cache at work.
-//! * `+norecurse` use the bare iterative resolver, fresh descent per query
-//!   (the default).
+//! * `+cache`     turn on the recursor's answer and infrastructure caches
+//!   (`dps-recursor`); each query runs twice so the second pass shows the
+//!   cache at work.
+//! * `+norecurse` keep both caches off, fresh descent from the root per
+//!   query (the default).
 
-use dps_scope::authdns::{Resolution, ResolveError, Resolver};
 use dps_scope::prelude::*;
 
-enum Engine {
-    Wire(Box<Resolver>),
-    Cached(Box<Recursor>),
-}
-
-impl Engine {
-    fn resolve(&mut self, qname: &Name, qtype: RrType) -> Result<Resolution, ResolveError> {
-        match self {
-            Engine::Wire(r) => r.resolve(qname, qtype),
-            Engine::Cached(r) => r.resolve(qname, qtype),
-        }
-    }
-}
-
-fn print_resolution(qname: &Name, qtype: RrType, engine: &mut Engine) {
+fn print_resolution(qname: &Name, qtype: RrType, recursor: &mut Recursor) {
     println!("; <<>> dps-scope dig <<>> {qname} {qtype}");
-    match engine.resolve(qname, qtype) {
+    match recursor.resolve(qname, qtype) {
         Ok(res) => {
             println!(
                 ";; status: {}, elapsed: {} µs (virtual)",
@@ -73,32 +59,22 @@ fn main() {
     let catalog = world.materialize(&net);
     let source: std::net::IpAddr = "172.16.0.53".parse().unwrap();
 
-    let mut engine = if cached {
-        Engine::Cached(Box::new(Recursor::new(
-            &net,
-            source,
-            0,
-            catalog.root_hints(),
-            RecursorConfig::default(),
-        )))
-    } else {
-        Engine::Wire(Box::new(Resolver::new(
-            &net,
-            source,
-            0,
-            catalog.root_hints(),
-        )))
-    };
+    let mut config = RecursorConfig::default();
+    if !cached {
+        config.cache.capacity = 0;
+        config.infra_capacity = 0;
+    }
+    let mut recursor = Recursor::new(&net, source, 0, catalog.root_hints(), config);
 
     if args.len() >= 2 {
         let qname: Name = args[0].parse().expect("valid name");
         let qtype: RrType = args[1].parse().expect("valid RR type");
-        print_resolution(&qname, qtype, &mut engine);
+        print_resolution(&qname, qtype, &mut recursor);
         if cached {
             // Ask again: the second pass is answered from cache.
-            print_resolution(&qname, qtype, &mut engine);
+            print_resolution(&qname, qtype, &mut recursor);
         }
-        print_stats(&net, &mut engine);
+        print_stats(&net, &mut recursor, cached);
         return;
     }
 
@@ -116,37 +92,34 @@ fn main() {
         let id = dps_scope::ecosystem::DomainId(i as u32);
         let apex = world.domain_name(id);
         println!("--- {:?} ---", st.diversion);
-        print_resolution(&apex, RrType::A, &mut engine);
-        print_resolution(&apex.prepend("www").unwrap(), RrType::A, &mut engine);
-        print_resolution(&apex, RrType::Ns, &mut engine);
+        print_resolution(&apex, RrType::A, &mut recursor);
+        print_resolution(&apex.prepend("www").unwrap(), RrType::A, &mut recursor);
+        print_resolution(&apex, RrType::Ns, &mut recursor);
         if shown.len() >= 5 {
             break;
         }
     }
-    print_stats(&net, &mut engine);
+    print_stats(&net, &mut recursor, cached);
 }
 
-fn print_stats(net: &std::sync::Arc<Network>, engine: &mut Engine) {
+fn print_stats(net: &std::sync::Arc<Network>, recursor: &mut Recursor, cached: bool) {
     let sent = net.stats().snapshot().sent;
-    match engine {
-        Engine::Wire(_) => {
-            println!(";; MODE: iterative (no cache); udp packets sent: {sent}");
-        }
-        Engine::Cached(recursor) => {
-            let s = recursor.stats();
-            let c = recursor.answer_cache().stats();
-            println!(";; MODE: caching recursor; udp packets sent: {sent}");
-            println!(
-                ";; queries: {} (cache hits {}, misses {})",
-                s.queries, s.cache_hits, s.cache_misses
-            );
-            println!(
-                ";; answer cache: {} entries, {} inserts, {} evictions; infra cuts cached: {}",
-                recursor.answer_cache().len(),
-                c.inserts,
-                c.evictions,
-                recursor.infra_cache().len()
-            );
-        }
+    if !cached {
+        println!(";; MODE: iterative (no cache); udp packets sent: {sent}");
+        return;
     }
+    let s = recursor.stats();
+    let c = recursor.answer_cache().stats();
+    println!(";; MODE: caching recursor; udp packets sent: {sent}");
+    println!(
+        ";; queries: {} (cache hits {}, misses {})",
+        s.queries, s.cache_hits, s.cache_misses
+    );
+    println!(
+        ";; answer cache: {} entries, {} inserts, {} evictions; infra cuts cached: {}",
+        recursor.answer_cache().len(),
+        c.inserts,
+        c.evictions,
+        recursor.infra_cache().len()
+    );
 }

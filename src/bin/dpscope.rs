@@ -23,6 +23,7 @@ use dps_bench::experiments::{experiment_ids, run, Context, ExperimentConfig};
 use dps_scope::authdns::{Resolver, ResolverConfig};
 use dps_scope::measure::{DayObserver, ANALYSIS_SOURCE, QUALITY_SOURCE, TELEMETRY_SOURCE};
 use dps_scope::prelude::*;
+use dps_scope::recursor::CacheConfig;
 use dps_scope::stream::{activation_days, analysis_json, correlate, DEFAULT_TOLERANCE};
 use dps_scope::telemetry::Registry;
 use std::path::PathBuf;
@@ -1267,10 +1268,16 @@ fn cmd_dig(args: CommonArgs) {
     let world = world_for(&args);
     let net = Network::new(args.seed);
     let root_hints = world.authority().bind(&net);
-    let mut resolver =
+    let resolver =
         Resolver::new(&net, "172.16.0.53".parse().unwrap(), 0, root_hints).with_config(config);
+    // Both caches off: the question descends from the root.
+    let off = CacheConfig {
+        capacity: 0,
+        ..CacheConfig::default()
+    };
+    let mut recursor = Recursor::over(resolver, off, 0, &Registry::new());
     outln!("; <<>> dpscope dig <<>> {qname} {qtype} @day {}", args.day);
-    match resolver.resolve(&qname, qtype) {
+    match recursor.resolve(&qname, qtype) {
         Ok(res) => print_dig_answer(
             res.rcode,
             &res.answers,

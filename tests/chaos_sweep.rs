@@ -13,7 +13,7 @@ use dps_scope::authdns::{Resolver, ResolverConfig};
 use dps_scope::core::{growth, DEFAULT_MIN_COVERAGE};
 use dps_scope::measure::collector::{SldInterner, WirePath};
 use dps_scope::measure::pipeline::sweep_with_path_supervised_metered;
-use dps_scope::measure::SweepMetrics;
+use dps_scope::measure::{CauseCounts, SweepMetrics};
 use dps_scope::prelude::*;
 use dps_scope::telemetry::Registry;
 use std::path::{Path, PathBuf};
@@ -25,9 +25,10 @@ fn temp_path(tag: &str) -> PathBuf {
 }
 
 /// One supervised `.com` sweep of `world`'s current day over a fresh
-/// network running `schedule`, appended to `store`. When `registry` is
-/// given, the network, health tracker and supervisor all publish
-/// telemetry into it (mirroring `dpscope measure --chaos`).
+/// network running `schedule`, appended to `store`, with the packets the
+/// network sent. When `registry` is given, the network, health tracker
+/// and supervisor all publish telemetry into it (mirroring `dpscope
+/// measure --chaos`).
 #[allow(clippy::too_many_arguments)]
 fn supervised_sweep(
     world: &World,
@@ -38,7 +39,7 @@ fn supervised_sweep(
     store: &mut SnapshotStore,
     interner: &mut SldInterner,
     registry: Option<&Registry>,
-) -> DayQuality {
+) -> (DayQuality, u64) {
     let net = match registry {
         Some(r) => Network::with_telemetry(net_seed, r),
         None => Network::new(net_seed),
@@ -66,7 +67,7 @@ fn supervised_sweep(
         ..SupervisorConfig::default()
     };
     let metrics = registry.map(SweepMetrics::new).unwrap_or_default();
-    sweep_with_path_supervised_metered(
+    let quality = sweep_with_path_supervised_metered(
         world,
         &mut path,
         Source::Com,
@@ -75,7 +76,8 @@ fn supervised_sweep(
         interner,
         &config,
         &metrics,
-    )
+    );
+    (quality, net.stats().snapshot().sent)
 }
 
 fn chaos_schedule() -> ChaosSchedule {
@@ -128,7 +130,7 @@ fn chaotic_sweep_recovers_and_matches_healthy_snapshot() {
     // Chaotic run, supervised.
     let mut chaotic = SnapshotStore::new();
     let mut interner = SldInterner::new();
-    let q = supervised_sweep(
+    let (q, sent) = supervised_sweep(
         &world,
         Some(chaos_schedule()),
         5,
@@ -138,6 +140,25 @@ fn chaotic_sweep_recovers_and_matches_healthy_snapshot() {
         &mut interner,
         None,
     );
+    // Pinned: the exact fault handling and packet count of this sweep.
+    let pinned = DayQuality {
+        day: 0,
+        source: Source::Com,
+        attempted: 484,
+        failed: 0,
+        retried: 90,
+        recovered: 90,
+        causes: CauseCounts {
+            timeouts: 109,
+            other: 5,
+            ..CauseCounts::default()
+        },
+        retry_passes: 3,
+        breaker_trips: 13,
+        hedges: 1630,
+    };
+    assert_eq!(q, pinned);
+    assert_eq!(sent, 25_612);
 
     assert!(q.coverage() >= 0.99, "coverage {}", q.coverage());
     assert_eq!(q.failed, 0, "every dead-lettered name recovered");

@@ -1,4 +1,4 @@
-//! Integration: `dpscope --help` is a stable, documented surface.
+//! Integration: `dpscope --help` and `dpscope dig` are stable surfaces.
 //!
 //! The full help text (everything before the build-dependent
 //! `analyze ids:` list) is snapshotted verbatim, so any new command or
@@ -8,7 +8,9 @@
 //! snapshot keeps every line's indentation: command descriptions and
 //! option explanations are indented under their headings, and a help
 //! text built from `\`-continued lines (which drop the next line's
-//! leading spaces) would fail here.
+//! leading spaces) would fail here. `dig` over the simulated Internet is
+//! deterministic per seed, so its full output for a fixed query set is
+//! snapshotted too, virtual elapsed time included.
 
 use std::process::Command;
 
@@ -120,4 +122,70 @@ fn unknown_command_prints_the_same_help() {
         .expect("spawn dpscope");
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("usage: dpscope"));
+}
+
+/// `dpscope dig` at seed 2016, scale 0.01, day 30: an apex `A`, a `www`
+/// CNAME chain onto a DPS edge, `NS`, an NXDOMAIN name under a live
+/// domain, a domain deleted before day 30, and a one-try 1 ms query that
+/// times out.
+const DIG_SNAPSHOT: &[(&str, &str)] = &[
+    (
+        "d1.com A",
+        "; <<>> dpscope dig <<>> d1.com. A @day 30
+;; status: NOERROR, elapsed: 223536 µs (virtual)
+d1.com. 300 IN A 30.5.103.247
+",
+    ),
+    (
+        "www.d10.com A",
+        "; <<>> dpscope dig <<>> www.d10.com. A @day 30
+;; status: NOERROR, elapsed: 299139 µs (virtual)
+www.d10.com. 300 IN CNAME d10.ultradns.net.
+d10.ultradns.net. 300 IN A 20.57.30.250
+",
+    ),
+    (
+        "d1.com NS",
+        "; <<>> dpscope dig <<>> d1.com. NS @day 30
+;; status: NOERROR, elapsed: 223536 µs (virtual)
+d1.com. 300 IN NS ns1.hostco5.net.
+d1.com. 300 IN NS ns2.hostco5.net.
+",
+    ),
+    (
+        "nope.d1.com A",
+        "; <<>> dpscope dig <<>> nope.d1.com. A @day 30
+;; status: NXDOMAIN, elapsed: 223536 µs (virtual)
+",
+    ),
+    (
+        "d127.com A",
+        "; <<>> dpscope dig <<>> d127.com. A @day 30
+;; status: NXDOMAIN, elapsed: 41792 µs (virtual)
+",
+    ),
+    (
+        "d1.com A +tries=1 +timeout=1",
+        "; <<>> dpscope dig <<>> d1.com. A @day 30
+;; resolution failed: all servers timed out (cause: timeout)
+",
+    ),
+];
+
+#[test]
+fn dig_output_matches_snapshot() {
+    for (query, expected) in DIG_SNAPSHOT {
+        let out = Command::new(env!("CARGO_BIN_EXE_dpscope"))
+            .arg("dig")
+            .args(query.split(' '))
+            .args(["--seed", "2016", "--scale", "0.01", "--day", "30"])
+            .output()
+            .expect("spawn dpscope dig");
+        assert!(out.status.success(), "dig {query}: {out:?}");
+        assert_eq!(
+            String::from_utf8_lossy(&out.stdout),
+            *expected,
+            "dig {query} output drifted"
+        );
+    }
 }
