@@ -313,22 +313,10 @@ impl Resolver {
         self.socket.sleep(delay);
     }
 
-    /// One validated request/response exchange: a single attempt against a
-    /// single server within `attempt_timeout_us`. Retry, failover and the
-    /// referral walk stay with the caller (a recursor), which reuses the
-    /// wire handling here: id allocation, response validation, truncation
-    /// detection.
-    pub fn exchange(
-        &mut self,
-        server: IpAddr,
-        qname: &Name,
-        qtype: RrType,
-    ) -> Result<Message, ResolveError> {
-        self.exchange_hedged(server, None, qname, qtype)
-            .map(|out| out.message)
-    }
-
-    /// Like [`exchange`](Self::exchange), but if `hedge` is given and no
+    /// One validated request/response exchange against `server` within
+    /// `attempt_timeout_us`: id allocation, response validation and
+    /// truncation detection. Retry, failover and the referral walk stay
+    /// with the caller (a recursor). If `hedge` is given and no
     /// reply arrived within `config.hedge_after_us`, the *same* query is
     /// sent to the hedge server and the first valid answer (from either)
     /// wins — the classic tail-latency mitigation. Failure taxonomy:

@@ -1,10 +1,12 @@
-//! Archive scan throughput: cold vs page-cache-warm full scans, and
-//! projected (2 of 18 columns) vs full-table decoding.
+//! Archive read throughput: every catalog page read cold vs through a
+//! warm page cache, and projected (2 of 18 columns) vs full-table
+//! decoding.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
+use dps_bench::read_every_page;
 use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::{Study, StudyConfig};
-use dps_store::{Archive, ScanQuery};
+use dps_store::Archive;
 
 fn bench(c: &mut Criterion) {
     let days = 30u32;
@@ -40,27 +42,22 @@ fn bench(c: &mut Criterion) {
     group.bench_function("scan_cold", |b| {
         b.iter(|| {
             archive.clear_cache();
-            black_box(archive.par_scan(&ScanQuery::all()).unwrap().len())
+            black_box(read_every_page(&archive, None))
         })
     });
 
     // Warm: the cache holds every decoded page after the first pass.
     archive.clear_cache();
-    archive.par_scan(&ScanQuery::all()).unwrap();
+    read_every_page(&archive, None);
     group.bench_function("scan_warm", |b| {
-        b.iter(|| black_box(archive.par_scan(&ScanQuery::all()).unwrap().len()))
+        b.iter(|| black_box(read_every_page(&archive, None)))
     });
 
     // Projection: decode only (entry, asn1) instead of all 18 columns.
     group.bench_function("scan_projected_cold", |b| {
         b.iter(|| {
             archive.clear_cache();
-            black_box(
-                archive
-                    .par_scan(&ScanQuery::all().columns(&["entry", "asn1"]))
-                    .unwrap()
-                    .len(),
-            )
+            black_box(read_every_page(&archive, Some(&["entry", "asn1"])))
         })
     });
 

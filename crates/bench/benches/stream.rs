@@ -20,7 +20,7 @@ use dps_columnar::Table;
 use dps_core::{CompiledRefs, ProviderRefs, Scanner};
 use dps_ecosystem::{ScenarioParams, World};
 use dps_measure::{DayObserver, Study, StudyConfig, ANALYSIS_SOURCE};
-use dps_store::{Archive, StoreReader};
+use dps_store::StoreReader;
 use dps_stream::StreamEngine;
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -60,7 +60,7 @@ fn build(scale: f64) -> Built {
     .run_archived(&mut world, &path, Some(&mut engine))
     .expect("archived study");
 
-    let archive = StoreReader::Single(Archive::open(&path).expect("open archive"));
+    let archive = StoreReader::open_auto(&path).expect("open archive");
     std::fs::remove_file(&path).ok();
     let mut checkpoints: Vec<(u32, std::sync::Arc<Table>)> = Vec::new();
     for &(day, source) in archive.catalog().pages.keys() {

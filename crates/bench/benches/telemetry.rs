@@ -8,12 +8,13 @@
 //! overhead numbers recorded in EXPERIMENTS.md come from that file.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use dps_bench::read_every_page;
 use dps_dns::{Name, RrType};
 use dps_ecosystem::{ScenarioParams, Tld, World};
 use dps_measure::{Study, StudyConfig};
 use dps_netsim::{Day, Network};
 use dps_recursor::{Recursor, RecursorConfig};
-use dps_store::{Archive, ScanQuery};
+use dps_store::Archive;
 use dps_telemetry::Registry;
 use std::time::Instant;
 
@@ -116,10 +117,8 @@ fn bench(c: &mut Criterion) {
     let registry = Registry::new();
     let instrumented =
         Archive::open_with_telemetry(&path, 256 << 20, &registry).expect("open archive");
-    detached.par_scan(&ScanQuery::all()).expect("warm detached");
-    instrumented
-        .par_scan(&ScanQuery::all())
-        .expect("warm instrumented");
+    read_every_page(&detached, None);
+    read_every_page(&instrumented, None);
 
     const SAMPLES: usize = 40;
     const ITERS: usize = 20;
@@ -127,15 +126,10 @@ fn bench(c: &mut Criterion) {
         SAMPLES,
         ITERS,
         || {
-            black_box(detached.par_scan(&ScanQuery::all()).expect("scan").len());
+            black_box(read_every_page(&detached, None));
         },
         || {
-            black_box(
-                instrumented
-                    .par_scan(&ScanQuery::all())
-                    .expect("scan")
-                    .len(),
-            );
+            black_box(read_every_page(&instrumented, None));
         },
     );
 
@@ -219,17 +213,10 @@ fn bench(c: &mut Criterion) {
     let mut group = c.benchmark_group("telemetry");
     group.sample_size(10);
     group.bench_function("store_scan_warm_detached", |b| {
-        b.iter(|| black_box(detached.par_scan(&ScanQuery::all()).expect("scan").len()))
+        b.iter(|| black_box(read_every_page(&detached, None)))
     });
     group.bench_function("store_scan_warm_instrumented", |b| {
-        b.iter(|| {
-            black_box(
-                instrumented
-                    .par_scan(&ScanQuery::all())
-                    .expect("scan")
-                    .len(),
-            )
-        })
+        b.iter(|| black_box(read_every_page(&instrumented, None)))
     });
     group.bench_function("recursor_sweep_warm_detached", |b| {
         b.iter(|| black_box(sweep(&mut plain, &net, &jobs)))

@@ -17,3 +17,18 @@ pub fn host_mem_mib() -> u64 {
         })
         .map_or(0, |kib| kib / 1024)
 }
+
+/// Reads every page in `archive`'s catalog on the mapreduce worker pool,
+/// decoding only `columns` when given, and returns the page count. The
+/// store benches time this full pass, cold or through a warm cache.
+pub fn read_every_page(archive: &dps_store::Archive, columns: Option<&[&str]>) -> usize {
+    let keys: Vec<(u32, u8)> = archive.catalog().pages.keys().copied().collect();
+    dps_columnar::mapreduce::par_map(&keys, |&(day, source)| match columns {
+        Some(cols) => archive.project(day, source, cols),
+        None => archive.table(day, source),
+    })
+    .into_iter()
+    .map(|page| page.expect("catalog page reads").is_some())
+    .filter(|&read| read)
+    .count()
+}

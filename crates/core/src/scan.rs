@@ -500,7 +500,7 @@ mod tests {
             .run_archived(&mut world, &path, None)
             .unwrap();
         let store = SnapshotStore::load_archive(&path).unwrap();
-        let archive = dps_store::StoreReader::Single(dps_store::Archive::open(&path).unwrap());
+        let archive = dps_store::StoreReader::open_auto(&path).unwrap();
         let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), &store.dict);
         let scanner = Scanner::new(&refs);
         let mem = scanner.run(&store);

@@ -80,6 +80,8 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     ("store.footer.chain", MetricKind::Histogram),
     ("store.footer.walks", MetricKind::Counter),
     ("store.pages.decoded", MetricKind::Counter),
+    // Nothing records these two since the store's query-scan engine was
+    // deleted; kept so the ids after them keep their archived meaning.
     ("store.scan.pages", MetricKind::Histogram),
     ("store.scans", MetricKind::Counter),
     ("stream.checkpoint.bytes", MetricKind::Counter),

@@ -1,5 +1,5 @@
-//! Read side: open an archive by its footer, serve CRC-checked pages
-//! through the LRU cache, and run projection/pruning scans.
+//! Read side: open an archive by its footer and serve CRC-checked,
+//! optionally projected pages through the LRU cache.
 
 // Untrusted-input module: page bytes come off disk and may be corrupt;
 // reads must surface errors, never panic (enforced by dps-analyzer's
@@ -10,7 +10,7 @@ use crate::cache::{PageCache, PageKey};
 use crate::catalog::{Catalog, PageMeta, SourceStats};
 use crate::crc32::crc32;
 use crate::format;
-use dps_columnar::{mapreduce, StringDict, Table};
+use dps_columnar::{StringDict, Table};
 use dps_telemetry::{Counter, Histogram, Registry};
 use std::fs::File;
 use std::io;
@@ -80,10 +80,6 @@ pub struct StoreMetrics {
     pub footer_walks: Counter,
     /// `store.footer.chain` — commits per walked footer chain.
     pub footer_chain: Histogram,
-    /// `store.scans` — scan/par_scan calls issued.
-    pub scans: Counter,
-    /// `store.scan.pages` — pages surviving pruning, per scan.
-    pub scan_pages: Histogram,
 }
 
 impl StoreMetrics {
@@ -96,75 +92,8 @@ impl StoreMetrics {
             bytes_read: registry.counter("store.bytes.read"),
             footer_walks: registry.counter("store.footer.walks"),
             footer_chain: registry.histogram("store.footer.chain"),
-            scans: registry.counter("store.scans"),
-            scan_pages: registry.histogram("store.scan.pages"),
         }
     }
-}
-
-/// Predicate + projection for a scan. Defaults to everything.
-#[derive(Debug, Clone, Default)]
-pub struct ScanQuery {
-    days: Option<(u32, u32)>,
-    sources: Option<Vec<u8>>,
-    columns: Option<Vec<String>>,
-}
-
-impl ScanQuery {
-    /// Scan everything, all columns.
-    pub fn all() -> Self {
-        Self::default()
-    }
-
-    /// Restrict to days in `[from, to]` (inclusive). Pages outside the
-    /// range are pruned from the catalog — never read, never decoded.
-    pub fn days(mut self, from: u32, to: u32) -> Self {
-        self.days = Some((from, to));
-        self
-    }
-
-    /// Restrict to one source.
-    pub fn source(mut self, source: u8) -> Self {
-        self.sources = Some(vec![source]);
-        self
-    }
-
-    /// Restrict to a set of sources.
-    pub fn sources(mut self, sources: &[u8]) -> Self {
-        self.sources = Some(sources.to_vec());
-        self
-    }
-
-    /// Project to the named columns (decode only these).
-    pub fn columns(mut self, cols: &[&str]) -> Self {
-        self.columns = Some(cols.iter().map(|s| s.to_string()).collect());
-        self
-    }
-
-    fn matches(&self, meta: &PageMeta) -> bool {
-        if let Some((from, to)) = self.days {
-            if meta.day < from || meta.day > to {
-                return false;
-            }
-        }
-        if let Some(sources) = &self.sources {
-            if !sources.contains(&meta.source) {
-                return false;
-            }
-        }
-        true
-    }
-}
-
-/// One scanned page: identity plus its (possibly projected) table.
-#[derive(Debug, Clone)]
-pub struct ScanItem {
-    /// Measurement day.
-    pub day: u32,
-    /// Source id.
-    pub source: u8,
-    /// The decoded table (shared with the page cache).
-    pub table: Arc<Table>,
 }
 
 /// Result of a full-archive checksum validation.
@@ -189,8 +118,8 @@ impl VerifyReport {
 ///
 /// Opening reads only the footer catalog; pages are fetched lazily (and
 /// checksum-verified) on access, through a sharded LRU cache of decoded
-/// tables. The handle is `Sync`: scans fan page decodes out over the
-/// mapreduce worker pool.
+/// tables. The handle is `Sync`: a scan fans page decodes out over the
+/// mapreduce worker pool (`Scanner::run_store` in `dps-core`).
 pub struct Archive {
     file: File,
     catalog: Catalog,
@@ -262,11 +191,6 @@ impl Archive {
         self.catalog.days(source)
     }
 
-    /// Sum of encoded page bytes (Table 1 "stored size").
-    pub fn total_stored_bytes(&self) -> u64 {
-        self.catalog.total_stored_bytes()
-    }
-
     /// Counter values right now.
     pub fn counters(&self) -> CounterSnapshot {
         CounterSnapshot {
@@ -308,42 +232,6 @@ impl Archive {
         self.checked_body(meta).map(Some)
     }
 
-    /// Pages matching `query`'s day/source predicates, in `(day, source)`
-    /// order, decoded sequentially under its projection.
-    pub fn scan(&self, query: &ScanQuery) -> io::Result<Vec<ScanItem>> {
-        let metas = self.pruned(query);
-        self.metrics.scans.inc();
-        self.metrics.scan_pages.observe(metas.len() as u64);
-        metas
-            .into_iter()
-            .map(|meta| {
-                let table = self.load(meta, query.columns.as_deref())?;
-                Ok(ScanItem {
-                    day: meta.day,
-                    source: meta.source,
-                    table,
-                })
-            })
-            .collect()
-    }
-
-    /// Like [`scan`](Self::scan) but decoding pages on the mapreduce
-    /// worker pool. Order is still deterministic `(day, source)`.
-    pub fn par_scan(&self, query: &ScanQuery) -> io::Result<Vec<ScanItem>> {
-        let metas = self.pruned(query);
-        self.metrics.scans.inc();
-        self.metrics.scan_pages.observe(metas.len() as u64);
-        let items = mapreduce::par_map(&metas, |&meta| {
-            let table = self.load(meta, query.columns.as_deref())?;
-            Ok(ScanItem {
-                day: meta.day,
-                source: meta.source,
-                table,
-            })
-        });
-        items.into_iter().collect()
-    }
-
     /// Validates every page checksum without decoding any table.
     pub fn verify(&self) -> io::Result<VerifyReport> {
         let mut report = VerifyReport::default();
@@ -357,21 +245,6 @@ impl Archive {
             }
         }
         Ok(report)
-    }
-
-    /// Catalog pages surviving `query`'s predicates (the pruning step).
-    fn pruned<'a>(&'a self, query: &ScanQuery) -> Vec<&'a PageMeta> {
-        let range = match query.days {
-            Some((from, to)) if from <= to => (from, 0u8)..=(to, u8::MAX),
-            Some(_) => return Vec::new(),
-            None => (0u32, 0u8)..=(u32::MAX, u8::MAX),
-        };
-        self.catalog
-            .pages
-            .range(range)
-            .map(|(_, meta)| meta)
-            .filter(|meta| query.matches(meta))
-            .collect()
     }
 
     /// Reads one page's raw chunk + CRC trailer from disk. Positioned

@@ -1,40 +1,47 @@
-//! Sharded multi-file archives: `archive.manifest` + N shard files.
+//! The archive store: one reader and one writer over 1..N data files.
 //!
 //! ```text
-//! dir/archive.manifest      standard archive; real StringDict + per-day
-//!                           coverage pages + an n_shards meta page
-//! dir/archive.shard000.dps  standard archive; row range [0/N, 1/N) of
-//! dir/archive.shard001.dps  every logical page, … empty dictionaries
+//! dir/archive.dps           single file: every page and the StringDict
+//!
+//! dir/archive.manifest      sharded: the StringDict, per-day coverage
+//!                           pages and an n_shards meta page
+//! dir/archive.shard000.dps  row range [0/N, 1/N) of every logical page,
+//! dir/archive.shard001.dps  … with empty dictionaries
 //! ```
 //!
-//! Every logical page `(day, source)` is row-split across **all** shards
-//! with the cluster-lease arithmetic (`start = rows·k/N`), so each shard's
-//! catalog has exactly the logical key set and per-shard scan threads get
-//! near-equal work without any placement directory. Shard files are
-//! ordinary archives — the existing footer/CRC/torn-tail machinery guards
-//! each one — whose dictionaries stay empty; the shared dictionary lives
-//! in the manifest only, so it is stored once instead of N times.
+//! A single-file archive is the one-file case of the sharded layout:
+//! [`StoreWriter`] holds one [`ArchiveWriter`] and [`StoreReader`] one
+//! [`Archive`] per data file, plus the manifest when there are several.
+//! Appends, lookups, per-file reads and checksums run the same code for
+//! both; only open, resume, commit, [`StoreReader::verify`]'s coverage
+//! check and [`StoreReader::page`] look at whether a manifest exists.
+//! [`StoreReader::open_auto`] picks the layout by probing for it.
 //!
-//! **Commit protocol**: every shard commits first, the manifest commits
-//! last. The manifest's coverage pages therefore always describe a subset
-//! of what the shards hold durably, and resume is a *rollback*: each
-//! shard's footer chain is recovered commit-by-commit
+//! Every logical page `(day, source)` is row-split across **all** data
+//! files with the cluster-lease arithmetic (`start = rows·k/N`), so each
+//! file's catalog has exactly the logical key set and per-file scan
+//! threads get near-equal work without any placement directory. Data
+//! files are ordinary archives — the footer/CRC/torn-tail machinery
+//! guards each one. With a manifest their dictionaries stay empty: the
+//! shared dictionary lives in the manifest only, so it is stored once
+//! instead of N times. With one file the bytes are exactly those of an
+//! [`ArchiveWriter`] fed the same tables.
+//!
+//! **Commit protocol** (sharded): every data file commits first, the
+//! manifest commits last. The manifest's coverage pages therefore always
+//! describe a subset of what the data files hold durably, and resume is
+//! a *rollback*: each file's footer chain is recovered commit-by-commit
 //! ([`format::recover_chain`]) and truncated to the longest prefix whose
 //! days the manifest vouches for. A crash at any point between the first
-//! shard commit and the manifest commit rolls back to the previous day —
-//! exactly the same re-measure-one-day cost as the single-file archive.
-//!
-//! [`StoreWriter`] / [`StoreReader`] wrap single-file and sharded layouts
-//! behind one interface; [`StoreReader::open_auto`] picks the layout by
-//! probing for the manifest. With one shard the writer degrades to the
-//! plain single-file `archive.dps`, byte-identical to the historical
-//! layout.
+//! data-file commit and the manifest commit rolls back to the previous
+//! day — the same re-measure-one-day cost as a single file, whose resume
+//! cuts the torn tail after its last durable footer.
 
 // Untrusted-input module: manifests and shard files may be torn or
 // corrupt; recovery must degrade to errors, never panic.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use crate::archive::{Archive, VerifyReport, DEFAULT_CACHE_BYTES};
+use crate::archive::{Archive, CounterSnapshot, VerifyReport, DEFAULT_CACHE_BYTES};
 use crate::catalog::{Catalog, PageMeta, SourceStats};
 use crate::format;
 use crate::writer::ArchiveWriter;
@@ -126,68 +133,121 @@ fn u64_of(lo: u32, hi: u32) -> u64 {
     u64::from(lo) | (u64::from(hi) << 32)
 }
 
-/// A sharded archive being written. See the module docs for the layout
-/// and the shards-then-manifest commit protocol.
-pub struct ShardedWriter {
-    manifest: ArchiveWriter,
-    shards: Vec<ArchiveWriter>,
-    /// Shard files never intern anything; their footers always commit
-    /// this empty dictionary.
-    shard_dict: StringDict,
-    /// Coverage rows for days appended since the last commit.
+/// The data-file shard count recorded in a manifest's meta page.
+fn manifest_shards(manifest: &Archive) -> io::Result<u32> {
+    let meta = manifest
+        .table(META_DAY, MANIFEST_META_SOURCE)?
+        .ok_or_else(|| corrupt("manifest has no meta page"))?;
+    let n_shards = meta
+        .column_by_name("n_shards")
+        .and_then(|c| c.first().copied())
+        .ok_or_else(|| corrupt("manifest meta page has no n_shards"))?;
+    if n_shards == 0 {
+        return Err(corrupt("manifest says 0 shards"));
+    }
+    Ok(n_shards)
+}
+
+/// An archive being written: one [`ArchiveWriter`] per data file, plus
+/// the manifest when there is more than one. See the module docs for the
+/// layouts and the files-then-manifest commit protocol.
+pub struct StoreWriter {
+    /// The manifest of a sharded archive; `None` for a single file.
+    manifest: Option<ArchiveWriter>,
+    /// Data file 0 — the whole archive when there is no manifest.
+    first: ArchiveWriter,
+    /// Data files 1..N of a sharded archive.
+    rest: Vec<ArchiveWriter>,
+    /// Sharded only: coverage rows for days appended since the last
+    /// commit.
     pending_coverage: BTreeMap<u32, Vec<CoverageRow>>,
 }
 
-impl ShardedWriter {
-    /// Creates (truncating) a sharded archive with base path `base` and
-    /// `n_shards` shard files.
-    pub fn create_sharded(
-        base: &Path,
-        n_shards: u32,
+impl StoreWriter {
+    /// Creates (truncating) an archive at base path `path`: a single file
+    /// when `shards <= 1`, a manifest plus `shards` data files otherwise.
+    pub fn create_store(
+        path: &Path,
+        shards: u32,
         unique_key_column: Option<&str>,
     ) -> io::Result<Self> {
-        if n_shards == 0 {
-            return Err(io::Error::other("dps-store: n_shards must be at least 1"));
-        }
-        let mut manifest = ArchiveWriter::create(&manifest_path(base), None)?;
-        manifest.append_table(META_DAY, MANIFEST_META_SOURCE, &meta_table(n_shards), 0)?;
-        manifest.commit(&StringDict::new())?;
-        let mut shards = Vec::with_capacity(n_shards as usize);
-        for k in 0..n_shards {
-            shards.push(ArchiveWriter::create(
-                &shard_path(base, k),
+        if shards <= 1 {
+            return Ok(Self::single(ArchiveWriter::create(
+                path,
                 unique_key_column,
-            )?);
+            )?));
         }
+        let mut manifest = ArchiveWriter::create(&manifest_path(path), None)?;
+        manifest.append_table(META_DAY, MANIFEST_META_SOURCE, &meta_table(shards), 0)?;
+        manifest.commit(&StringDict::new())?;
+        let first = ArchiveWriter::create(&shard_path(path, 0), unique_key_column)?;
+        let rest = (1..shards)
+            .map(|k| ArchiveWriter::create(&shard_path(path, k), unique_key_column))
+            .collect::<io::Result<_>>()?;
         Ok(Self {
-            manifest,
-            shards,
-            shard_dict: StringDict::new(),
+            manifest: Some(manifest),
+            first,
+            rest,
             pending_coverage: BTreeMap::new(),
         })
     }
 
+    /// Resumes whichever layout exists at `path` (a manifest beats the
+    /// requested shard count — an existing sharded archive is resumed as
+    /// such even when the caller asks for 1), creating a fresh archive
+    /// with `shards` data files when nothing exists. Refuses a shard
+    /// count that contradicts an existing archive.
+    pub fn resume_or_create(
+        path: &Path,
+        shards: u32,
+        unique_key_column: Option<&str>,
+    ) -> io::Result<Self> {
+        if manifest_path(path).exists() {
+            let writer = Self::resume_sharded(path, unique_key_column)?;
+            if shards > 1 && writer.n_shards() != shards {
+                return Err(io::Error::other(format!(
+                    "dps-store: archive has {} shards but {} were requested",
+                    writer.n_shards(),
+                    shards
+                )));
+            }
+            return Ok(writer);
+        }
+        if path.exists() {
+            if shards > 1 {
+                return Err(io::Error::other(
+                    "dps-store: cannot resume a single-file archive with --shards > 1",
+                ));
+            }
+            // The torn tail after the last durable footer is cut off.
+            return Ok(Self::single(ArchiveWriter::resume(
+                path,
+                unique_key_column,
+            )?));
+        }
+        Self::create_store(path, shards, unique_key_column)
+    }
+
+    fn single(file: ArchiveWriter) -> Self {
+        Self {
+            manifest: None,
+            first: file,
+            rest: Vec::new(),
+            pending_coverage: BTreeMap::new(),
+        }
+    }
+
     /// Resumes a sharded archive: recovers the manifest (the anchor of
-    /// truth), then rolls every shard back to the longest chain prefix
-    /// whose days the manifest covers. Fails if a shard is missing a day
-    /// the manifest vouches for — that is data loss, not a torn tail.
-    pub fn resume(base: &Path, unique_key_column: Option<&str>) -> io::Result<Self> {
+    /// truth), then rolls every data file back to the longest chain
+    /// prefix whose days the manifest covers. Fails if a data file is
+    /// missing a day the manifest vouches for — that is data loss, not a
+    /// torn tail.
+    fn resume_sharded(base: &Path, unique_key_column: Option<&str>) -> io::Result<Self> {
         let mpath = manifest_path(base);
         let manifest = ArchiveWriter::resume(&mpath, None)?;
         // The writer does not read pages; reopen read-only for the meta
         // page now that the torn tail (if any) has been truncated.
-        let n_shards = {
-            let reader = Archive::open_with_cache(&mpath, 0)?;
-            let meta = reader
-                .table(META_DAY, MANIFEST_META_SOURCE)?
-                .ok_or_else(|| corrupt("manifest has no meta page"))?;
-            meta.column_by_name("n_shards")
-                .and_then(|c| c.first().copied())
-                .ok_or_else(|| corrupt("manifest meta page has no n_shards"))?
-        };
-        if n_shards == 0 {
-            return Err(corrupt("manifest says 0 shards"));
-        }
+        let n_shards = manifest_shards(&Archive::open_with_cache(&mpath, 0)?)?;
         let covered: BTreeSet<u32> = manifest
             .catalog()
             .pages
@@ -195,13 +255,14 @@ impl ShardedWriter {
             .filter(|&&(_, s)| s == MANIFEST_COVERAGE_SOURCE)
             .map(|&(d, _)| d)
             .collect();
-        let mut shards = Vec::with_capacity(n_shards as usize);
-        for k in 0..n_shards {
-            let path = shard_path(base, k);
-            let mut file = OpenOptions::new().read(true).write(true).open(&path)?;
+        let rollback = |k: u32| -> io::Result<ArchiveWriter> {
+            let mut file = OpenOptions::new()
+                .read(true)
+                .write(true)
+                .open(shard_path(base, k))?;
             let commits = format::recover_chain(&mut file)?;
             // Longest prefix of commits whose pages are all covered by
-            // the manifest; anything after it was committed to this shard
+            // the manifest; anything after it was committed to this file
             // but never reached the manifest — roll it back.
             let prefix_len = commits
                 .iter()
@@ -222,61 +283,58 @@ impl ShardedWriter {
             }
             let trailer_end = prefix.last().map_or(8, |c| c.trailer_end);
             file.set_len(trailer_end)?;
-            shards.push(ArchiveWriter::from_recovered(
+            Ok(ArchiveWriter::from_recovered(
                 file,
                 catalog,
                 trailer_end,
                 unique_key_column,
-            ));
-        }
+            ))
+        };
         Ok(Self {
-            manifest,
-            shards,
-            shard_dict: StringDict::new(),
+            manifest: Some(manifest),
+            first: rollback(0)?,
+            rest: (1..n_shards).map(rollback).collect::<io::Result<_>>()?,
             pending_coverage: BTreeMap::new(),
         })
     }
 
-    /// Number of shard files.
+    /// Number of data files (1 for the single-file layout).
     pub fn n_shards(&self) -> u32 {
-        self.shards.len() as u32
+        1 + self.rest.len() as u32
     }
 
-    /// The dictionary recovered from the manifest's last committed footer.
+    /// The dictionary recovered from the last committed footer (the
+    /// manifest's, when sharded).
     pub fn dict(&self) -> &StringDict {
-        self.manifest.dict()
+        self.manifest.as_ref().unwrap_or(&self.first).dict()
     }
 
-    /// True if a page for `(day, source)` is already present. Every shard
-    /// holds a sub-page of every logical page, so shard 0 answers for all.
+    /// True if a page for `(day, source)` is already present. Every data
+    /// file holds a sub-page of every logical page, so file 0 answers for
+    /// all.
     pub fn contains(&self, day: u32, source: u8) -> bool {
-        self.shards.first().is_some_and(|s| s.contains(day, source))
+        self.first.contains(day, source)
     }
 
     /// The last day with any committed or appended page.
     pub fn last_day(&self) -> Option<u32> {
-        self.shards.first().and_then(ArchiveWriter::last_day)
+        self.first.last_day()
+    }
+
+    /// True if no page has been committed or appended yet.
+    pub fn is_empty(&self) -> bool {
+        self.first.catalog().pages.is_empty()
     }
 
     /// Logical pages appended since the last commit.
     pub fn uncommitted_pages(&self) -> usize {
-        self.shards
-            .first()
-            .map_or(0, ArchiveWriter::uncommitted_pages)
+        self.first.uncommitted_pages()
     }
 
-    /// The logical page directory (shard 0's catalog — its key set is the
-    /// logical key set by construction).
-    pub fn page_keys(&self) -> Vec<(u32, u8)> {
-        self.shards
-            .first()
-            .map(|s| s.catalog().pages.keys().copied().collect())
-            .unwrap_or_default()
-    }
-
-    /// Appends one logical table, row-split across all shards. The full
-    /// `data_points` total is attributed to shard 0's sub-page so that
-    /// summing shard page metadata reproduces exact logical totals.
+    /// Appends one logical table, row-split across the data files (all of
+    /// it to the only file of a single-file archive). The full
+    /// `data_points` total is attributed to file 0's sub-page, so summing
+    /// sub-page metadata reproduces exact logical totals.
     pub fn append_table(
         &mut self,
         day: u32,
@@ -286,9 +344,10 @@ impl ShardedWriter {
     ) -> io::Result<()> {
         let rows = table.rows();
         let n = self.n_shards();
-        for (k, shard) in self.shards.iter_mut().enumerate() {
+        let files = std::iter::once(&mut self.first).chain(&mut self.rest);
+        for (k, file) in files.enumerate() {
             let (lo, hi) = shard_range(rows, k as u32, n);
-            shard.append_rows(
+            file.append_rows(
                 day,
                 source,
                 table,
@@ -296,182 +355,204 @@ impl ShardedWriter {
                 if k == 0 { data_points } else { 0 },
             )?;
         }
-        self.pending_coverage
-            .entry(day)
-            .or_default()
-            .push(CoverageRow {
-                source,
-                rows: rows as u64,
-                data_points,
-                raw_bytes: table.raw_len() as u64,
-            });
+        if self.manifest.is_some() {
+            self.pending_coverage
+                .entry(day)
+                .or_default()
+                .push(CoverageRow {
+                    source,
+                    rows: rows as u64,
+                    data_points,
+                    raw_bytes: table.raw_len() as u64,
+                });
+        }
         Ok(())
     }
 
-    /// Commits everything appended so far: every shard first (with its
-    /// permanently empty dictionary), then the manifest with this commit's
-    /// coverage pages and the real `dict`. A crash between the two leaves
-    /// shard commits the next [`resume`](Self::resume) rolls back.
+    /// Commits everything appended so far. A single file commits with
+    /// `dict`. A sharded archive commits every data file first (with its
+    /// permanently empty dictionary), then the manifest with this
+    /// commit's coverage pages and the real `dict`; a crash between the
+    /// two leaves data-file commits that the next resume rolls back.
     pub fn commit(&mut self, dict: &StringDict) -> io::Result<()> {
-        for shard in &mut self.shards {
-            shard.commit(&self.shard_dict)?;
+        let empty = StringDict::new();
+        let file_dict = if self.manifest.is_some() {
+            &empty
+        } else {
+            dict
+        };
+        for file in std::iter::once(&mut self.first).chain(&mut self.rest) {
+            file.commit(file_dict)?;
         }
+        let Some(manifest) = &mut self.manifest else {
+            return Ok(());
+        };
         for (day, rows) in std::mem::take(&mut self.pending_coverage) {
-            self.manifest
-                .append_table(day, MANIFEST_COVERAGE_SOURCE, &coverage_table(&rows), 0)?;
+            manifest.append_table(day, MANIFEST_COVERAGE_SOURCE, &coverage_table(&rows), 0)?;
         }
-        self.manifest.commit(dict)
+        manifest.commit(dict)
     }
 }
 
-/// A read-only handle on a committed sharded archive: opens the manifest
-/// plus every shard and synthesizes a merged logical [`Catalog`] (page
-/// metadata summed across shards, uniques unioned, the manifest's
-/// dictionary). Page offsets in the synthesized catalog are zero — reads
-/// go through the per-shard archives, never through these metas.
-pub struct ShardedArchive {
-    manifest: Archive,
-    shards: Vec<Archive>,
+/// A read-only handle on a committed archive: one [`Archive`] per data
+/// file, plus, when sharded, the manifest and the logical catalog merged
+/// from the data files.
+pub struct StoreReader {
+    /// The manifest side of a sharded archive; `None` for a single file,
+    /// whose own catalog is the logical one.
+    manifest: Option<Manifest>,
+    /// Data file 0 — the whole archive when there is no manifest.
+    first: Archive,
+    /// Data files 1..N of a sharded archive.
+    rest: Vec<Archive>,
+}
+
+struct Manifest {
+    archive: Archive,
+    /// Page metadata summed across the data files, uniques unioned, the
+    /// manifest's dictionary. Offsets are zero: reads go through the
+    /// data files, never through these metas.
     catalog: Catalog,
     stats: Vec<SourceStats>,
 }
 
-impl ShardedArchive {
-    /// Opens the sharded archive with base path `base` and default cache.
-    pub fn open(base: &Path) -> io::Result<Self> {
-        Self::open_with_cache(base, DEFAULT_CACHE_BYTES)
+impl StoreReader {
+    /// Opens whichever layout exists at base path `path` with the default
+    /// cache: sharded if a manifest sits next to it, single-file
+    /// otherwise.
+    pub fn open_auto(path: &Path) -> io::Result<Self> {
+        Self::open_auto_with_cache(path, DEFAULT_CACHE_BYTES)
     }
 
-    /// Opens with `cache_bytes` of decoded-page cache split evenly across
-    /// the shards (0 disables caching).
-    pub fn open_with_cache(base: &Path, cache_bytes: usize) -> io::Result<Self> {
-        let manifest = Archive::open_with_cache(&manifest_path(base), 0)?;
-        let meta = manifest
-            .table(META_DAY, MANIFEST_META_SOURCE)?
-            .ok_or_else(|| corrupt("manifest has no meta page"))?;
-        let n_shards = meta
-            .column_by_name("n_shards")
-            .and_then(|c| c.first().copied())
-            .ok_or_else(|| corrupt("manifest meta page has no n_shards"))?;
-        if n_shards == 0 {
-            return Err(corrupt("manifest says 0 shards"));
+    /// Like [`open_auto`](Self::open_auto) with an explicit cache budget,
+    /// split evenly across the data files (0 disables caching).
+    pub fn open_auto_with_cache(path: &Path, cache_bytes: usize) -> io::Result<Self> {
+        let mpath = manifest_path(path);
+        if !mpath.exists() {
+            return Ok(Self {
+                manifest: None,
+                first: Archive::open_with_cache(path, cache_bytes)?,
+                rest: Vec::new(),
+            });
         }
-        let per_shard_cache = cache_bytes / n_shards as usize;
-        let mut shards = Vec::with_capacity(n_shards as usize);
-        for k in 0..n_shards {
-            shards.push(Archive::open_with_cache(
-                &shard_path(base, k),
-                per_shard_cache,
-            )?);
-        }
-        let catalog = Self::merge_catalogs(&manifest, &shards)?;
+        let archive = Archive::open_with_cache(&mpath, 0)?;
+        let n_shards = manifest_shards(&archive)?;
+        let per_file_cache = cache_bytes / n_shards as usize;
+        let first = Archive::open_with_cache(&shard_path(path, 0), per_file_cache)?;
+        let rest: Vec<Archive> = (1..n_shards)
+            .map(|k| Archive::open_with_cache(&shard_path(path, k), per_file_cache))
+            .collect::<io::Result<_>>()?;
+        let catalog = merge_catalogs(archive.dict(), &first, &rest)?;
         let stats = catalog.stats();
         Ok(Self {
-            manifest,
-            shards,
-            catalog,
-            stats,
+            manifest: Some(Manifest {
+                archive,
+                catalog,
+                stats,
+            }),
+            first,
+            rest,
         })
     }
 
-    fn merge_catalogs(manifest: &Archive, shards: &[Archive]) -> io::Result<Catalog> {
-        let mut catalog = Catalog::new();
-        catalog.dict = manifest.dict().clone();
-        let Some(first) = shards.first() else {
-            return Err(corrupt("no shards"));
-        };
-        for (&key, meta0) in &first.catalog().pages {
-            let mut merged = PageMeta {
-                day: meta0.day,
-                source: meta0.source,
-                offset: 0,
-                len: 0,
-                rows: 0,
-                data_points: 0,
-                raw_bytes: 0,
-            };
-            for shard in shards {
-                let meta = shard.catalog().pages.get(&key).ok_or_else(|| {
-                    corrupt(&format!(
-                        "page (day {}, source {}) missing from a shard",
-                        key.0, key.1
-                    ))
-                })?;
-                merged.len += meta.len;
-                merged.rows += meta.rows;
-                merged.data_points += meta.data_points;
-                merged.raw_bytes += meta.raw_bytes;
-            }
-            catalog.pages.insert(key, merged);
-        }
-        for shard in shards {
-            if shard.catalog().pages.len() != first.catalog().pages.len() {
-                return Err(corrupt("shard catalogs disagree on the page set"));
-            }
-            for (i, set) in shard.catalog().uniques.iter().enumerate() {
-                if catalog.uniques.len() <= i {
-                    catalog.uniques.resize_with(i + 1, Default::default);
-                }
-                if let Some(mine) = catalog.uniques.get_mut(i) {
-                    mine.extend(set.iter().copied());
-                }
-            }
-        }
-        Ok(catalog)
+    fn files(&self) -> impl Iterator<Item = &Archive> {
+        std::iter::once(&self.first).chain(&self.rest)
     }
 
-    /// Number of shard files.
+    /// True for the manifest + data-files layout.
+    pub fn is_sharded(&self) -> bool {
+        self.manifest.is_some()
+    }
+
+    /// Number of data files (1 for the single-file layout).
     pub fn n_shards(&self) -> u32 {
-        self.shards.len() as u32
+        1 + self.rest.len() as u32
     }
 
-    /// The synthesized logical catalog (summed metas, unioned uniques,
-    /// the manifest's dictionary; offsets are zero).
+    /// The logical catalog (merged from the data files when sharded).
     pub fn catalog(&self) -> &Catalog {
-        &self.catalog
+        self.manifest
+            .as_ref()
+            .map_or(self.first.catalog(), |m| &m.catalog)
     }
 
-    /// The shared string dictionary (stored once, in the manifest).
+    /// The shared string dictionary.
     pub fn dict(&self) -> &StringDict {
-        &self.catalog.dict
+        &self.catalog().dict
     }
 
     /// Source slots present (highest source id + 1).
     pub fn n_sources(&self) -> usize {
-        self.catalog.n_sources()
+        self.catalog().n_sources()
     }
 
     /// Exact statistics for `source`, if it has any pages.
     pub fn stats(&self, source: u8) -> Option<&SourceStats> {
-        self.stats.get(source as usize)
+        match &self.manifest {
+            Some(m) => m.stats.get(source as usize),
+            None => self.first.stats(source),
+        }
     }
 
     /// Days archived for `source`, ascending.
     pub fn days(&self, source: u8) -> Vec<u32> {
-        self.catalog.days(source)
+        self.catalog().days(source)
     }
 
-    /// Sum of encoded page bytes across all shard files.
-    pub fn total_stored_bytes(&self) -> u64 {
-        self.catalog.total_stored_bytes()
+    /// I/O and decode counters summed over the data files.
+    pub fn counters(&self) -> CounterSnapshot {
+        self.files()
+            .map(Archive::counters)
+            .fold(CounterSnapshot::default(), |sum, c| CounterSnapshot {
+                pages_decoded: sum.pages_decoded + c.pages_decoded,
+                cache_hits: sum.cache_hits + c.cache_hits,
+                disk_bytes_read: sum.disk_bytes_read + c.disk_bytes_read,
+                decoded_bytes: sum.decoded_bytes + c.decoded_bytes,
+            })
     }
 
-    /// The full logical table for `(day, source)`: every shard's sub-page
-    /// stacked in shard order, which is original row order.
+    /// The full logical table for `(day, source)`, if archived: the only
+    /// file's page as cached, or every data file's sub-page stacked in
+    /// file order, which is original row order.
     pub fn table(&self, day: u32, source: u8) -> io::Result<Option<Arc<Table>>> {
-        self.assemble(day, source, |shard| shard.table(day, source))
+        self.assemble(day, source, |file| file.table(day, source))
     }
 
     /// Like [`table`](Self::table) but decodes only the named columns.
     pub fn project(&self, day: u32, source: u8, cols: &[&str]) -> io::Result<Option<Arc<Table>>> {
-        self.assemble(day, source, |shard| shard.project(day, source, cols))
+        self.assemble(day, source, |file| file.project(day, source, cols))
     }
 
-    /// One shard's sub-table of a logical page — the unit of parallel
-    /// scan work.
+    /// The logical page `(day, source)` decoded once, with its encoded
+    /// body: the same table and bytes whichever layout holds it. A
+    /// single-file page is read as stored (checksum-verified) and decoded;
+    /// a sharded page is assembled from its checksum-verified sub-pages
+    /// and encoded once — the bytes a single-file archive of that table
+    /// would store. A page that does not decode is an error.
+    pub fn page(&self, day: u32, source: u8) -> io::Result<Option<(Arc<Table>, Vec<u8>)>> {
+        if self.manifest.is_some() {
+            return Ok(self.table(day, source)?.map(|table| {
+                let bytes = table.to_bytes();
+                (table, bytes)
+            }));
+        }
+        let Some(bytes) = self.first.page_bytes(day, source)? else {
+            return Ok(None);
+        };
+        let table = Table::from_bytes(&bytes).map_err(|e| {
+            corrupt(&format!(
+                "page (day {day}, source {source}) does not decode: {e}"
+            ))
+        })?;
+        Ok(Some((Arc::new(table), bytes)))
+    }
+
+    /// One data file's sub-table of a logical page — the unit of parallel
+    /// scan work. File 0 of a single-file archive is the whole page; any
+    /// other file number has nothing.
     pub fn shard_table(&self, shard: u32, day: u32, source: u8) -> io::Result<Option<Arc<Table>>> {
-        match self.shards.get(shard as usize) {
-            Some(archive) => archive.table(day, source),
+        match self.files().nth(shard as usize) {
+            Some(file) => file.table(day, source),
             None => Ok(None),
         }
     }
@@ -482,12 +563,16 @@ impl ShardedArchive {
         source: u8,
         load: impl Fn(&Archive) -> io::Result<Option<Arc<Table>>>,
     ) -> io::Result<Option<Arc<Table>>> {
-        if !self.catalog.pages.contains_key(&(day, source)) {
+        // File 0's catalog holds exactly the logical key set.
+        let Some(first) = load(&self.first)? else {
             return Ok(None);
+        };
+        if self.rest.is_empty() {
+            return Ok(Some(first));
         }
-        let mut parts = Vec::with_capacity(self.shards.len());
-        for shard in &self.shards {
-            parts.push(load(shard)?.ok_or_else(|| {
+        let mut parts = vec![first];
+        for file in &self.rest {
+            parts.push(load(file)?.ok_or_else(|| {
                 corrupt(&format!(
                     "page (day {day}, source {source}) missing from a shard"
                 ))
@@ -499,19 +584,23 @@ impl ShardedArchive {
         Ok(Some(Arc::new(merged)))
     }
 
-    /// Verifies every page checksum in the manifest and all shards, then
-    /// cross-checks each coverage row against the summed shard metadata.
-    /// Each coverage row counts as one checked page in the report.
+    /// Verifies every page checksum in every file; when sharded, also
+    /// cross-checks each manifest coverage row against the summed
+    /// data-file metadata, counting each row as one checked page.
     pub fn verify(&self) -> io::Result<VerifyReport> {
-        let mut report = self.manifest.verify()?;
-        for shard in &self.shards {
-            let r = shard.verify()?;
+        let manifest = self.manifest.as_ref();
+        let mut report = VerifyReport::default();
+        for file in manifest.map(|m| &m.archive).into_iter().chain(self.files()) {
+            let r = file.verify()?;
             report.pages += r.pages;
             report.ok += r.ok;
             report.corrupt.extend(r.corrupt);
         }
-        for day in self.manifest.days(MANIFEST_COVERAGE_SOURCE) {
-            let Some(cov) = self.manifest.table(day, MANIFEST_COVERAGE_SOURCE)? else {
+        let Some(manifest) = manifest else {
+            return Ok(report);
+        };
+        for day in manifest.archive.days(MANIFEST_COVERAGE_SOURCE) {
+            let Some(cov) = manifest.archive.table(day, MANIFEST_COVERAGE_SOURCE)? else {
                 continue;
             };
             let (src, r_lo, r_hi, d_lo, d_hi, w_lo, w_hi) = (
@@ -545,7 +634,7 @@ impl ShardedArchive {
                     w_lo.get(i).copied().unwrap_or(0),
                     w_hi.get(i).copied().unwrap_or(0),
                 );
-                let meta = self.catalog.pages.get(&(day, source));
+                let meta = manifest.catalog.pages.get(&(day, source));
                 let matches = meta.is_some_and(|m| {
                     m.rows == want_rows && m.data_points == want_dp && m.raw_bytes == want_raw
                 });
@@ -560,297 +649,49 @@ impl ShardedArchive {
     }
 }
 
-/// A writer over either archive layout, so the measurement pipeline is
-/// layout-agnostic.
-pub enum StoreWriter {
-    /// The historical single-file `archive.dps`.
-    Single(ArchiveWriter),
-    /// Manifest + N shard files.
-    Sharded(ShardedWriter),
-}
-
-impl StoreWriter {
-    /// Creates (truncating) an archive at base path `path`: single-file
-    /// when `shards <= 1`, sharded otherwise.
-    pub fn create_store(
-        path: &Path,
-        shards: u32,
-        unique_key_column: Option<&str>,
-    ) -> io::Result<Self> {
-        if shards <= 1 {
-            Ok(Self::Single(ArchiveWriter::create(
-                path,
-                unique_key_column,
-            )?))
-        } else {
-            Ok(Self::Sharded(ShardedWriter::create_sharded(
-                path,
-                shards,
-                unique_key_column,
-            )?))
+/// The logical catalog of a sharded archive: page metadata summed across
+/// the data files, uniques unioned, and `dict`. Fails unless every file
+/// lists the same pages.
+fn merge_catalogs(dict: &StringDict, first: &Archive, rest: &[Archive]) -> io::Result<Catalog> {
+    let files = || std::iter::once(first).chain(rest);
+    let mut catalog = Catalog::new();
+    catalog.dict = dict.clone();
+    for (&key, meta0) in &first.catalog().pages {
+        let mut merged = PageMeta {
+            day: meta0.day,
+            source: meta0.source,
+            offset: 0,
+            len: 0,
+            rows: 0,
+            data_points: 0,
+            raw_bytes: 0,
+        };
+        for file in files() {
+            let meta = file.catalog().pages.get(&key).ok_or_else(|| {
+                corrupt(&format!(
+                    "page (day {}, source {}) missing from a shard",
+                    key.0, key.1
+                ))
+            })?;
+            merged.len += meta.len;
+            merged.rows += meta.rows;
+            merged.data_points += meta.data_points;
+            merged.raw_bytes += meta.raw_bytes;
         }
+        catalog.pages.insert(key, merged);
     }
-
-    /// Resumes whichever layout exists at `path` (a manifest beats the
-    /// requested shard count — an existing sharded archive is resumed as
-    /// such even when the caller asks for 1), creating a fresh archive
-    /// with `shards` shard files when nothing exists. Refuses a shard
-    /// count that contradicts an existing archive.
-    pub fn resume_or_create(
-        path: &Path,
-        shards: u32,
-        unique_key_column: Option<&str>,
-    ) -> io::Result<Self> {
-        if manifest_path(path).exists() {
-            let writer = ShardedWriter::resume(path, unique_key_column)?;
-            if shards > 1 && writer.n_shards() != shards {
-                return Err(io::Error::other(format!(
-                    "dps-store: archive has {} shards but {} were requested",
-                    writer.n_shards(),
-                    shards
-                )));
+    for file in files() {
+        if file.catalog().pages.len() != first.catalog().pages.len() {
+            return Err(corrupt("shard catalogs disagree on the page set"));
+        }
+        for (i, set) in file.catalog().uniques.iter().enumerate() {
+            if catalog.uniques.len() <= i {
+                catalog.uniques.resize_with(i + 1, Default::default);
             }
-            return Ok(Self::Sharded(writer));
-        }
-        if path.exists() {
-            if shards > 1 {
-                return Err(io::Error::other(
-                    "dps-store: cannot resume a single-file archive with --shards > 1",
-                ));
+            if let Some(mine) = catalog.uniques.get_mut(i) {
+                mine.extend(set.iter().copied());
             }
-            return Ok(Self::Single(ArchiveWriter::resume(
-                path,
-                unique_key_column,
-            )?));
-        }
-        Self::create_store(path, shards, unique_key_column)
-    }
-
-    /// Number of shard files (1 for the single-file layout).
-    pub fn n_shards(&self) -> u32 {
-        match self {
-            Self::Single(_) => 1,
-            Self::Sharded(w) => w.n_shards(),
         }
     }
-
-    /// The dictionary recovered from the last committed footer.
-    pub fn dict(&self) -> &StringDict {
-        match self {
-            Self::Single(w) => w.dict(),
-            Self::Sharded(w) => w.dict(),
-        }
-    }
-
-    /// True if a page for `(day, source)` is already present.
-    pub fn contains(&self, day: u32, source: u8) -> bool {
-        match self {
-            Self::Single(w) => w.contains(day, source),
-            Self::Sharded(w) => w.contains(day, source),
-        }
-    }
-
-    /// The last day with any committed or appended page.
-    pub fn last_day(&self) -> Option<u32> {
-        match self {
-            Self::Single(w) => w.last_day(),
-            Self::Sharded(w) => w.last_day(),
-        }
-    }
-
-    /// True if no page has been committed or appended yet.
-    pub fn is_empty(&self) -> bool {
-        match self {
-            Self::Single(w) => w.catalog().pages.is_empty(),
-            Self::Sharded(w) => w.page_keys().is_empty(),
-        }
-    }
-
-    /// Logical pages appended since the last commit.
-    pub fn uncommitted_pages(&self) -> usize {
-        match self {
-            Self::Single(w) => w.uncommitted_pages(),
-            Self::Sharded(w) => w.uncommitted_pages(),
-        }
-    }
-
-    /// Appends one logical table (row-split across shards when sharded).
-    pub fn append_table(
-        &mut self,
-        day: u32,
-        source: u8,
-        table: &Table,
-        data_points: u64,
-    ) -> io::Result<()> {
-        match self {
-            Self::Single(w) => w.append_table(day, source, table, data_points),
-            Self::Sharded(w) => w.append_table(day, source, table, data_points),
-        }
-    }
-
-    /// Commits everything appended so far (shards first, then the
-    /// manifest, when sharded).
-    pub fn commit(&mut self, dict: &StringDict) -> io::Result<()> {
-        match self {
-            Self::Single(w) => w.commit(dict),
-            Self::Sharded(w) => w.commit(dict),
-        }
-    }
-}
-
-/// A read-only handle over either archive layout.
-pub enum StoreReader {
-    /// The historical single-file `archive.dps`.
-    Single(Archive),
-    /// Manifest + N shard files.
-    Sharded(ShardedArchive),
-}
-
-impl StoreReader {
-    /// Opens whichever layout exists at base path `path` with the default
-    /// cache: sharded if a manifest sits next to it, single-file
-    /// otherwise.
-    pub fn open_auto(path: &Path) -> io::Result<Self> {
-        Self::open_auto_with_cache(path, DEFAULT_CACHE_BYTES)
-    }
-
-    /// Like [`open_auto`](Self::open_auto) with an explicit cache budget
-    /// (0 disables caching).
-    pub fn open_auto_with_cache(path: &Path, cache_bytes: usize) -> io::Result<Self> {
-        if manifest_path(path).exists() {
-            Ok(Self::Sharded(ShardedArchive::open_with_cache(
-                path,
-                cache_bytes,
-            )?))
-        } else {
-            Ok(Self::Single(Archive::open_with_cache(path, cache_bytes)?))
-        }
-    }
-
-    /// True for the manifest + shard-files layout.
-    pub fn is_sharded(&self) -> bool {
-        matches!(self, Self::Sharded(_))
-    }
-
-    /// Number of shard files (1 for the single-file layout).
-    pub fn n_shards(&self) -> u32 {
-        match self {
-            Self::Single(_) => 1,
-            Self::Sharded(a) => a.n_shards(),
-        }
-    }
-
-    /// The logical catalog (synthesized for the sharded layout).
-    pub fn catalog(&self) -> &Catalog {
-        match self {
-            Self::Single(a) => a.catalog(),
-            Self::Sharded(a) => a.catalog(),
-        }
-    }
-
-    /// The shared string dictionary.
-    pub fn dict(&self) -> &StringDict {
-        match self {
-            Self::Single(a) => a.dict(),
-            Self::Sharded(a) => a.dict(),
-        }
-    }
-
-    /// Source slots present (highest source id + 1).
-    pub fn n_sources(&self) -> usize {
-        match self {
-            Self::Single(a) => a.n_sources(),
-            Self::Sharded(a) => a.n_sources(),
-        }
-    }
-
-    /// Exact statistics for `source`, if it has any pages.
-    pub fn stats(&self, source: u8) -> Option<&SourceStats> {
-        match self {
-            Self::Single(a) => a.stats(source),
-            Self::Sharded(a) => a.stats(source),
-        }
-    }
-
-    /// Days archived for `source`, ascending.
-    pub fn days(&self, source: u8) -> Vec<u32> {
-        match self {
-            Self::Single(a) => a.days(source),
-            Self::Sharded(a) => a.days(source),
-        }
-    }
-
-    /// Sum of encoded page bytes.
-    pub fn total_stored_bytes(&self) -> u64 {
-        match self {
-            Self::Single(a) => a.total_stored_bytes(),
-            Self::Sharded(a) => a.total_stored_bytes(),
-        }
-    }
-
-    /// The full logical table for `(day, source)`, if archived.
-    pub fn table(&self, day: u32, source: u8) -> io::Result<Option<Arc<Table>>> {
-        match self {
-            Self::Single(a) => a.table(day, source),
-            Self::Sharded(a) => a.table(day, source),
-        }
-    }
-
-    /// Like [`table`](Self::table) but decodes only the named columns.
-    pub fn project(&self, day: u32, source: u8, cols: &[&str]) -> io::Result<Option<Arc<Table>>> {
-        match self {
-            Self::Single(a) => a.project(day, source, cols),
-            Self::Sharded(a) => a.project(day, source, cols),
-        }
-    }
-
-    /// The logical page `(day, source)` decoded once, with its encoded
-    /// body: the same table and bytes whichever layout holds it. A
-    /// single-file page is read as stored (checksum-verified) and decoded;
-    /// a sharded page is assembled from its checksum-verified shard
-    /// sub-pages and encoded once — the bytes a single-file archive of
-    /// that table would store. A page that does not decode is an error.
-    pub fn page(&self, day: u32, source: u8) -> io::Result<Option<(Arc<Table>, Vec<u8>)>> {
-        match self {
-            Self::Single(a) => {
-                let Some(bytes) = a.page_bytes(day, source)? else {
-                    return Ok(None);
-                };
-                let table = Table::from_bytes(&bytes).map_err(|e| {
-                    corrupt(&format!(
-                        "page (day {day}, source {source}) does not decode: {e}"
-                    ))
-                })?;
-                Ok(Some((Arc::new(table), bytes)))
-            }
-            Self::Sharded(a) => Ok(a.table(day, source)?.map(|table| {
-                let bytes = table.to_bytes();
-                (table, bytes)
-            })),
-        }
-    }
-
-    /// One shard's sub-table of a logical page — the unit of parallel
-    /// scan work. Shard 0 of a single-file archive is the whole page.
-    pub fn shard_table(&self, shard: u32, day: u32, source: u8) -> io::Result<Option<Arc<Table>>> {
-        match self {
-            Self::Single(a) => {
-                if shard == 0 {
-                    a.table(day, source)
-                } else {
-                    Ok(None)
-                }
-            }
-            Self::Sharded(a) => a.shard_table(shard, day, source),
-        }
-    }
-
-    /// Verifies every page checksum (plus coverage cross-checks when
-    /// sharded).
-    pub fn verify(&self) -> io::Result<VerifyReport> {
-        match self {
-            Self::Single(a) => a.verify(),
-            Self::Sharded(a) => a.verify(),
-        }
-    }
+    Ok(catalog)
 }

@@ -99,8 +99,10 @@ impl ArchiveWriter {
 
     /// Builds a writer from an already-recovered state: `file` truncated
     /// to `trailer_end` (8 = fresh, nothing committed) and `catalog` the
-    /// merged result of the surviving chain prefix. The sharded store uses
+    /// merged result of the surviving chain prefix. [`StoreWriter`] uses
     /// this after rolling a shard back to the prefix its manifest covers.
+    ///
+    /// [`StoreWriter`]: crate::StoreWriter
     pub(crate) fn from_recovered(
         file: File,
         catalog: Catalog,
@@ -119,15 +121,6 @@ impl ArchiveWriter {
             committed_dict_len,
             prev_trailer_end: if committed_once { trailer_end } else { 0 },
             committed_once,
-        }
-    }
-
-    /// Resumes if `path` exists, creates otherwise.
-    pub fn resume_or_create(path: &Path, unique_key_column: Option<&str>) -> io::Result<Self> {
-        if path.exists() {
-            Self::resume(path, unique_key_column)
-        } else {
-            Self::create(path, unique_key_column)
         }
     }
 

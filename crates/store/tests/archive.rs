@@ -3,9 +3,10 @@
 //! corrupt footer → clean `io::Error`, never a panic or wrong data).
 
 use dps_columnar::{Schema, StringDict, Table, TableBuilder};
-use dps_store::{Archive, ArchiveWriter, ScanQuery};
+use dps_store::{Archive, ArchiveWriter};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Arc;
 
 fn temp_archive(tag: &str) -> PathBuf {
     static N: AtomicUsize = AtomicUsize::new(0);
@@ -69,44 +70,69 @@ fn write_open_roundtrip_with_exact_stats() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Every catalog page read in `(day, source)` order, optionally
+/// projected to `cols`.
+fn read_all(archive: &Archive, cols: Option<&[&str]>) -> Vec<((u32, u8), Arc<Table>)> {
+    archive
+        .catalog()
+        .pages
+        .keys()
+        .map(|&(day, source)| {
+            let table = match cols {
+                Some(cols) => archive.project(day, source, cols),
+                None => archive.table(day, source),
+            };
+            ((day, source), table.unwrap().unwrap())
+        })
+        .collect()
+}
+
 #[test]
-fn scan_prunes_and_projects() {
+fn catalog_range_reads_prune_and_project() {
     let path = temp_archive("scan");
     write_archive(&path, 5);
-    let archive = Archive::open(&path).unwrap();
-    // Pruning: only days 1..=2, source 1.
-    let items = archive
-        .scan(&ScanQuery::all().days(1, 2).source(1))
-        .unwrap();
-    assert_eq!(items.len(), 2);
-    assert!(items.iter().all(|it| it.source == 1));
-    assert_eq!(items[0].day, 1);
-    assert_eq!(items[1].day, 2);
-    // Projection: two columns only, and the counters prove fewer decoded
-    // bytes than a full scan of the same pages.
+    // Cache disabled so every read below really decodes.
+    let archive = Archive::open_with_cache(&path, 0).unwrap();
+    // Pruning: reading the catalog's day range 1..=2 for source 1 decodes
+    // exactly those two pages.
     let before = archive.counters();
-    let narrow = archive
-        .scan(&ScanQuery::all().columns(&["entry", "asn"]))
-        .unwrap();
+    let keys: Vec<(u32, u8)> = archive
+        .catalog()
+        .pages
+        .range((1, 0)..=(2, u8::MAX))
+        .map(|(&key, _)| key)
+        .filter(|&(_, source)| source == 1)
+        .collect();
+    assert_eq!(keys, [(1, 1), (2, 1)]);
+    for &(day, source) in &keys {
+        assert!(archive.table(day, source).unwrap().is_some());
+    }
+    assert_eq!(archive.counters().since(&before).pages_decoded, 2);
+    // Projection: two columns only, and the counters prove fewer decoded
+    // bytes than a full read of the same pages.
+    let before = archive.counters();
+    let narrow = read_all(&archive, Some(&["entry", "asn"]));
     let after_narrow = archive.counters().since(&before);
     assert!(narrow
         .iter()
-        .all(|it| it.table.schema().names() == ["entry", "asn"]));
-    let full = archive.scan(&ScanQuery::all()).unwrap();
+        .all(|(_, table)| table.schema().names() == ["entry", "asn"]));
+    let full = read_all(&archive, None);
     let after_full = archive.counters().since(&before);
     let full_delta = after_full.since(&after_narrow);
     assert_eq!(narrow.len(), full.len());
+    assert_eq!(after_narrow.pages_decoded, full_delta.pages_decoded);
     assert!(
         after_narrow.decoded_bytes < full_delta.decoded_bytes,
-        "projected scan decoded {} bytes, full scan {}",
+        "projected reads decoded {} bytes, full reads {}",
         after_narrow.decoded_bytes,
         full_delta.decoded_bytes
     );
     // Projected values equal the full table's columns.
-    for (n, f) in narrow.iter().zip(&full) {
+    for ((nk, n), (fk, f)) in narrow.iter().zip(&full) {
+        assert_eq!(nk, fk);
         assert_eq!(
-            n.table.column_by_name("asn").unwrap(),
-            f.table.column_by_name("asn").unwrap()
+            n.column_by_name("asn").unwrap(),
+            f.column_by_name("asn").unwrap()
         );
     }
     std::fs::remove_file(&path).ok();
@@ -118,11 +144,11 @@ fn warm_cache_serves_repeated_scans_without_decoding() {
     write_archive(&path, 10);
     let archive = Archive::open(&path).unwrap();
     let cold = archive.counters();
-    archive.par_scan(&ScanQuery::all()).unwrap();
+    assert_eq!(read_all(&archive, None).len(), 20);
     let after_first = archive.counters();
     let first = after_first.since(&cold);
     assert_eq!(first.pages_decoded, 20);
-    archive.par_scan(&ScanQuery::all()).unwrap();
+    read_all(&archive, None);
     let second = archive.counters().since(&after_first);
     assert_eq!(second.pages_decoded, 0, "warm pass decodes nothing");
     assert_eq!(second.cache_hits, 20);
@@ -304,11 +330,10 @@ fn telemetry_mirrors_counters_and_footer_walks() {
     write_archive(&path, 3);
     let registry = dps_telemetry::Registry::new();
     let archive = Archive::open_with_telemetry(&path, 1 << 20, &registry).unwrap();
-    archive.scan(&ScanQuery::all()).unwrap();
-    archive.scan(&ScanQuery::all()).unwrap();
+    read_all(&archive, None);
+    read_all(&archive, None);
     let snap = registry.snapshot();
     assert_eq!(snap.counters["store.footer.walks"], 1);
-    assert_eq!(snap.counters["store.scans"], 2);
     // 3 days × 2 sources = 6 pages; cold pass misses, warm pass hits.
     assert_eq!(snap.counters["store.cache.misses"], 6);
     assert_eq!(snap.counters["store.cache.hits"], 6);
@@ -318,6 +343,5 @@ fn telemetry_mirrors_counters_and_footer_walks() {
     let chain = &snap.histograms["store.footer.chain"];
     assert_eq!(chain.count, 1);
     assert_eq!(chain.sum, 3, "one committed footer delta per day");
-    assert_eq!(snap.histograms["store.scan.pages"].sum, 12);
     std::fs::remove_file(&path).ok();
 }

@@ -3,7 +3,7 @@
 //! the in-memory tables it was built from.
 
 use dps_columnar::{Schema, StringDict, Table, TableBuilder};
-use dps_store::{Archive, ArchiveWriter, ScanQuery};
+use dps_store::{Archive, ArchiveWriter};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -81,27 +81,28 @@ proptest! {
             .filter(|(i, _)| proj_mask & (1 << i) != 0)
             .map(|(_, c)| *c)
             .collect();
-        let mut query = ScanQuery::all()
-            .days(day_lo, day_lo + day_span)
-            .columns(&projection);
-        if pick_source < 3 {
-            query = query.source(pick_source);
-        }
-        let items = archive.scan(&query).unwrap();
-
-        // Every scanned item matches the in-memory table, column by column.
-        for item in &items {
-            let mem = &expected[&(item.day, item.source)];
-            prop_assert_eq!(item.table.rows(), mem.rows());
+        // The catalog's day range, narrowed to one source unless
+        // `pick_source` is 3, read under the projection.
+        let keys: Vec<(u32, u8)> = archive
+            .catalog()
+            .pages
+            .range((day_lo, 0)..=(day_lo + day_span, u8::MAX))
+            .map(|(&key, _)| key)
+            .filter(|&(_, s)| pick_source == 3 || pick_source == s)
+            .collect();
+        for &(day, source) in &keys {
+            let table = archive.project(day, source, &projection).unwrap().unwrap();
+            let mem = &expected[&(day, source)];
+            prop_assert_eq!(table.rows(), mem.rows());
             for col in &projection {
                 prop_assert_eq!(
-                    item.table.column_by_name(col).unwrap(),
+                    table.column_by_name(col).unwrap(),
                     mem.column_by_name(col).unwrap(),
-                    "column {} of (day {}, source {})", col, item.day, item.source
+                    "column {} of (day {}, source {})", col, day, source
                 );
             }
         }
-        // And the scan is complete: exactly the pages the predicate admits.
+        // And the read is complete: exactly the pages the predicate admits.
         let expected_keys: Vec<(u32, u8)> = expected
             .keys()
             .copied()
@@ -109,8 +110,7 @@ proptest! {
                 d >= day_lo && d <= day_lo + day_span && (pick_source == 3 || pick_source == s)
             })
             .collect();
-        let got_keys: Vec<(u32, u8)> = items.iter().map(|it| (it.day, it.source)).collect();
-        prop_assert_eq!(got_keys, expected_keys);
+        prop_assert_eq!(keys, expected_keys);
 
         std::fs::remove_file(&path).ok();
     }

@@ -2,12 +2,12 @@
 //! indistinguishable from a single-file archive through the `StoreReader`
 //! surface, resume must roll partially-committed shards back to the
 //! manifest's coverage, and `shards = 1` through `StoreWriter` must stay
-//! byte-identical to the historical `ArchiveWriter` layout.
+//! byte-identical to a plain `ArchiveWriter` file.
 
 use dps_columnar::{Schema, StringDict, Table, TableBuilder};
 use dps_store::{
     sharded::{manifest_path, shard_path, shard_range},
-    ArchiveWriter, ShardedArchive, ShardedWriter, StoreReader, StoreWriter,
+    ArchiveWriter, StoreReader, StoreWriter,
 };
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -298,7 +298,7 @@ fn crash_before_manifest_commit_rolls_shards_back() {
             "replayed shard {shard} must match the uninterrupted run"
         );
     }
-    let archive = ShardedArchive::open(&crashed).unwrap();
+    let archive = StoreReader::open_auto(&crashed).unwrap();
     assert!(archive.verify().unwrap().all_ok());
     cleanup(&crashed);
     cleanup(&witness);
@@ -322,7 +322,7 @@ fn shard_behind_manifest_is_a_clean_error() {
     }
     // Shard 1 loses days 1..3 while the manifest keeps them.
     std::fs::write(shard_path(&base, 1), &one_day).unwrap();
-    let err = match ShardedWriter::resume(&base, Some("entry")) {
+    let err = match StoreWriter::resume_or_create(&base, 2, Some("entry")) {
         Err(err) => err,
         Ok(_) => panic!("resume must fail when a shard is behind the manifest"),
     };
@@ -330,7 +330,7 @@ fn shard_behind_manifest_is_a_clean_error() {
         err.to_string().contains("missing days"),
         "unexpected error: {err}"
     );
-    assert!(ShardedArchive::open(&base).is_err());
+    assert!(StoreReader::open_auto(&base).is_err());
     cleanup(&base);
 }
 
@@ -346,7 +346,7 @@ fn flipped_shard_byte_fails_verify_with_page_location() {
     let mut bytes = std::fs::read(&shard).unwrap();
     bytes[20] ^= 0x01; // inside the first page region (pages start at 8)
     std::fs::write(&shard, &bytes).unwrap();
-    let archive = ShardedArchive::open(&base).unwrap();
+    let archive = StoreReader::open_auto(&base).unwrap();
     let report = archive.verify().unwrap();
     assert!(!report.all_ok());
     assert!(
@@ -378,7 +378,7 @@ fn open_auto_detects_layout_and_single_file_shard_view() {
     cleanup(&base);
 }
 
-/// An open `ShardedArchive` keeps serving reads found in its catalog even
+/// An open sharded `StoreReader` keeps serving reads found in its catalog even
 /// as a writer appends more days — and a reopen sees the new coverage.
 #[test]
 fn reopen_after_append_sees_new_days() {
@@ -388,14 +388,14 @@ fn reopen_after_append_sees_new_days() {
         let mut w = StoreWriter::create_store(&base, 2, Some("entry")).unwrap();
         write_days(&mut w, 0..1, &dict);
     }
-    let before = ShardedArchive::open(&base).unwrap();
+    let before = StoreReader::open_auto(&base).unwrap();
     {
         let mut w = StoreWriter::resume_or_create(&base, 2, Some("entry")).unwrap();
         write_days(&mut w, 1..2, &dict);
     }
     assert_eq!(before.days(0), vec![0]);
     assert!(before.table(0, 0).unwrap().is_some());
-    let after = ShardedArchive::open(&base).unwrap();
+    let after = StoreReader::open_auto(&base).unwrap();
     assert_eq!(after.days(0), vec![0, 1]);
     assert!(after.verify().unwrap().all_ok());
     cleanup(&base);

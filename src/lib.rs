@@ -78,7 +78,7 @@ pub mod prelude {
     };
     pub use dps_netsim::{ChaosSchedule, Day, FaultProfile, Network, Prefix};
     pub use dps_recursor::{Recursor, RecursorConfig};
-    pub use dps_store::{Archive, ArchiveWriter, ScanQuery, StoreReader, StoreWriter};
+    pub use dps_store::{Archive, ArchiveWriter, StoreReader, StoreWriter};
     pub use dps_stream::{KmvSketch, StreamEngine};
 }
 

@@ -112,16 +112,26 @@ fn projected_scan_decodes_fewer_bytes() {
         .expect("archived run");
 
     // Cache disabled so both passes really decode.
-    let archive = dps_scope::store::Archive::open_with_cache(&path, 0).unwrap();
+    let archive = StoreReader::open_auto_with_cache(&path, 0).unwrap();
+    let days = archive.days(0);
 
     let before = archive.counters();
-    let full = archive.scan(&ScanQuery::all().source(0)).unwrap();
+    let full: Vec<_> = days
+        .iter()
+        .map(|&day| archive.table(day, 0).unwrap().unwrap())
+        .collect();
     let full_pass = archive.counters().since(&before);
 
     let before = archive.counters();
-    let projected = archive
-        .scan(&ScanQuery::all().source(0).columns(&["entry", "asn1"]))
-        .unwrap();
+    let projected: Vec<_> = days
+        .iter()
+        .map(|&day| {
+            archive
+                .project(day, 0, &["entry", "asn1"])
+                .unwrap()
+                .unwrap()
+        })
+        .collect();
     let projected_pass = archive.counters().since(&before);
 
     assert_eq!(full.len(), DAYS as usize);
@@ -136,9 +146,15 @@ fn projected_scan_decodes_fewer_bytes() {
     // 2 of 18 columns: well under a quarter of the full decode.
     assert!(projected_pass.decoded_bytes * 4 < full_pass.decoded_bytes);
 
-    // Pruning: a one-day scan reads exactly the pages of that day.
+    // Pruning: reading one day's catalog range reads exactly the pages
+    // of that day.
     let before = archive.counters();
-    let one_day = archive.scan(&ScanQuery::all().days(3, 3)).unwrap();
+    let one_day: Vec<_> = archive
+        .catalog()
+        .pages
+        .range((3, 0)..=(3, u8::MAX))
+        .map(|(&(day, source), _)| archive.table(day, source).unwrap().unwrap())
+        .collect();
     let pruned_pass = archive.counters().since(&before);
     // Before cc start a day holds 3 gTLD data pages plus its quality and
     // telemetry pages.
@@ -164,20 +180,17 @@ fn warm_page_cache_serves_repeated_classification() {
         .run_archived(&mut world, &path, None)
         .expect("archived run");
 
-    let reader = StoreReader::Single(Archive::open(&path).unwrap());
-    let StoreReader::Single(archive) = &reader else {
-        unreachable!("built as a single-file reader");
-    };
+    let reader = StoreReader::open_auto(&path).unwrap();
     let refs = CompiledRefs::compile(&ProviderRefs::paper_table2(), reader.dict());
     let scanner = Scanner::new(&refs);
 
-    let before = archive.counters();
+    let before = reader.counters();
     let cold = scanner.run_store(&reader).unwrap();
-    let cold_pass = archive.counters().since(&before);
+    let cold_pass = reader.counters().since(&before);
 
-    let before = archive.counters();
+    let before = reader.counters();
     let warm = scanner.run_store(&reader).unwrap();
-    let warm_pass = archive.counters().since(&before);
+    let warm_pass = reader.counters().since(&before);
 
     assert!(
         cold_pass.pages_decoded >= 10,
